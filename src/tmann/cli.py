@@ -50,6 +50,10 @@ DEFAULTS = {
 }
 
 
+#: Every top-level config field: the defaults plus the problem description.
+FIELDS = frozenset(DEFAULTS) | {"space", "family", "schedule", "u", "x0", "p", "M"}
+
+
 class ConfigError(Exception):
     """Raised for malformed or inconsistent experiment configs."""
 
@@ -82,6 +86,36 @@ def _require(cfg: dict, key: str, source: str):
     return cfg[key]
 
 
+_KIND_NAMES = {
+    int: "an integer of magnitude below 2**63",
+    float: "a number of magnitude below 2**63",
+    bool: "true or false",
+}
+
+
+def _typed(cfg: dict, key: str, kind: type, source: str):
+    """cfg[key] as an int, float or bool, or a ConfigError naming the field.
+
+    A number field takes a JSON number, not text or true/false, of
+    magnitude below 2**63 (finite, and within the 64-bit integers numpy
+    counts with), and an integer field takes no fractional part (3.7 is
+    refused, not truncated to 3).
+    """
+    value = cfg[key]
+    if kind is bool:
+        valid = isinstance(value, bool)
+    else:
+        valid = (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and abs(value) < 2**63  # False for inf and nan; exact for a long int
+            and (kind is float or value == int(value))
+        )
+    if not valid:
+        raise ConfigError(f"{source}: field '{key}' must be {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
 def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Load and validate a JSON experiment config, applying CLI overrides."""
     path = Path(path)
@@ -93,6 +127,9 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
+    unknown = sorted(set(raw) - FIELDS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown field(s) {', '.join(map(repr, unknown))}")
 
     merged = dict(DEFAULTS)
     merged.update(raw)
@@ -105,10 +142,10 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
         if not isinstance(value, dict) or "name" not in value:
             raise ConfigError(f"{source}: field '{section}' must be an object with a 'name'")
 
-    horizon = int(merged["horizon"])
+    horizon = _typed(merged, "horizon", int, source)
     if horizon < 1:
         raise ConfigError(f"{source}: horizon must be >= 1, got {horizon}")
-    k_max = int(merged["k_max"])
+    k_max = _typed(merged, "k_max", int, source)
     if k_max < 0:
         raise ConfigError(f"{source}: k_max must be >= 0, got {k_max}")
 
@@ -119,17 +156,17 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
         u=_require(merged, "u", source),
         x0=_require(merged, "x0", source),
         p=merged.get("p"),
-        M=int(merged["M"]) if merged.get("M") is not None else None,
+        M=_typed(merged, "M", int, source) if merged.get("M") is not None else None,
         horizon=horizon,
         k_max=k_max,
-        tolerance=float(merged["tolerance"]),
-        seed=int(merged["seed"]),
+        tolerance=_typed(merged, "tolerance", float, source),
+        seed=_typed(merged, "seed", int, source),
         out_dir=str(merged["out_dir"]),
-        axiom_samples=int(merged["axiom_samples"]),
-        family_samples=int(merged["family_samples"]),
-        modulus_horizon=int(merged["modulus_horizon"]),
-        modulus_k_max=int(merged["modulus_k_max"]),
-        record_points=bool(merged["record_points"]),
+        axiom_samples=_typed(merged, "axiom_samples", int, source),
+        family_samples=_typed(merged, "family_samples", int, source),
+        modulus_horizon=_typed(merged, "modulus_horizon", int, source),
+        modulus_k_max=_typed(merged, "modulus_k_max", int, source),
+        record_points=_typed(merged, "record_points", bool, source),
         source=source,
     )
 
@@ -408,9 +445,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None) -> int
     except ValueError as exc:
         raise ConfigError(f"{config.source}: {exc}")
 
-    trace = iterate.run_tikhonov_mann(
-        instance, config.horizon, record_points=config.record_points
-    )
+    trace = iterate.run_tikhonov_mann(instance, config.horizon)
 
     bounds = iterate.check_basic_bounds(instance, trace, tol=tol)
     result.add("orbit bounds", "pass" if bounds.passed else "fail", bounds.summary())
@@ -485,22 +520,21 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None) -> int
         )
         ss = rates.sabach_shtern_check(trace.residual_step, L=3.0 * instance.M, tol=tol)
         result.add("sabach-shtern recursion", "pass" if ss.passed else "fail", ss.summary())
-        if trace.x is not None:
-            worst_cross = -float("inf")
-            sample_ns = np.unique(
-                np.geomspace(1, max(config.horizon - 1, 1), 25).astype(int)
-            )
-            for n in sample_ns:
-                xn = trace.x[n]
-                for m in (0, n // 2, 2 * n):
-                    dist = space.dist(xn, family.eval(m, xn))
-                    worst_cross = max(worst_cross, dist - lr.bound_cross(n))
-            result.add(
-                "linear cross-index spot check",
-                "pass" if worst_cross <= tol else "fail",
-                f"worst excess of d(x_n, T_m x_n) over 20M/(lam(n+2)): {worst_cross: .3e} "
-                f"(m in {{0, n//2, 2n}} at {len(sample_ns)} sampled n)",
-            )
+        worst_cross = -float("inf")
+        sample_ns = np.unique(
+            np.geomspace(1, max(config.horizon - 1, 1), 25).astype(int)
+        )
+        for n in sample_ns:
+            xn = trace.x[n]
+            for m in (0, n // 2, 2 * n):
+                dist = space.dist(xn, family.eval(m, xn))
+                worst_cross = max(worst_cross, dist - lr.bound_cross(n))
+        result.add(
+            "linear cross-index spot check",
+            "pass" if worst_cross <= tol else "fail",
+            f"worst excess of d(x_n, T_m x_n) over 20M/(lam(n+2)): {worst_cross: .3e} "
+            f"(m in {{0, n//2, 2n}} at {len(sample_ns)} sampled n)",
+        )
         _certify_into(
             result,
             certs,

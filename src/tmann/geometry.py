@@ -37,6 +37,10 @@ Point = Any
 """Instance-specific point representation: ``np.ndarray`` for Euclidean
 spaces, ``TreePoint`` for star trees."""
 
+Points = Any
+"""An array of points: an ``(n, dim)`` float array for Euclidean spaces,
+``TreePoints`` for star trees.  Indexing with an int gives a ``Point``."""
+
 
 @dataclass(frozen=True)
 class TreePoint:
@@ -58,6 +62,31 @@ class TreePoint:
             object.__setattr__(self, "ray", 0)
 
 
+@dataclass(frozen=True, eq=False)
+class TreePoints:
+    """An array of star-tree points: an int array of rays and a float array
+    of radial coordinates.
+
+    An int index gives a ``TreePoint``, a slice gives a ``TreePoints`` view,
+    and assigning a ``TreePoint`` to an int index stores it.
+    """
+
+    ray: np.ndarray
+    t: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TreePoints(self.ray[index], self.t[index])
+        return TreePoint(int(self.ray[index]), float(self.t[index]))
+
+    def __setitem__(self, index: int, point: TreePoint) -> None:
+        self.ray[index] = point.ray
+        self.t[index] = point.t
+
+
 class Space(ABC):
     """A metric together with a convex-combination map and a point sampler."""
 
@@ -74,6 +103,23 @@ class Space(ABC):
     @abstractmethod
     def sample(self, rng: np.random.Generator) -> Point:
         """Draw a point uniformly from the configured bounded region."""
+
+    @abstractmethod
+    def empty(self, count: int) -> Points:
+        """An array of ``count`` points, to be filled by item assignment."""
+
+    @abstractmethod
+    def dist_array(self, x: Points | Point, y: Points | Point) -> np.ndarray:
+        """Row-by-row distances between two point arrays of equal length;
+        either side may also be a single point.  Each entry equals ``dist``
+        of the two rows bit for bit."""
+
+    def stack(self, points) -> Points:
+        """The point array holding ``points`` in order."""
+        out = self.empty(len(points))
+        for i, point in enumerate(points):
+            out[i] = self.as_point(point)
+        return out
 
     @staticmethod
     def _check_lambda(lam: float) -> float:
@@ -118,6 +164,15 @@ class EuclideanSpace(Space):
 
     def sample(self, rng):
         return rng.uniform(-self.box_radius, self.box_radius, size=self.dim)
+
+    def empty(self, count):
+        return np.empty((count, self.dim))
+
+    def dist_array(self, x, y):
+        # vecdot sums in the order of the dot product inside np.linalg.norm;
+        # einsum does not, and drifts by an ulp on some rows
+        diff = x - y
+        return np.sqrt(np.vecdot(diff, diff))
 
 
 class BrokenEuclideanSpace(EuclideanSpace):
@@ -188,6 +243,12 @@ class StarTreeSpace(Space):
     def sample(self, rng):
         ray = int(rng.integers(self.num_rays))
         return TreePoint(ray, float(rng.uniform(0.0, self.max_radius)))
+
+    def empty(self, count):
+        return TreePoints(np.zeros(count, dtype=int), np.zeros(count))
+
+    def dist_array(self, x, y):
+        return np.where(x.ray == y.ray, np.abs(x.t - y.t), x.t + y.t)
 
 
 #: Checks performed by ``check_w_axioms``, in report order.

@@ -15,9 +15,11 @@ setting.  The modified Halpern iteration
 walks the same orbit when started at y_0 = (1 - beta_0) u + beta_0 x_0:
 then u_n = y_n and x_{n+1} = v_n for every n.
 
-Traces always record the scalar residual sequences (they are what rate
-certification consumes); point sequences are recorded on request, with an
-automatic cutoff for very long runs so memory stays bounded.
+Only the recursion runs step by step.  The loop stores the orbit in
+preallocated point arrays (an (n, d) float array on Euclidean space, ray and
+radius arrays on the star tree); every residual and distance sequence, which
+is what rate certification consumes, is then computed from the stored orbit
+with array operations.
 
 The per-step checkers assert, along a computed orbit, the bounds the rate
 theorems rest on.  These are theorems for exact arithmetic: a violation
@@ -32,12 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point, Space, TreePoint
+from .geometry import Point, Points, Space, TreePoints
 from .mappings import MappingFamily
 from .sequences import ParamSchedule, _int_ceil
-
-#: Point sequences are recorded by default only up to this horizon.
-_POINT_RECORD_CUTOFF = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +100,8 @@ class IterationTrace:
         dist_x_p, dist_x_u                            n <= horizon
         dist_u_p, dist_u_Tu                           n < horizon
 
-    ``x`` has horizon + 1 entries and ``u_seq`` horizon entries when points
-    were recorded, otherwise both are None.
+    ``x`` holds the horizon + 1 points x_n and ``u_seq`` the horizon points
+    u_n, each as a point array of the space.
     """
 
     horizon: int
@@ -114,109 +113,72 @@ class IterationTrace:
     dist_x_u: np.ndarray
     dist_u_p: np.ndarray
     dist_u_Tu: np.ndarray
-    x: list | None = None
-    u_seq: list | None = None
+    x: Points
+    u_seq: Points
 
     def to_csv(self, path, include_points: bool = False) -> None:
         """Write one row per step: n, residual_step, residual_T, tfam_gap,
-        plus point coordinates when recorded and requested."""
-        points = self.x if (include_points and self.x is not None) else None
+        plus the coordinates of x_n when requested."""
+        header = ["n", "residual_step", "residual_T", "tfam_gap"]
+        columns = [range(self.horizon)] + [
+            _float_column(seq) for seq in (self.residual_step, self.residual_T, self.tfam_gap)
+        ]
+        if include_points:
+            names, coords = _point_columns(self.x[: self.horizon])
+            header += names
+            columns += coords
         with open(path, "w", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            header = ["n", "residual_step", "residual_T", "tfam_gap"]
-            if points is not None:
-                header += _point_header(points[0])
             writer.writerow(header)
-            for n in range(self.horizon):
-                row = [
-                    n,
-                    repr(float(self.residual_step[n])),
-                    repr(float(self.residual_T[n])),
-                    repr(float(self.tfam_gap[n])),
-                ]
-                if points is not None:
-                    row += _point_fields(points[n])
-                writer.writerow(row)
+            writer.writerows(zip(*columns))
 
 
-def _point_header(point) -> list[str]:
-    if isinstance(point, TreePoint):
-        return ["ray", "t"]
-    return [f"x{i}" for i in range(len(point))]
+def _float_column(values):
+    """The round-trip text of each float in ``values``."""
+    return map(repr, map(float, values))
 
 
-def _point_fields(point) -> list[str]:
-    if isinstance(point, TreePoint):
-        return [str(point.ray), repr(float(point.t))]
-    return [repr(float(c)) for c in point]
+def _point_columns(points: Points) -> tuple[list[str], list]:
+    """Header names and text columns of a point array."""
+    if isinstance(points, TreePoints):
+        return ["ray", "t"], [map(str, map(int, points.ray)), _float_column(points.t)]
+    return [f"x{i}" for i in range(points.shape[1])], [_float_column(c) for c in points.T]
 
 
-def _resolve_record_points(horizon: int, record_points: bool | None) -> bool:
-    if record_points is None:
-        return horizon <= _POINT_RECORD_CUTOFF
-    return record_points
-
-
-def run_tikhonov_mann(
-    instance: ProblemInstance, horizon: int, record_points: bool | None = None
-) -> IterationTrace:
-    """Run the anchored iteration for ``horizon`` steps and record residuals."""
+def run_tikhonov_mann(instance: ProblemInstance, horizon: int) -> IterationTrace:
+    """Run the anchored iteration for ``horizon`` steps and record its orbit
+    and residuals."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    record = _resolve_record_points(horizon, record_points)
     sp, fam, sch = instance.space, instance.family, instance.schedule
     u, p = instance.u, instance.p
 
-    residual_step = np.empty(horizon)
-    residual_T = np.empty(horizon)
-    tfam_gap = np.empty(horizon)
-    dist_u_succ = np.empty(max(horizon - 1, 0))
-    dist_x_p = np.empty(horizon + 1)
-    dist_x_u = np.empty(horizon + 1)
-    dist_u_p = np.empty(horizon)
-    dist_u_Tu = np.empty(horizon)
-
+    xs = sp.empty(horizon + 1)
+    us = sp.empty(horizon)
+    t_us = sp.empty(horizon)
     x = instance.x0
-    xs = [x] if record else None
-    us = [] if record else None
-    prev_u = None
-
+    xs[0] = x
     for n in range(horizon):
-        beta_n = sch.beta(n)
-        lam_n = sch.lam(n)
-        u_n = sp.combine(u, x, beta_n)
+        u_n = sp.combine(u, x, sch.beta(n))
         t_un = fam.eval(n, u_n)
-        x_next = sp.combine(u_n, t_un, lam_n)
+        x = sp.combine(u_n, t_un, sch.lam(n))
+        us[n] = u_n
+        t_us[n] = t_un
+        xs[n + 1] = x
 
-        residual_step[n] = sp.dist(x, x_next)
-        residual_T[n] = sp.dist(x, fam.eval(n, x))
-        tfam_gap[n] = sp.dist(fam.eval(n + 1, u_n), t_un)
-        dist_x_p[n] = sp.dist(x, p)
-        dist_x_u[n] = sp.dist(x, u)
-        dist_u_p[n] = sp.dist(u_n, p)
-        dist_u_Tu[n] = sp.dist(u_n, t_un)
-        if n > 0:
-            dist_u_succ[n - 1] = sp.dist(u_n, prev_u)
-
-        if record:
-            xs.append(x_next)
-            us.append(u_n)
-        prev_u = u_n
-        x = x_next
-
-    dist_x_p[horizon] = sp.dist(x, p)
-    dist_x_u[horizon] = sp.dist(x, u)
-
+    dist = sp.dist_array
+    steps = np.arange(horizon + 1)
+    x_n = xs[:horizon]
     return IterationTrace(
         horizon=horizon,
-        residual_step=residual_step,
-        residual_T=residual_T,
-        tfam_gap=tfam_gap,
-        dist_u_succ=dist_u_succ,
-        dist_x_p=dist_x_p,
-        dist_x_u=dist_x_u,
-        dist_u_p=dist_u_p,
-        dist_u_Tu=dist_u_Tu,
+        residual_step=dist(x_n, xs[1:]),
+        residual_T=dist(x_n, fam.eval_array(sp, steps[:-1], x_n)),
+        tfam_gap=dist(fam.eval_array(sp, steps[1:], us), t_us),
+        dist_u_succ=dist(us[1:], us[:-1]),
+        dist_x_p=dist(xs, p),
+        dist_x_u=dist(xs, u),
+        dist_u_p=dist(us, p),
+        dist_u_Tu=dist(us, t_us),
         x=xs,
         u_seq=us,
     )
@@ -225,44 +187,43 @@ def run_tikhonov_mann(
 @dataclass(eq=False)
 class HalpernTrace:
     """Orbit of the modified Halpern iteration: the y sequence (horizon + 1
-    entries), the v sequence (horizon entries) and the analogous residuals."""
+    points), the v sequence (horizon points), each a point array, and the
+    analogous residuals."""
 
     horizon: int
     residual_step: np.ndarray
     residual_T: np.ndarray
-    y: list | None = None
-    v: list | None = None
+    y: Points
+    v: Points
 
 
-def run_modified_halpern(
-    instance: ProblemInstance, horizon: int, record_points: bool | None = None
-) -> HalpernTrace:
+def run_modified_halpern(instance: ProblemInstance, horizon: int) -> HalpernTrace:
     """Run the modified Halpern iteration started at y_0 = (1 - beta_0) u + beta_0 x_0."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    record = _resolve_record_points(horizon, record_points)
     sp, fam, sch = instance.space, instance.family, instance.schedule
     u = instance.u
 
+    ys = sp.empty(horizon + 1)
+    vs = sp.empty(horizon)
+    t_ys = sp.empty(horizon)
     y = sp.combine(u, instance.x0, sch.beta(0))
-    ys = [y] if record else None
-    vs = [] if record else None
-    residual_step = np.empty(horizon)
-    residual_T = np.empty(horizon)
-
+    ys[0] = y
     for n in range(horizon):
         t_yn = fam.eval(n, y)
         v = sp.combine(y, t_yn, sch.lam(n))
-        y_next = sp.combine(u, v, sch.beta(n + 1))
-        residual_step[n] = sp.dist(y, y_next)
-        residual_T[n] = sp.dist(y, t_yn)
-        if record:
-            vs.append(v)
-            ys.append(y_next)
-        y = y_next
+        y = sp.combine(u, v, sch.beta(n + 1))
+        t_ys[n] = t_yn
+        vs[n] = v
+        ys[n + 1] = y
 
+    y_n = ys[:horizon]
     return HalpernTrace(
-        horizon=horizon, residual_step=residual_step, residual_T=residual_T, y=ys, v=vs
+        horizon=horizon,
+        residual_step=sp.dist_array(y_n, ys[1:]),
+        residual_T=sp.dist_array(y_n, t_ys),
+        y=ys,
+        v=vs,
     )
 
 
@@ -297,11 +258,11 @@ def check_halpern_equivalence(
     in exact arithmetic on any space, so the observed gaps measure only
     accumulated rounding.
     """
-    tm = run_tikhonov_mann(instance, horizon, record_points=True)
-    ha = run_modified_halpern(instance, horizon, record_points=True)
-    sp = instance.space
-    max_u_y = max(sp.dist(tm.u_seq[n], ha.y[n]) for n in range(horizon))
-    max_x_v = max(sp.dist(tm.x[n + 1], ha.v[n]) for n in range(horizon))
+    tm = run_tikhonov_mann(instance, horizon)
+    ha = run_modified_halpern(instance, horizon)
+    dist = instance.space.dist_array
+    max_u_y = float(np.max(dist(tm.u_seq, ha.y[:horizon])))
+    max_x_v = float(np.max(dist(tm.x[1:], ha.v)))
     return EquivalenceReport(horizon=horizon, max_u_y=max_u_y, max_x_v=max_x_v, tol=tol)
 
 

@@ -28,7 +28,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .geometry import Point, Space, TreePoint
+from .geometry import Point, Points, Space, TreePoint, TreePoints
 from .sequences import RateFn
 
 KINDS = ("constant", "jp2_with_gamma", "resolvent", "custom")
@@ -43,7 +43,9 @@ class MappingFamily:
     can exercise the cross-index comparison; ``chi_T`` is an optional
     declared Cauchy modulus for the gap series of a custom family (for
     custom families without any certificate the gap series can only be
-    validated along a computed orbit).
+    validated along a computed orbit).  ``fn_array`` optionally evaluates
+    the family over an index array and a point array at once, equal bit for
+    bit to ``fn`` applied row by row; without it ``eval_array`` loops.
     """
 
     name: str
@@ -52,6 +54,7 @@ class MappingFamily:
     fixed_point: Point
     gamma: Callable[[int], float] | None = None
     chi_T: RateFn | None = None
+    fn_array: Callable[[np.ndarray, Points], Points] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -59,6 +62,12 @@ class MappingFamily:
 
     def eval(self, n: int, x: Point) -> Point:
         return self.fn(n, x)
+
+    def eval_array(self, space: Space, ns: np.ndarray, xs: Points) -> Points:
+        """The point array of T_{ns[i]} xs[i] for every row i."""
+        if self.fn_array is not None:
+            return self.fn_array(ns, xs)
+        return space.stack([self.fn(int(n), xs[i]) for i, n in enumerate(ns)])
 
     def __call__(self, n: int, x: Point) -> Point:
         return self.fn(n, x)
@@ -74,10 +83,20 @@ def soft_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
 
 
+def gamma_column(gamma: Callable[[int], float], ns: np.ndarray) -> np.ndarray:
+    """The step sizes gamma(n) for n in ``ns``, as an (len(ns), 1) column
+    that broadcasts against a point array."""
+    return np.array([gamma(n) for n in ns.tolist()], dtype=float).reshape(-1, 1)
+
+
 def identity_family(fixed_point: Point) -> MappingFamily:
     """T_n = Id for every n; every point is fixed, one must still be registered."""
     return MappingFamily(
-        name="identity", kind="constant", fn=lambda n, x: x, fixed_point=fixed_point
+        name="identity",
+        kind="constant",
+        fn=lambda n, x: x,
+        fixed_point=fixed_point,
+        fn_array=lambda ns, xs: xs,
     )
 
 
@@ -98,6 +117,7 @@ def box_projection_family(lo, hi) -> MappingFamily:
         kind="constant",
         fn=lambda n, x: np.clip(x, lo, hi),
         fixed_point=(lo + hi) / 2.0,
+        fn_array=lambda ns, xs: np.clip(xs, lo, hi),
     )
 
 
@@ -109,11 +129,17 @@ def tree_contraction_family(factor: float) -> MappingFamily:
     """
     if not 0.0 <= factor <= 1.0:
         raise ValueError(f"contraction factor must lie in [0, 1], got {factor}")
+
+    def contract_array(ns: np.ndarray, xs: TreePoints) -> TreePoints:
+        t = factor * xs.t
+        return TreePoints(np.where(t == 0.0, 0, xs.ray), t)  # the origin is ray 0
+
     return MappingFamily(
         name=f"tree_contraction({factor})",
         kind="constant",
         fn=lambda n, x: TreePoint(x.ray, factor * x.t),
         fixed_point=TreePoint(0, 0.0),
+        fn_array=contract_array,
     )
 
 
@@ -130,6 +156,7 @@ def resolvent_l1_family(
         fn=lambda n, x: soft_threshold(x, weight * gamma(n)),
         fixed_point=np.zeros(dim),
         gamma=gamma,
+        fn_array=lambda ns, xs: soft_threshold(xs, weight * gamma_column(gamma, ns)),
     )
 
 

@@ -204,8 +204,17 @@ def schedule_from_tables(
     Sequences and rate tables extend beyond their last entry by repeating
     it, which suits finite-horizon experiments with eventually constant
     parameters.  Declared moduli still go through the oracles like any
-    other schedule.
+    other schedule.  Every beta and lambda entry must lie in [0, 1] and
+    every gamma entry must be positive.
     """
+    for label, values, ok in (
+        ("beta", beta, lambda v: 0.0 <= v <= 1.0),
+        ("lambda", lam, lambda v: 0.0 <= v <= 1.0),
+        ("gamma", () if gamma is None else gamma, lambda v: v > 0.0),
+    ):
+        for n, value in enumerate(values):
+            if not ok(float(value)):
+                raise ValueError(f"{label}[{n}] = {value!r} is out of range")
     return ParamSchedule(
         name=name,
         beta=_table_fn(beta),

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .iterate import IterationTrace, ProblemInstance, run_tikhonov_mann
-from .mappings import MappingFamily, chi_T_from_gamma, soft_threshold
+from .mappings import MappingFamily, chi_T_from_gamma, gamma_column, soft_threshold
 from .rates import RateBundle, chi_combined, psi0_from_chi, sigma_ar, translate_ar_to_tn_ar
 from .sequences import ParamSchedule
 
@@ -39,21 +39,25 @@ class MonotoneOp:
 
     ``prox(gamma, x)`` must return J_{gamma A}(x) = (Id + gamma A)^{-1}(x).
     Resolvents are firmly nonexpansive; ``check_firmly_nonexpansive`` spot
-    checks that on samples.
+    checks that on samples.  ``rowwise`` declares that ``prox`` also takes a
+    column of step sizes with one point per row and then acts row by row.
     """
 
     name: str
     prox: Callable[[float, np.ndarray], np.ndarray]
+    rowwise: bool = False
 
 
 @dataclass(frozen=True)
 class CocoerciveOp:
     """A single-valued operator with a declared cocoercivity constant:
-    <x - y, Bx - By> >= beta_coco ||Bx - By||^2."""
+    <x - y, Bx - By> >= beta_coco ||Bx - By||^2.  ``rowwise`` declares that
+    ``fn`` also acts row by row on an array with one point per row."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     beta_coco: float
+    rowwise: bool = False
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.fn(x)
@@ -64,7 +68,9 @@ def l1_operator(weight: float = 1.0) -> MonotoneOp:
     if weight < 0:
         raise ValueError(f"weight must be >= 0, got {weight}")
     return MonotoneOp(
-        name=f"l1({weight:g})", prox=lambda gamma, x: soft_threshold(x, gamma * weight)
+        name=f"l1({weight:g})",
+        prox=lambda gamma, x: soft_threshold(x, gamma * weight),
+        rowwise=True,
     )
 
 
@@ -75,12 +81,14 @@ def box_operator(lo, hi) -> MonotoneOp:
     hi = np.asarray(hi, dtype=float)
     if np.any(lo > hi):
         raise ValueError("box is empty: some lo component exceeds hi")
-    return MonotoneOp(name="box", prox=lambda gamma, x: np.clip(x, lo, hi))
+    return MonotoneOp(name="box", prox=lambda gamma, x: np.clip(x, lo, hi), rowwise=True)
 
 
 def zero_operator() -> MonotoneOp:
     """The zero operator; its resolvent is the identity."""
-    return MonotoneOp(name="zero", prox=lambda gamma, x: np.asarray(x, dtype=float))
+    return MonotoneOp(
+        name="zero", prox=lambda gamma, x: np.asarray(x, dtype=float), rowwise=True
+    )
 
 
 def quadratic_gradient(diag, b) -> CocoerciveOp:
@@ -98,23 +106,30 @@ def quadratic_gradient(diag, b) -> CocoerciveOp:
     beta = math.inf if lipschitz == 0.0 else 1.0 / lipschitz
     d2 = d * d
     db = d * b
-    return CocoerciveOp(name="quadratic_gradient", fn=lambda x: d2 * x - db, beta_coco=beta)
+    return CocoerciveOp(
+        name="quadratic_gradient", fn=lambda x: d2 * x - db, beta_coco=beta, rowwise=True
+    )
 
 
 def zero_cocoercive(dim: int) -> CocoerciveOp:
     """The zero operator, cocoercive for every constant."""
     zero = np.zeros(dim)
-    return CocoerciveOp(name="zero", fn=lambda x: zero, beta_coco=math.inf)
+    return CocoerciveOp(name="zero", fn=lambda x: zero, beta_coco=math.inf, rowwise=True)
 
 
 def forward_backward_map(
     A: MonotoneOp, B: CocoerciveOp, gamma: float, x: np.ndarray
 ) -> np.ndarray:
-    """One forward-backward application: J_{gamma A}(x - gamma B x)."""
-    if not 0.0 < gamma < 2.0 * B.beta_coco:
-        raise ValueError(
-            f"step size must lie in (0, 2 beta) = (0, {2.0 * B.beta_coco!r}), got {gamma}"
-        )
+    """One forward-backward application: J_{gamma A}(x - gamma B x).
+
+    ``gamma`` may also be a column of step sizes and ``x`` an array with one
+    point per row; every step size must lie in (0, 2 beta).
+    """
+    for g in (gamma,) if np.isscalar(gamma) else (gamma.min(), gamma.max()):
+        if not 0.0 < g < 2.0 * B.beta_coco:
+            raise ValueError(
+                f"step size must lie in (0, 2 beta) = (0, {2.0 * B.beta_coco!r}), got {g}"
+            )
     x = np.asarray(x, dtype=float)
     return A.prox(gamma, x - gamma * B(x))
 
@@ -123,13 +138,19 @@ def forward_backward_family(
     A: MonotoneOp, B: CocoerciveOp, gamma: Callable[[int], float], zero_point: np.ndarray
 ) -> MappingFamily:
     """The family T_n = J_{gamma_n A}(Id - gamma_n B) with a registered zero
-    of A + B as its common fixed point."""
+    of A + B as its common fixed point.  It evaluates a whole orbit at once
+    only if both operators are ``rowwise``; otherwise ``eval_array`` loops."""
+
+    def fb_array(ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        return forward_backward_map(A, B, gamma_column(gamma, ns), xs)
+
     return MappingFamily(
         name=f"fb[{A.name}+{B.name}]",
         kind="jp2_with_gamma",
         fn=lambda n, x: forward_backward_map(A, B, gamma(n), x),
         fixed_point=np.asarray(zero_point, dtype=float),
         gamma=gamma,
+        fn_array=fb_array if A.rowwise and B.rowwise else None,
     )
 
 
@@ -174,14 +195,13 @@ def run_tfb(
     x0,
     z,
     horizon: int,
-    record_points: bool | None = None,
 ) -> IterationTrace:
     """Run the anchored forward-backward scheme and record its trace."""
     instance = make_tfb_instance(A, B, schedule, u, x0, z)
     lams = (schedule.lam(n) for n in range(horizon))
     if any(not 0.0 < lam <= 1.0 for lam in lams):
         raise ValueError("lambda_n must lie in (0, 1] for every step")
-    return run_tikhonov_mann(instance, horizon, record_points=record_points)
+    return run_tikhonov_mann(instance, horizon)
 
 
 def tfb_rates(schedule: ParamSchedule, M: int) -> RateBundle:

@@ -76,7 +76,7 @@ def linear_l1() -> Fixture:
     assert instance.M == 2
     # two steps beyond 10^5 so residual indices cover n <= 10^5 inclusive
     return Fixture(
-        "linear_l1", instance, run_tikhonov_mann(instance, 100_002, record_points=True)
+        "linear_l1", instance, run_tikhonov_mann(instance, 100_002)
     )
 
 
@@ -89,7 +89,7 @@ def hilbert_box() -> Fixture:
         space, family, schedule, u=np.zeros(3), x0=np.array([1.5, -0.7, 2.0]), p=np.zeros(3)
     )
     return Fixture(
-        "hilbert_box", instance, run_tikhonov_mann(instance, 10_000, record_points=True)
+        "hilbert_box", instance, run_tikhonov_mann(instance, 10_000)
     )
 
 

@@ -217,3 +217,47 @@ def test_table_schedule_config(tmp_path):
         modulus_k_max=5,
     )
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def assert_config_error(capsys, cfg: Path, field: str) -> None:
+    """The run ends with exit 2 and one stderr line naming the field."""
+    assert main(["run", str(cfg), "--out", str(cfg.parent / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and field in err[0], err
+
+
+@pytest.mark.parametrize(
+    "horizon",
+    ["abc", "300", 3.7, True, 10**400],
+    ids=["text", "numeric_text", "fraction", "boolean", "huge_integer"],
+)
+def test_horizon_of_wrong_type_is_config_error(tmp_path, capsys, horizon):
+    assert_config_error(capsys, write_config(tmp_path / "h.json", horizon=horizon), "horizon")
+
+
+def test_string_record_points_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "rp.json", record_points="false")
+    assert_config_error(capsys, cfg, "record_points")
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
+def test_unknown_top_level_field_is_config_error(tmp_path, capsys):
+    assert_config_error(capsys, write_config(tmp_path / "typo.json", horizn=300), "horizn")
+
+
+def test_table_schedule_beta_outside_unit_interval_is_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "table_bad.json",
+        schedule={
+            "name": "table",
+            "beta": [0.5, 1.5],
+            "lambda": [0.5],
+            "sigma_beta": [0],
+            "chi_beta": [0],
+            "chi_lambda": [0],
+            "sigma": [0],
+            "Lambda_cap": 2,
+            "N_Lambda": 0,
+        },
+    )
+    assert_config_error(capsys, cfg, "beta[1]")

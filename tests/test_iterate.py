@@ -41,7 +41,7 @@ def test_identity_with_anchor_start_is_stationary():
 def test_first_step_collapses_to_anchor_when_beta0_zero():
     # beta_0 = 0 forces u_0 = u; with the identity family x_1 = u
     inst = euclidean_instance(x0=[1.0], u=[0.0])
-    trace = run_tikhonov_mann(inst, 3, record_points=True)
+    trace = run_tikhonov_mann(inst, 3)
     assert trace.u_seq[0][0] == 0.0
     assert trace.x[1][0] == 0.0
 
@@ -49,7 +49,7 @@ def test_first_step_collapses_to_anchor_when_beta0_zero():
 def test_trace_lengths_consistent():
     inst = euclidean_instance(x0=[2.0])
     H = 37
-    trace = run_tikhonov_mann(inst, H, record_points=True)
+    trace = run_tikhonov_mann(inst, H)
     assert len(trace.x) == H + 1
     assert len(trace.u_seq) == H
     for arr in (trace.residual_step, trace.residual_T, trace.tfam_gap):
@@ -113,7 +113,7 @@ def test_recursions_hold_on_l1_instance(schedule_name):
 def test_halpern_start_and_lengths():
     # beta_0 = 0 puts the start at the anchor regardless of x0
     inst = euclidean_instance(x0=[2.0], u=[0.0])
-    ha = run_modified_halpern(inst, 40, record_points=True)
+    ha = run_modified_halpern(inst, 40)
     assert ha.y[0][0] == 0.0
     assert len(ha.y) == 41
     assert len(ha.v) == 40
@@ -124,7 +124,7 @@ def test_halpern_start_and_lengths():
 def test_halpern_equivalence_identity_anchor():
     # with u = x0 and the identity family both orbits sit at u forever
     inst = euclidean_instance(x0=[1.0], u=[1.0], family=identity_family(np.ones(1)), p=[1.0])
-    ha = run_modified_halpern(inst, 20, record_points=True)
+    ha = run_modified_halpern(inst, 20)
     assert all(abs(y[0] - 1.0) < 1e-15 for y in ha.y)
     report = check_halpern_equivalence(inst, 100)
     assert report.passed
@@ -145,7 +145,7 @@ def test_direct_two_step_recursion_matches_zero_anchor_orbit():
     sch = builtin_example_schedule(0.5)
     fam = box_projection_family([-1.0, -1.0], [1.0, 1.0])
     inst = euclidean_instance(dim=2, x0=[1.2, 1.6], u=[0.0, 0.0], family=fam, schedule=sch)
-    trace = run_tikhonov_mann(inst, 300, record_points=True)
+    trace = run_tikhonov_mann(inst, 300)
     direct = run_kmf_direct(fam, sch, np.array([1.2, 1.6]), 300)
     worst = max(np.max(np.abs(a - b)) for a, b in zip(trace.x, direct))
     assert worst <= 1e-12
@@ -153,7 +153,7 @@ def test_direct_two_step_recursion_matches_zero_anchor_orbit():
 
 def test_trace_csv_roundtrip(tmp_path):
     inst = euclidean_instance(x0=[2.0])
-    trace = run_tikhonov_mann(inst, 25, record_points=True)
+    trace = run_tikhonov_mann(inst, 25)
     path = tmp_path / "trace.csv"
     trace.to_csv(path, include_points=True)
     with open(path) as fh:
@@ -170,7 +170,7 @@ def test_tree_trace_csv_has_ray_column(tmp_path):
         sp, tree_contraction_family(0.5), sch,
         u=TreePoint(0, 0.3), x0=TreePoint(1, 1.0), p=TreePoint(0, 0.0),
     )
-    trace = run_tikhonov_mann(inst, 10, record_points=True)
+    trace = run_tikhonov_mann(inst, 10)
     path = tmp_path / "trace.csv"
     trace.to_csv(path, include_points=True)
     with open(path) as fh:

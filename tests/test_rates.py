@@ -211,7 +211,7 @@ def test_soundness_sigma_and_sigma_t_certify_full_window():
     assert instance.M == 1
     bundle = general_rates(schedule, instance.M, example_chi_T(instance.M))
     horizon = bundle.Sigma_T(10) + 1000
-    trace = run_tikhonov_mann(instance, horizon, record_points=False)
+    trace = run_tikhonov_mann(instance, horizon)
     step = certify_rate(trace.residual_step, bundle.Sigma, k_max=10, tol=1e-9)
     assert step.all_passed, step.summary()
     t_res = certify_rate(trace.residual_T, bundle.Sigma_T, k_max=10, tol=1e-9)

@@ -119,7 +119,7 @@ def test_box_quadratic_converges_to_constrained_minimum():
     schedule = builtin_example_schedule(0.5)
     A = box_operator([0.0], [1.0])
     B = quadratic_gradient([0.8], [2.0])
-    trace = run_tfb(A, B, schedule, u=[0.0], x0=[0.5], z=[1.0], horizon=3000, record_points=True)
+    trace = run_tfb(A, B, schedule, u=[0.0], x0=[0.5], z=[1.0], horizon=3000)
     assert trace.x[-1][0] == pytest.approx(1.0, abs=2e-3)
     instance = make_tfb_instance(A, B, schedule, u=[0.0], x0=[0.5], z=[1.0])
     bundle = tfb_rates(schedule, instance.M)
