@@ -6,84 +6,8 @@ Subpackages by concern: ``geometry`` (spaces with a convex-combination map),
 (nonexpansive families and certificates), ``iterate`` (the iteration and its
 per-step checks), ``rates`` (rate compositions and the certifier),
 ``splitting`` (anchored forward-backward splitting), ``cli`` (the experiment
-harness).
+harness).  Import names from these submodules, for example
+``from tmann.iterate import ProblemInstance``.
 """
-
-from .geometry import (
-    AxiomReport,
-    BrokenEuclideanSpace,
-    EuclideanSpace,
-    Space,
-    StarTreeSpace,
-    TreePoint,
-    check_w_axioms,
-)
-from .iterate import (
-    IterationTrace,
-    ProblemInstance,
-    check_basic_bounds,
-    check_halpern_equivalence,
-    check_recursive_inequalities,
-    run_kmf_direct,
-    run_modified_halpern,
-    run_tikhonov_mann,
-)
-from .mappings import (
-    MappingFamily,
-    box_projection_family,
-    check_jp2_consequence,
-    check_nonexpansive,
-    chi_T_for,
-    chi_T_from_gamma,
-    constant_family_chi_T,
-    identity_family,
-    resolvent_l1_family,
-    resolvent_quadratic_family,
-    soft_threshold,
-    tree_contraction_family,
-)
-from .rates import (
-    CertificationReport,
-    LinearRates,
-    RateBundle,
-    certify_rate,
-    chi_combined,
-    example_closed_form_rates,
-    general_rates,
-    halpern_translate,
-    halpern_translated_bundle,
-    linear_rates,
-    sabach_shtern_check,
-    sigma_ar,
-    translate_ar_to_tn_ar,
-)
-from .sequences import (
-    ParamSchedule,
-    RateFn,
-    builtin_example_schedule,
-    builtin_linear_schedule,
-    oracle_cauchy_modulus,
-    oracle_convergence_rate,
-    oracle_divergence_rate,
-    oracle_product_rate,
-    psi0,
-    validate_schedule_moduli,
-)
-from .splitting import (
-    CocoerciveOp,
-    MonotoneOp,
-    box_operator,
-    check_cocoercive,
-    check_firmly_nonexpansive,
-    forward_backward_family,
-    forward_backward_map,
-    l1_operator,
-    make_tfb_instance,
-    quadratic_gradient,
-    run_tfb,
-    tfb_rates,
-    zero_cocoercive,
-    zero_operator,
-)
 
 __version__ = "0.1.0"

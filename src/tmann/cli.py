@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry, iterate, mappings, rates, sequences
+from . import geometry, iterate, mappings, rates, sequences, splitting
 from .geometry import Space, TreePoint
 from .iterate import ProblemInstance
 from .mappings import MappingFamily
@@ -93,15 +93,15 @@ _KIND_NAMES = {
 }
 
 
-def _typed(cfg: dict, key: str, kind: type, source: str):
-    """cfg[key] as an int, float or bool, or a ConfigError naming the field.
+def _typed(value, field: str, kind: type, source: str):
+    """``value`` as an int, float or bool, or a ConfigError naming ``field``.
 
     A number field takes a JSON number, not text or true/false, of
     magnitude below 2**63 (finite, and within the 64-bit integers numpy
     counts with), and an integer field takes no fractional part (3.7 is
-    refused, not truncated to 3).
+    refused, not truncated to 3).  Nested fields are named by their path,
+    such as ``space.dim``.
     """
-    value = cfg[key]
     if kind is bool:
         valid = isinstance(value, bool)
     else:
@@ -112,7 +112,7 @@ def _typed(cfg: dict, key: str, kind: type, source: str):
             and (kind is float or value == int(value))
         )
     if not valid:
-        raise ConfigError(f"{source}: field '{key}' must be {_KIND_NAMES[kind]}, got {value!r}")
+        raise ConfigError(f"{source}: field '{field}' must be {_KIND_NAMES[kind]}, got {value!r}")
     return kind(value)
 
 
@@ -142,10 +142,10 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
         if not isinstance(value, dict) or "name" not in value:
             raise ConfigError(f"{source}: field '{section}' must be an object with a 'name'")
 
-    horizon = _typed(merged, "horizon", int, source)
+    horizon = _typed(merged["horizon"], "horizon", int, source)
     if horizon < 1:
         raise ConfigError(f"{source}: horizon must be >= 1, got {horizon}")
-    k_max = _typed(merged, "k_max", int, source)
+    k_max = _typed(merged["k_max"], "k_max", int, source)
     if k_max < 0:
         raise ConfigError(f"{source}: k_max must be >= 0, got {k_max}")
 
@@ -156,44 +156,50 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
         u=_require(merged, "u", source),
         x0=_require(merged, "x0", source),
         p=merged.get("p"),
-        M=_typed(merged, "M", int, source) if merged.get("M") is not None else None,
+        M=_typed(merged["M"], "M", int, source) if merged.get("M") is not None else None,
         horizon=horizon,
         k_max=k_max,
-        tolerance=_typed(merged, "tolerance", float, source),
-        seed=_typed(merged, "seed", int, source),
+        tolerance=_typed(merged["tolerance"], "tolerance", float, source),
+        seed=_typed(merged["seed"], "seed", int, source),
         out_dir=str(merged["out_dir"]),
-        axiom_samples=_typed(merged, "axiom_samples", int, source),
-        family_samples=_typed(merged, "family_samples", int, source),
-        modulus_horizon=_typed(merged, "modulus_horizon", int, source),
-        modulus_k_max=_typed(merged, "modulus_k_max", int, source),
-        record_points=_typed(merged, "record_points", bool, source),
+        axiom_samples=_typed(merged["axiom_samples"], "axiom_samples", int, source),
+        family_samples=_typed(merged["family_samples"], "family_samples", int, source),
+        modulus_horizon=_typed(merged["modulus_horizon"], "modulus_horizon", int, source),
+        modulus_k_max=_typed(merged["modulus_k_max"], "modulus_k_max", int, source),
+        record_points=_typed(merged["record_points"], "record_points", bool, source),
         source=source,
     )
 
 
 def _build_space(spec: dict, source: str) -> Space:
     name = spec["name"]
-    if name == "euclidean":
-        return geometry.EuclideanSpace(
-            dim=int(spec.get("dim", 1)), box_radius=float(spec.get("box_radius", 5.0))
-        )
-    if name == "euclidean_broken":
-        return geometry.BrokenEuclideanSpace(
-            dim=int(spec.get("dim", 1)), box_radius=float(spec.get("box_radius", 5.0))
+    euclidean = {
+        "euclidean": geometry.EuclideanSpace,
+        "euclidean_broken": geometry.BrokenEuclideanSpace,
+    }
+    if name in euclidean:
+        return euclidean[name](
+            dim=_typed(spec.get("dim", 1), "space.dim", int, source),
+            box_radius=_typed(spec.get("box_radius", 5.0), "space.box_radius", float, source),
         )
     if name == "star_tree":
         return geometry.StarTreeSpace(
-            num_rays=int(spec.get("num_rays", 3)), max_radius=float(spec.get("max_radius", 5.0))
+            num_rays=_typed(spec.get("num_rays", 3), "space.num_rays", int, source),
+            max_radius=_typed(spec.get("max_radius", 5.0), "space.max_radius", float, source),
         )
     raise ConfigError(f"{source}: unknown space '{name}'")
 
 
 def _build_schedule(spec: dict, source: str) -> ParamSchedule:
     name = spec["name"]
-    if name == "example":
-        return sequences.builtin_example_schedule(float(_require(spec, "lambda", source)))
-    if name == "linear":
-        return sequences.builtin_linear_schedule(float(_require(spec, "lambda", source)))
+    builtins = {
+        "example": sequences.builtin_example_schedule,
+        "linear": sequences.builtin_linear_schedule,
+    }
+    if name in builtins:
+        return builtins[name](
+            _typed(_require(spec, "lambda", source), "schedule.lambda", float, source)
+        )
     if name == "table":
         try:
             return sequences.schedule_from_tables(
@@ -221,18 +227,18 @@ def _parse_point(space: Space, value, source: str, label: str):
         if isinstance(space, geometry.StarTreeSpace):
             if not isinstance(value, dict) or "ray" not in value or "t" not in value:
                 raise ValueError("star-tree points are objects with 'ray' and 't'")
-            return space.validate_point(TreePoint(int(value["ray"]), float(value["t"])))
+            ray = _typed(value["ray"], f"{label}.ray", int, source)
+            t = _typed(value["t"], f"{label}.t", float, source)
+            return space.validate_point(TreePoint(ray, t))
         return space.validate_point(value)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{source}: point '{label}': {exc}")
 
 
 def _build_monotone_op(spec: dict, source: str):
-    from . import splitting
-
     name = spec.get("name")
     if name == "l1":
-        return splitting.l1_operator(float(spec.get("rho", 1.0)))
+        return splitting.l1_operator(_typed(spec.get("rho", 1.0), "family.A.rho", float, source))
     if name == "box":
         return splitting.box_operator(_require(spec, "lo", source), _require(spec, "hi", source))
     if name == "zero":
@@ -241,8 +247,6 @@ def _build_monotone_op(spec: dict, source: str):
 
 
 def _build_cocoercive_op(spec: dict, dim: int, source: str):
-    from . import splitting
-
     name = spec.get("name")
     if name == "quadratic":
         return splitting.quadratic_gradient(
@@ -256,12 +260,8 @@ def _build_cocoercive_op(spec: dict, dim: int, source: str):
 def _build_forward_backward_family(
     spec: dict, space: Space, schedule: ParamSchedule, p, horizon: int, source: str
 ) -> MappingFamily:
-    from . import splitting
-
     if not isinstance(space, geometry.EuclideanSpace):
         raise ConfigError(f"{source}: family 'forward_backward' needs a euclidean space")
-    if not schedule.has_gamma:
-        raise ConfigError(f"{source}: family 'forward_backward' needs a schedule with gamma")
     if p is None:
         raise ConfigError(
             f"{source}: family 'forward_backward' needs 'p' (a registered zero of A + B)"
@@ -278,10 +278,16 @@ def _build_forward_backward_family(
     return splitting.forward_backward_family(A, B, schedule.gamma, p)
 
 
+#: Families whose maps are indexed by the schedule's step sizes gamma_n.
+_GAMMA_FAMILIES = ("forward_backward", "resolvent_l1", "resolvent_quadratic")
+
+
 def _build_family(
     spec: dict, space: Space, schedule: ParamSchedule, p, horizon: int, source: str
 ) -> MappingFamily:
     name = spec["name"]
+    if name in _GAMMA_FAMILIES and not schedule.has_gamma:
+        raise ConfigError(f"{source}: family '{name}' needs a schedule with gamma")
     if name == "forward_backward":
         return _build_forward_backward_family(spec, space, schedule, p, horizon, source)
     if name == "identity":
@@ -292,52 +298,35 @@ def _build_family(
             _require(spec, "lo", source), _require(spec, "hi", source)
         )
     if name == "tree_contraction":
-        return mappings.tree_contraction_family(float(_require(spec, "factor", source)))
+        factor = _typed(_require(spec, "factor", source), "family.factor", float, source)
+        return mappings.tree_contraction_family(factor)
     if name == "resolvent_l1":
-        if not schedule.has_gamma:
-            raise ConfigError(f"{source}: family 'resolvent_l1' needs a schedule with gamma")
-        dim = getattr(space, "dim", 1)
+        weight = _typed(spec.get("weight", 1.0), "family.weight", float, source)
         return mappings.resolvent_l1_family(
-            schedule.gamma, dim=dim, weight=float(spec.get("weight", 1.0))
+            schedule.gamma, dim=getattr(space, "dim", 1), weight=weight
         )
     if name == "resolvent_quadratic":
-        if not schedule.has_gamma:
-            raise ConfigError(f"{source}: family 'resolvent_quadratic' needs a schedule with gamma")
         return mappings.resolvent_quadratic_family(
             _require(spec, "matrix", source), schedule.gamma
         )
     raise ConfigError(f"{source}: unknown family '{name}'")
 
 
-def _assemble(config: ExperimentConfig):
-    """Build the space, schedule, family and points named by a config."""
-    try:
-        space = _build_space(config.space, config.source)
-        schedule = _build_schedule(config.schedule, config.source)
-        u = _parse_point(space, config.u, config.source, "u")
-        x0 = _parse_point(space, config.x0, config.source, "x0")
-        p = (
-            _parse_point(space, config.p, config.source, "p")
-            if config.p is not None
-            else None
-        )
-        family = _build_family(config.family, space, schedule, p, config.horizon, config.source)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{config.source}: {exc}")
-    return space, schedule, family, u, x0, p
-
-
 def build_problem(config: ExperimentConfig) -> ProblemInstance:
     """Assemble the problem instance a config describes."""
-    space, schedule, family, u, x0, p = _assemble(config)
+    source = config.source
     try:
+        space = _build_space(config.space, source)
+        schedule = _build_schedule(config.schedule, source)
+        u = _parse_point(space, config.u, source, "u")
+        x0 = _parse_point(space, config.x0, source, "x0")
+        p = _parse_point(space, config.p, source, "p") if config.p is not None else None
+        family = _build_family(config.family, space, schedule, p, config.horizon, source)
         return ProblemInstance.create(
             space=space, family=family, schedule=schedule, u=u, x0=x0, p=p, M=config.M
         )
     except ValueError as exc:
-        raise ConfigError(f"{config.source}: {exc}")
+        raise ConfigError(f"{source}: {exc}")
 
 
 @dataclass
@@ -377,32 +366,12 @@ class ExperimentResult:
         return "\n".join(lines) + "\n"
 
 
-def _certify_into(
-    result: ExperimentResult,
-    certs: list,
-    label: str,
-    residuals,
-    rate_fn,
-    k_max: int,
-    tol: float,
-    hard: bool,
-) -> None:
-    report = rates.certify_rate(residuals, rate_fn, k_max, tol=tol, label=label)
-    certs.append(report)
-    if hard:
-        status = "pass" if report.acceptable else "fail"
-        if report.acceptable and not report.all_passed:
-            status = "inconclusive" if all(r.status == "inconclusive" for r in report.rows) else "pass"
-    else:
-        status = "info"
-    result.add(f"certification: {label}", status, report.summary())
-
-
 def run_experiment(config: ExperimentConfig, out_dir: Path | None = None) -> int:
     """Execute one experiment end to end; returns the exit code."""
     result = ExperimentResult(config=config)
     tol = config.tolerance
-    space, schedule, family, u, x0, p = _assemble(config)
+    instance = build_problem(config)
+    space, family, schedule = instance.space, instance.family, instance.schedule
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)
@@ -438,13 +407,6 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None) -> int
         sched_check.summary(),
     )
 
-    try:
-        instance = ProblemInstance.create(
-            space=space, family=family, schedule=schedule, u=u, x0=x0, p=p, M=config.M
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{config.source}: {exc}")
-
     trace = iterate.run_tikhonov_mann(instance, config.horizon)
 
     bounds = iterate.check_basic_bounds(instance, trace, tol=tol)
@@ -452,120 +414,50 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None) -> int
     recursions = iterate.check_recursive_inequalities(instance, trace, tol=tol)
     result.add("per-step recursions", "pass" if recursions.passed else "fail", recursions.summary())
 
-    bundles: list[rates.RateBundle] = []
+    certificates = list(schedule.certificates(instance.M))
     chi_T = mappings.chi_T_for(family, schedule, instance.M)
     if chi_T is not None:
-        bundles.append(rates.general_rates(schedule, instance.M, chi_T))
+        general = rates.general_rates(schedule, instance.M, chi_T)
+        certificates.insert(0, rates.Certificate(general))
     else:
         result.add(
             "rates",
             "info",
             "family carries no gap-series certificate; composed rates unavailable",
         )
-    if schedule.name == "example":
-        bundles.append(rates.example_closed_form_rates(instance.M, schedule.lam(0)))
 
     certs: list[rates.CertificationReport] = []
-    for bundle in bundles:
-        _certify_into(
-            result,
-            certs,
-            f"{bundle.provenance}/Sigma on d(x_n, x_n+1)",
-            trace.residual_step,
-            bundle.Sigma,
-            config.k_max,
-            tol,
-            hard=True,
-        )
+    for certificate in certificates:
+        for name, passed, text in certificate.checks(instance, trace, tol):
+            result.add(name, "pass" if passed else "fail", text)
+        bundle = certificate.bundle
+        readings = [("Sigma on d(x_n, x_n+1)", trace.residual_step, bundle.Sigma, True)]
         if bundle.Sigma_T is not None:
-            _certify_into(
-                result,
-                certs,
-                f"{bundle.provenance}/Sigma_T on d(x_n, T_n x_n)",
-                trace.residual_T,
-                bundle.Sigma_T,
-                config.k_max,
-                tol,
-                hard=True,
+            readings.append(("Sigma_T on d(x_n, T_n x_n)", trace.residual_T, bundle.Sigma_T, True))
+        if certificate.advisory:
+            # Second reading: the step rate applied to the map residual.
+            readings.append(
+                ("Sigma on d(x_n, T_n x_n) [advisory]", trace.residual_T, bundle.Sigma, False)
             )
-        # Advisory second reading: the step rate applied to the map residual.
-        _certify_into(
-            result,
-            certs,
-            f"{bundle.provenance}/Sigma on d(x_n, T_n x_n) [advisory]",
-            trace.residual_T,
-            bundle.Sigma,
-            config.k_max,
-            tol,
-            hard=False,
-        )
+        for reading, residuals, rate_fn, hard in readings:
+            label = f"{bundle.provenance}/{reading}"
+            report = rates.certify_rate(residuals, rate_fn, config.k_max, tol=tol, label=label)
+            certs.append(report)
+            if not hard:
+                status = "info"
+            elif not report.acceptable:
+                status = "fail"
+            elif all(r.status == "inconclusive" for r in report.rows):
+                status = "inconclusive"
+            else:
+                status = "pass"
+            result.add(f"certification: {label}", status, report.summary())
 
-    if schedule.name == "linear":
-        lr = rates.linear_rates(instance.M, schedule.lam(0))
-        step_bound = rates.check_pointwise_bound(
-            trace.residual_step, lr.bound_step, tol=tol, name="d(x_n, x_n+1) <= 6M/(n+2)"
-        )
-        result.add(
-            "linear pointwise step bound",
-            "pass" if step_bound.passed else "fail",
-            step_bound.summary(),
-        )
-        t_bound = rates.check_pointwise_bound(
-            trace.residual_T, lr.bound_T, tol=tol, name="d(x_n, T_n x_n) <= 10M/(lam(n+2))"
-        )
-        result.add(
-            "linear pointwise map bound",
-            "pass" if t_bound.passed else "fail",
-            t_bound.summary(),
-        )
-        ss = rates.sabach_shtern_check(trace.residual_step, L=3.0 * instance.M, tol=tol)
-        result.add("sabach-shtern recursion", "pass" if ss.passed else "fail", ss.summary())
-        worst_cross = -float("inf")
-        sample_ns = np.unique(
-            np.geomspace(1, max(config.horizon - 1, 1), 25).astype(int)
-        )
-        for n in sample_ns:
-            xn = trace.x[n]
-            for m in (0, n // 2, 2 * n):
-                dist = space.dist(xn, family.eval(m, xn))
-                worst_cross = max(worst_cross, dist - lr.bound_cross(n))
-        result.add(
-            "linear cross-index spot check",
-            "pass" if worst_cross <= tol else "fail",
-            f"worst excess of d(x_n, T_m x_n) over 20M/(lam(n+2)): {worst_cross: .3e} "
-            f"(m in {{0, n//2, 2n}} at {len(sample_ns)} sampled n)",
-        )
-        _certify_into(
-            result,
-            certs,
-            "linear_theorem/Sigma on d(x_n, x_n+1)",
-            trace.residual_step,
-            lr.rate_step,
-            config.k_max,
-            tol,
-            hard=True,
-        )
-        _certify_into(
-            result,
-            certs,
-            "linear_theorem/Sigma_T on d(x_n, T_n x_n)",
-            trace.residual_T,
-            lr.rate_T,
-            config.k_max,
-            tol,
-            hard=True,
-        )
-        bundles.append(lr.bundle())
-
-    _write_trace_csv(out / "trace.csv", trace, config.record_points)
-    _write_rates_csv(out / "rates.csv", bundles, config.k_max)
+    trace.to_csv(out / "trace.csv", include_points=config.record_points)
+    _write_rates_csv(out / "rates.csv", [c.bundle for c in certificates], config.k_max)
     _write_certifications_csv(out / "certification.csv", certs)
     (out / "report.txt").write_text(result.report_text())
     return result.exit_code
-
-
-def _write_trace_csv(path: Path, trace: iterate.IterationTrace, include_points: bool) -> None:
-    trace.to_csv(path, include_points=include_points)
 
 
 def _write_rates_csv(path: Path, bundles: list, k_max: int) -> None:
@@ -584,8 +476,10 @@ def _write_certifications_csv(path: Path, certs: list) -> None:
             ["label", "k", "rate_k", "threshold", "worst_excess", "empirical_min_index", "status"]
         )
         for report in certs:
-            for row in report.rows:
-                writer.writerow(report._csv_row(row))
+            for r in report.rows:
+                worst = "" if r.worst_excess is None else repr(r.worst_excess)
+                row = [r.k, r.rate_index, repr(r.threshold), worst, r.empirical_min_index, r.status]
+                writer.writerow([report.label, *row])
 
 
 def run_suite(directory, overrides: dict | None = None, out_dir: Path | None = None) -> int:

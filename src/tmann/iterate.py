@@ -45,8 +45,8 @@ class ProblemInstance:
 
     M is the integer ceiling of max(d(x0, p), d(u, p)), clamped to >= 1
     because every rate formula consumes a positive integer radius bound.
-    Build instances through :meth:`create`, which derives M and verifies
-    that p is fixed by the first few maps.
+    Build instances through :meth:`create`, which derives M (or refuses a
+    given M below it) and verifies that p is fixed by the first few maps.
     """
 
     space: Space
@@ -72,11 +72,14 @@ class ProblemInstance:
     ) -> "ProblemInstance":
         if p is None:
             p = family.fixed_point
+        radius = max(space.dist(x0, p), space.dist(u, p))
+        least = max(1, _int_ceil(radius))
         if M is None:
-            radius = max(space.dist(x0, p), space.dist(u, p))
-            M = max(1, _int_ceil(radius))
-        if M < 1:
-            raise ValueError(f"M must be >= 1, got {M}")
+            M = least
+        elif M < least:
+            raise ValueError(
+                f"M = {M} is below max(d(x0, p), d(u, p)) = {radius!r}; the rates need M >= {least}"
+            )
         if check_fixed_point:
             for n in range(10):
                 drift = space.dist(family.eval(n, p), p)

@@ -29,16 +29,17 @@ from typing import Any, Callable
 import numpy as np
 
 from .geometry import Point, Points, Space, TreePoint, TreePoints
-from .sequences import RateFn
+from .sequences import ParamSchedule, RateFn
 
-KINDS = ("constant", "jp2_with_gamma", "resolvent", "custom")
+KINDS = ("constant", "jp2_with_gamma", "custom")
 
 
 @dataclass(frozen=True, eq=False)
 class MappingFamily:
     """An indexed family of self-maps with optional structural certificates.
 
-    ``kind`` is one of ``constant``, ``jp2_with_gamma``, ``resolvent`` or
+    ``kind`` is one of ``constant``, ``jp2_with_gamma`` (gamma-indexed
+    families satisfying the cross-index comparison, resolvents included) or
     ``custom``.  ``gamma`` is carried by gamma-indexed families so checkers
     can exercise the cross-index comparison; ``chi_T`` is an optional
     declared Cauchy modulus for the gap series of a custom family (for
@@ -68,9 +69,6 @@ class MappingFamily:
         if self.fn_array is not None:
             return self.fn_array(ns, xs)
         return space.stack([self.fn(int(n), xs[i]) for i, n in enumerate(ns)])
-
-    def __call__(self, n: int, x: Point) -> Point:
-        return self.fn(n, x)
 
 
 def soft_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
@@ -152,7 +150,7 @@ def resolvent_l1_family(
         raise ValueError(f"weight must be >= 0, got {weight}")
     return MappingFamily(
         name="resolvent_l1",
-        kind="resolvent",
+        kind="jp2_with_gamma",
         fn=lambda n, x: soft_threshold(x, weight * gamma(n)),
         fixed_point=np.zeros(dim),
         gamma=gamma,
@@ -179,7 +177,7 @@ def resolvent_quadratic_family(Q, gamma: Callable[[int], float]) -> MappingFamil
 
     return MappingFamily(
         name="resolvent_quadratic",
-        kind="resolvent",
+        kind="jp2_with_gamma",
         fn=resolvent,
         fixed_point=np.zeros(dim),
         gamma=gamma,
@@ -301,7 +299,7 @@ def constant_family_chi_T() -> RateFn:
     return lambda k: 0
 
 
-def chi_T_for(family: MappingFamily, schedule, M: int) -> RateFn | None:
+def chi_T_for(family: MappingFamily, schedule: ParamSchedule, M: int) -> RateFn | None:
     """Best available gap-series modulus for a family under a schedule.
 
     Preference order: constant families need no data; gamma-certified
@@ -315,7 +313,6 @@ def chi_T_for(family: MappingFamily, schedule, M: int) -> RateFn | None:
     """
     if family.kind == "constant":
         return constant_family_chi_T()
-    if family.kind in ("jp2_with_gamma", "resolvent") and schedule is not None and schedule.has_gamma:
-        schedule.require_gamma()
+    if family.kind == "jp2_with_gamma" and schedule.has_gamma:
         return chi_T_from_gamma(M, schedule.Gamma_cap, schedule.N_Gamma, schedule.chi_gamma)
     return family.chi_T

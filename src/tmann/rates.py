@@ -31,9 +31,8 @@ slack of a certified rate is visible.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -71,6 +70,21 @@ class RateBundle:
             for k in range(k_max + 1):
                 out.append((name, k, int(fn(k))))
         return out
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """A rate bundle to certify on an orbit, with the checks its theorem adds.
+
+    ``checks(instance, trace, tol)`` returns the (section name, passed, text)
+    of each orbit check, run before the bundle is certified.  With
+    ``advisory`` the step rate Sigma is also read against d(x_n, T_n x_n),
+    for information only.
+    """
+
+    bundle: RateBundle
+    advisory: bool = True
+    checks: Callable[[Any, Any, float], list] = lambda instance, trace, tol: []
 
 
 def chi_combined(chi_T: RateFn, chi_lambda: RateFn, chi_beta: RateFn, M: int) -> RateFn:
@@ -158,24 +172,21 @@ def general_rates(
     schedule: ParamSchedule,
     M: int,
     chi_T: RateFn,
-    psi0: Callable[[int], int] | str = "from_chi",
+    psi0: str = "from_chi",
 ) -> RateBundle:
     """Compose the full rate bundle from a schedule's declared moduli and a
     gap-series modulus chi_T.
 
     psi0 selects the reciprocal product bound: the closed-form choice
-    ``"from_chi"`` (default), the computed minimal value ``"minimal"``, or an
-    explicit callable.
+    ``"from_chi"`` (default) or the computed minimal value ``"minimal"``.
     """
     chi = chi_combined(chi_T, schedule.chi_lambda, schedule.chi_beta, M)
     if psi0 == "from_chi":
         psi0_fn = psi0_from_chi(chi)
     elif psi0 == "minimal":
         psi0_fn = lambda k: compute_psi0(schedule, chi, k)
-    elif callable(psi0):
-        psi0_fn = psi0
     else:
-        raise ValueError(f"psi0 must be 'from_chi', 'minimal' or a callable, got {psi0!r}")
+        raise ValueError(f"psi0 must be 'from_chi' or 'minimal', got {psi0!r}")
     Sigma = sigma_ar(schedule.sigma_beta, chi, psi0_fn, M)
     Sigma_T = translate_ar_to_tn_ar(
         Sigma, M, schedule.Lambda_cap, schedule.N_Lambda, schedule.sigma
@@ -237,6 +248,42 @@ class LinearRates:
     def bundle(self) -> RateBundle:
         return RateBundle(provenance="linear_theorem", Sigma=self.rate_step, Sigma_T=self.rate_T)
 
+    def certificate(self) -> Certificate:
+        """The linear-theorem bundle with the orbit checks of its bounds.  Its
+        map rate is its own, so the step rate gets no advisory reading."""
+        return Certificate(self.bundle(), advisory=False, checks=self.orbit_checks)
+
+    def orbit_checks(self, instance, trace, tol: float) -> list[tuple[str, bool, str]]:
+        """The two pointwise bounds, the Sabach-Shtern recursion with L = 3M,
+        and a spot check of d(x_n, T_m x_n) <= 20M/(lambda(n+2)) for m in
+        {0, n//2, 2n} at 25 log-spaced n."""
+        step = check_pointwise_bound(
+            trace.residual_step, self.bound_step, tol=tol, name="d(x_n, x_n+1) <= 6M/(n+2)"
+        )
+        t_map = check_pointwise_bound(
+            trace.residual_T, self.bound_T, tol=tol, name="d(x_n, T_n x_n) <= 10M/(lam(n+2))"
+        )
+        ss = sabach_shtern_check(trace.residual_step, L=3.0 * self.M, tol=tol)
+        space, family = instance.space, instance.family
+        worst_cross = -float("inf")
+        sample_ns = np.unique(np.geomspace(1, max(trace.horizon - 1, 1), 25).astype(int))
+        for n in sample_ns:
+            xn = trace.x[n]
+            for m in (0, n // 2, 2 * n):
+                dist = space.dist(xn, family.eval(m, xn))
+                worst_cross = max(worst_cross, dist - self.bound_cross(n))
+        return [
+            ("linear pointwise step bound", step.passed, step.summary()),
+            ("linear pointwise map bound", t_map.passed, t_map.summary()),
+            ("sabach-shtern recursion", ss.passed, ss.summary()),
+            (
+                "linear cross-index spot check",
+                worst_cross <= tol,
+                f"worst excess of d(x_n, T_m x_n) over 20M/(lam(n+2)): {worst_cross: .3e} "
+                f"(m in {{0, n//2, 2n}} at {len(sample_ns)} sampled n)",
+            ),
+        ]
+
 
 def linear_rates(M: int, lambda_const: float) -> LinearRates:
     """Linear rate package for the linear builtin schedule."""
@@ -288,18 +335,12 @@ class SabachShternReport:
         return "\n".join(parts)
 
 
-def sabach_shtern_check(
-    s: Sequence[float], L: float, horizon: int | None = None, tol: float = 1e-9
-) -> SabachShternReport:
+def sabach_shtern_check(s: Sequence[float], L: float, tol: float = 1e-9) -> SabachShternReport:
     """Verify the recursion hypothesis and the induced bound on a sequence."""
     values = np.asarray(s, dtype=float)
-    if horizon is None:
-        horizon = len(values) - 1
+    horizon = len(values) - 1
     if horizon < 1:
         raise ValueError("need at least two sequence entries")
-    if len(values) <= horizon:
-        raise ValueError(f"sequence too short for horizon {horizon}")
-    values = values[: horizon + 1]
 
     ns = np.arange(horizon + 1, dtype=float)
     a = 2.0 / (ns + 2.0)
@@ -371,19 +412,6 @@ class CertificationReport:
                     f"empirical minimum {r.empirical_min_index:<8} {r.status}"
                 )
         return "\n".join(lines)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["label", "k", "rate_k", "threshold", "worst_excess", "empirical_min_index", "status"]
-            )
-            for r in self.rows:
-                writer.writerow(self._csv_row(r))
-
-    def _csv_row(self, r: CertRow) -> list:
-        worst = "" if r.worst_excess is None else repr(r.worst_excess)
-        return [self.label, r.k, r.rate_index, repr(r.threshold), worst, r.empirical_min_index, r.status]
 
 
 def certify_rate(

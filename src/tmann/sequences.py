@@ -66,6 +66,11 @@ class ParamSchedule:
     Lambda_cap, N_Lambda   lambda_n >= 1/Lambda_cap for all n >= N_Lambda
     chi_gamma           Cauchy modulus for sum |gamma_{n+1} - gamma_n|
     Gamma_cap, N_Gamma  gamma_n >= 1/Gamma_cap for all n >= N_Gamma
+    certificates        M -> the ``rates.Certificate`` records this schedule
+                        certifies beyond the general theorem (none by default)
+
+    The gamma certificate (gamma, chi_gamma, Gamma_cap, N_Gamma) is given
+    whole or not at all.  ``name`` only labels the schedule.
     """
 
     name: str
@@ -81,21 +86,20 @@ class ParamSchedule:
     chi_gamma: RateFn | None = None
     Gamma_cap: int | None = None
     N_Gamma: int | None = None
+    certificates: Callable[[int], tuple] = lambda M: ()
+
+    def __post_init__(self) -> None:
+        gamma_parts = ("gamma", "chi_gamma", "Gamma_cap", "N_Gamma")
+        missing = [part for part in gamma_parts if getattr(self, part) is None]
+        if 0 < len(missing) < len(gamma_parts):
+            raise ValueError(
+                f"incomplete gamma certificate: missing {', '.join(missing)} "
+                "(give gamma, chi_gamma, Gamma_cap and N_Gamma together, or none)"
+            )
 
     @property
     def has_gamma(self) -> bool:
         return self.gamma is not None
-
-    def require_gamma(self) -> None:
-        missing = []
-        if self.gamma is None:
-            missing.append("gamma step-size sequence")
-        if self.chi_gamma is None:
-            missing.append("Cauchy modulus for sum |gamma_{n+1} - gamma_n|")
-        if self.Gamma_cap is None or self.N_Gamma is None:
-            missing.append("lower-bound certificate for gamma")
-        if missing:
-            raise ValueError("schedule lacks: " + "; ".join(missing))
 
 
 def builtin_example_schedule(lambda_const: float) -> ParamSchedule:
@@ -112,7 +116,12 @@ def builtin_example_schedule(lambda_const: float) -> ParamSchedule:
     * lambda_n = lambda >= 1/ceil(1/lambda) everywhere: N_Lambda = 0;
     * |gamma_{i+1} - gamma_i| sums like the beta differences: chi_gamma(k) = k;
       gamma_n >= 1 everywhere, so Gamma_cap = 1, N_Gamma = 0.
+
+    Beyond the general theorem it certifies the closed-form polynomials of
+    ``rates.example_closed_form_rates``.
     """
+    from . import rates  # rates imports this module
+
     if not 0 < lambda_const < 1:
         raise ValueError(f"lambda must lie in (0, 1), got {lambda_const}")
     lam = float(lambda_const)
@@ -130,6 +139,7 @@ def builtin_example_schedule(lambda_const: float) -> ParamSchedule:
         chi_gamma=lambda k: k,
         Gamma_cap=1,
         N_Gamma=0,
+        certificates=lambda M: (rates.Certificate(rates.example_closed_form_rates(M, lam)),),
     )
 
 
@@ -147,7 +157,13 @@ def builtin_linear_schedule(lambda_const: float) -> ParamSchedule:
     * 1 - beta_n = 2/(n+2) <= 1/(k+1) iff n >= 2k, so sigma(k) = 2k;
     * |gamma_{i+1} - gamma_i| = 1/((n+2)(n+3)) with tail 1/(n+2) from index
       n, so chi_gamma(k) = k; gamma_n >= 1, so Gamma_cap = 1, N_Gamma = 0.
+
+    Beyond the general theorem it certifies ``rates.linear_rates`` with its
+    pointwise bounds, the Sabach-Shtern recursion and the cross-index spot
+    check.
     """
+    from . import rates  # rates imports this module
+
     if not 0 < lambda_const < 1:
         raise ValueError(f"lambda must lie in (0, 1), got {lambda_const}")
     lam = float(lambda_const)
@@ -165,6 +181,7 @@ def builtin_linear_schedule(lambda_const: float) -> ParamSchedule:
         chi_gamma=lambda k: k,
         Gamma_cap=1,
         N_Gamma=0,
+        certificates=lambda M: (rates.linear_rates(M, lam).certificate(),),
     )
 
 
@@ -387,27 +404,6 @@ def oracle_convergence_rate(values, limit: float, k_max: int, horizon: int) -> O
         conclusive.append(ok)
     return OracleTable(
         kind="convergence_rate", horizon=horizon, minimal=tuple(minimal), conclusive=tuple(conclusive)
-    )
-
-
-def oracle_divergence_rate(series_terms, k_max: int, horizon: int) -> OracleTable:
-    """Minimal indices N with sum_{n=0}^{N} b_n >= k.
-
-    Provided for completeness of the quantitative toolkit; none of the rate
-    constructions in this package consume a divergence rate.
-    """
-    values = _as_values(series_terms, horizon + 1)
-    if np.any(values < 0):
-        raise ValueError("series terms must be nonnegative")
-    partial = np.cumsum(values)
-    minimal, conclusive = [], []
-    for k in range(k_max + 1):
-        target = k * (1.0 - _BOUNDARY_REL)
-        m, ok = _minimal_indices(partial >= target, horizon)
-        minimal.append(m)
-        conclusive.append(ok)
-    return OracleTable(
-        kind="divergence_rate", horizon=horizon, minimal=tuple(minimal), conclusive=tuple(conclusive)
     )
 
 

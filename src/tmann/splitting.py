@@ -27,10 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .iterate import IterationTrace, ProblemInstance, run_tikhonov_mann
-from .mappings import MappingFamily, chi_T_from_gamma, gamma_column, soft_threshold
-from .rates import RateBundle, chi_combined, psi0_from_chi, sigma_ar, translate_ar_to_tn_ar
-from .sequences import ParamSchedule
+from .mappings import MappingFamily, gamma_column, soft_threshold
 
 
 @dataclass(frozen=True)
@@ -152,75 +149,6 @@ def forward_backward_family(
         gamma=gamma,
         fn_array=fb_array if A.rowwise and B.rowwise else None,
     )
-
-
-def make_tfb_instance(
-    A: MonotoneOp,
-    B: CocoerciveOp,
-    schedule: ParamSchedule,
-    u,
-    x0,
-    z,
-    space=None,
-) -> ProblemInstance:
-    """Assemble the anchored splitting problem on R^d.
-
-    ``z`` is a registered zero of A + B; the radius bound M is derived from
-    it.  Enforced parameter ranges: gamma_n in (0, 2 beta) is checked at
-    every application, and lambda_n must lie in (0, 1], the always-safe
-    relaxation range for a nonexpansive map.
-    """
-    from .geometry import EuclideanSpace
-
-    schedule.require_gamma()
-    u = np.asarray(u, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if space is None:
-        space = EuclideanSpace(dim=len(x0))
-    lam0 = schedule.lam(0)
-    if not 0.0 < lam0 <= 1.0:
-        raise ValueError(f"lambda_n must lie in (0, 1], got lambda_0 = {lam0}")
-    family = forward_backward_family(A, B, schedule.gamma, z)
-    return ProblemInstance.create(
-        space=space, family=family, schedule=schedule, u=u, x0=x0, p=z
-    )
-
-
-def run_tfb(
-    A: MonotoneOp,
-    B: CocoerciveOp,
-    schedule: ParamSchedule,
-    u,
-    x0,
-    z,
-    horizon: int,
-) -> IterationTrace:
-    """Run the anchored forward-backward scheme and record its trace."""
-    instance = make_tfb_instance(A, B, schedule, u, x0, z)
-    lams = (schedule.lam(n) for n in range(horizon))
-    if any(not 0.0 < lam <= 1.0 for lam in lams):
-        raise ValueError("lambda_n must lie in (0, 1] for every step")
-    return run_tikhonov_mann(instance, horizon)
-
-
-def tfb_rates(schedule: ParamSchedule, M: int) -> RateBundle:
-    """Rate bundle for the splitting scheme, derived from the schedule alone.
-
-    The gap-series modulus comes from the gamma data; the rest is the
-    general composition.  Raises a configuration error naming whichever
-    schedule ingredient is missing.
-    """
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    schedule.require_gamma()
-    chi_T = chi_T_from_gamma(M, schedule.Gamma_cap, schedule.N_Gamma, schedule.chi_gamma)
-    chi = chi_combined(chi_T, schedule.chi_lambda, schedule.chi_beta, M)
-    Sigma = sigma_ar(schedule.sigma_beta, chi, psi0_from_chi(chi), M)
-    Sigma_T = translate_ar_to_tn_ar(
-        Sigma, M, schedule.Lambda_cap, schedule.N_Lambda, schedule.sigma
-    )
-    return RateBundle(provenance="general_theorem", Sigma=Sigma, Sigma_T=Sigma_T, chi=chi)
 
 
 def check_firmly_nonexpansive(

@@ -99,8 +99,9 @@ def _splitting_lasso() -> ProblemInstance:
     B = splitting.quadratic_gradient([0.5, 0.7], [2.0, -3.0])
     # separable optimum: z_i = soft(d_i b_i, rho) / d_i^2
     z = np.array([0.0, -1.1 / 0.49])
-    return splitting.make_tfb_instance(
-        A, B, schedule, u=np.array([0.0, -2.0]), x0=np.array([0.3, -1.5]), z=z
+    family = splitting.forward_backward_family(A, B, schedule.gamma, z)
+    return ProblemInstance.create(
+        EuclideanSpace(2), family, schedule, u=np.array([0.0, -2.0]), x0=np.array([0.3, -1.5]), p=z
     )
 
 
@@ -109,8 +110,10 @@ def _splitting_box_quadratic() -> ProblemInstance:
     A = splitting.box_operator([0.0], [1.0])
     B = splitting.quadratic_gradient([0.8], [2.0])
     # unconstrained minimizer 2.5 lies right of the box, so the solution is 1
-    return splitting.make_tfb_instance(
-        A, B, schedule, u=np.zeros(1), x0=np.array([0.5]), z=np.array([1.0])
+    z = np.array([1.0])
+    family = splitting.forward_backward_family(A, B, schedule.gamma, z)
+    return ProblemInstance.create(
+        EuclideanSpace(1), family, schedule, u=np.zeros(1), x0=np.array([0.5]), p=z
     )
 
 

@@ -261,3 +261,96 @@ def test_table_schedule_beta_outside_unit_interval_is_config_error(tmp_path, cap
         },
     )
     assert_config_error(capsys, cfg, "beta[1]")
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"space": {"name": "euclidean", "dim": 2.7}}, "space.dim"),
+        ({"space": {"name": "euclidean", "dim": "abc"}}, "space.dim"),
+        ({"space": {"name": "euclidean", "dim": 2, "box_radius": "3"}}, "space.box_radius"),
+        ({"space": {"name": "star_tree", "num_rays": 3.5}}, "space.num_rays"),
+        ({"space": {"name": "star_tree", "max_radius": True}}, "space.max_radius"),
+        (
+            {
+                "space": {"name": "star_tree"},
+                "u": {"ray": 1.5, "t": 0.0},
+                "x0": {"ray": 1, "t": 0.0},
+                "p": {"ray": 0, "t": 0.0},
+            },
+            "u.ray",
+        ),
+        ({"schedule": {"name": "linear", "lambda": "0.5"}}, "schedule.lambda"),
+        ({"family": {"name": "tree_contraction", "factor": "half"}}, "family.factor"),
+        ({"family": {"name": "resolvent_l1", "weight": [1.0]}}, "family.weight"),
+        (
+            {"family": {"name": "forward_backward", "A": {"name": "l1", "rho": "1"},
+                        "B": {"name": "zero"}}},
+            "family.A.rho",
+        ),
+    ],
+    ids=[
+        "dim_fraction", "dim_text", "box_radius_text", "num_rays_fraction",
+        "max_radius_boolean", "tree_point_ray_fraction", "lambda_text", "factor_text",
+        "weight_list", "rho_text",
+    ],
+)
+def test_nested_number_of_wrong_type_is_config_error(tmp_path, capsys, overrides, field):
+    assert_config_error(capsys, write_config(tmp_path / "nested.json", **overrides), field)
+
+
+def test_table_schedule_with_partial_gamma_certificate_is_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "table_gamma.json",
+        family={"name": "resolvent_l1"},
+        schedule={
+            "name": "table",
+            "beta": [1.0 - 1.0 / (n + 1) for n in range(400)],
+            "lambda": [0.5],
+            "sigma_beta": list(range(30)),
+            "chi_beta": list(range(30)),
+            "chi_lambda": [0],
+            "sigma": list(range(30)),
+            "Lambda_cap": 2,
+            "N_Lambda": 0,
+            "gamma": [1.0],
+        },
+    )
+    assert_config_error(capsys, cfg, "chi_gamma")
+
+
+def test_given_m_below_radius_bound_is_config_error(tmp_path, capsys):
+    config = json.loads((CONFIG_DIR / "euclidean_example_box.json").read_text())
+    config.update(M=1, x0=[3.0, 0.0])
+    cfg = tmp_path / "small_m.json"
+    cfg.write_text(json.dumps(config))
+    assert_config_error(capsys, cfg, "M = 1")
+
+
+@pytest.mark.parametrize("label", ["linear", "example"])
+def test_table_schedule_label_only_names_it(tmp_path, label):
+    # a table whose beta is the example schedule's, under a builtin's label,
+    # gets the general theorem only: the label certifies nothing
+    cfg = write_config(
+        tmp_path / "labelled.json",
+        schedule={
+            "name": "table",
+            "label": label,
+            "beta": [1.0 - 1.0 / (n + 1) for n in range(4000)],
+            "lambda": [0.5],
+            "sigma_beta": list(range(30)),
+            "chi_beta": list(range(30)),
+            "chi_lambda": [0],
+            "sigma": list(range(30)),
+            "Lambda_cap": 2,
+            "N_Lambda": 0,
+        },
+        modulus_horizon=3000,
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert f"modulus validation for schedule '{label}'" in report
+    sections = [line for line in report.splitlines() if line.startswith("[")]
+    assert not any("linear" in s or "sabach" in s or "example_closed_form" in s for s in sections)
+    rates = (tmp_path / "out" / "rates.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rates} == {"general_theorem"}

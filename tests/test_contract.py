@@ -1,9 +1,10 @@
 """Behaviour contract: the shipped suite writes the same bytes.
 
 ``tmann suite configs`` must reproduce the SHA-256 of ``suite_summary.csv``
-and of each shipped config's ``rates.csv``, ``certification.csv`` and
-``trace.csv`` recorded in ``tests/golden/suite_sha256.json``.  A change that
-alters one of these artifacts on purpose regenerates the manifest with
+and of each shipped config's ``rates.csv``, ``certification.csv``,
+``trace.csv`` and ``report.txt`` recorded in
+``tests/golden/suite_sha256.json``.  A change that alters one of these
+artifacts on purpose regenerates the manifest with
 
     PYTHONPATH=src python tests/test_contract.py --write
 
@@ -21,7 +22,7 @@ from tmann.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 MANIFEST = Path(__file__).resolve().parent / "golden" / "suite_sha256.json"
-ARTIFACTS = ("rates.csv", "certification.csv", "trace.csv")
+ARTIFACTS = ("rates.csv", "certification.csv", "trace.csv", "report.txt")
 
 
 def suite_digests(out: Path) -> dict:

@@ -74,6 +74,18 @@ def test_m_clamped_to_one_for_degenerate_instance():
     assert inst.M == 1
 
 
+def test_given_m_below_radius_bound_is_rejected():
+    sp, fam, sch = EuclideanSpace(1), identity_family(np.zeros(1)), builtin_example_schedule(0.5)
+    u, p = np.zeros(1), np.zeros(1)
+    with pytest.raises(ValueError, match="M >= 3"):
+        ProblemInstance.create(sp, fam, sch, u=u, x0=np.array([2.5]), p=p, M=2)
+    # the bound is the same rounded ceiling that derives M: 3 + 1e-14 needs only 3
+    for x0, M in ((3.0, 3), (3.0 + 1e-14, 3), (0.0, 1)):
+        assert ProblemInstance.create(sp, fam, sch, u=u, x0=np.array([x0]), p=p, M=M).M == M
+    with pytest.raises(ValueError, match="M >= 1"):
+        ProblemInstance.create(sp, fam, sch, u=u, x0=np.zeros(1), p=p, M=0)
+
+
 def test_create_rejects_non_fixed_point():
     sp = EuclideanSpace(1)
     fam = box_projection_family([5.0], [6.0])

@@ -140,18 +140,22 @@ def _tree(family, schedule, u, x0):
     )
 
 
+def _forward_backward(A, B, schedule, u, x0, z):
+    z = np.array(z)
+    family = splitting.forward_backward_family(A, B, schedule.gamma, z)
+    return _euclidean(len(z), family, schedule, u, x0, p=z, space=EuclideanSpace(len(z)))
+
+
 def _lasso(schedule):
     A = splitting.l1_operator(1.0)
     B = splitting.quadratic_gradient([0.5, 0.7], [2.0, -3.0])
-    return splitting.make_tfb_instance(
-        A, B, schedule, u=[0.0, -2.0], x0=[0.3, -1.5], z=[0.0, -1.1 / 0.49]
-    )
+    return _forward_backward(A, B, schedule, u=[0.0, -2.0], x0=[0.3, -1.5], z=[0.0, -1.1 / 0.49])
 
 
 def _box_projection_splitting(schedule):
     A = splitting.box_operator([-1.0, -1.0], [1.0, 1.0])
     B = splitting.zero_cocoercive(2)
-    return splitting.make_tfb_instance(A, B, schedule, u=[0.2, 0.9], x0=[1.8, 2.4], z=[0.0, 0.0])
+    return _forward_backward(A, B, schedule, u=[0.2, 0.9], x0=[1.8, 2.4], z=[0.0, 0.0])
 
 
 def group_lasso_operator(weight):
@@ -168,7 +172,7 @@ def group_lasso_operator(weight):
 def _group_lasso_splitting(schedule):
     A = group_lasso_operator(0.3)
     B = splitting.zero_cocoercive(2)
-    return splitting.make_tfb_instance(A, B, schedule, u=[0.2, 0.9], x0=[1.8, 2.4], z=[0.0, 0.0])
+    return _forward_backward(A, B, schedule, u=[0.2, 0.9], x0=[1.8, 2.4], z=[0.0, 0.0])
 
 
 def _random_3d(family, schedule):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmann.cli import _write_certifications_csv
 from tmann.mappings import chi_T_from_gamma
 from tmann.rates import (
     RateBundle,
@@ -165,7 +166,7 @@ def test_certify_single_level_and_short_window():
 def test_certify_csv(tmp_path):
     report = certify_rate(np.zeros(10), identity, k_max=2, label="demo")
     path = tmp_path / "cert.csv"
-    report.write_csv(path)
+    _write_certifications_csv(path, [report])
     lines = path.read_text().splitlines()
     assert lines[0].startswith("label,k,rate_k")
     assert len(lines) == 4

@@ -11,7 +11,6 @@ from tmann.sequences import (
     ceil_reciprocal,
     oracle_cauchy_modulus,
     oracle_convergence_rate,
-    oracle_divergence_rate,
     oracle_product_rate,
     psi0,
     schedule_from_tables,
@@ -124,12 +123,6 @@ def test_product_oracle_log_space_matches_direct():
     direct = oracle_product_rate(beta, k_max=8, horizon=9_000)
     logged = oracle_product_rate(beta, k_max=8, horizon=11_000)
     assert direct.minimal == logged.minimal
-
-
-def test_divergence_oracle_harmonic():
-    table = oracle_divergence_rate(lambda n: 1.0, k_max=5, horizon=100)
-    # partial sums are n+1, so the least N with sum >= k is max(k-1, 0)
-    assert table.minimal == (0, 0, 1, 2, 3, 4)
 
 
 def test_convergence_oracle_reciprocal_decay():

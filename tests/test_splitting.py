@@ -1,11 +1,23 @@
+import json
+
 import numpy as np
 import pytest
 
+from tmann import cli
 from tmann.geometry import EuclideanSpace
-from tmann.iterate import check_basic_bounds, check_recursive_inequalities, run_tikhonov_mann
-from tmann.mappings import check_jp2_consequence, check_nonexpansive
-from tmann.rates import certify_rate
-from tmann.sequences import builtin_example_schedule, schedule_from_tables
+from tmann.iterate import (
+    ProblemInstance,
+    check_basic_bounds,
+    check_recursive_inequalities,
+    run_tikhonov_mann,
+)
+from tmann.mappings import check_jp2_consequence, check_nonexpansive, chi_T_for
+from tmann.rates import certify_rate, general_rates
+from tmann.sequences import (
+    builtin_example_schedule,
+    schedule_from_tables,
+    validate_schedule_moduli,
+)
 from tmann.splitting import (
     box_operator,
     check_cocoercive,
@@ -13,13 +25,26 @@ from tmann.splitting import (
     forward_backward_family,
     forward_backward_map,
     l1_operator,
-    make_tfb_instance,
     quadratic_gradient,
-    run_tfb,
-    tfb_rates,
     zero_cocoercive,
     zero_operator,
 )
+
+
+def splitting_instance(A, B, schedule, u, x0, z) -> ProblemInstance:
+    """The anchored splitting problem on R^d with z a registered zero of A + B."""
+    z = np.asarray(z, dtype=float)
+    family = forward_backward_family(A, B, schedule.gamma, z)
+    return ProblemInstance.create(
+        EuclideanSpace(len(z)), family, schedule,
+        u=np.asarray(u, dtype=float), x0=np.asarray(x0, dtype=float), p=z,
+    )
+
+
+def splitting_rates(A, B, schedule, M):
+    """The general-theorem bundle of a forward-backward family, as the CLI builds it."""
+    family = forward_backward_family(A, B, schedule.gamma, np.zeros(1))
+    return general_rates(schedule, M, chi_T_for(family, schedule, M))
 
 
 def test_forward_backward_map_identity_minus_gradient():
@@ -72,7 +97,7 @@ def test_zero_operators_give_stationary_identity_family():
     # gamma in (1, 2] requires beta_coco > 1; the zero operator allows any
     A = zero_operator()
     B = zero_cocoercive(1)
-    trace = run_tfb(A, B, schedule, u=[0.0], x0=[0.0], z=[0.0], horizon=50)
+    trace = run_tikhonov_mann(splitting_instance(A, B, schedule, [0.0], [0.0], [0.0]), 50)
     assert np.all(trace.residual_step == 0.0)
 
 
@@ -104,9 +129,11 @@ def test_fb_family_nonexpansive_and_jp2():
 
 def test_lasso_run_certifies_composed_rates():
     schedule, A, B, z = lasso_problem()
-    instance = make_tfb_instance(A, B, schedule, u=[0.0, -2.0], x0=[0.3, -1.5], z=z)
+    instance = splitting_instance(A, B, schedule, u=[0.0, -2.0], x0=[0.3, -1.5], z=z)
     assert instance.M == 1
-    bundle = tfb_rates(schedule, instance.M)
+    bundle = general_rates(
+        schedule, instance.M, chi_T_for(instance.family, schedule, instance.M)
+    )
     horizon = bundle.Sigma(10) + 1000
     trace = run_tikhonov_mann(instance, horizon)
     assert check_basic_bounds(instance, trace).passed
@@ -119,20 +146,22 @@ def test_box_quadratic_converges_to_constrained_minimum():
     schedule = builtin_example_schedule(0.5)
     A = box_operator([0.0], [1.0])
     B = quadratic_gradient([0.8], [2.0])
-    trace = run_tfb(A, B, schedule, u=[0.0], x0=[0.5], z=[1.0], horizon=3000)
+    instance = splitting_instance(A, B, schedule, u=[0.0], x0=[0.5], z=[1.0])
+    trace = run_tikhonov_mann(instance, 3000)
     assert trace.x[-1][0] == pytest.approx(1.0, abs=2e-3)
-    instance = make_tfb_instance(A, B, schedule, u=[0.0], x0=[0.5], z=[1.0])
-    bundle = tfb_rates(schedule, instance.M)
+    bundle = general_rates(
+        schedule, instance.M, chi_T_for(instance.family, schedule, instance.M)
+    )
     report = certify_rate(trace.residual_step, bundle.Sigma, k_max=3, tol=1e-9)
     assert report.acceptable
     assert not report.failed_levels()
 
 
 def test_tfb_rates_match_example_numbers():
-    schedule = builtin_example_schedule(0.5)
-    assert tfb_rates(schedule, 1).Sigma(0) == 138
-    assert tfb_rates(schedule, 2).Sigma(0) == 564
-    assert tfb_rates(schedule, 1).chi(0) == 7
+    schedule, A, B, _ = lasso_problem()
+    assert splitting_rates(A, B, schedule, 1).Sigma(0) == 138
+    assert splitting_rates(A, B, schedule, 2).Sigma(0) == 564
+    assert splitting_rates(A, B, schedule, 1).chi(0) == 7
 
 
 def test_tfb_rates_constant_gamma_modulus_collapses_to_n_gamma():
@@ -156,17 +185,24 @@ def test_tfb_rates_constant_gamma_modulus_collapses_to_n_gamma():
 
     chi_T = chi_T_from_gamma(1, schedule.Gamma_cap, schedule.N_Gamma, schedule.chi_gamma)
     assert [chi_T(k) for k in range(4)] == [3, 3, 3, 3]
-    bundle = tfb_rates(schedule, 1)
+    bundle = splitting_rates(zero_operator(), zero_cocoercive(1), schedule, 1)
     assert bundle.chi(0) >= 3
 
 
-def test_tfb_rates_missing_gamma_names_ingredient():
-    schedule = schedule_from_tables(
-        "no_gamma", beta=[0.5], lam=[0.5], sigma_beta=[0], chi_beta=[0],
-        chi_lambda=[0], sigma=[0], Lambda_cap=2, N_Lambda=0,
-    )
-    with pytest.raises(ValueError, match="gamma"):
-        tfb_rates(schedule, 1)
+def test_tfb_rates_missing_gamma_names_ingredient(tmp_path):
+    # a forward-backward problem takes its step sizes from the schedule
+    config = tmp_path / "fb_no_gamma.json"
+    config.write_text(json.dumps({
+        "space": {"name": "euclidean", "dim": 1},
+        "family": {"name": "forward_backward", "A": {"name": "zero"}, "B": {"name": "zero"}},
+        "schedule": {
+            "name": "table", "beta": [0.5], "lambda": [0.5], "sigma_beta": [0],
+            "chi_beta": [0], "chi_lambda": [0], "sigma": [0], "Lambda_cap": 2, "N_Lambda": 0,
+        },
+        "u": [0.0], "x0": [1.0], "p": [0.0],
+    }))
+    with pytest.raises(cli.ConfigError, match="gamma"):
+        cli.build_problem(cli.parse_config(config))
 
 
 def test_run_tfb_rejects_out_of_range_lambda():
@@ -175,5 +211,4 @@ def test_run_tfb_rejects_out_of_range_lambda():
         chi_lambda=[0], sigma=[0], Lambda_cap=1, N_Lambda=0,
         gamma=[1.0], chi_gamma=[0], Gamma_cap=1, N_Gamma=0,
     )
-    with pytest.raises(ValueError, match="lambda"):
-        run_tfb(zero_operator(), zero_cocoercive(1), schedule, [0.0], [1.0], [0.0], horizon=5)
+    assert validate_schedule_moduli(schedule, k_max=2, horizon=20).no_failure is False
