@@ -269,12 +269,13 @@ def _build_forward_backward_family(
     A = _build_monotone_op(_require(spec, "A", source), source)
     B = _build_cocoercive_op(_require(spec, "B", source), space.dim, source)
     cap = 2.0 * B.beta_coco
-    for n in range(horizon + 1):
-        g = schedule.gamma(n)
-        if not 0.0 < g < cap:
-            raise ConfigError(
-                f"{source}: gamma_{n} = {g!r} outside the step-size range (0, {cap!r})"
-            )
+    gammas = sequences.terms(schedule.gamma, np.arange(horizon + 1))
+    outside = ~((0.0 < gammas) & (gammas < cap))
+    if outside.any():
+        n = int(np.argmax(outside))
+        raise ConfigError(
+            f"{source}: gamma_{n} = {float(gammas[n])!r} outside the step-size range (0, {cap!r})"
+        )
     return splitting.forward_backward_family(A, B, schedule.gamma, p)
 
 

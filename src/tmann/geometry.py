@@ -16,7 +16,9 @@ tree below is the simplest genuinely nonlinear instance.
 ``check_w_axioms`` samples random tuples and records the worst violation of
 each axiom plus three standard consequences: the distances from a combination
 to its endpoints scale linearly in lam, and two comparison inequalities for
-combinations with distinct or shared endpoints.  ``BrokenEuclideanSpace``
+combinations with distinct or shared endpoints.  It draws every tuple first
+and then evaluates each check over all of them with the row-wise
+``dist_array`` and ``combine_array``.  ``BrokenEuclideanSpace``
 interpolates with lam**2 instead of lam and serves as the negative control
 the checker must flag.
 
@@ -114,6 +116,32 @@ class Space(ABC):
         either side may also be a single point.  Each entry equals ``dist``
         of the two rows bit for bit."""
 
+    def combine_array(self, x: Points, y: Points, lam) -> Points:
+        """Row-by-row combinations W(x[i], y[i], lam[i]) of two point arrays
+        of equal length; ``lam`` is an array of that length or one number.
+        Each row equals ``combine`` of the rows bit for bit.  This default
+        calls ``combine`` once per row."""
+        lams = np.broadcast_to(lam, (len(x),))
+        return self.stack([self.combine(x[i], y[i], lams[i]) for i in range(len(x))])
+
+    def sample_tuples(
+        self, rng: np.random.Generator, count: int, points: int, params: int
+    ) -> tuple[list, np.ndarray]:
+        """``count`` tuples of ``points`` points drawn by ``sample``, each
+        followed by ``params`` numbers drawn by ``rng.uniform(0, 1, params)``.
+
+        Returns one point array per tuple position and a ``(count, params)``
+        array, and leaves ``rng`` where those calls, made tuple by tuple,
+        leave it.  This default makes them tuple by tuple.
+        """
+        arrays = [self.empty(count) for _ in range(points)]
+        uniforms = np.empty((count, params))
+        for i in range(count):
+            for array in arrays:
+                array[i] = self.sample(rng)
+            uniforms[i] = rng.uniform(0.0, 1.0, size=params)
+        return arrays, uniforms
+
     def stack(self, points) -> Points:
         """The point array holding ``points`` in order."""
         out = self.empty(len(points))
@@ -126,6 +154,16 @@ class Space(ABC):
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"combination parameter must lie in [0, 1], got {lam}")
         return float(lam)
+
+    @staticmethod
+    def _check_lambdas(lam) -> np.ndarray:
+        lam = np.asarray(lam, dtype=float)
+        outside = ~((0.0 <= lam) & (lam <= 1.0))
+        if outside.any():
+            raise ValueError(
+                f"combination parameter must lie in [0, 1], got {lam[outside].flat[0]}"
+            )
+        return lam
 
 
 class EuclideanSpace(Space):
@@ -174,6 +212,25 @@ class EuclideanSpace(Space):
         diff = x - y
         return np.sqrt(np.vecdot(diff, diff))
 
+    def combine_array(self, x, y, lam):
+        if type(self).combine is not EuclideanSpace.combine:  # check the subclass's own map
+            return super().combine_array(x, y, lam)
+        lam = self._check_lambdas(lam)[..., None]
+        return (1.0 - lam) * x + lam * y
+
+    def sample_tuples(self, rng, count, points, params):
+        if type(self).sample is not EuclideanSpace.sample:
+            return super().sample_tuples(rng, count, points, params)
+        # rng.uniform(low, high) is low + (high - low) * rng.random(), and
+        # uniform(0, 1) is random() itself, so one block of random() draws
+        # in tuple order gives the same numbers and leaves the same state
+        width = points * self.dim
+        block = rng.random((count, width + params))
+        low, high = -self.box_radius, self.box_radius
+        coords = low + (high - low) * block[:, :width]
+        arrays = [coords[:, k * self.dim : (k + 1) * self.dim] for k in range(points)]
+        return arrays, block[:, width:]
+
 
 class BrokenEuclideanSpace(EuclideanSpace):
     """Euclidean space with a deliberately wrong combination map.
@@ -190,6 +247,10 @@ class BrokenEuclideanSpace(EuclideanSpace):
     def combine(self, x, y, lam):
         lam = self._check_lambda(lam)
         return (1.0 - lam * lam) * self.as_point(x) + (lam * lam) * self.as_point(y)
+
+    def combine_array(self, x, y, lam):
+        lam = self._check_lambdas(lam)[..., None]
+        return (1.0 - lam * lam) * x + (lam * lam) * y
 
 
 class StarTreeSpace(Space):
@@ -244,11 +305,47 @@ class StarTreeSpace(Space):
         ray = int(rng.integers(self.num_rays))
         return TreePoint(ray, float(rng.uniform(0.0, self.max_radius)))
 
+    def sample_tuples(self, rng, count, points, params):
+        if type(self).sample is not StarTreeSpace.sample:
+            return super().sample_tuples(rng, count, points, params)
+        # rng.integers draws 32-bit halves between the radius draws, so no
+        # block draw keeps the order; the loop takes rng.random() for each
+        # uniform, which is the same number (see EuclideanSpace), and scales
+        # the radii afterwards
+        rays, draws = [], []
+        for _ in range(count):
+            for _ in range(points):
+                rays.append(rng.integers(self.num_rays))
+                draws.append(rng.random())
+            draws.extend(rng.random(params))
+        ray = np.array(rays, dtype=int).reshape(count, points)
+        block = np.array(draws).reshape(count, points + params)
+        t = 0.0 + (self.max_radius - 0.0) * block[:, :points]
+        ray[t == 0.0] = 0  # the origin is ray 0
+        arrays = [TreePoints(ray[:, k], t[:, k]) for k in range(points)]
+        return arrays, block[:, points:]
+
     def empty(self, count):
         return TreePoints(np.zeros(count, dtype=int), np.zeros(count))
 
     def dist_array(self, x, y):
         return np.where(x.ray == y.ray, np.abs(x.t - y.t), x.t + y.t)
+
+    def combine_array(self, x, y, lam):
+        if type(self).combine is not StarTreeSpace.combine:  # check the subclass's own map
+            return super().combine_array(x, y, lam)
+        lam = self._check_lambdas(lam)
+        same = x.ray == y.ray
+        along = x.t + lam * (y.t - x.t)
+        walked = lam * (x.t + y.t)
+        back = walked <= x.t
+        t = np.where(
+            same,
+            np.where(along > 0.0, along, 0.0),  # max(0.0, along), as combine takes it
+            np.where(back, x.t - walked, walked - x.t),
+        )
+        ray = np.where(same | back, x.ray, y.ray)
+        return TreePoints(np.where(t == 0.0, 0, ray), t)  # the origin is ray 0
 
 
 #: Checks performed by ``check_w_axioms``, in report order.
@@ -285,7 +382,7 @@ class AxiomReport:
         return all(v <= self.tol for v in self.max_violation.values())
 
     def failures(self) -> list[str]:
-        return [k for k, v in self.max_violation.items() if v > self.tol]
+        return [k for k, v in self.max_violation.items() if not v <= self.tol]
 
     def summary(self) -> str:
         lines = [f"axiom check on {self.space}: {self.samples} samples, tol {self.tol!r}"]
@@ -305,9 +402,12 @@ def check_w_axioms(
 ) -> AxiomReport:
     """Sample random tuples (x, y, z, w, lam, th) and check every axiom.
 
-    Returns the per-check worst violation; the report passes when every
-    entry stays at or below ``tol``.  Check failures never raise, they are
-    carried in the report.
+    All tuples are drawn first, by ``space.sample_tuples``, in the order of
+    drawing x, y, z, w and then (lam, th) tuple by tuple; each check is then
+    one array expression over all samples.  Returns the per-check worst
+    violation; a NaN anywhere makes that check's worst value NaN, which
+    fails.  The report passes when every entry stays at or below ``tol``.
+    Check failures never raise, they are carried in the report.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -316,48 +416,31 @@ def check_w_axioms(
     if rng is None:
         rng = np.random.default_rng(seed)
 
-    worst = {key: -math.inf for key in AXIOM_CHECKS}
+    (x, y, z, w), params = space.sample_tuples(rng, samples, points=4, params=2)
+    lam, th = params[:, 0], params[:, 1]
+    dist, combine = space.dist_array, space.combine_array
 
-    def record(key: str, value: float) -> None:
-        if value > worst[key]:
-            worst[key] = value
-
-    for _ in range(samples):
-        x, y, z, w = (space.sample(rng) for _ in range(4))
-        lam, th = rng.uniform(0.0, 1.0, size=2)
-
-        dxy = space.dist(x, y)
-        dzw = space.dist(z, w)
-        cxy_l = space.combine(x, y, lam)
-        cxy_t = space.combine(x, y, th)
-
-        record("metric_symmetry", abs(dxy - space.dist(y, x)))
-        record("metric_identity", space.dist(x, x))
-        record("metric_triangle", space.dist(x, z) - (dxy + space.dist(y, z)))
-
-        record("W1", space.dist(z, cxy_l) - ((1 - lam) * space.dist(z, x) + lam * space.dist(z, y)))
-        record("W2", abs(space.dist(cxy_l, cxy_t) - abs(lam - th) * dxy))
-        record("W3", space.dist(cxy_l, space.combine(y, x, 1.0 - lam)))
-
-        cxz_l = space.combine(x, z, lam)
-        record("W4", space.dist(cxz_l, space.combine(y, w, lam)) - ((1 - lam) * dxy + lam * dzw))
-
-        record(
-            "endpoint_distances",
-            max(
-                abs(space.dist(x, cxy_l) - lam * dxy),
-                abs(space.dist(y, cxy_l) - (1 - lam) * dxy),
-            ),
-        )
-        record(
-            "two_parameter_comparison",
-            space.dist(cxz_l, space.combine(y, w, th))
-            - ((1 - lam) * dxy + lam * dzw + abs(lam - th) * space.dist(y, w)),
-        )
-        record(
-            "shared_endpoint_comparison",
-            space.dist(cxz_l, space.combine(x, w, th))
-            - (lam * dzw + abs(lam - th) * space.dist(x, w)),
-        )
-
-    return AxiomReport(space=space.name, samples=samples, tol=tol, max_violation=dict(worst))
+    dxy = dist(x, y)
+    dzw = dist(z, w)
+    cxy_l = combine(x, y, lam)
+    cxy_t = combine(x, y, th)
+    cxz_l = combine(x, z, lam)
+    violations = {
+        "metric_symmetry": np.abs(dxy - dist(y, x)),
+        "metric_identity": dist(x, x),
+        "metric_triangle": dist(x, z) - (dxy + dist(y, z)),
+        "W1": dist(z, cxy_l) - ((1 - lam) * dist(z, x) + lam * dist(z, y)),
+        "W2": np.abs(dist(cxy_l, cxy_t) - np.abs(lam - th) * dxy),
+        "W3": dist(cxy_l, combine(y, x, 1.0 - lam)),
+        "W4": dist(cxz_l, combine(y, w, lam)) - ((1 - lam) * dxy + lam * dzw),
+        "endpoint_distances": np.maximum(
+            np.abs(dist(x, cxy_l) - lam * dxy),
+            np.abs(dist(y, cxy_l) - (1 - lam) * dxy),
+        ),
+        "two_parameter_comparison": dist(cxz_l, combine(y, w, th))
+        - ((1 - lam) * dxy + lam * dzw + np.abs(lam - th) * dist(y, w)),
+        "shared_endpoint_comparison": dist(cxz_l, combine(x, w, th))
+        - (lam * dzw + np.abs(lam - th) * dist(x, w)),
+    }
+    max_violation = {key: float(np.max(violations[key])) for key in AXIOM_CHECKS}
+    return AxiomReport(space=space.name, samples=samples, tol=tol, max_violation=max_violation)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .geometry import Point, Points, Space, TreePoints
 from .mappings import MappingFamily
-from .sequences import ParamSchedule, _int_ceil
+from .sequences import ParamSchedule, _int_ceil, terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,12 +269,6 @@ def check_halpern_equivalence(
     return EquivalenceReport(horizon=horizon, max_u_y=max_u_y, max_x_v=max_x_v, tol=tol)
 
 
-def _schedule_arrays(schedule: ParamSchedule, count: int) -> tuple[np.ndarray, np.ndarray]:
-    beta = np.fromiter((schedule.beta(n) for n in range(count)), dtype=float, count=count)
-    lam = np.fromiter((schedule.lam(n) for n in range(count)), dtype=float, count=count)
-    return beta, lam
-
-
 @dataclass(frozen=True)
 class BoundCheck:
     name: str
@@ -380,7 +374,9 @@ def check_recursive_inequalities(
         raise ValueError("recursion checks need a trace of at least 2 steps")
     M = float(instance.M)
     H = trace.horizon
-    beta, lam = _schedule_arrays(instance.schedule, H + 1)
+    indices = np.arange(H + 1)
+    beta = terms(instance.schedule.beta, indices)
+    lam = terms(instance.schedule.lam, indices)
     dbeta = np.abs(np.diff(beta))
     dlam = np.abs(np.diff(lam))
 

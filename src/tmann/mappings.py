@@ -29,7 +29,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .geometry import Point, Points, Space, TreePoint, TreePoints
-from .sequences import ParamSchedule, RateFn
+from .sequences import ParamSchedule, RateFn, terms
 
 KINDS = ("constant", "jp2_with_gamma", "custom")
 
@@ -84,7 +84,7 @@ def soft_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
 def gamma_column(gamma: Callable[[int], float], ns: np.ndarray) -> np.ndarray:
     """The step sizes gamma(n) for n in ``ns``, as an (len(ns), 1) column
     that broadcasts against a point array."""
-    return np.array([gamma(n) for n in ns.tolist()], dtype=float).reshape(-1, 1)
+    return terms(gamma, ns).reshape(-1, 1)
 
 
 def identity_family(fixed_point: Point) -> MappingFamily:
@@ -184,6 +184,12 @@ def resolvent_quadratic_family(Q, gamma: Callable[[int], float]) -> MappingFamil
     )
 
 
+def _worse(value: float, worst: float) -> bool:
+    """Whether a sampled excess replaces the worst so far: a larger one does,
+    and so does a NaN, which then stays the worst and fails the check."""
+    return not value <= worst and not math.isnan(worst)
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of a sampled inequality check: the worst excess of the left
@@ -213,7 +219,8 @@ def check_nonexpansive(
     rng: np.random.Generator | None = None,
     seed: int = 0,
 ) -> CheckReport:
-    """Sample (n, x, y) and report the worst d(T_n x, T_n y) - d(x, y)."""
+    """Sample (n, x, y) and report the worst d(T_n x, T_n y) - d(x, y); a
+    NaN excess is the worst and fails."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if rng is None:
@@ -225,7 +232,7 @@ def check_nonexpansive(
         x = space.sample(rng)
         y = space.sample(rng)
         excess = space.dist(family.eval(n, x), family.eval(n, y)) - space.dist(x, y)
-        if excess > max_excess:
+        if _worse(excess, max_excess):
             max_excess = excess
             worst = (n, x, y)
     return CheckReport(
@@ -252,7 +259,7 @@ def check_jp2_consequence(
     on sampled points and index pairs.
 
     The inequality is asymmetric in (m, n), so every drawn pair is checked
-    in both orders.
+    in both orders.  A NaN excess is the worst and fails.
     """
     if samples < 1 or index_pairs < 1:
         raise ValueError("samples and index_pairs must be >= 1")
@@ -270,7 +277,7 @@ def check_jp2_consequence(
                 lhs = space.dist(family.eval(m, x), tn_x)
                 rhs = abs(gamma(m) - gamma(n)) / gamma(n) * space.dist(tn_x, x)
                 excess = lhs - rhs
-                if excess > max_excess:
+                if _worse(excess, max_excess):
                     max_excess = excess
                     worst = (m, n, x)
     return CheckReport(

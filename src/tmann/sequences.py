@@ -53,6 +53,37 @@ def ceil_reciprocal(lam: float) -> int:
     return max(1, _int_ceil(1.0 / lam))
 
 
+def _indexed(
+    at: Callable[[int], float], array: Callable[[np.ndarray], np.ndarray]
+) -> Callable[[int], float]:
+    """The sequence ``at`` (an int index to a Python float), marked as also
+    evaluating an int index array with ``array``, equal to ``at`` entry for
+    entry.  ``at`` stays a plain function, so a scalar call costs one
+    function call: the orbit loop makes two per step."""
+    at.index_array = array
+    return at
+
+
+def terms(seq: Callable[[int], float], ns: np.ndarray) -> np.ndarray:
+    """The float array of ``seq(n)`` for every index in ``ns``: one array
+    evaluation for a sequence built here, one call per index for any other
+    callable."""
+    array = getattr(seq, "index_array", None)
+    if array is not None:
+        return array(ns)
+    return np.array([seq(n) for n in ns.tolist()], dtype=float)
+
+
+def _closed_form(formula: Callable) -> Callable[[int], float]:
+    """A sequence given by one arithmetic formula in n, which numpy then
+    evaluates on index arrays with the same operations."""
+    return _indexed(formula, formula)
+
+
+def _constant(value: float) -> Callable[[int], float]:
+    return _indexed(lambda n: value, lambda ns: np.full(ns.shape, value))
+
+
 @dataclass(frozen=True)
 class ParamSchedule:
     """Parameter sequences with their declared quantitative moduli.
@@ -70,7 +101,9 @@ class ParamSchedule:
                         certifies beyond the general theorem (none by default)
 
     The gamma certificate (gamma, chi_gamma, Gamma_cap, N_Gamma) is given
-    whole or not at all.  ``name`` only labels the schedule.
+    whole or not at all.  ``name`` only labels the schedule.  The beta, lam
+    and gamma of the builtin and table schedules also evaluate int index
+    arrays; ``terms`` reads any sequence as an array.
     """
 
     name: str
@@ -127,15 +160,15 @@ def builtin_example_schedule(lambda_const: float) -> ParamSchedule:
     lam = float(lambda_const)
     return ParamSchedule(
         name="example",
-        beta=lambda n: 1.0 - 1.0 / (n + 1),
-        lam=lambda n: lam,
+        beta=_closed_form(lambda n: 1.0 - 1.0 / (n + 1)),
+        lam=_constant(lam),
         sigma_beta=lambda k: k,
         chi_beta=lambda k: k,
         chi_lambda=lambda k: 0,
         sigma=lambda k: k,
         Lambda_cap=ceil_reciprocal(lam),
         N_Lambda=0,
-        gamma=lambda n: 1.0 + 1.0 / (n + 1),
+        gamma=_closed_form(lambda n: 1.0 + 1.0 / (n + 1)),
         chi_gamma=lambda k: k,
         Gamma_cap=1,
         N_Gamma=0,
@@ -169,15 +202,15 @@ def builtin_linear_schedule(lambda_const: float) -> ParamSchedule:
     lam = float(lambda_const)
     return ParamSchedule(
         name="linear",
-        beta=lambda n: 1.0 - 2.0 / (n + 2),
-        lam=lambda n: lam,
+        beta=_closed_form(lambda n: 1.0 - 2.0 / (n + 2)),
+        lam=_constant(lam),
         sigma_beta=lambda k: k,
         chi_beta=lambda k: 2 * k,
         chi_lambda=lambda k: 0,
         sigma=lambda k: 2 * k,
         Lambda_cap=ceil_reciprocal(lam),
         N_Lambda=0,
-        gamma=lambda n: (n + 3) / (n + 2),
+        gamma=_closed_form(lambda n: (n + 3) / (n + 2)),
         chi_gamma=lambda k: k,
         Gamma_cap=1,
         N_Gamma=0,
@@ -185,18 +218,33 @@ def builtin_linear_schedule(lambda_const: float) -> ParamSchedule:
     )
 
 
-def _table_fn(values: Sequence[float]) -> Callable[[int], float]:
+def _table_terms(values: Sequence[float]) -> Callable[[int], float]:
     vals = [float(v) for v in values]
     if not vals:
         raise ValueError("table must be nonempty")
     last = vals[-1]
-    return lambda n: vals[n] if n < len(vals) else last
+    table = np.array(vals)
+    return _indexed(
+        lambda n: vals[n] if n < len(vals) else last,
+        lambda ns: table[np.minimum(ns, len(vals) - 1)],
+    )
 
 
-def _table_rate(values: Sequence[int]) -> RateFn:
-    vals = [int(v) for v in values]
+def _whole(label: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``; a fraction, text or a
+    boolean is refused, never truncated."""
+    whole = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not whole or value < least:
+        raise ValueError(f"{label} = {value!r} must be a whole number >= {least}")
+    return int(value)
+
+
+def _table_rate(label: str, values: Sequence[int]) -> RateFn:
+    vals = [_whole(f"{label}[{k}]", v, 0) for k, v in enumerate(values)]
     if not vals:
-        raise ValueError("rate table must be nonempty")
+        raise ValueError(f"rate table {label} must be nonempty")
     last = vals[-1]
     return lambda k: vals[k] if k < len(vals) else last
 
@@ -222,7 +270,9 @@ def schedule_from_tables(
     it, which suits finite-horizon experiments with eventually constant
     parameters.  Declared moduli still go through the oracles like any
     other schedule.  Every beta and lambda entry must lie in [0, 1] and
-    every gamma entry must be positive.
+    every gamma entry must be positive; rate-table entries and N_Lambda,
+    N_Gamma must be whole numbers >= 0, and Lambda_cap, Gamma_cap whole
+    numbers >= 1.
     """
     for label, values, ok in (
         ("beta", beta, lambda v: 0.0 <= v <= 1.0),
@@ -234,25 +284,25 @@ def schedule_from_tables(
                 raise ValueError(f"{label}[{n}] = {value!r} is out of range")
     return ParamSchedule(
         name=name,
-        beta=_table_fn(beta),
-        lam=_table_fn(lam),
-        sigma_beta=_table_rate(sigma_beta),
-        chi_beta=_table_rate(chi_beta),
-        chi_lambda=_table_rate(chi_lambda),
-        sigma=_table_rate(sigma),
-        Lambda_cap=int(Lambda_cap),
-        N_Lambda=int(N_Lambda),
-        gamma=_table_fn(gamma) if gamma is not None else None,
-        chi_gamma=_table_rate(chi_gamma) if chi_gamma is not None else None,
-        Gamma_cap=int(Gamma_cap) if Gamma_cap is not None else None,
-        N_Gamma=int(N_Gamma) if N_Gamma is not None else None,
+        beta=_table_terms(beta),
+        lam=_table_terms(lam),
+        sigma_beta=_table_rate("sigma_beta", sigma_beta),
+        chi_beta=_table_rate("chi_beta", chi_beta),
+        chi_lambda=_table_rate("chi_lambda", chi_lambda),
+        sigma=_table_rate("sigma", sigma),
+        Lambda_cap=_whole("Lambda_cap", Lambda_cap, 1),
+        N_Lambda=_whole("N_Lambda", N_Lambda, 0),
+        gamma=_table_terms(gamma) if gamma is not None else None,
+        chi_gamma=_table_rate("chi_gamma", chi_gamma) if chi_gamma is not None else None,
+        Gamma_cap=_whole("Gamma_cap", Gamma_cap, 1) if Gamma_cap is not None else None,
+        N_Gamma=_whole("N_Gamma", N_Gamma, 0) if N_Gamma is not None else None,
     )
 
 
-def _as_values(terms, count: int) -> np.ndarray:
-    if callable(terms):
-        return np.fromiter((terms(i) for i in range(count)), dtype=float, count=count)
-    arr = np.asarray(terms, dtype=float)
+def _as_values(values, count: int) -> np.ndarray:
+    if callable(values):
+        return terms(values, np.arange(count))
+    arr = np.asarray(values, dtype=float)
     if len(arr) < count:
         raise ValueError(f"need {count} terms, got {len(arr)}")
     return arr[:count]
@@ -365,9 +415,7 @@ def oracle_product_rate(beta, k_max: int, horizon: int) -> OracleTable:
     reaches the threshold within the horizon yields an inconclusive entry.
     """
     if callable(beta):
-        factors = np.fromiter(
-            (beta(n + 1) for n in range(horizon + 1)), dtype=float, count=horizon + 1
-        )
+        factors = terms(beta, np.arange(1, horizon + 2))
     else:
         factors = _as_values(beta, horizon + 2)[1:]
     if np.any((factors < 0) | (factors > 1)):
@@ -425,7 +473,7 @@ def psi0(schedule: ParamSchedule, chi: RateFn, k: int) -> int:
     if upper < 0:
         raise ValueError(f"chi(3k+2) must be >= 0, got {upper}")
     count = upper + 1
-    factors = np.fromiter((schedule.beta(n + 1) for n in range(count)), dtype=float, count=count)
+    factors = terms(schedule.beta, np.arange(1, count + 1))
     if np.any(factors <= 0):
         bad = int(np.argmax(factors <= 0))
         raise ValueError(
@@ -506,9 +554,9 @@ def validate_schedule_moduli(
     and (when present) gamma difference series, the rate for beta_n -> 1, and
     the lower-bound certificates for lambda and gamma.
     """
-    n_vals = horizon + 2
-    beta_vals = np.fromiter((schedule.beta(n) for n in range(n_vals)), dtype=float, count=n_vals)
-    lam_vals = np.fromiter((schedule.lam(n) for n in range(n_vals)), dtype=float, count=n_vals)
+    indices = np.arange(horizon + 2)
+    beta_vals = terms(schedule.beta, indices)
+    lam_vals = terms(schedule.lam, indices)
 
     moduli = {
         "sigma_beta": oracle_product_rate(beta_vals, k_max, horizon).validate(schedule.sigma_beta),
@@ -526,9 +574,7 @@ def validate_schedule_moduli(
 
     gamma_cap_ok = None
     if schedule.has_gamma:
-        gamma_vals = np.fromiter(
-            (schedule.gamma(n) for n in range(n_vals)), dtype=float, count=n_vals
-        )
+        gamma_vals = terms(schedule.gamma, indices)
         moduli["chi_gamma"] = oracle_cauchy_modulus(
             np.abs(np.diff(gamma_vals)), k_max, horizon
         ).validate(schedule.chi_gamma)

@@ -354,3 +354,69 @@ def test_table_schedule_label_only_names_it(tmp_path, label):
     assert not any("linear" in s or "sabach" in s or "example_closed_form" in s for s in sections)
     rates = (tmp_path / "out" / "rates.csv").read_text().splitlines()[1:]
     assert {row.split(",")[0] for row in rates} == {"general_theorem"}
+
+
+def table_schedule(**overrides) -> dict:
+    """A valid example-like table schedule with some fields replaced."""
+    schedule = {
+        "name": "table",
+        "beta": [1.0 - 1.0 / (n + 1) for n in range(400)],
+        "lambda": [0.5],
+        "sigma_beta": list(range(30)),
+        "chi_beta": list(range(30)),
+        "chi_lambda": [0],
+        "sigma": list(range(30)),
+        "Lambda_cap": 2,
+        "N_Lambda": 0,
+    }
+    schedule.update(overrides)
+    return schedule
+
+
+GAMMA_TABLE = {"gamma": [1.0], "chi_gamma": [0], "Gamma_cap": 1, "N_Gamma": 0}
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"Lambda_cap": 0}, "Lambda_cap"),
+        ({"Lambda_cap": -3}, "Lambda_cap"),
+        ({**GAMMA_TABLE, "Gamma_cap": 0}, "Gamma_cap"),
+    ],
+    ids=["lambda_cap_zero", "lambda_cap_negative", "gamma_cap_zero"],
+)
+def test_table_schedule_cap_below_one_is_config_error(tmp_path, capsys, overrides, field):
+    cfg = write_config(tmp_path / "cap.json", schedule=table_schedule(**overrides))
+    assert_config_error(capsys, cfg, field)
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"sigma_beta": [2.7]}, "sigma_beta[0]"),
+        ({"chi_beta": [0, 1, 2.5]}, "chi_beta[2]"),
+        ({"chi_lambda": ["0"]}, "chi_lambda[0]"),
+        ({"sigma": [0, True]}, "sigma[1]"),
+        ({"Lambda_cap": 2.5}, "Lambda_cap"),
+        ({"N_Lambda": 0.5}, "N_Lambda"),
+        ({**GAMMA_TABLE, "chi_gamma": [1.5]}, "chi_gamma[0]"),
+        ({**GAMMA_TABLE, "Gamma_cap": 1.5}, "Gamma_cap"),
+    ],
+    ids=[
+        "sigma_beta_fraction", "chi_beta_fraction", "chi_lambda_text", "sigma_boolean",
+        "lambda_cap_fraction", "n_lambda_fraction", "chi_gamma_fraction", "gamma_cap_fraction",
+    ],
+)
+def test_table_schedule_fractional_rate_entry_is_config_error(tmp_path, capsys, overrides, field):
+    cfg = write_config(tmp_path / "frac.json", schedule=table_schedule(**overrides))
+    assert_config_error(capsys, cfg, field)
+
+
+def test_table_schedule_whole_float_entries_are_accepted(tmp_path):
+    # 2.0 is a whole number: read as 2, like the JSON integer
+    cfg = write_config(
+        tmp_path / "whole.json",
+        schedule=table_schedule(sigma_beta=[float(k) for k in range(30)], Lambda_cap=2.0),
+        modulus_horizon=3000,
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmann.geometry import (
+    AXIOM_CHECKS,
     BrokenEuclideanSpace,
     EuclideanSpace,
     StarTreeSpace,
@@ -125,3 +128,174 @@ def test_tree_endpoint_and_w2_exact(r1, t1, r2, t2, lam, th):
     assert sp.dist(c_lam, sp.combine(x, y, th)) == pytest.approx(abs(lam - th) * d, abs=1e-9)
     # symmetry of the combination map
     assert sp.dist(c_lam, sp.combine(y, x, 1.0 - lam)) <= 1e-9
+
+
+# ------------------------------------------------ array paths against per-row
+
+
+def reference_check_w_axioms(space, samples, rng):
+    """The per-sample axiom loop: draw one tuple, check it, keep the worst."""
+    worst = {key: -math.inf for key in AXIOM_CHECKS}
+
+    def record(key, value):
+        if value > worst[key]:
+            worst[key] = value
+
+    for _ in range(samples):
+        x, y, z, w = (space.sample(rng) for _ in range(4))
+        lam, th = rng.uniform(0.0, 1.0, size=2)
+
+        dxy = space.dist(x, y)
+        dzw = space.dist(z, w)
+        cxy_l = space.combine(x, y, lam)
+        cxy_t = space.combine(x, y, th)
+
+        record("metric_symmetry", abs(dxy - space.dist(y, x)))
+        record("metric_identity", space.dist(x, x))
+        record("metric_triangle", space.dist(x, z) - (dxy + space.dist(y, z)))
+
+        record("W1", space.dist(z, cxy_l) - ((1 - lam) * space.dist(z, x) + lam * space.dist(z, y)))
+        record("W2", abs(space.dist(cxy_l, cxy_t) - abs(lam - th) * dxy))
+        record("W3", space.dist(cxy_l, space.combine(y, x, 1.0 - lam)))
+
+        cxz_l = space.combine(x, z, lam)
+        record("W4", space.dist(cxz_l, space.combine(y, w, lam)) - ((1 - lam) * dxy + lam * dzw))
+
+        record(
+            "endpoint_distances",
+            max(
+                abs(space.dist(x, cxy_l) - lam * dxy),
+                abs(space.dist(y, cxy_l) - (1 - lam) * dxy),
+            ),
+        )
+        record(
+            "two_parameter_comparison",
+            space.dist(cxz_l, space.combine(y, w, th))
+            - ((1 - lam) * dxy + lam * dzw + abs(lam - th) * space.dist(y, w)),
+        )
+        record(
+            "shared_endpoint_comparison",
+            space.dist(cxz_l, space.combine(x, w, th))
+            - (lam * dzw + abs(lam - th) * space.dist(x, w)),
+        )
+    return worst
+
+
+class NormalSamplerSpace(EuclideanSpace):
+    """A Euclidean space with its own sampler: the axiom check must draw
+    with it, not with the uniform box draw of the parent class."""
+
+    def sample(self, rng):
+        return rng.normal(size=self.dim)
+
+
+class SquaredStarTreeSpace(StarTreeSpace):
+    """A star tree with its own combination map, which walks lam**2 of the
+    geodesic: the axiom check must check this map, not the parent's."""
+
+    def combine(self, x, y, lam):
+        return super().combine(x, y, self._check_lambda(lam) ** 2)
+
+
+SPACES = {
+    "euclidean_own_sampler": lambda: NormalSamplerSpace(3),
+    "tree_own_combine": lambda: SquaredStarTreeSpace(3),
+    "euclidean_1d": lambda: EuclideanSpace(1),
+    "euclidean_2d": lambda: EuclideanSpace(2, box_radius=3.0),
+    "euclidean_3d": lambda: EuclideanSpace(3),
+    "euclidean_5d": lambda: EuclideanSpace(5, box_radius=0.75),
+    "broken_2d": lambda: BrokenEuclideanSpace(2),
+    "tree_2": lambda: StarTreeSpace(2),
+    "tree_3": lambda: StarTreeSpace(3, max_radius=3.0),
+    "tree_7": lambda: StarTreeSpace(7),
+}
+
+
+def bits(value) -> str:
+    """The exact double, sign of zero included."""
+    return float(value).hex()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_array_axiom_check_equals_per_sample_loop(name, seed):
+    space = SPACES[name]()
+    samples = 300
+    rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = reference_check_w_axioms(space, samples, rng_ref)
+    report = check_w_axioms(space, samples=samples, rng=rng)
+    assert list(report.max_violation) == list(AXIOM_CHECKS)
+    assert {k: bits(v) for k, v in report.max_violation.items()} == {
+        k: bits(v) for k, v in expected.items()
+    }
+    # the next draw, and so the draws of every later check, are unchanged
+    assert rng.integers(0, 2**62) == rng_ref.integers(0, 2**62)
+    assert bits(rng.random()) == bits(rng_ref.random())
+
+
+def assert_rows_equal(space, got, rows):
+    assert len(got) == len(rows)
+    for i, row in enumerate(rows):
+        if isinstance(row, TreePoint):
+            assert (int(got.ray[i]), bits(got.t[i])) == (row.ray, bits(row.t)), i
+        else:
+            assert [bits(v) for v in got[i]] == [bits(v) for v in row], i
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_combine_array_equals_per_row_combine(name):
+    space = SPACES[name]()
+    rng = np.random.default_rng(11)
+    (x, y), params = space.sample_tuples(rng, 400, points=2, params=1)
+    lam = params[:, 0].copy()
+    lam[:6] = [0.0, 1.0, 0.0, 1.0, 0.5, 0.5]
+    if isinstance(space, StarTreeSpace):
+        # same-ray pairs, and pairs whose combination lands on the origin
+        y.ray[:50] = x.ray[:50]
+        x.ray[50:60], y.ray[50:60] = 1, 0
+        y.t[50:60] = x.t[50:60]  # halfway is the origin
+        lam[50:60] = 0.5
+        x.t[60:62] = 0.0  # x at the origin, stored on ray 0
+        x.ray[60:62] = 0
+    got = space.combine_array(x, y, lam)
+    assert_rows_equal(space, got, [space.combine(x[i], y[i], lam[i]) for i in range(len(lam))])
+    if type(space) is StarTreeSpace:  # halfway between equal radii is the origin
+        assert np.all(got.ray[50:60] == 0) and np.all(got.t[50:60] == 0.0)
+    # one number for every row
+    assert_rows_equal(space, space.combine_array(x, y, 0.25), [space.combine(x[i], y[i], 0.25) for i in range(len(lam))])
+
+
+@pytest.mark.parametrize("name", ["euclidean_2d", "broken_2d", "tree_3"])
+@pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
+def test_combine_array_refuses_lambda_outside_unit_interval(name, bad):
+    space = SPACES[name]()
+    (x, y), _ = space.sample_tuples(np.random.default_rng(0), 4, points=2, params=0)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        space.combine_array(x, y, np.array([0.5, bad, 0.5, 0.5]))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        space.combine_array(x, y, bad)
+
+
+def test_broken_space_breaks_combine_array_like_combine():
+    space = BrokenEuclideanSpace(1)
+    x, y = np.array([[0.0]]), np.array([[2.0]])
+    assert space.combine_array(x, y, 0.5)[0, 0] == space.combine(x[0], y[0], 0.5)[0] == 0.5
+
+
+class NanCombineSpace(EuclideanSpace):
+    """A Euclidean space whose combination map returns NaN coordinates."""
+
+    def combine(self, x, y, lam):
+        return np.full(self.dim, math.nan)
+
+
+def test_nan_combination_fails_the_axiom_check():
+    report = check_w_axioms(NanCombineSpace(2), samples=50, seed=0)
+    assert not report.passed
+    assert {"W1", "W2", "W3", "W4", "endpoint_distances"} <= set(report.failures())
+    assert "VIOLATED" in report.summary()
+
+
+def test_subclass_combination_map_is_the_one_checked():
+    report = check_w_axioms(SquaredStarTreeSpace(3), samples=500, seed=0)
+    assert "endpoint_distances" in report.failures()

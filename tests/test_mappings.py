@@ -159,3 +159,33 @@ def test_chi_T_for_selects_certificate():
 def test_family_kind_validated():
     with pytest.raises(ValueError, match="kind"):
         MappingFamily(name="x", kind="mystery", fn=lambda n, x: x, fixed_point=np.zeros(1))
+
+
+def nan_at_even_indices_family():
+    """A custom family that is the identity at odd n and returns NaN
+    coordinates at even n: a broken map the checks must not pass."""
+    return MappingFamily(
+        name="nan_even",
+        kind="custom",
+        fn=lambda n, x: np.full(2, np.nan) if n % 2 == 0 else x,
+        fixed_point=np.zeros(2),
+    )
+
+
+def test_nan_map_fails_nonexpansive_check():
+    report = check_nonexpansive(nan_at_even_indices_family(), EuclideanSpace(2), samples=40, seed=1)
+    assert np.isnan(report.max_excess)
+    assert not report.passed
+    assert "VIOLATED" in report.summary()
+    assert report.worst[0] % 2 == 0  # the first NaN sample stays the worst
+
+
+def test_nan_map_fails_cross_index_check():
+    report = check_jp2_consequence(
+        nan_at_even_indices_family(), GAMMA_EXAMPLE, EuclideanSpace(2),
+        samples=5, index_pairs=4, seed=2,
+    )
+    assert np.isnan(report.max_excess)
+    assert not report.passed
+    m, n, _ = report.worst
+    assert m % 2 == 0 or n % 2 == 0

@@ -14,6 +14,7 @@ from tmann.sequences import (
     oracle_product_rate,
     psi0,
     schedule_from_tables,
+    terms,
     validate_schedule_moduli,
 )
 
@@ -244,3 +245,43 @@ def test_product_oracle_minimal_is_valid_and_minimal(factors, k):
         assert prods[m] <= thr
         if m > 0:
             assert prods[m - 1] > thr
+
+
+def _table_schedule_with_gamma():
+    return schedule_from_tables(
+        "tbl", beta=[0.0, 0.25, 0.5, 1.0 / 3.0], lam=[0.5, 0.7, 0.1], sigma_beta=[0],
+        chi_beta=[0], chi_lambda=[0], sigma=[0], Lambda_cap=10, N_Lambda=0,
+        gamma=[2.0, 1.0 / 7.0], chi_gamma=[0], Gamma_cap=7, N_Gamma=0,
+    )
+
+
+SCHEDULES = {
+    "example": lambda: builtin_example_schedule(0.5),
+    "example_third": lambda: builtin_example_schedule(1.0 / 3.0),
+    "linear": lambda: builtin_linear_schedule(0.3),
+    "table": _table_schedule_with_gamma,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULES))
+def test_schedule_arrays_equal_scalar_terms(name):
+    sch = SCHEDULES[name]()
+    # past the table's last entry, and the large indices a long oracle reads
+    ns = np.concatenate([np.arange(60), np.arange(99_990, 100_010), [2**40 + 7]])
+    for seq in (sch.beta, sch.lam, sch.gamma):
+        scalars = [seq(int(n)) for n in ns]
+        assert all(type(v) is float for v in scalars)  # reprs stay plain floats
+        array = terms(seq, ns)
+        assert array.dtype == np.float64 and array.shape == ns.shape
+        assert [v.hex() for v in array.tolist()] == [v.hex() for v in scalars]
+
+
+def test_terms_of_a_plain_callable_calls_it_per_index():
+    seen = []
+
+    def beta(n):
+        seen.append(n)
+        return 0.5 if n < 3 else 1.0  # written for one index at a time
+
+    assert terms(beta, np.arange(5)).tolist() == [0.5, 0.5, 0.5, 1.0, 1.0]
+    assert seen == [0, 1, 2, 3, 4] and all(type(n) is int for n in seen)
