@@ -36,22 +36,24 @@ from .iterate import ProblemInstance
 from .mappings import MappingFamily
 from .sequences import ParamSchedule
 
-DEFAULTS = {
-    "horizon": 5000,
-    "k_max": 5,
-    "tolerance": 1e-9,
-    "seed": 0,
-    "out_dir": "out",
-    "axiom_samples": 2000,
-    "family_samples": 300,
-    "modulus_horizon": 100_000,
-    "modulus_k_max": 20,
-    "record_points": False,
+#: Every run field: its kind, default and least value (None: unbounded).  An
+#: int field may equal its least value; a float field must lie above it.
+RUN_FIELDS = {
+    "horizon": (int, 5000, 1),
+    "k_max": (int, 5, 0),
+    "tolerance": (float, 1e-9, 0),
+    "seed": (int, 0, 0),
+    "out_dir": (str, "out", None),
+    "axiom_samples": (int, 2000, 1),
+    "family_samples": (int, 300, 1),
+    "modulus_horizon": (int, 100_000, 1),
+    "modulus_k_max": (int, 20, 0),
+    "record_points": (bool, False, None),
 }
 
 
-#: Every top-level config field: the defaults plus the problem description.
-FIELDS = frozenset(DEFAULTS) | {"space", "family", "schedule", "u", "x0", "p", "M"}
+#: Every top-level config field: the run fields plus the problem description.
+FIELDS = frozenset(RUN_FIELDS) | {"space", "family", "schedule", "u", "x0", "p", "M"}
 
 
 class ConfigError(Exception):
@@ -131,7 +133,7 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown field(s) {', '.join(map(repr, unknown))}")
 
-    merged = dict(DEFAULTS)
+    merged = {name: default for name, (_, default, _) in RUN_FIELDS.items()}
     merged.update(raw)
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
@@ -142,12 +144,16 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
         if not isinstance(value, dict) or "name" not in value:
             raise ConfigError(f"{source}: field '{section}' must be an object with a 'name'")
 
-    horizon = _typed(merged["horizon"], "horizon", int, source)
-    if horizon < 1:
-        raise ConfigError(f"{source}: horizon must be >= 1, got {horizon}")
-    k_max = _typed(merged["k_max"], "k_max", int, source)
-    if k_max < 0:
-        raise ConfigError(f"{source}: k_max must be >= 0, got {k_max}")
+    run = {}
+    for name, (kind, _, least) in RUN_FIELDS.items():
+        if kind is str:
+            run[name] = str(merged[name])
+            continue
+        value = run[name] = _typed(merged[name], name, kind, source)
+        strict = kind is float
+        if least is not None and (value <= least if strict else value < least):
+            bound = f"{'>' if strict else '>='} {least}"
+            raise ConfigError(f"{source}: field '{name}' must be {bound}, got {value!r}")
 
     return ExperimentConfig(
         space=merged["space"],
@@ -157,69 +163,95 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
         x0=_require(merged, "x0", source),
         p=merged.get("p"),
         M=_typed(merged["M"], "M", int, source) if merged.get("M") is not None else None,
-        horizon=horizon,
-        k_max=k_max,
-        tolerance=_typed(merged["tolerance"], "tolerance", float, source),
-        seed=_typed(merged["seed"], "seed", int, source),
-        out_dir=str(merged["out_dir"]),
-        axiom_samples=_typed(merged["axiom_samples"], "axiom_samples", int, source),
-        family_samples=_typed(merged["family_samples"], "family_samples", int, source),
-        modulus_horizon=_typed(merged["modulus_horizon"], "modulus_horizon", int, source),
-        modulus_k_max=_typed(merged["modulus_k_max"], "modulus_k_max", int, source),
-        record_points=_typed(merged["record_points"], "record_points", bool, source),
         source=source,
+        **run,
     )
 
 
+#: The fields each kind of nested object takes besides its ``name``.
+_SPACE_FIELDS = {
+    "euclidean": "dim box_radius",
+    "euclidean_broken": "dim box_radius",
+    "star_tree": "num_rays max_radius",
+}
+_SCHEDULE_FIELDS = {
+    "example": "lambda",
+    "linear": "lambda",
+    "table": "label beta lambda sigma_beta chi_beta chi_lambda sigma Lambda_cap N_Lambda "
+    "gamma chi_gamma Gamma_cap N_Gamma",
+}
+_FAMILY_FIELDS = {
+    "identity": "",
+    "box_projection": "lo hi",
+    "tree_contraction": "factor",
+    "resolvent_l1": "weight",
+    "resolvent_quadratic": "matrix",
+    "forward_backward": "A B",
+}
+_MONOTONE_FIELDS = {"l1": "rho", "box": "lo hi", "zero": ""}
+_COCOERCIVE_FIELDS = {"quadratic": "diag b", "zero": ""}
+
+
+def _named(spec, path: str, what: str, fields: dict, source: str) -> str:
+    """The name of the object ``spec`` at ``path``, once it names a known
+    ``what`` and holds no key besides ``name`` and that kind's fields."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{source}: field '{path}' must be an object")
+    name = spec.get("name")
+    if not isinstance(name, str) or name not in fields:
+        raise ConfigError(f"{source}: unknown {what} {name!r}")
+    unknown = sorted(set(spec) - {"name", *fields[name].split()})
+    if unknown:
+        listed = ", ".join(repr(f"{path}.{key}") for key in unknown)
+        raise ConfigError(f"{source}: unknown field(s) {listed}")
+    return name
+
+
 def _build_space(spec: dict, source: str) -> Space:
-    name = spec["name"]
-    euclidean = {
-        "euclidean": geometry.EuclideanSpace,
-        "euclidean_broken": geometry.BrokenEuclideanSpace,
-    }
-    if name in euclidean:
-        return euclidean[name](
-            dim=_typed(spec.get("dim", 1), "space.dim", int, source),
-            box_radius=_typed(spec.get("box_radius", 5.0), "space.box_radius", float, source),
-        )
+    name = _named(spec, "space", "space", _SPACE_FIELDS, source)
     if name == "star_tree":
         return geometry.StarTreeSpace(
             num_rays=_typed(spec.get("num_rays", 3), "space.num_rays", int, source),
             max_radius=_typed(spec.get("max_radius", 5.0), "space.max_radius", float, source),
         )
-    raise ConfigError(f"{source}: unknown space '{name}'")
+    euclidean = {
+        "euclidean": geometry.EuclideanSpace,
+        "euclidean_broken": geometry.BrokenEuclideanSpace,
+    }
+    return euclidean[name](
+        dim=_typed(spec.get("dim", 1), "space.dim", int, source),
+        box_radius=_typed(spec.get("box_radius", 5.0), "space.box_radius", float, source),
+    )
 
 
 def _build_schedule(spec: dict, source: str) -> ParamSchedule:
-    name = spec["name"]
-    builtins = {
-        "example": sequences.builtin_example_schedule,
-        "linear": sequences.builtin_linear_schedule,
-    }
-    if name in builtins:
+    name = _named(spec, "schedule", "schedule", _SCHEDULE_FIELDS, source)
+    if name != "table":
+        builtins = {
+            "example": sequences.builtin_example_schedule,
+            "linear": sequences.builtin_linear_schedule,
+        }
         return builtins[name](
             _typed(_require(spec, "lambda", source), "schedule.lambda", float, source)
         )
-    if name == "table":
-        try:
-            return sequences.schedule_from_tables(
-                name=str(spec.get("label", "table")),
-                beta=_require(spec, "beta", source),
-                lam=_require(spec, "lambda", source),
-                sigma_beta=_require(spec, "sigma_beta", source),
-                chi_beta=_require(spec, "chi_beta", source),
-                chi_lambda=_require(spec, "chi_lambda", source),
-                sigma=_require(spec, "sigma", source),
-                Lambda_cap=_require(spec, "Lambda_cap", source),
-                N_Lambda=_require(spec, "N_Lambda", source),
-                gamma=spec.get("gamma"),
-                chi_gamma=spec.get("chi_gamma"),
-                Gamma_cap=spec.get("Gamma_cap"),
-                N_Gamma=spec.get("N_Gamma"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{source}: schedule table: {exc}")
-    raise ConfigError(f"{source}: unknown schedule '{name}'")
+    try:
+        return sequences.schedule_from_tables(
+            name=str(spec.get("label", "table")),
+            beta=_require(spec, "beta", source),
+            lam=_require(spec, "lambda", source),
+            sigma_beta=_require(spec, "sigma_beta", source),
+            chi_beta=_require(spec, "chi_beta", source),
+            chi_lambda=_require(spec, "chi_lambda", source),
+            sigma=_require(spec, "sigma", source),
+            Lambda_cap=_require(spec, "Lambda_cap", source),
+            N_Lambda=_require(spec, "N_Lambda", source),
+            gamma=spec.get("gamma"),
+            chi_gamma=spec.get("chi_gamma"),
+            Gamma_cap=spec.get("Gamma_cap"),
+            N_Gamma=spec.get("N_Gamma"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{source}: schedule table: {exc}")
 
 
 def _parse_point(space: Space, value, source: str, label: str):
@@ -235,33 +267,27 @@ def _parse_point(space: Space, value, source: str, label: str):
         raise ConfigError(f"{source}: point '{label}': {exc}")
 
 
-def _build_monotone_op(spec: dict, source: str):
-    name = spec.get("name")
+def _build_monotone_op(spec, source: str):
+    name = _named(spec, "family.A", "monotone operator", _MONOTONE_FIELDS, source)
     if name == "l1":
         return splitting.l1_operator(_typed(spec.get("rho", 1.0), "family.A.rho", float, source))
     if name == "box":
         return splitting.box_operator(_require(spec, "lo", source), _require(spec, "hi", source))
-    if name == "zero":
-        return splitting.zero_operator()
-    raise ConfigError(f"{source}: unknown monotone operator '{name}'")
+    return splitting.zero_operator()
 
 
-def _build_cocoercive_op(spec: dict, dim: int, source: str):
-    name = spec.get("name")
+def _build_cocoercive_op(spec, dim: int, source: str):
+    name = _named(spec, "family.B", "cocoercive operator", _COCOERCIVE_FIELDS, source)
     if name == "quadratic":
         return splitting.quadratic_gradient(
             _require(spec, "diag", source), _require(spec, "b", source)
         )
-    if name == "zero":
-        return splitting.zero_cocoercive(dim)
-    raise ConfigError(f"{source}: unknown cocoercive operator '{name}'")
+    return splitting.zero_cocoercive(dim)
 
 
 def _build_forward_backward_family(
     spec: dict, space: Space, schedule: ParamSchedule, p, horizon: int, source: str
 ) -> MappingFamily:
-    if not isinstance(space, geometry.EuclideanSpace):
-        raise ConfigError(f"{source}: family 'forward_backward' needs a euclidean space")
     if p is None:
         raise ConfigError(
             f"{source}: family 'forward_backward' needs 'p' (a registered zero of A + B)"
@@ -282,13 +308,33 @@ def _build_forward_backward_family(
 #: Families whose maps are indexed by the schedule's step sizes gamma_n.
 _GAMMA_FAMILIES = ("forward_backward", "resolvent_l1", "resolvent_quadratic")
 
+#: The space each family's maps act on; identity acts on every space.
+_FAMILY_SPACE = {
+    "identity": (geometry.Space, "any"),
+    "box_projection": (geometry.EuclideanSpace, "a euclidean"),
+    "tree_contraction": (geometry.StarTreeSpace, "a star_tree"),
+    "resolvent_l1": (geometry.EuclideanSpace, "a euclidean"),
+    "resolvent_quadratic": (geometry.EuclideanSpace, "a euclidean"),
+    "forward_backward": (geometry.EuclideanSpace, "a euclidean"),
+}
+
 
 def _build_family(
     spec: dict, space: Space, schedule: ParamSchedule, p, horizon: int, source: str
 ) -> MappingFamily:
-    name = spec["name"]
+    name = _named(spec, "family", "family", _FAMILY_FIELDS, source)
     if name in _GAMMA_FAMILIES and not schedule.has_gamma:
         raise ConfigError(f"{source}: family '{name}' needs a schedule with gamma")
+    # The family's own numbers are read before the space is checked, so a bad
+    # number is named even when the space does not fit either.
+    numbers = {
+        key: _typed(spec[key], f"family.{key}", float, source)
+        for key in ("factor", "weight")
+        if key in spec
+    }
+    needs, kind = _FAMILY_SPACE[name]
+    if not isinstance(space, needs):
+        raise ConfigError(f"{source}: field 'space.name': family '{name}' needs {kind} space")
     if name == "forward_backward":
         return _build_forward_backward_family(spec, space, schedule, p, horizon, source)
     if name == "identity":
@@ -299,18 +345,12 @@ def _build_family(
             _require(spec, "lo", source), _require(spec, "hi", source)
         )
     if name == "tree_contraction":
-        factor = _typed(_require(spec, "factor", source), "family.factor", float, source)
-        return mappings.tree_contraction_family(factor)
+        return mappings.tree_contraction_family(_require(numbers, "factor", source))
     if name == "resolvent_l1":
-        weight = _typed(spec.get("weight", 1.0), "family.weight", float, source)
         return mappings.resolvent_l1_family(
-            schedule.gamma, dim=getattr(space, "dim", 1), weight=weight
+            schedule.gamma, dim=space.dim, weight=numbers.get("weight", 1.0)
         )
-    if name == "resolvent_quadratic":
-        return mappings.resolvent_quadratic_family(
-            _require(spec, "matrix", source), schedule.gamma
-        )
-    raise ConfigError(f"{source}: unknown family '{name}'")
+    return mappings.resolvent_quadratic_family(_require(spec, "matrix", source), schedule.gamma)
 
 
 def build_problem(config: ExperimentConfig) -> ProblemInstance:

@@ -83,7 +83,7 @@ class ProblemInstance:
         if check_fixed_point:
             for n in range(10):
                 drift = space.dist(family.eval(n, p), p)
-                if drift > fixed_point_tol:
+                if not drift <= fixed_point_tol:  # a NaN drift is refused too
                     raise ValueError(
                         f"registered point is not fixed by T_{n}: moved by {drift!r}"
                     )

@@ -312,14 +312,14 @@ def chi_T_for(family: MappingFamily, schedule: ParamSchedule, M: int) -> RateFn 
     Preference order: constant families need no data; gamma-certified
     families (resolvents included) combine the schedule's gamma modulus,
     which is only sound when the family's step sizes ARE the schedule's
-    gamma sequence (the constructors here take the schedule's gamma, so
-    configs assembled through them satisfy this); a declared modulus on the
-    family is used as given.  Returns None when no certificate exists, in
-    which case only a posteriori validation along a computed orbit is
-    possible.
+    gamma sequence, so it is used only when the family's ``gamma`` is the
+    schedule's ``gamma`` object (configs assembled through the constructors
+    here pass it on); otherwise a declared modulus on the family is used as
+    given.  Returns None when no certificate exists, in which case only a
+    posteriori validation along a computed orbit is possible.
     """
     if family.kind == "constant":
         return constant_family_chi_T()
-    if family.kind == "jp2_with_gamma" and schedule.has_gamma:
+    if family.kind == "jp2_with_gamma" and schedule.has_gamma and family.gamma is schedule.gamma:
         return chi_T_from_gamma(M, schedule.Gamma_cap, schedule.N_Gamma, schedule.chi_gamma)
     return family.chi_T

@@ -36,7 +36,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .sequences import ParamSchedule, RateFn, ceil_reciprocal, psi0 as compute_psi0
+from .sequences import ParamSchedule, RateFn, ceil_reciprocal, first_indices, psi0 as compute_psi0
 
 PROVENANCES = ("general_theorem", "example_closed_form", "linear_theorem", "halpern_translated")
 
@@ -265,13 +265,13 @@ class LinearRates:
         )
         ss = sabach_shtern_check(trace.residual_step, L=3.0 * self.M, tol=tol)
         space, family = instance.space, instance.family
-        worst_cross = -float("inf")
         sample_ns = np.unique(np.geomspace(1, max(trace.horizon - 1, 1), 25).astype(int))
-        for n in sample_ns:
-            xn = trace.x[n]
-            for m in (0, n // 2, 2 * n):
-                dist = space.dist(xn, family.eval(m, xn))
-                worst_cross = max(worst_cross, dist - self.bound_cross(n))
+        excesses = [
+            space.dist(trace.x[n], family.eval(m, trace.x[n])) - self.bound_cross(n)
+            for n in sample_ns
+            for m in (0, n // 2, 2 * n)
+        ]
+        worst_cross = float(np.max(excesses))  # a NaN excess is the worst
         return [
             ("linear pointwise step bound", step.passed, step.summary()),
             ("linear pointwise map bound", t_map.passed, t_map.summary()),
@@ -437,40 +437,15 @@ def certify_rate(
     window = values[: horizon + 1]
     # revmax[n] = max residual over [n, horizon]
     revmax = np.maximum.accumulate(window[::-1])[::-1]
+    thresholds = [1.0 / (k + 1) for k in range(k_max + 1)]
+    empirical = first_indices(revmax, [thr + tol for thr in thresholds])
 
     rows = []
-    for k in range(k_max + 1):
-        thr = 1.0 / (k + 1)
+    for k, (thr, first) in enumerate(zip(thresholds, empirical)):
         n0 = max(0, int(rate(k)))
-        qualifying = revmax <= thr + tol
-        if qualifying[-1]:
-            empirical = int(np.argmax(qualifying))
-        else:
-            empirical = -1
-        if n0 > horizon:
-            rows.append(
-                CertRow(
-                    k=k,
-                    rate_index=n0,
-                    threshold=thr,
-                    worst_excess=None,
-                    empirical_min_index=empirical,
-                    status="inconclusive",
-                )
-            )
-            continue
-        worst = float(revmax[n0] - thr)
-        status = "pass" if worst <= tol else "fail"
-        rows.append(
-            CertRow(
-                k=k,
-                rate_index=n0,
-                threshold=thr,
-                worst_excess=worst,
-                empirical_min_index=empirical,
-                status=status,
-            )
-        )
+        worst = float(revmax[n0] - thr) if n0 <= horizon else None
+        status = "inconclusive" if worst is None else "pass" if worst <= tol else "fail"
+        rows.append(CertRow(k, n0, thr, worst, -1 if first is None else first, status))
     return CertificationReport(label=label, horizon=horizon, tol=tol, rows=tuple(rows))
 
 

@@ -22,6 +22,7 @@ small an observed window are flagged inconclusive rather than passed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,7 +37,7 @@ RateFn = Callable[[int], int]
 #: deterministic.
 _BOUNDARY_REL = 1e-9
 
-#: Use log-space accumulation for products over ranges longer than this.
+#: ``psi0`` accumulates products over ranges longer than this in log space.
 _LOG_SPACE_CUTOFF = 10_000
 
 
@@ -218,10 +219,22 @@ def builtin_linear_schedule(lambda_const: float) -> ParamSchedule:
     )
 
 
-def _table_terms(values: Sequence[float]) -> Callable[[int], float]:
-    vals = [float(v) for v in values]
-    if not vals:
-        raise ValueError("table must be nonempty")
+def _entries(label: str, values) -> list:
+    if not isinstance(values, (list, tuple, np.ndarray)) or len(values) == 0:
+        raise ValueError(f"{label} = {values!r} must be a nonempty list")
+    return list(values)
+
+
+def _table_terms(label: str, values, unit: bool) -> Callable[[int], float]:
+    """A sequence read from a table of numbers in [0, 1] (``unit``) or
+    positive numbers, repeating its last entry."""
+    vals = []
+    for n, value in enumerate(_entries(label, values)):
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and (0.0 <= value <= 1.0 if unit else value > 0.0)):
+            span = "[0, 1]" if unit else "(0, inf)"
+            raise ValueError(f"{label}[{n}] = {value!r} is not a number in {span}")
+        vals.append(float(value))
     last = vals[-1]
     table = np.array(vals)
     return _indexed(
@@ -241,10 +254,8 @@ def _whole(label: str, value, least: int) -> int:
     return int(value)
 
 
-def _table_rate(label: str, values: Sequence[int]) -> RateFn:
-    vals = [_whole(f"{label}[{k}]", v, 0) for k, v in enumerate(values)]
-    if not vals:
-        raise ValueError(f"rate table {label} must be nonempty")
+def _table_rate(label: str, values) -> RateFn:
+    vals = [_whole(f"{label}[{k}]", v, 0) for k, v in enumerate(_entries(label, values))]
     last = vals[-1]
     return lambda k: vals[k] if k < len(vals) else last
 
@@ -269,43 +280,42 @@ def schedule_from_tables(
     Sequences and rate tables extend beyond their last entry by repeating
     it, which suits finite-horizon experiments with eventually constant
     parameters.  Declared moduli still go through the oracles like any
-    other schedule.  Every beta and lambda entry must lie in [0, 1] and
-    every gamma entry must be positive; rate-table entries and N_Lambda,
-    N_Gamma must be whole numbers >= 0, and Lambda_cap, Gamma_cap whole
-    numbers >= 1.
+    other schedule.  Every table is a nonempty list; every beta and lambda
+    entry must be a number in [0, 1] and every gamma entry a positive
+    number; rate-table entries and N_Lambda, N_Gamma must be whole numbers
+    >= 0, and Lambda_cap, Gamma_cap whole numbers >= 1.
     """
-    for label, values, ok in (
-        ("beta", beta, lambda v: 0.0 <= v <= 1.0),
-        ("lambda", lam, lambda v: 0.0 <= v <= 1.0),
-        ("gamma", () if gamma is None else gamma, lambda v: v > 0.0),
-    ):
-        for n, value in enumerate(values):
-            if not ok(float(value)):
-                raise ValueError(f"{label}[{n}] = {value!r} is out of range")
     return ParamSchedule(
         name=name,
-        beta=_table_terms(beta),
-        lam=_table_terms(lam),
+        beta=_table_terms("beta", beta, unit=True),
+        lam=_table_terms("lambda", lam, unit=True),
         sigma_beta=_table_rate("sigma_beta", sigma_beta),
         chi_beta=_table_rate("chi_beta", chi_beta),
         chi_lambda=_table_rate("chi_lambda", chi_lambda),
         sigma=_table_rate("sigma", sigma),
         Lambda_cap=_whole("Lambda_cap", Lambda_cap, 1),
         N_Lambda=_whole("N_Lambda", N_Lambda, 0),
-        gamma=_table_terms(gamma) if gamma is not None else None,
+        gamma=_table_terms("gamma", gamma, unit=False) if gamma is not None else None,
         chi_gamma=_table_rate("chi_gamma", chi_gamma) if chi_gamma is not None else None,
         Gamma_cap=_whole("Gamma_cap", Gamma_cap, 1) if Gamma_cap is not None else None,
         N_Gamma=_whole("N_Gamma", N_Gamma, 0) if N_Gamma is not None else None,
     )
 
 
-def _as_values(values, count: int) -> np.ndarray:
-    if callable(values):
-        return terms(values, np.arange(count))
-    arr = np.asarray(values, dtype=float)
-    if len(arr) < count:
-        raise ValueError(f"need {count} terms, got {len(arr)}")
-    return arr[:count]
+def first_indices(running: np.ndarray, thresholds) -> tuple:
+    """For each threshold, the least index n from which the nonincreasing
+    array ``running`` stays at or below it to its last entry, or None when
+    its last entry lies above it."""
+    found = []
+    for threshold in thresholds:
+        below = running <= threshold
+        found.append(int(np.argmax(below)) if below[-1] else None)
+    return tuple(found)
+
+
+def _levels(k_max: int) -> list:
+    """The oracle threshold 1/(k+1), with its boundary slack, for k <= k_max."""
+    return [(1.0 / (k + 1)) * (1.0 + _BOUNDARY_REL) for k in range(k_max + 1)]
 
 
 @dataclass(frozen=True)
@@ -314,60 +324,33 @@ class OracleTable:
 
     ``minimal[k]`` is the least index at which the checked quantity stays at
     or below 1/(k+1) out to the horizon, or None when no index qualifies.
-    ``conclusive[k]`` is False when that index falls inside the final guard
-    stretch of the horizon (less than 1% of the window left to confirm it);
-    such entries must not be counted as passes.
+    ``conclusive[k]`` is False when no index qualifies or the index falls
+    inside the final guard stretch of the horizon (less than 1% of the
+    window left to confirm it); such entries must not be counted as passes.
     """
 
-    kind: str
     horizon: int
     minimal: tuple
-    conclusive: tuple
 
-    def validate(self, declared: RateFn) -> "ModulusValidation":
-        """Check that a declared modulus dominates the brute-force minimum."""
-        statuses = []
-        for k, (m, ok) in enumerate(zip(self.minimal, self.conclusive)):
-            if m is None or not ok:
-                statuses.append("inconclusive")
-            elif declared(k) >= m:
-                statuses.append("pass")
-            else:
-                statuses.append("fail")
-        return ModulusValidation(kind=self.kind, statuses=tuple(statuses), minimal=self.minimal)
-
-
-@dataclass(frozen=True)
-class ModulusValidation:
-    kind: str
-    statuses: tuple
-    minimal: tuple
+    @classmethod
+    def search(cls, running: np.ndarray, horizon: int, thresholds) -> "OracleTable":
+        if len(running) != horizon + 1:
+            raise ValueError(f"horizon {horizon} needs {horizon + 1} terms, got {len(running)}")
+        return cls(horizon, first_indices(running, thresholds))
 
     @property
-    def all_pass(self) -> bool:
-        return all(s == "pass" for s in self.statuses)
+    def conclusive(self) -> tuple:
+        last = self.horizon - max(1, self.horizon // 100)
+        return tuple(m is not None and m <= last for m in self.minimal)
 
-    @property
-    def no_failure(self) -> bool:
-        return all(s != "fail" for s in self.statuses)
-
-    def first_failure(self) -> int | None:
-        for k, s in enumerate(self.statuses):
-            if s == "fail":
-                return k
-        return None
-
-
-def _guard_window(horizon: int) -> int:
-    return max(1, horizon // 100)
-
-
-def _minimal_indices(qualifies: np.ndarray, horizon: int) -> tuple:
-    """First index where a monotone qualification array turns True, else None."""
-    if not qualifies[-1]:
-        return None, False
-    idx = int(np.argmax(qualifies))
-    return idx, idx <= horizon - _guard_window(horizon)
+    def validate(self, declared: RateFn) -> tuple:
+        """The status of a declared modulus at each level: pass when it
+        dominates the brute-force minimum, else fail, and inconclusive
+        where the minimum is not conclusive."""
+        return tuple(
+            "inconclusive" if not ok else "pass" if declared(k) >= m else "fail"
+            for k, (m, ok) in enumerate(zip(self.minimal, self.conclusive))
+        )
 
 
 def oracle_cauchy_modulus(
@@ -389,70 +372,36 @@ def oracle_cauchy_modulus(
     the unobserved tail is negligible for the series at hand.  Indices found
     only inside the final guard stretch are flagged inconclusive.
     """
-    values = _as_values(series_terms, horizon + 1)
+    values = np.asarray(series_terms, dtype=float)[: horizon + 1]
     if np.any(values < 0):
         raise ValueError("series terms must be nonnegative")
     # rev[n] = sum over i in [n, horizon]
     rev = np.concatenate([np.cumsum(values[::-1])[::-1], [0.0]])
-    tails = rev[:-1] if include_start else rev[1:]
-    minimal, conclusive = [], []
-    for k in range(k_max + 1):
-        thr = (1.0 / (k + 1)) * (1.0 + _BOUNDARY_REL)
-        m, ok = _minimal_indices(tails <= thr, horizon)
-        minimal.append(m)
-        conclusive.append(ok)
-    return OracleTable(
-        kind="cauchy_modulus", horizon=horizon, minimal=tuple(minimal), conclusive=tuple(conclusive)
-    )
+    return OracleTable.search(rev[:-1] if include_start else rev[1:], horizon, _levels(k_max))
 
 
 def oracle_product_rate(beta, k_max: int, horizon: int) -> OracleTable:
-    """Minimal indices N with prod_{n=0}^{N} beta_{n+1} <= 1/(k+1).
+    """Minimal indices N with prod_{n=0}^{N} beta_{n+1} <= 1/(k+1), from the
+    values beta_0 .. beta_{horizon+1}.
 
     Factors must lie in [0, 1], so the running product is nonincreasing and
-    the minimal index is well defined.  Products over ranges longer than
-    10^4 accumulate in log space to dodge underflow.  A product that never
-    reaches the threshold within the horizon yields an inconclusive entry.
+    the minimal index is well defined.  The product accumulates in log
+    space, so it does not underflow.  A product that never reaches the
+    threshold within the horizon yields an inconclusive entry.
     """
-    if callable(beta):
-        factors = terms(beta, np.arange(1, horizon + 2))
-    else:
-        factors = _as_values(beta, horizon + 2)[1:]
+    factors = np.asarray(beta, dtype=float)[1 : horizon + 2]
     if np.any((factors < 0) | (factors > 1)):
         raise ValueError("beta values must lie in [0, 1]")
-    if horizon > _LOG_SPACE_CUTOFF:
-        with np.errstate(divide="ignore"):
-            logs = np.where(factors > 0, np.log(np.maximum(factors, 1e-300)), -np.inf)
-        running = np.cumsum(logs)
-        threshold = lambda k: math.log((1.0 / (k + 1)) * (1.0 + _BOUNDARY_REL))
-    else:
-        running = np.cumprod(factors)
-        threshold = lambda k: (1.0 / (k + 1)) * (1.0 + _BOUNDARY_REL)
-    minimal, conclusive = [], []
-    for k in range(k_max + 1):
-        m, ok = _minimal_indices(running <= threshold(k), horizon)
-        minimal.append(m)
-        conclusive.append(ok)
-    return OracleTable(
-        kind="product_rate", horizon=horizon, minimal=tuple(minimal), conclusive=tuple(conclusive)
-    )
+    with np.errstate(divide="ignore"):
+        logs = np.where(factors > 0, np.log(np.maximum(factors, 1e-300)), -np.inf)
+    return OracleTable.search(np.cumsum(logs), horizon, [math.log(t) for t in _levels(k_max)])
 
 
 def oracle_convergence_rate(values, limit: float, k_max: int, horizon: int) -> OracleTable:
     """Minimal indices n with |a_m - limit| <= 1/(k+1) for all m in [n, horizon]."""
-    vals = _as_values(values, horizon + 1)
-    dev = np.abs(vals - float(limit))
+    dev = np.abs(np.asarray(values, dtype=float)[: horizon + 1] - float(limit))
     # revmax[n] = max deviation over [n, horizon]
-    revmax = np.maximum.accumulate(dev[::-1])[::-1]
-    minimal, conclusive = [], []
-    for k in range(k_max + 1):
-        thr = (1.0 / (k + 1)) * (1.0 + _BOUNDARY_REL)
-        m, ok = _minimal_indices(revmax <= thr, horizon)
-        minimal.append(m)
-        conclusive.append(ok)
-    return OracleTable(
-        kind="convergence_rate", horizon=horizon, minimal=tuple(minimal), conclusive=tuple(conclusive)
-    )
+    return OracleTable.search(np.maximum.accumulate(dev[::-1])[::-1], horizon, _levels(k_max))
 
 
 def psi0(schedule: ParamSchedule, chi: RateFn, k: int) -> int:
@@ -501,40 +450,41 @@ def psi0(schedule: ParamSchedule, chi: RateFn, k: int) -> int:
 
 @dataclass(frozen=True)
 class ScheduleValidation:
-    """Outcome of validating a schedule's declared moduli against oracles."""
+    """Outcome of validating a schedule's declared moduli against oracles:
+    ``moduli`` maps each modulus to its per-level statuses."""
 
     schedule: str
     k_max: int
     horizon: int
-    moduli: dict[str, ModulusValidation]
+    moduli: dict[str, tuple]
     lambda_cap_ok: bool
     gamma_cap_ok: bool | None
     range_excursion: float
 
-    @property
-    def all_pass(self) -> bool:
+    def _holds(self, allowed: tuple) -> bool:
         caps = self.lambda_cap_ok and (self.gamma_cap_ok is not False)
         return caps and self.range_excursion <= 1e-15 and all(
-            v.all_pass for v in self.moduli.values()
+            s in allowed for statuses in self.moduli.values() for s in statuses
         )
 
     @property
+    def all_pass(self) -> bool:
+        return self._holds(("pass",))
+
+    @property
     def no_failure(self) -> bool:
-        caps = self.lambda_cap_ok and (self.gamma_cap_ok is not False)
-        return caps and self.range_excursion <= 1e-15 and all(
-            v.no_failure for v in self.moduli.values()
-        )
+        return self._holds(("pass", "inconclusive"))
 
     def summary(self) -> str:
         lines = [
             f"modulus validation for schedule '{self.schedule}' "
             f"(k <= {self.k_max}, horizon {self.horizon})"
         ]
-        for name, v in self.moduli.items():
-            n_pass = sum(s == "pass" for s in v.statuses)
-            n_inc = sum(s == "inconclusive" for s in v.statuses)
-            n_fail = len(v.statuses) - n_pass - n_inc
-            tag = "ok" if v.no_failure else f"FAILED at k={v.first_failure()}"
+        for name, statuses in self.moduli.items():
+            n_pass = statuses.count("pass")
+            n_inc = statuses.count("inconclusive")
+            n_fail = len(statuses) - n_pass - n_inc
+            tag = f"FAILED at k={statuses.index('fail')}" if n_fail else "ok"
             lines.append(
                 f"  {name:<12} pass {n_pass}, inconclusive {n_inc}, fail {n_fail}  {tag}"
             )

@@ -15,8 +15,9 @@ gamma data alone.
 
 Only finite-dimensional Euclidean problems are treated, and only operators
 with closed-form resolvents ship; cocoercivity constants are supplied
-analytically (the gradient of an L-smooth convex function is 1/L-cocoercive)
-and spot-verified by sampling.
+analytically (the gradient of an L-smooth convex function is 1/L-cocoercive).
+The experiment harness does not spot-check them: only ``check_cocoercive``
+and ``check_firmly_nonexpansive`` sample them, when called.
 """
 
 from __future__ import annotations

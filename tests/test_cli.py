@@ -420,3 +420,92 @@ def test_table_schedule_whole_float_entries_are_accepted(tmp_path):
         modulus_horizon=3000,
     )
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"axiom_samples": 0}, "axiom_samples"),
+        ({"family_samples": 0}, "family_samples"),
+        ({"tolerance": 0}, "tolerance"),
+        ({"tolerance": -1}, "tolerance"),
+        ({"seed": -1}, "seed"),
+        ({"modulus_horizon": 0}, "modulus_horizon"),
+        ({"modulus_k_max": -1}, "modulus_k_max"),
+    ],
+    ids=[
+        "axiom_samples_zero", "family_samples_zero", "tolerance_zero", "tolerance_negative",
+        "seed_negative", "modulus_horizon_zero", "modulus_k_max_negative",
+    ],
+)
+def test_run_field_below_its_least_value_is_config_error(tmp_path, capsys, overrides, field):
+    assert_config_error(capsys, write_config(tmp_path / "least.json", **overrides), field)
+
+
+FORWARD_BACKWARD = {
+    "name": "forward_backward",
+    "A": {"name": "l1", "rho": 1.0},
+    "B": {"name": "quadratic", "diag": [0.5, 0.7], "b": [2.0, -3.0]},
+}
+TREE_POINTS = {"u": {"ray": 0, "t": 0.0}, "x0": {"ray": 1, "t": 1.0}, "p": {"ray": 0, "t": 0.0}}
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"space": {"name": "euclidean", "dim": 2, "box_radious": 3.0}}, "space.box_radious"),
+        ({"schedule": {"name": "example", "lambda": 0.5, "lamda": 0.9}}, "schedule.lamda"),
+        ({"schedule": table_schedule(Lambda_kap=2)}, "schedule.Lambda_kap"),
+        ({"family": {"name": "identity", "factor": 0.5}}, "family.factor"),
+        ({"family": {**FORWARD_BACKWARD, "A": {"name": "l1", "rho": 1.0, "r": 2}}}, "family.A.r"),
+        ({"family": {**FORWARD_BACKWARD, "B": {"name": "zero", "diag": [1.0]}}}, "family.B.diag"),
+        ({"family": {**FORWARD_BACKWARD, "A": [1.0]}}, "family.A"),
+    ],
+    ids=[
+        "space_typo", "schedule_typo", "table_typo", "family_foreign_field", "operator_a_typo",
+        "operator_b_foreign_field", "operator_a_not_object",
+    ],
+)
+def test_nested_unknown_field_is_config_error(tmp_path, capsys, overrides, field):
+    assert_config_error(capsys, write_config(tmp_path / "unknown.json", **overrides), field)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"space": {"name": "star_tree"}, "family": {"name": "resolvent_l1"}, **TREE_POINTS},
+        {
+            "space": {"name": "star_tree"},
+            "family": {"name": "box_projection", "lo": [-1.0], "hi": [1.0]},
+            **TREE_POINTS,
+        },
+        {
+            "space": {"name": "star_tree"},
+            "family": {"name": "resolvent_quadratic", "matrix": [[1.0]]},
+            **TREE_POINTS,
+        },
+        {"family": {"name": "tree_contraction", "factor": 0.5}},
+    ],
+    ids=["tree_resolvent_l1", "tree_box_projection", "tree_resolvent_quadratic",
+         "euclidean_tree_contraction"],
+)
+def test_family_on_a_space_it_cannot_act_on_is_config_error(tmp_path, capsys, overrides):
+    assert_config_error(capsys, write_config(tmp_path / "mismatch.json", **overrides), "space.name")
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"sigma_beta": 5}, "sigma_beta"),
+        ({"beta": 0.5}, "beta"),
+        ({"beta": ["abc"]}, "beta[0]"),
+        ({"lambda": [0.5, None]}, "lambda[1]"),
+    ],
+    ids=["rate_table_number", "sequence_table_number", "sequence_entry_text",
+         "sequence_entry_null"],
+)
+def test_table_schedule_field_that_is_not_a_list_of_numbers_is_config_error(
+    tmp_path, capsys, overrides, field
+):
+    cfg = write_config(tmp_path / "table.json", schedule=table_schedule(**overrides))
+    assert_config_error(capsys, cfg, field)

@@ -14,6 +14,7 @@ from tmann.iterate import (
     run_tikhonov_mann,
 )
 from tmann.mappings import (
+    MappingFamily,
     box_projection_family,
     identity_family,
     resolvent_l1_family,
@@ -89,6 +90,14 @@ def test_given_m_below_radius_bound_is_rejected():
 def test_create_rejects_non_fixed_point():
     sp = EuclideanSpace(1)
     fam = box_projection_family([5.0], [6.0])
+    sch = builtin_example_schedule(0.5)
+    with pytest.raises(ValueError, match="not fixed"):
+        ProblemInstance.create(sp, fam, sch, u=np.zeros(1), x0=np.zeros(1), p=np.zeros(1))
+
+
+def test_create_rejects_a_registered_point_mapped_to_nan():
+    sp = EuclideanSpace(1)
+    fam = MappingFamily("nan", "custom", lambda n, x: np.full_like(x, np.nan), np.zeros(1))
     sch = builtin_example_schedule(0.5)
     with pytest.raises(ValueError, match="not fixed"):
         ProblemInstance.create(sp, fam, sch, u=np.zeros(1), x0=np.zeros(1), p=np.zeros(1))

@@ -135,7 +135,15 @@ def test_constant_family_chi_T_and_zero_series():
     fn = constant_family_chi_T()
     assert [fn(k) for k in range(5)] == [0, 0, 0, 0, 0]
     table = oracle_cauchy_modulus([0.0] * 50, k_max=5, horizon=49)
-    assert table.validate(fn).all_pass
+    assert set(table.validate(fn)) == {"pass"}
+
+
+def test_chi_T_for_needs_the_schedule_gamma_itself():
+    schedule = builtin_example_schedule(0.5)
+    foreign = resolvent_l1_family(lambda n: 100.0 * (n + 1), dim=2)
+    assert chi_T_for(foreign, schedule, 1) is None
+    own = resolvent_l1_family(schedule.gamma, dim=2)
+    assert chi_T_for(own, schedule, 1)(0) == 1
 
 
 def test_chi_T_for_selects_certificate():

@@ -189,6 +189,27 @@ def test_certified_rates_are_upward_closed(residuals, base, bump):
             assert l.status == "pass"
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    residuals=st.lists(
+        st.one_of(st.floats(min_value=0.0, max_value=2.0), st.just(float("nan"))),
+        min_size=1,
+        max_size=40,
+    ),
+    k_max=st.integers(min_value=0, max_value=6),
+    tol=st.sampled_from([0.0, 1e-12, 1e-3]),
+)
+def test_certify_empirical_minimum_matches_a_plain_scan(residuals, k_max, tol):
+    report = certify_rate(residuals, zero, k_max=k_max, tol=tol)
+    for k, row in enumerate(report.rows):
+        expected = -1
+        for n in range(len(residuals) - 1, -1, -1):
+            if not residuals[n] <= 1.0 / (k + 1) + tol:
+                break
+            expected = n
+        assert row.empirical_min_index == expected
+
+
 def test_check_pointwise_bound():
     values = [1.0 / (n + 2) for n in range(50)]
     ok = check_pointwise_bound(values, lambda n: 1.0 / (n + 2))
@@ -233,3 +254,28 @@ def test_soundness_linear_rates_certify(linear_l1):
         ]
         report = certify_rate(residuals, lr.rate_cross, k_max=10, tol=1e-9)
         assert report.all_passed, report.summary()
+
+
+def test_linear_cross_index_spot_check_fails_on_nan():
+    # the family is NaN only from index 200 on: a 200-step orbit never
+    # evaluates it there, but the spot check reads T_m x_n at m = 2n
+    from tmann.geometry import EuclideanSpace
+    from tmann.iterate import ProblemInstance, run_tikhonov_mann
+    from tmann.mappings import MappingFamily, box_projection_family
+    from tmann.sequences import builtin_linear_schedule
+
+    box = box_projection_family([-1.0, -1.0], [1.0, 1.0])
+    family = MappingFamily(
+        "late_nan_box",
+        "constant",
+        lambda n, x: box.eval(n, x) if n < 200 else np.full_like(x, np.nan),
+        box.fixed_point,
+    )
+    instance = ProblemInstance.create(
+        EuclideanSpace(2), family, builtin_linear_schedule(0.5),
+        u=np.zeros(2), x0=np.array([1.2, 1.6]), p=np.zeros(2),
+    )
+    trace = run_tikhonov_mann(instance, 200)
+    sections = linear_rates(instance.M, 0.5).orbit_checks(instance, trace, tol=1e-9)
+    checks = {name: passed for name, passed, _ in sections}
+    assert not checks["linear cross-index spot check"]
