@@ -25,20 +25,60 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import geometry, iterate, mappings, rates, sequences, splitting
-from .geometry import Space, TreePoint
+from .geometry import EuclideanSpace, StarTreeSpace, TreePoint
 from .iterate import ProblemInstance
 from .mappings import MappingFamily
 from .sequences import ParamSchedule
 
-#: Every run field: its kind, default and least value (None: unbounded).  An
-#: int field may equal its least value; a float field must lie above it.
-RUN_FIELDS = {
+#: The default of a field that must be given.
+REQUIRED = object()
+
+#: Field kinds sized by ``space.dim``: a list of ``dim`` numbers, and a list
+#: of ``dim`` such lists.
+VECTOR = "vector"
+MATRIX = "matrix"
+
+
+class Kind(NamedTuple):
+    """One kind of config object: the library constructor ``make`` and the
+    field table whose values it takes as keywords.
+
+    Each field is a ``(kind, default or REQUIRED, least)`` triple; ``least``
+    (None: unbounded) may equal an int field and lies below a float field.
+    ``make`` also takes the context the object is read in, such as the
+    space's ``dim``, and ignores what it does not use.  A space gives the
+    kind of its points; a family, the space its maps act on and whether
+    they are indexed by the schedule's gamma_n.
+    """
+
+    make: Callable
+    fields: dict
+    point: object = None
+    space: type = geometry.Space
+    gamma: bool = False
+
+
+class ConfigError(Exception):
+    """Raised for malformed or inconsistent experiment configs."""
+
+
+#: Every top-level field.  The nested objects are read by the tables below,
+#: and the points once the space gives their kind.
+CONFIG_FIELDS = {
+    "space": (dict, REQUIRED, None),
+    "family": (dict, REQUIRED, None),
+    "schedule": (dict, REQUIRED, None),
+    "u": (object, REQUIRED, None),
+    "x0": (object, REQUIRED, None),
+    "p": (object, None, None),
+    "M": (int, None, None),
     "horizon": (int, 5000, 1),
     "k_max": (int, 5, 0),
     "tolerance": (float, 1e-9, 0),
@@ -51,61 +91,157 @@ RUN_FIELDS = {
     "record_points": (bool, False, None),
 }
 
+#: A config's top-level fields, as read, and the file they came from.
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [*((name, kind) for name, (kind, _, _) in CONFIG_FIELDS.items()), ("source", str, "<config>")],
+    namespace={"__module__": __name__},
+)
 
-#: Every top-level config field: the run fields plus the problem description.
-FIELDS = frozenset(RUN_FIELDS) | {"space", "family", "schedule", "u", "x0", "p", "M"}
-
-
-class ConfigError(Exception):
-    """Raised for malformed or inconsistent experiment configs."""
-
-
-@dataclass
-class ExperimentConfig:
-    space: dict
-    family: dict
-    schedule: dict
-    u: object
-    x0: object
-    p: object | None
-    M: int | None
-    horizon: int
-    k_max: int
-    tolerance: float
-    seed: int
-    out_dir: str
-    axiom_samples: int
-    family_samples: int
-    modulus_horizon: int
-    modulus_k_max: int
-    record_points: bool
-    source: str = "<config>"
+_EUCLIDEAN_FIELDS = {"dim": (int, 1, None), "box_radius": (float, 5.0, None)}
+_TREE_POINT = Kind(
+    lambda ray, t, space, **_: space.validate_point(TreePoint(ray, t)),
+    {"ray": (int, REQUIRED, None), "t": (float, REQUIRED, None)},
+)
+SPACES = {
+    "euclidean": Kind(EuclideanSpace, _EUCLIDEAN_FIELDS, point=VECTOR),
+    "euclidean_broken": Kind(geometry.BrokenEuclideanSpace, _EUCLIDEAN_FIELDS, point=VECTOR),
+    "star_tree": Kind(
+        StarTreeSpace,
+        {"num_rays": (int, 3, None), "max_radius": (float, 5.0, None)},
+        point=_TREE_POINT,
+    ),
+}
 
 
-def _require(cfg: dict, key: str, source: str):
-    if key not in cfg:
-        raise ConfigError(f"{source}: missing required field '{key}'")
-    return cfg[key]
+def _table_schedule(label, **tables) -> ParamSchedule:
+    tables["lam"] = tables.pop("lambda")
+    return sequences.schedule_from_tables(name=label, **tables)
+
+
+_TABLES = "beta lambda sigma_beta chi_beta chi_lambda sigma".split()
+_LAMBDA = {"lambda": (float, REQUIRED, None)}
+SCHEDULES = {
+    "example": Kind(lambda **f: sequences.builtin_example_schedule(f["lambda"]), _LAMBDA),
+    "linear": Kind(lambda **f: sequences.builtin_linear_schedule(f["lambda"]), _LAMBDA),
+    # the lists are checked entry by entry by schedule_from_tables
+    "table": Kind(
+        _table_schedule,
+        {
+            "label": (str, "table", None),
+            **{name: (object, REQUIRED, None) for name in _TABLES},
+            "Lambda_cap": (int, REQUIRED, None),
+            "N_Lambda": (int, REQUIRED, None),
+            "gamma": (object, None, None),
+            "chi_gamma": (object, None, None),
+            "Gamma_cap": (int, None, None),
+            "N_Gamma": (int, None, None),
+        },
+    ),
+}
+
+_BOX = {"lo": (VECTOR, REQUIRED, None), "hi": (VECTOR, REQUIRED, None)}
+MONOTONE_OPS = {
+    "l1": Kind(lambda rho, **_: splitting.l1_operator(rho), {"rho": (float, 1.0, None)}),
+    "box": Kind(lambda lo, hi, **_: splitting.box_operator(lo, hi), _BOX),
+    "zero": Kind(lambda **_: splitting.zero_operator(), {}),
+}
+COCOERCIVE_OPS = {
+    "quadratic": Kind(
+        lambda diag, b, **_: splitting.quadratic_gradient(diag, b),
+        {"diag": (VECTOR, REQUIRED, None), "b": (VECTOR, REQUIRED, None)},
+    ),
+    "zero": Kind(lambda dim, **_: splitting.zero_cocoercive(dim), {}),
+}
+
+
+def _forward_backward(A, B, schedule: ParamSchedule, p, horizon: int, **_) -> MappingFamily:
+    if p is None:
+        raise ValueError("needs 'p', a registered zero of A + B")
+    cap = 2.0 * B.beta_coco
+    gammas = sequences.terms(schedule.gamma, np.arange(horizon + 1))
+    outside = ~((0.0 < gammas) & (gammas < cap))
+    if outside.any():
+        n = int(np.argmax(outside))
+        raise ValueError(f"gamma_{n} = {float(gammas[n])!r} outside the step-size range (0, {cap!r})")
+    return splitting.forward_backward_family(A, B, schedule.gamma, p)
+
+
+FAMILIES = {
+    "identity": Kind(
+        lambda space, p, **_: mappings.identity_family(
+            p if p is not None else space.sample(np.random.default_rng(0))
+        ),
+        {},
+    ),
+    "box_projection": Kind(
+        lambda lo, hi, **_: mappings.box_projection_family(lo, hi), _BOX, space=EuclideanSpace
+    ),
+    "tree_contraction": Kind(
+        lambda factor, **_: mappings.tree_contraction_family(factor),
+        {"factor": (float, REQUIRED, None)},
+        space=StarTreeSpace,
+    ),
+    "resolvent_l1": Kind(
+        lambda weight, space, schedule, **_: mappings.resolvent_l1_family(
+            schedule.gamma, dim=space.dim, weight=weight
+        ),
+        {"weight": (float, 1.0, None)},
+        space=EuclideanSpace,
+        gamma=True,
+    ),
+    "resolvent_quadratic": Kind(
+        lambda matrix, schedule, **_: mappings.resolvent_quadratic_family(matrix, schedule.gamma),
+        {"matrix": (MATRIX, REQUIRED, None)},
+        space=EuclideanSpace,
+        gamma=True,
+    ),
+    "forward_backward": Kind(
+        _forward_backward,
+        {"A": (MONOTONE_OPS, REQUIRED, None), "B": (COCOERCIVE_OPS, REQUIRED, None)},
+        space=EuclideanSpace,
+        gamma=True,
+    ),
+}
 
 
 _KIND_NAMES = {
     int: "an integer of magnitude below 2**63",
     float: "a number of magnitude below 2**63",
     bool: "true or false",
+    str: "text",
+    dict: "an object",
+    VECTOR: "a list of {} numbers",
+    MATRIX: "a list of {0} lists of {0} numbers",
 }
 
 
-def _typed(value, field: str, kind: type, source: str):
-    """``value`` as an int, float or bool, or a ConfigError naming ``field``.
+def _typed(value, field: str, kind, source: str, dim: int | None = None, **context):
+    """``value`` read as ``kind``, or a ConfigError naming ``field``.
 
     A number field takes a JSON number, not text or true/false, of
     magnitude below 2**63 (finite, and within the 64-bit integers numpy
     counts with), and an integer field takes no fractional part (3.7 is
-    refused, not truncated to 3).  Nested fields are named by their path,
-    such as ``space.dim``.
+    refused, not truncated to 3).  A VECTOR takes ``dim`` such numbers (any
+    count on a space without a dimension) and a MATRIX ``dim`` such lists,
+    each as long as the matrix; an entry is named by its index, such as
+    ``family.lo[0]``.  An object of a ``Kind``, or of the kind its ``name``
+    picks from a table of kinds, is read by that kind's fields and made
+    with ``dim`` and ``context``.  ``object`` takes the value as given, for
+    the library to check.  Nested fields are named by their path, such as
+    ``space.dim``.
     """
-    if kind is bool:
-        valid = isinstance(value, bool)
+    if isinstance(kind, dict):
+        return _make(*_object(value, field, kind, source, dim), field, source, dim=dim, **context)
+    if isinstance(kind, Kind):
+        values = _fields(value, field, kind.fields, source, dim)
+        return _make(kind, values, field, source, dim=dim, **context)
+    if kind is object:
+        return value
+    if kind in (VECTOR, MATRIX):
+        valid = isinstance(value, list) and dim in (None, len(value))
+    elif kind in (bool, str, dict):
+        valid = isinstance(value, kind)
     else:
         valid = (
             isinstance(value, (int, float))
@@ -114,8 +250,65 @@ def _typed(value, field: str, kind: type, source: str):
             and (kind is float or value == int(value))
         )
     if not valid:
-        raise ConfigError(f"{source}: field '{field}' must be {_KIND_NAMES[kind]}, got {value!r}")
-    return kind(value)
+        expected = _KIND_NAMES[kind].format(dim or "n")
+        raise ConfigError(f"{source}: field '{field}' must be {expected}, got {value!r}")
+    if kind in (VECTOR, MATRIX):
+        entry = float if kind is VECTOR else VECTOR
+        return np.array(
+            [_typed(v, f"{field}[{i}]", entry, source, len(value)) for i, v in enumerate(value)]
+        )
+    return kind(value) if kind in (int, float) else value
+
+
+def _fields(spec, path: str, table: dict, source: str, dim: int | None = None) -> dict:
+    """The fields of the object ``spec`` at ``path``, each read by its
+    ``(kind, default, least)`` entry in ``table``.
+
+    A key the table does not hold is refused, and so is a missing field
+    whose default is REQUIRED.  Only a field whose default is None takes
+    null, as not given.
+    """
+    _typed(spec, path, dict, source)
+    prefix = f"{path}." if path else ""
+    unknown = sorted(set(spec) - set(table))
+    if unknown:
+        listed = ", ".join(repr(prefix + key) for key in unknown)
+        raise ConfigError(f"{source}: unknown field(s) {listed}")
+    values = {}
+    for name, (kind, default, least) in table.items():
+        field = prefix + name
+        value = spec.get(name, default)
+        if value is REQUIRED:
+            raise ConfigError(f"{source}: missing required field '{field}'")
+        if value is None and default is None:
+            values[name] = None
+            continue
+        value = values[name] = _typed(value, field, kind, source, dim)
+        strict = kind is float
+        if least is not None and (value <= least if strict else value < least):
+            bound = f"{'>' if strict else '>='} {least}"
+            raise ConfigError(f"{source}: field '{field}' must be {bound}, got {value!r}")
+    return values
+
+
+def _object(spec, path: str, kinds: dict, source: str, dim: int | None = None):
+    """The kind from ``kinds`` that the object at ``path`` names, and the
+    object's other fields read by that kind's table."""
+    name = _typed(spec, path, dict, source).get("name")
+    if not isinstance(name, str) or name not in kinds:
+        known = ", ".join(map(repr, kinds))
+        raise ConfigError(f"{source}: field '{path}.name' must be one of {known}, got {name!r}")
+    fields = {key: value for key, value in spec.items() if key != "name"}
+    return kinds[name], _fields(fields, path, kinds[name].fields, source, dim)
+
+
+def _make(kind: Kind, values: dict, path: str, source: str, **context):
+    """The object ``kind`` makes of ``values``; what its constructor
+    refuses is a ConfigError naming ``path``."""
+    try:
+        return kind.make(**values, **context)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: field '{path}': {exc}")
 
 
 def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -129,240 +322,37 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    unknown = sorted(set(raw) - FIELDS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown field(s) {', '.join(map(repr, unknown))}")
-
-    merged = {name: default for name, (_, default, _) in RUN_FIELDS.items()}
-    merged.update(raw)
-    if overrides:
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-
+    raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
     source = str(path)
-    for section in ("space", "family", "schedule"):
-        value = _require(merged, section, source)
-        if not isinstance(value, dict) or "name" not in value:
-            raise ConfigError(f"{source}: field '{section}' must be an object with a 'name'")
-
-    run = {}
-    for name, (kind, _, least) in RUN_FIELDS.items():
-        if kind is str:
-            run[name] = str(merged[name])
-            continue
-        value = run[name] = _typed(merged[name], name, kind, source)
-        strict = kind is float
-        if least is not None and (value <= least if strict else value < least):
-            bound = f"{'>' if strict else '>='} {least}"
-            raise ConfigError(f"{source}: field '{name}' must be {bound}, got {value!r}")
-
-    return ExperimentConfig(
-        space=merged["space"],
-        family=merged["family"],
-        schedule=merged["schedule"],
-        u=_require(merged, "u", source),
-        x0=_require(merged, "x0", source),
-        p=merged.get("p"),
-        M=_typed(merged["M"], "M", int, source) if merged.get("M") is not None else None,
-        source=source,
-        **run,
-    )
-
-
-#: The fields each kind of nested object takes besides its ``name``.
-_SPACE_FIELDS = {
-    "euclidean": "dim box_radius",
-    "euclidean_broken": "dim box_radius",
-    "star_tree": "num_rays max_radius",
-}
-_SCHEDULE_FIELDS = {
-    "example": "lambda",
-    "linear": "lambda",
-    "table": "label beta lambda sigma_beta chi_beta chi_lambda sigma Lambda_cap N_Lambda "
-    "gamma chi_gamma Gamma_cap N_Gamma",
-}
-_FAMILY_FIELDS = {
-    "identity": "",
-    "box_projection": "lo hi",
-    "tree_contraction": "factor",
-    "resolvent_l1": "weight",
-    "resolvent_quadratic": "matrix",
-    "forward_backward": "A B",
-}
-_MONOTONE_FIELDS = {"l1": "rho", "box": "lo hi", "zero": ""}
-_COCOERCIVE_FIELDS = {"quadratic": "diag b", "zero": ""}
-
-
-def _named(spec, path: str, what: str, fields: dict, source: str) -> str:
-    """The name of the object ``spec`` at ``path``, once it names a known
-    ``what`` and holds no key besides ``name`` and that kind's fields."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{source}: field '{path}' must be an object")
-    name = spec.get("name")
-    if not isinstance(name, str) or name not in fields:
-        raise ConfigError(f"{source}: unknown {what} {name!r}")
-    unknown = sorted(set(spec) - {"name", *fields[name].split()})
-    if unknown:
-        listed = ", ".join(repr(f"{path}.{key}") for key in unknown)
-        raise ConfigError(f"{source}: unknown field(s) {listed}")
-    return name
-
-
-def _build_space(spec: dict, source: str) -> Space:
-    name = _named(spec, "space", "space", _SPACE_FIELDS, source)
-    if name == "star_tree":
-        return geometry.StarTreeSpace(
-            num_rays=_typed(spec.get("num_rays", 3), "space.num_rays", int, source),
-            max_radius=_typed(spec.get("max_radius", 5.0), "space.max_radius", float, source),
-        )
-    euclidean = {
-        "euclidean": geometry.EuclideanSpace,
-        "euclidean_broken": geometry.BrokenEuclideanSpace,
-    }
-    return euclidean[name](
-        dim=_typed(spec.get("dim", 1), "space.dim", int, source),
-        box_radius=_typed(spec.get("box_radius", 5.0), "space.box_radius", float, source),
-    )
-
-
-def _build_schedule(spec: dict, source: str) -> ParamSchedule:
-    name = _named(spec, "schedule", "schedule", _SCHEDULE_FIELDS, source)
-    if name != "table":
-        builtins = {
-            "example": sequences.builtin_example_schedule,
-            "linear": sequences.builtin_linear_schedule,
-        }
-        return builtins[name](
-            _typed(_require(spec, "lambda", source), "schedule.lambda", float, source)
-        )
-    try:
-        return sequences.schedule_from_tables(
-            name=str(spec.get("label", "table")),
-            beta=_require(spec, "beta", source),
-            lam=_require(spec, "lambda", source),
-            sigma_beta=_require(spec, "sigma_beta", source),
-            chi_beta=_require(spec, "chi_beta", source),
-            chi_lambda=_require(spec, "chi_lambda", source),
-            sigma=_require(spec, "sigma", source),
-            Lambda_cap=_require(spec, "Lambda_cap", source),
-            N_Lambda=_require(spec, "N_Lambda", source),
-            gamma=spec.get("gamma"),
-            chi_gamma=spec.get("chi_gamma"),
-            Gamma_cap=spec.get("Gamma_cap"),
-            N_Gamma=spec.get("N_Gamma"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: schedule table: {exc}")
-
-
-def _parse_point(space: Space, value, source: str, label: str):
-    try:
-        if isinstance(space, geometry.StarTreeSpace):
-            if not isinstance(value, dict) or "ray" not in value or "t" not in value:
-                raise ValueError("star-tree points are objects with 'ray' and 't'")
-            ray = _typed(value["ray"], f"{label}.ray", int, source)
-            t = _typed(value["t"], f"{label}.t", float, source)
-            return space.validate_point(TreePoint(ray, t))
-        return space.validate_point(value)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{source}: point '{label}': {exc}")
-
-
-def _build_monotone_op(spec, source: str):
-    name = _named(spec, "family.A", "monotone operator", _MONOTONE_FIELDS, source)
-    if name == "l1":
-        return splitting.l1_operator(_typed(spec.get("rho", 1.0), "family.A.rho", float, source))
-    if name == "box":
-        return splitting.box_operator(_require(spec, "lo", source), _require(spec, "hi", source))
-    return splitting.zero_operator()
-
-
-def _build_cocoercive_op(spec, dim: int, source: str):
-    name = _named(spec, "family.B", "cocoercive operator", _COCOERCIVE_FIELDS, source)
-    if name == "quadratic":
-        return splitting.quadratic_gradient(
-            _require(spec, "diag", source), _require(spec, "b", source)
-        )
-    return splitting.zero_cocoercive(dim)
-
-
-def _build_forward_backward_family(
-    spec: dict, space: Space, schedule: ParamSchedule, p, horizon: int, source: str
-) -> MappingFamily:
-    if p is None:
-        raise ConfigError(
-            f"{source}: family 'forward_backward' needs 'p' (a registered zero of A + B)"
-        )
-    A = _build_monotone_op(_require(spec, "A", source), source)
-    B = _build_cocoercive_op(_require(spec, "B", source), space.dim, source)
-    cap = 2.0 * B.beta_coco
-    gammas = sequences.terms(schedule.gamma, np.arange(horizon + 1))
-    outside = ~((0.0 < gammas) & (gammas < cap))
-    if outside.any():
-        n = int(np.argmax(outside))
-        raise ConfigError(
-            f"{source}: gamma_{n} = {float(gammas[n])!r} outside the step-size range (0, {cap!r})"
-        )
-    return splitting.forward_backward_family(A, B, schedule.gamma, p)
-
-
-#: Families whose maps are indexed by the schedule's step sizes gamma_n.
-_GAMMA_FAMILIES = ("forward_backward", "resolvent_l1", "resolvent_quadratic")
-
-#: The space each family's maps act on; identity acts on every space.
-_FAMILY_SPACE = {
-    "identity": (geometry.Space, "any"),
-    "box_projection": (geometry.EuclideanSpace, "a euclidean"),
-    "tree_contraction": (geometry.StarTreeSpace, "a star_tree"),
-    "resolvent_l1": (geometry.EuclideanSpace, "a euclidean"),
-    "resolvent_quadratic": (geometry.EuclideanSpace, "a euclidean"),
-    "forward_backward": (geometry.EuclideanSpace, "a euclidean"),
-}
-
-
-def _build_family(
-    spec: dict, space: Space, schedule: ParamSchedule, p, horizon: int, source: str
-) -> MappingFamily:
-    name = _named(spec, "family", "family", _FAMILY_FIELDS, source)
-    if name in _GAMMA_FAMILIES and not schedule.has_gamma:
-        raise ConfigError(f"{source}: family '{name}' needs a schedule with gamma")
-    # The family's own numbers are read before the space is checked, so a bad
-    # number is named even when the space does not fit either.
-    numbers = {
-        key: _typed(spec[key], f"family.{key}", float, source)
-        for key in ("factor", "weight")
-        if key in spec
-    }
-    needs, kind = _FAMILY_SPACE[name]
-    if not isinstance(space, needs):
-        raise ConfigError(f"{source}: field 'space.name': family '{name}' needs {kind} space")
-    if name == "forward_backward":
-        return _build_forward_backward_family(spec, space, schedule, p, horizon, source)
-    if name == "identity":
-        anchor = p if p is not None else space.sample(np.random.default_rng(0))
-        return mappings.identity_family(anchor)
-    if name == "box_projection":
-        return mappings.box_projection_family(
-            _require(spec, "lo", source), _require(spec, "hi", source)
-        )
-    if name == "tree_contraction":
-        return mappings.tree_contraction_family(_require(numbers, "factor", source))
-    if name == "resolvent_l1":
-        return mappings.resolvent_l1_family(
-            schedule.gamma, dim=space.dim, weight=numbers.get("weight", 1.0)
-        )
-    return mappings.resolvent_quadratic_family(_require(spec, "matrix", source), schedule.gamma)
+    return ExperimentConfig(**_fields(raw, "", CONFIG_FIELDS, source), source=source)
 
 
 def build_problem(config: ExperimentConfig) -> ProblemInstance:
     """Assemble the problem instance a config describes."""
     source = config.source
+    space_kind, values = _object(config.space, "space", SPACES, source)
+    space = _make(space_kind, values, "space", source)
+    schedule = _make(*_object(config.schedule, "schedule", SCHEDULES, source), "schedule", source)
+    dim = getattr(space, "dim", None)
+
+    def point(label, value):
+        return _typed(value, label, space_kind.point, source, dim, space=space)
+
+    u, x0 = point("u", config.u), point("x0", config.x0)
+    p = point("p", config.p) if config.p is not None else None
+    # the family's fields are read before its space is checked, so a bad
+    # value is named even when the space does not fit either
+    kind, values = _object(config.family, "family", FAMILIES, source, dim)
+    name = config.family["name"]
+    if not isinstance(space, kind.space):
+        acts_on = f"does not act on a {config.space['name']!r} space"
+        raise ConfigError(f"{source}: field 'space.name': family {name!r} {acts_on}")
+    if kind.gamma and not schedule.has_gamma:
+        raise ConfigError(f"{source}: field 'schedule': family {name!r} needs a schedule with gamma")
+    family = _make(
+        kind, values, "family", source, space=space, schedule=schedule, p=p, horizon=config.horizon
+    )
     try:
-        space = _build_space(config.space, source)
-        schedule = _build_schedule(config.schedule, source)
-        u = _parse_point(space, config.u, source, "u")
-        x0 = _parse_point(space, config.x0, source, "x0")
-        p = _parse_point(space, config.p, source, "p") if config.p is not None else None
-        family = _build_family(config.family, space, schedule, p, config.horizon, source)
         return ProblemInstance.create(
             space=space, family=family, schedule=schedule, u=u, x0=x0, p=p, M=config.M
         )

@@ -158,12 +158,13 @@ def halpern_translated_bundle(bundle: RateBundle, sigma: RateFn, M: int) -> Rate
 def psi0_from_chi(chi: RateFn) -> Callable[[int], int]:
     """The closed-form choice psi0(k) = chi(3k+2), clamped to >= 1.
 
-    For the quadratic builtin schedule the product up to chi(3k+2)
-    telescopes to 1/(chi(3k+2) + 2), so this choice undershoots the minimal
-    valid reciprocal bound by 2; it is nevertheless the choice under which
+    This is below the least psi0 the hypothesis admits.  With N = chi(3k+2),
+    the product up to N telescopes to 1/(N + 2) on the ``example`` schedule,
+    so the choice falls short by 2, and to 2/((N+2)(N+3)) on the ``linear``
+    schedule, which needs psi0 = (N+2)(N+3)/2.  It is the choice under which
     the composed rate collapses to the polynomials of
-    ``example_closed_form_rates``, and certification carries ample slack
-    either way.  Use ``sequences.psi0`` for the minimal valid value.
+    ``example_closed_form_rates``, and the CLI's ``general_theorem`` rows
+    use it.  Use ``sequences.psi0`` for the least valid value.
     """
     return lambda k: max(1, chi(3 * k + 2))
 
@@ -178,7 +179,9 @@ def general_rates(
     gap-series modulus chi_T.
 
     psi0 selects the reciprocal product bound: the closed-form choice
-    ``"from_chi"`` (default) or the computed minimal value ``"minimal"``.
+    ``"from_chi"`` (default; the CLI's ``general_theorem`` rows use it, and
+    ``psi0_from_chi`` says how far it falls below the least valid value) or
+    the computed minimal value ``"minimal"``.
     """
     chi = chi_combined(chi_T, schedule.chi_lambda, schedule.chi_beta, M)
     if psi0 == "from_chi":

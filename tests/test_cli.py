@@ -263,6 +263,14 @@ def test_table_schedule_beta_outside_unit_interval_is_config_error(tmp_path, cap
     assert_config_error(capsys, cfg, "beta[1]")
 
 
+FORWARD_BACKWARD = {
+    "name": "forward_backward",
+    "A": {"name": "l1", "rho": 1.0},
+    "B": {"name": "quadratic", "diag": [0.5, 0.7], "b": [2.0, -3.0]},
+}
+TREE_POINTS = {"u": {"ray": 0, "t": 0.0}, "x0": {"ray": 1, "t": 1.0}, "p": {"ray": 0, "t": 0.0}}
+
+
 @pytest.mark.parametrize(
     "overrides, field",
     [
@@ -288,11 +296,23 @@ def test_table_schedule_beta_outside_unit_interval_is_config_error(tmp_path, cap
                         "B": {"name": "zero"}}},
             "family.A.rho",
         ),
+        ({"family": {"name": "box_projection", "lo": [-1.0], "hi": [1.0, 1.0]}}, "family.lo"),
+        ({"family": {**FORWARD_BACKWARD, "A": {"name": "box", "lo": [-1.0], "hi": [1.0, 1.0]}}},
+         "family.A.lo"),
+        ({"family": {**FORWARD_BACKWARD, "B": {"name": "quadratic", "diag": [1.0],
+                                               "b": [2.0, -3.0]}}}, "family.B.diag"),
+        ({"family": {"name": "resolvent_quadratic", "matrix": [[1.0]]}}, "family.matrix"),
+        ({"family": {"name": "box_projection", "lo": ["a", 1], "hi": [1, 1]}}, "family.lo[0]"),
+        ({"family": {"name": "box_projection", "lo": [-1, None], "hi": [1, 1]}}, "family.lo[1]"),
+        ({"u": ["0.0", "0.0"]}, "u[0]"),
+        ({"family": {"name": "box_projection", "lo": ["-1", "-1"], "hi": [1, 1]}}, "family.lo[0]"),
     ],
     ids=[
         "dim_fraction", "dim_text", "box_radius_text", "num_rays_fraction",
         "max_radius_boolean", "tree_point_ray_fraction", "lambda_text", "factor_text",
-        "weight_list", "rho_text",
+        "weight_list", "rho_text", "box_lo_short", "operator_box_lo_short",
+        "operator_diag_short", "matrix_too_small", "vector_entry_text", "vector_entry_null",
+        "point_numeric_text", "vector_numeric_text",
     ],
 )
 def test_nested_number_of_wrong_type_is_config_error(tmp_path, capsys, overrides, field):
@@ -401,10 +421,12 @@ def test_table_schedule_cap_below_one_is_config_error(tmp_path, capsys, override
         ({"N_Lambda": 0.5}, "N_Lambda"),
         ({**GAMMA_TABLE, "chi_gamma": [1.5]}, "chi_gamma[0]"),
         ({**GAMMA_TABLE, "Gamma_cap": 1.5}, "Gamma_cap"),
+        ({"Lambda_cap": 10**400}, "schedule.Lambda_cap"),
     ],
     ids=[
         "sigma_beta_fraction", "chi_beta_fraction", "chi_lambda_text", "sigma_boolean",
         "lambda_cap_fraction", "n_lambda_fraction", "chi_gamma_fraction", "gamma_cap_fraction",
+        "lambda_cap_huge_integer",
     ],
 )
 def test_table_schedule_fractional_rate_entry_is_config_error(tmp_path, capsys, overrides, field):
@@ -442,14 +464,6 @@ def test_run_field_below_its_least_value_is_config_error(tmp_path, capsys, overr
     assert_config_error(capsys, write_config(tmp_path / "least.json", **overrides), field)
 
 
-FORWARD_BACKWARD = {
-    "name": "forward_backward",
-    "A": {"name": "l1", "rho": 1.0},
-    "B": {"name": "quadratic", "diag": [0.5, 0.7], "b": [2.0, -3.0]},
-}
-TREE_POINTS = {"u": {"ray": 0, "t": 0.0}, "x0": {"ray": 1, "t": 1.0}, "p": {"ray": 0, "t": 0.0}}
-
-
 @pytest.mark.parametrize(
     "overrides, field",
     [
@@ -460,10 +474,15 @@ TREE_POINTS = {"u": {"ray": 0, "t": 0.0}, "x0": {"ray": 1, "t": 1.0}, "p": {"ray
         ({"family": {**FORWARD_BACKWARD, "A": {"name": "l1", "rho": 1.0, "r": 2}}}, "family.A.r"),
         ({"family": {**FORWARD_BACKWARD, "B": {"name": "zero", "diag": [1.0]}}}, "family.B.diag"),
         ({"family": {**FORWARD_BACKWARD, "A": [1.0]}}, "family.A"),
+        (
+            {"space": {"name": "star_tree"}, "family": {"name": "identity"},
+             **TREE_POINTS, "u": {"ray": 1, "t": 1.0, "r": 2}},
+            "u.r",
+        ),
     ],
     ids=[
         "space_typo", "schedule_typo", "table_typo", "family_foreign_field", "operator_a_typo",
-        "operator_b_foreign_field", "operator_a_not_object",
+        "operator_b_foreign_field", "operator_a_not_object", "tree_point_foreign_field",
     ],
 )
 def test_nested_unknown_field_is_config_error(tmp_path, capsys, overrides, field):
@@ -509,3 +528,37 @@ def test_table_schedule_field_that_is_not_a_list_of_numbers_is_config_error(
 ):
     cfg = write_config(tmp_path / "table.json", schedule=table_schedule(**overrides))
     assert_config_error(capsys, cfg, field)
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"family": {"name": "box_projection", "hi": [1.0, 1.0]}}, "'family.lo'"),
+        ({"schedule": {"name": "example"}}, "'schedule.lambda'"),
+        ({"family": {**FORWARD_BACKWARD, "B": {"name": "quadratic", "diag": [0.5, 0.7]}}},
+         "'family.B.b'"),
+        ({"space": {"name": "star_tree"}, "family": {"name": "tree_contraction"}, **TREE_POINTS},
+         "'family.factor'"),
+        ({"family": {"name": "resolvent_quadratic"}}, "'family.matrix'"),
+    ],
+    ids=["box_lo", "schedule_lambda", "operator_b", "factor", "matrix"],
+)
+def test_nested_missing_field_is_named_by_path(tmp_path, capsys, overrides, field):
+    assert_config_error(capsys, write_config(tmp_path / "missing.json", **overrides), field)
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"space": {"name": "euclidean", "dim": 0}}, "'space'"),
+        ({"schedule": {"name": "example", "lambda": 1.5}}, "'schedule'"),
+        (
+            {"space": {"name": "star_tree"}, "family": {"name": "tree_contraction", "factor": 1.5},
+             **TREE_POINTS},
+            "'family'",
+        ),
+    ],
+    ids=["space_dim_zero", "schedule_lambda_above_one", "family_factor_above_one"],
+)
+def test_value_a_constructor_refuses_names_its_object(tmp_path, capsys, overrides, field):
+    assert_config_error(capsys, write_config(tmp_path / "refused.json", **overrides), field)

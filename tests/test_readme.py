@@ -1,7 +1,10 @@
-"""The README's library session runs as written."""
+"""The README's library session runs as written, and its config schema
+names every kind the CLI reads."""
 
 import re
 from pathlib import Path
+
+from tmann import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +16,10 @@ def test_readme_python_session_runs(capsys):
     out = capsys.readouterr().out
     assert out.startswith("certification of rate")
     assert "fail" not in out and "inconclusive" not in out
+
+
+def test_readme_config_schema_names_every_kind():
+    schema = re.search(r"### Config schema\n\n```jsonc\n(.*?)```", README.read_text(), re.DOTALL)
+    tables = (cli.SPACES, cli.SCHEDULES, cli.FAMILIES, cli.MONOTONE_OPS, cli.COCOERCIVE_OPS)
+    missing = [name for table in tables for name in table if f'"{name}"' not in schema.group(1)]
+    assert not missing, missing
