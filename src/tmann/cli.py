@@ -170,7 +170,7 @@ def _forward_backward(A, B, schedule: ParamSchedule, p, horizon: int, **_) -> Ma
 FAMILIES = {
     "identity": Kind(
         lambda space, p, **_: mappings.identity_family(
-            p if p is not None else space.sample(np.random.default_rng(0))
+            p if p is not None else space.sample(np.random.default_rng(0), 1)[0]
         ),
         {},
     ),

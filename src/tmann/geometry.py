@@ -16,8 +16,9 @@ tree below is the simplest genuinely nonlinear instance.
 ``check_w_axioms`` samples random tuples and records the worst violation of
 each axiom plus three standard consequences: the distances from a combination
 to its endpoints scale linearly in lam, and two comparison inequalities for
-combinations with distinct or shared endpoints.  It draws every tuple first
-and then evaluates each check over all of them with the row-wise
+combinations with distinct or shared endpoints.  It draws in blocks: one
+point array each for x, y, z and w by ``Space.sample``, then every lam and
+th at once, and evaluates each check over all samples with the row-wise
 ``dist_array`` and ``combine_array``.  ``BrokenEuclideanSpace``
 interpolates with lam**2 instead of lam and serves as the negative control
 the checker must flag.
@@ -69,8 +70,8 @@ class TreePoints:
     """An array of star-tree points: an int array of rays and a float array
     of radial coordinates.
 
-    An int index gives a ``TreePoint``, a slice gives a ``TreePoints`` view,
-    and assigning a ``TreePoint`` to an int index stores it.
+    An int index gives a ``TreePoint``, a slice or an index array gives a
+    ``TreePoints``, and assigning a ``TreePoint`` to an int index stores it.
     """
 
     ray: np.ndarray
@@ -80,9 +81,9 @@ class TreePoints:
         return len(self.t)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return TreePoints(self.ray[index], self.t[index])
-        return TreePoint(int(self.ray[index]), float(self.t[index]))
+        if isinstance(index, (int, np.integer)):
+            return TreePoint(int(self.ray[index]), float(self.t[index]))
+        return TreePoints(self.ray[index], self.t[index])
 
     def __setitem__(self, index: int, point: TreePoint) -> None:
         self.ray[index] = point.ray
@@ -103,8 +104,10 @@ class Space(ABC):
         """The combination W(x, y, lam), read as (1 - lam) x + lam y."""
 
     @abstractmethod
-    def sample(self, rng: np.random.Generator) -> Point:
-        """Draw a point uniformly from the configured bounded region."""
+    def sample(self, rng: np.random.Generator, count: int) -> Points:
+        """A point array of ``count`` points drawn uniformly from the
+        configured bounded region.  Each coordinate array is one block draw
+        for all points, not one draw per point."""
 
     @abstractmethod
     def empty(self, count: int) -> Points:
@@ -123,24 +126,6 @@ class Space(ABC):
         calls ``combine`` once per row."""
         lams = np.broadcast_to(lam, (len(x),))
         return self.stack([self.combine(x[i], y[i], lams[i]) for i in range(len(x))])
-
-    def sample_tuples(
-        self, rng: np.random.Generator, count: int, points: int, params: int
-    ) -> tuple[list, np.ndarray]:
-        """``count`` tuples of ``points`` points drawn by ``sample``, each
-        followed by ``params`` numbers drawn by ``rng.uniform(0, 1, params)``.
-
-        Returns one point array per tuple position and a ``(count, params)``
-        array, and leaves ``rng`` where those calls, made tuple by tuple,
-        leave it.  This default makes them tuple by tuple.
-        """
-        arrays = [self.empty(count) for _ in range(points)]
-        uniforms = np.empty((count, params))
-        for i in range(count):
-            for array in arrays:
-                array[i] = self.sample(rng)
-            uniforms[i] = rng.uniform(0.0, 1.0, size=params)
-        return arrays, uniforms
 
     def stack(self, points) -> Points:
         """The point array holding ``points`` in order."""
@@ -169,7 +154,8 @@ class Space(ABC):
 class EuclideanSpace(Space):
     """R^dim with the norm distance and the affine combination.
 
-    Sampling is uniform over the box [-box_radius, box_radius]^dim.
+    Sampling is uniform over the box [-box_radius, box_radius]^dim, drawn
+    as one ``(count, dim)`` block.
     """
 
     def __init__(self, dim: int, box_radius: float = 5.0):
@@ -200,8 +186,8 @@ class EuclideanSpace(Space):
         lam = self._check_lambda(lam)
         return (1.0 - lam) * self.as_point(x) + lam * self.as_point(y)
 
-    def sample(self, rng):
-        return rng.uniform(-self.box_radius, self.box_radius, size=self.dim)
+    def sample(self, rng, count):
+        return rng.uniform(-self.box_radius, self.box_radius, (count, self.dim))
 
     def empty(self, count):
         return np.empty((count, self.dim))
@@ -217,19 +203,6 @@ class EuclideanSpace(Space):
             return super().combine_array(x, y, lam)
         lam = self._check_lambdas(lam)[..., None]
         return (1.0 - lam) * x + lam * y
-
-    def sample_tuples(self, rng, count, points, params):
-        if type(self).sample is not EuclideanSpace.sample:
-            return super().sample_tuples(rng, count, points, params)
-        # rng.uniform(low, high) is low + (high - low) * rng.random(), and
-        # uniform(0, 1) is random() itself, so one block of random() draws
-        # in tuple order gives the same numbers and leaves the same state
-        width = points * self.dim
-        block = rng.random((count, width + params))
-        low, high = -self.box_radius, self.box_radius
-        coords = low + (high - low) * block[:, :width]
-        arrays = [coords[:, k * self.dim : (k + 1) * self.dim] for k in range(points)]
-        return arrays, block[:, width:]
 
 
 class BrokenEuclideanSpace(EuclideanSpace):
@@ -262,7 +235,8 @@ class StarTreeSpace(Space):
     length starting from the first point.  This is an R-tree, hence CAT(0),
     so the combination axioms hold exactly up to rounding.
 
-    Sampling draws a uniform ray index and a uniform radius in [0, max_radius].
+    Sampling draws every ray index, then every radius, uniform in
+    [0, max_radius]; a radius of 0 is stored on ray 0.
     """
 
     def __init__(self, num_rays: int = 3, max_radius: float = 5.0):
@@ -301,29 +275,11 @@ class StarTreeSpace(Space):
             return TreePoint(x.ray, x.t - walked)
         return TreePoint(y.ray, walked - x.t)
 
-    def sample(self, rng):
-        ray = int(rng.integers(self.num_rays))
-        return TreePoint(ray, float(rng.uniform(0.0, self.max_radius)))
-
-    def sample_tuples(self, rng, count, points, params):
-        if type(self).sample is not StarTreeSpace.sample:
-            return super().sample_tuples(rng, count, points, params)
-        # rng.integers draws 32-bit halves between the radius draws, so no
-        # block draw keeps the order; the loop takes rng.random() for each
-        # uniform, which is the same number (see EuclideanSpace), and scales
-        # the radii afterwards
-        rays, draws = [], []
-        for _ in range(count):
-            for _ in range(points):
-                rays.append(rng.integers(self.num_rays))
-                draws.append(rng.random())
-            draws.extend(rng.random(params))
-        ray = np.array(rays, dtype=int).reshape(count, points)
-        block = np.array(draws).reshape(count, points + params)
-        t = 0.0 + (self.max_radius - 0.0) * block[:, :points]
+    def sample(self, rng, count):
+        ray = rng.integers(self.num_rays, size=count)
+        t = rng.uniform(0.0, self.max_radius, count)
         ray[t == 0.0] = 0  # the origin is ray 0
-        arrays = [TreePoints(ray[:, k], t[:, k]) for k in range(points)]
-        return arrays, block[:, points:]
+        return TreePoints(ray, t)
 
     def empty(self, count):
         return TreePoints(np.zeros(count, dtype=int), np.zeros(count))
@@ -402,12 +358,13 @@ def check_w_axioms(
 ) -> AxiomReport:
     """Sample random tuples (x, y, z, w, lam, th) and check every axiom.
 
-    All tuples are drawn first, by ``space.sample_tuples``, in the order of
-    drawing x, y, z, w and then (lam, th) tuple by tuple; each check is then
-    one array expression over all samples.  Returns the per-check worst
-    violation; a NaN anywhere makes that check's worst value NaN, which
-    fails.  The report passes when every entry stays at or below ``tol``.
-    Check failures never raise, they are carried in the report.
+    The draws are blocks, in this order: the point arrays x, y, z and w,
+    each by ``space.sample(rng, samples)``, then ``rng.random((2, samples))``
+    for lam and th.  Each check is one array expression over all samples.
+    Returns the per-check worst violation; a NaN anywhere makes that
+    check's worst value NaN, which fails.  The report passes when every
+    entry stays at or below ``tol``.  Check failures never raise, they are
+    carried in the report.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -416,8 +373,8 @@ def check_w_axioms(
     if rng is None:
         rng = np.random.default_rng(seed)
 
-    (x, y, z, w), params = space.sample_tuples(rng, samples, points=4, params=2)
-    lam, th = params[:, 0], params[:, 1]
+    x, y, z, w = (space.sample(rng, samples) for _ in range(4))
+    lam, th = rng.random((2, samples))
     dist, combine = space.dist_array, space.combine_array
 
     dxy = dist(x, y)

@@ -148,13 +148,13 @@ def _point_columns(points: Points) -> tuple[list[str], list]:
     return [f"x{i}" for i in range(points.shape[1])], [_float_column(c) for c in points.T]
 
 
-def run_tikhonov_mann(instance: ProblemInstance, horizon: int) -> IterationTrace:
-    """Run the anchored iteration for ``horizon`` steps and record its orbit
-    and residuals."""
+def _orbit(instance: ProblemInstance, horizon: int) -> tuple[Points, Points, Points]:
+    """The point arrays x_0 .. x_horizon, u_0 .. u_{horizon-1} and
+    T_n u_n of the anchored iteration."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     sp, fam, sch = instance.space, instance.family, instance.schedule
-    u, p = instance.u, instance.p
+    u = instance.u
 
     xs = sp.empty(horizon + 1)
     us = sp.empty(horizon)
@@ -168,7 +168,14 @@ def run_tikhonov_mann(instance: ProblemInstance, horizon: int) -> IterationTrace
         us[n] = u_n
         t_us[n] = t_un
         xs[n + 1] = x
+    return xs, us, t_us
 
+
+def run_tikhonov_mann(instance: ProblemInstance, horizon: int) -> IterationTrace:
+    """Run the anchored iteration for ``horizon`` steps and record its orbit
+    and residuals."""
+    xs, us, t_us = _orbit(instance, horizon)
+    sp, fam, u, p = instance.space, instance.family, instance.u, instance.p
     dist = sp.dist_array
     steps = np.arange(horizon + 1)
     x_n = xs[:horizon]
@@ -261,11 +268,11 @@ def check_halpern_equivalence(
     in exact arithmetic on any space, so the observed gaps measure only
     accumulated rounding.
     """
-    tm = run_tikhonov_mann(instance, horizon)
+    xs, us, _ = _orbit(instance, horizon)
     ha = run_modified_halpern(instance, horizon)
     dist = instance.space.dist_array
-    max_u_y = float(np.max(dist(tm.u_seq, ha.y[:horizon])))
-    max_x_v = float(np.max(dist(tm.x[1:], ha.v)))
+    max_u_y = float(np.max(dist(us, ha.y[:horizon])))
+    max_x_v = float(np.max(dist(xs[1:], ha.v)))
     return EquivalenceReport(horizon=horizon, max_u_y=max_u_y, max_x_v=max_x_v, tol=tol)
 
 
@@ -297,7 +304,7 @@ class BoundsReport:
         for c in self.checks:
             status = "ok" if c.excess() <= self.tol else "VIOLATED"
             lines.append(
-                f"  {c.name:<16} worst {c.worst_value:.12g} vs bound {c.bound:g} "
+                f"  {c.name:<16} worst {c.worst_value:.12g} vs bound {c.bound:.17g} "
                 f"(at n={c.worst_index})  {status}"
             )
         return "\n".join(lines)

@@ -22,7 +22,6 @@ semidefinite maps) so that every example stays exactly checkable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -184,12 +183,6 @@ def resolvent_quadratic_family(Q, gamma: Callable[[int], float]) -> MappingFamil
     )
 
 
-def _worse(value: float, worst: float) -> bool:
-    """Whether a sampled excess replaces the worst so far: a larger one does,
-    and so does a NaN, which then stays the worst and fails the check."""
-    return not value <= worst and not math.isnan(worst)
-
-
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of a sampled inequality check: the worst excess of the left
@@ -220,27 +213,26 @@ def check_nonexpansive(
     seed: int = 0,
 ) -> CheckReport:
     """Sample (n, x, y) and report the worst d(T_n x, T_n y) - d(x, y); a
-    NaN excess is the worst and fails."""
+    NaN excess is the worst and fails.
+
+    The draws are blocks: every index n, then the point arrays x and y.
+    """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if rng is None:
         rng = np.random.default_rng(seed)
-    max_excess = -math.inf
-    worst = None
-    for _ in range(samples):
-        n = int(rng.integers(0, n_max + 1))
-        x = space.sample(rng)
-        y = space.sample(rng)
-        excess = space.dist(family.eval(n, x), family.eval(n, y)) - space.dist(x, y)
-        if _worse(excess, max_excess):
-            max_excess = excess
-            worst = (n, x, y)
+    ns = rng.integers(0, n_max + 1, size=samples)
+    x = space.sample(rng, samples)
+    y = space.sample(rng, samples)
+    dist = space.dist_array
+    excess = dist(family.eval_array(space, ns, x), family.eval_array(space, ns, y)) - dist(x, y)
+    i = int(np.argmax(excess))  # the first NaN, if any
     return CheckReport(
         name=f"nonexpansive[{family.name}]",
         samples=samples,
         tol=tol,
-        max_excess=max_excess,
-        worst=worst,
+        max_excess=float(excess[i]),
+        worst=(int(ns[i]), x[i], y[i]),
     )
 
 
@@ -258,34 +250,31 @@ def check_jp2_consequence(
     """Check d(T_m x, T_n x) <= |gamma_m - gamma_n| / gamma_n * d(T_n x, x)
     on sampled points and index pairs.
 
-    The inequality is asymmetric in (m, n), so every drawn pair is checked
-    in both orders.  A NaN excess is the worst and fails.
+    The draws are blocks: the point array x, then ``index_pairs`` pairs
+    (i, j) per point.  The inequality is asymmetric in (m, n), so every
+    pair is checked as (i, j) and as (j, i).  A NaN excess is the worst and
+    fails.
     """
     if samples < 1 or index_pairs < 1:
         raise ValueError("samples and index_pairs must be >= 1")
     if rng is None:
         rng = np.random.default_rng(seed)
-    max_excess = -math.inf
-    worst = None
-    for _ in range(samples):
-        x = space.sample(rng)
-        for _ in range(index_pairs):
-            i = int(rng.integers(0, n_max + 1))
-            j = int(rng.integers(0, n_max + 1))
-            for m, n in ((i, j), (j, i)):
-                tn_x = family.eval(n, x)
-                lhs = space.dist(family.eval(m, x), tn_x)
-                rhs = abs(gamma(m) - gamma(n)) / gamma(n) * space.dist(tn_x, x)
-                excess = lhs - rhs
-                if _worse(excess, max_excess):
-                    max_excess = excess
-                    worst = (m, n, x)
+    x = space.sample(rng, samples)
+    pairs = rng.integers(0, n_max + 1, size=(samples, index_pairs, 2))
+    ms, ns = pairs.ravel(), pairs[..., ::-1].ravel()  # rows (i, j), (j, i) per pair
+    rows = np.repeat(np.arange(samples), 2 * index_pairs)
+    xs = x[rows]
+    tn_x = family.eval_array(space, ns, xs)
+    lhs = space.dist_array(family.eval_array(space, ms, xs), tn_x)
+    gamma_m, gamma_n = terms(gamma, ms), terms(gamma, ns)
+    excess = lhs - np.abs(gamma_m - gamma_n) / gamma_n * space.dist_array(tn_x, xs)
+    i = int(np.argmax(excess))  # the first NaN, if any
     return CheckReport(
         name=f"jp2_consequence[{family.name}]",
         samples=samples * index_pairs * 2,
         tol=tol,
-        max_excess=max_excess,
-        worst=worst,
+        max_excess=float(excess[i]),
+        worst=(int(ms[i]), int(ns[i]), x[rows[i]]),
     )
 
 

@@ -41,10 +41,16 @@ _BOUNDARY_REL = 1e-9
 _LOG_SPACE_CUTOFF = 10_000
 
 
-def _int_ceil(value: float, guard: float = 1e-12) -> int:
-    """Ceiling that treats values within ``guard`` (relative) of an integer
-    as that integer, protecting against float noise like 3.0000000000000004."""
-    return math.ceil(value - guard * max(1.0, abs(value)))
+def _int_ceil(value: float) -> int:
+    """Ceiling that treats a value within float noise of an integer as that
+    integer, so 3.0000000000000004 gives 3.  Noise is at most 32 ulps of the
+    value and at most 1e-12, so the result never falls short of ``value`` by
+    more than 1e-12, far below the default check tolerance of 1e-9; a
+    relative guard of 1e-12 took a whole unit off from 1e12 on."""
+    nearest = round(value)
+    if abs(value - nearest) <= min(32 * math.ulp(value), 1e-12):
+        return nearest
+    return math.ceil(value)
 
 
 def ceil_reciprocal(lam: float) -> int:

@@ -162,10 +162,10 @@ def check_firmly_nonexpansive(
     box_radius: float = 5.0,
 ) -> float:
     """Worst violation of firm nonexpansiveness of the resolvent on samples:
-    ||Jx - Jy||^2 <= <x - y, Jx - Jy>."""
+    ||Jx - Jy||^2 <= <x - y, Jx - Jy>.  A NaN is the worst."""
     if rng is None:
         rng = np.random.default_rng(seed)
-    worst = -math.inf
+    violations = []
     gammas = list(gammas)
     for _ in range(samples):
         gamma = gammas[int(rng.integers(len(gammas)))]
@@ -174,8 +174,8 @@ def check_firmly_nonexpansive(
         jx = A.prox(gamma, x)
         jy = A.prox(gamma, y)
         diff = jx - jy
-        worst = max(worst, float(diff @ diff - (x - y) @ diff))
-    return worst
+        violations.append(float(diff @ diff - (x - y) @ diff))
+    return float(np.max(violations, initial=-math.inf))
 
 
 def check_cocoercive(
@@ -186,11 +186,12 @@ def check_cocoercive(
     seed: int = 0,
     box_radius: float = 5.0,
 ) -> float:
-    """Worst violation of <x - y, Bx - By> >= beta ||Bx - By||^2 on samples."""
+    """Worst violation of <x - y, Bx - By> >= beta ||Bx - By||^2 on
+    samples.  A NaN is the worst."""
     if rng is None:
         rng = np.random.default_rng(seed)
     beta = B.beta_coco
-    worst = -math.inf
+    violations = []
     for _ in range(samples):
         x = rng.uniform(-box_radius, box_radius, size=dim)
         y = rng.uniform(-box_radius, box_radius, size=dim)
@@ -198,7 +199,7 @@ def check_cocoercive(
         quad = float(bx_by @ bx_by)
         inner = float((x - y) @ bx_by)
         if math.isinf(beta):
-            worst = max(worst, quad)  # zero operator: both sides vanish
+            violations.append(quad)  # zero operator: both sides vanish
         else:
-            worst = max(worst, beta * quad - inner)
-    return worst
+            violations.append(beta * quad - inner)
+    return float(np.max(violations, initial=-math.inf))

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -345,6 +346,14 @@ def test_given_m_below_radius_bound_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "small_m.json"
     cfg.write_text(json.dumps(config))
     assert_config_error(capsys, cfg, "M = 1")
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e15, 1e18, 1e14 + 0.25])
+def test_far_anchor_derives_an_m_the_orbit_meets(tmp_path, scale):
+    cfg = write_config(tmp_path / "far.json", u=[scale, 0.0])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert f"vs bound {float(math.ceil(scale)):.17g} (at n=0)  ok" in report
 
 
 @pytest.mark.parametrize("label", ["linear", "example"])

@@ -8,7 +8,8 @@ artifacts on purpose regenerates the manifest with
 
     PYTHONPATH=src python tests/test_contract.py --write
 
-and says in CHANGES.md which artifacts changed and why.
+which prints each artifact whose digest changed, was added or was
+removed, and says in CHANGES.md which artifacts changed and why.
 """
 
 import hashlib
@@ -45,4 +46,12 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_contract.py --write")
     with tempfile.TemporaryDirectory() as tmp:
         digests = suite_digests(Path(tmp))
+    old = json.loads(MANIFEST.read_text())
+    for name in sorted(old.keys() | digests.keys()):
+        if name not in digests:
+            print(f"removed {name}")
+        elif name not in old:
+            print(f"added   {name}")
+        elif old[name] != digests[name]:
+            print(f"changed {name}")
     MANIFEST.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")

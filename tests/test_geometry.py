@@ -134,16 +134,20 @@ def test_tree_endpoint_and_w2_exact(r1, t1, r2, t2, lam, th):
 
 
 def reference_check_w_axioms(space, samples, rng):
-    """The per-sample axiom loop: draw one tuple, check it, keep the worst."""
+    """The per-sample axiom loop: draw the same blocks as the check, then
+    check one tuple at a time with the scalar ``dist`` and ``combine`` and
+    keep the worst."""
     worst = {key: -math.inf for key in AXIOM_CHECKS}
 
     def record(key, value):
         if value > worst[key]:
             worst[key] = value
 
-    for _ in range(samples):
-        x, y, z, w = (space.sample(rng) for _ in range(4))
-        lam, th = rng.uniform(0.0, 1.0, size=2)
+    xs, ys, zs, ws = (space.sample(rng, samples) for _ in range(4))
+    lams, ths = rng.random((2, samples))
+    for i in range(samples):
+        x, y, z, w = xs[i], ys[i], zs[i], ws[i]
+        lam, th = float(lams[i]), float(ths[i])
 
         dxy = space.dist(x, y)
         dzw = space.dist(z, w)
@@ -185,8 +189,8 @@ class NormalSamplerSpace(EuclideanSpace):
     """A Euclidean space with its own sampler: the axiom check must draw
     with it, not with the uniform box draw of the parent class."""
 
-    def sample(self, rng):
-        return rng.normal(size=self.dim)
+    def sample(self, rng, count):
+        return rng.normal(size=(count, self.dim))
 
 
 class SquaredStarTreeSpace(StarTreeSpace):
@@ -233,6 +237,36 @@ def test_array_axiom_check_equals_per_sample_loop(name, seed):
     assert bits(rng.random()) == bits(rng_ref.random())
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_draws_inside_the_region(seed):
+    rng = np.random.default_rng(seed)
+    for space in (EuclideanSpace(1), EuclideanSpace(3, box_radius=0.5), BrokenEuclideanSpace(2)):
+        points = space.sample(rng, 500)
+        assert points.shape == (500, space.dim)
+        assert np.all(np.abs(points) <= space.box_radius)
+    for space in (StarTreeSpace(2), StarTreeSpace(7, max_radius=0.25)):
+        points = space.sample(rng, 500)
+        assert len(points) == 500
+        assert np.all((0 <= points.ray) & (points.ray < space.num_rays))
+        assert np.all((0.0 <= points.t) & (points.t <= space.max_radius))
+        assert set(np.unique(points.ray)) == set(range(space.num_rays))
+    assert len(space.sample(rng, 0)) == 0
+
+
+def test_tree_sample_stores_the_origin_on_ray_zero():
+    class ZeroRadii:
+        """A generator whose uniform radii are all 0."""
+
+        def integers(self, high, size):
+            return np.full(size, high - 1)
+
+        def uniform(self, low, high, size):
+            return np.zeros(size)
+
+    points = StarTreeSpace(3).sample(ZeroRadii(), 4)
+    assert list(points.ray) == [0, 0, 0, 0]
+
+
 def assert_rows_equal(space, got, rows):
     assert len(got) == len(rows)
     for i, row in enumerate(rows):
@@ -246,8 +280,8 @@ def assert_rows_equal(space, got, rows):
 def test_combine_array_equals_per_row_combine(name):
     space = SPACES[name]()
     rng = np.random.default_rng(11)
-    (x, y), params = space.sample_tuples(rng, 400, points=2, params=1)
-    lam = params[:, 0].copy()
+    x, y = space.sample(rng, 400), space.sample(rng, 400)
+    lam = rng.random(400)
     lam[:6] = [0.0, 1.0, 0.0, 1.0, 0.5, 0.5]
     if isinstance(space, StarTreeSpace):
         # same-ray pairs, and pairs whose combination lands on the origin
@@ -269,7 +303,8 @@ def test_combine_array_equals_per_row_combine(name):
 @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
 def test_combine_array_refuses_lambda_outside_unit_interval(name, bad):
     space = SPACES[name]()
-    (x, y), _ = space.sample_tuples(np.random.default_rng(0), 4, points=2, params=0)
+    rng = np.random.default_rng(0)
+    x, y = space.sample(rng, 4), space.sample(rng, 4)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         space.combine_array(x, y, np.array([0.5, bad, 0.5, 0.5]))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from tmann.mappings import (
     tree_contraction_family,
 )
 from tmann.sequences import builtin_example_schedule, oracle_cauchy_modulus
+from tmann.splitting import MonotoneOp, forward_backward_family, l1_operator, quadratic_gradient
 
 GAMMA_EXAMPLE = lambda n: 1.0 + 1.0 / (n + 1)
 
@@ -197,3 +200,108 @@ def test_nan_map_fails_cross_index_check():
     assert not report.passed
     m, n, _ = report.worst
     assert m % 2 == 0 or n % 2 == 0
+
+
+# ------------------------------------ block checks against per-row scalar loops
+
+
+def first_worst(excesses) -> int:
+    """The index the per-sample loop keeps as the worst: a larger excess
+    replaces the worst so far, and so does a NaN, which then stays."""
+    worst, where = -math.inf, None
+    for i, value in enumerate(excesses):
+        if not value <= worst and not math.isnan(worst):
+            worst, where = value, i
+    return where
+
+
+def reference_nonexpansive(family, space, samples, rng, n_max=50):
+    """The nonexpansive check as a scalar loop over the check's draws."""
+    ns = rng.integers(0, n_max + 1, size=samples)
+    x, y = space.sample(rng, samples), space.sample(rng, samples)
+    excess = [
+        space.dist(family.eval(int(n), x[i]), family.eval(int(n), y[i])) - space.dist(x[i], y[i])
+        for i, n in enumerate(ns)
+    ]
+    i = first_worst(excess)
+    return excess[i], (int(ns[i]), x[i], y[i])
+
+
+def reference_jp2(family, gamma, space, samples, index_pairs, rng, n_max=50):
+    """The cross-index check as a scalar loop over the check's draws."""
+    x = space.sample(rng, samples)
+    pairs = rng.integers(0, n_max + 1, size=(samples, index_pairs, 2))
+    excess, where = [], []
+    for s in range(samples):
+        for i, j in pairs[s].tolist():
+            for m, n in ((i, j), (j, i)):
+                tn_x = family.eval(n, x[s])
+                lhs = space.dist(family.eval(m, x[s]), tn_x)
+                excess.append(lhs - abs(gamma(m) - gamma(n)) / gamma(n) * space.dist(tn_x, x[s]))
+                where.append((m, n, x[s]))
+    i = first_worst(excess)
+    return excess[i], where[i]
+
+
+def bits(value):
+    """The exact text of a number, an index, a point or a tuple of them."""
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    if isinstance(value, TreePoint):
+        return (value.ray, value.t.hex())
+    if isinstance(value, np.ndarray):
+        return tuple(float(v).hex() for v in value)
+    return value if isinstance(value, int) else float(value).hex()
+
+
+GAMMA = builtin_example_schedule(0.5).gamma
+FB_OPERATORS = (l1_operator(0.5), quadratic_gradient([0.5, 0.7], [2.0, -3.0]))
+LOOPING_PROX = MonotoneOp(name="l1_loop", prox=FB_OPERATORS[0].prox)  # not rowwise
+# every family the config reader builds, then a forward-backward family
+# whose prox is not rowwise and two custom ones; eval_array evaluates a
+# family without fn_array one row at a time
+CHECKED_FAMILIES = {
+    "identity_plane": (lambda: identity_family(np.zeros(2)), lambda: EuclideanSpace(2)),
+    "identity_tree": (lambda: identity_family(TreePoint(0, 0.0)), lambda: StarTreeSpace(3)),
+    "box_projection": (
+        lambda: box_projection_family([-1.0, -0.5], [1.0, 0.5]),
+        lambda: EuclideanSpace(2),
+    ),
+    "tree_contraction": (lambda: tree_contraction_family(0.5), lambda: StarTreeSpace(4)),
+    "resolvent_l1": (lambda: resolvent_l1_family(GAMMA, dim=2), lambda: EuclideanSpace(2)),
+    "resolvent_quadratic": (
+        lambda: resolvent_quadratic_family([[2.0, 0.5], [0.5, 1.0]], GAMMA),
+        lambda: EuclideanSpace(2),
+    ),
+    "forward_backward": (
+        lambda: forward_backward_family(*FB_OPERATORS, GAMMA, np.zeros(2)),
+        lambda: EuclideanSpace(2),
+    ),
+    "forward_backward_looping": (
+        lambda: forward_backward_family(LOOPING_PROX, FB_OPERATORS[1], GAMMA, np.zeros(2)),
+        lambda: EuclideanSpace(2),
+    ),
+    "nan_even": (nan_at_even_indices_family, lambda: EuclideanSpace(2)),
+    "rotation": (lambda: rotation_family(lambda n: 1.0 / (n + 1)), lambda: EuclideanSpace(2)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(CHECKED_FAMILIES))
+def test_family_checks_equal_per_row_loops(name, seed):
+    make_family, make_space = CHECKED_FAMILIES[name]
+    family, space = make_family(), make_space()
+
+    rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    excess, worst = reference_nonexpansive(family, space, 60, rng_ref)
+    report = check_nonexpansive(family, space, samples=60, rng=rng)
+    assert bits(report.max_excess) == bits(excess)
+    assert bits(report.worst) == bits(worst)
+
+    excess, worst = reference_jp2(family, GAMMA, space, 8, 5, rng_ref)
+    report = check_jp2_consequence(family, GAMMA, space, samples=8, index_pairs=5, rng=rng)
+    assert report.samples == 8 * 5 * 2
+    assert bits(report.max_excess) == bits(excess)
+    assert bits(report.worst) == bits(worst)
+    # both checks leave the generator where the loops leave it
+    assert rng.integers(0, 2**62) == rng_ref.integers(0, 2**62)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmann.sequences import (
+    _int_ceil,
     builtin_example_schedule,
     builtin_linear_schedule,
     ceil_reciprocal,
@@ -71,6 +72,28 @@ def test_ceil_reciprocal_robust():
     assert ceil_reciprocal(0.4) == 3
     with pytest.raises(ValueError):
         ceil_reciprocal(0.0)
+
+
+def test_int_ceil_snaps_only_float_noise():
+    assert _int_ceil(3.0000000000000004) == 3
+    # a relative guard of 1e-12 took a whole unit off these
+    assert ceil_reciprocal(1e-13) == 10**13
+    assert [_int_ceil(v) for v in (1e12, 2.5e12, 1e15, 1e18)] == [
+        10**12, 25 * 10**11, 10**15, 10**18
+    ]
+
+
+near_integers = st.builds(
+    lambda n, ulps: float(n) + ulps * math.ulp(float(n)),
+    st.integers(min_value=-(10**16), max_value=10**16),
+    st.integers(min_value=-64, max_value=64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.one_of(st.floats(min_value=-1e18, max_value=1e18, allow_nan=False), near_integers))
+def test_int_ceil_is_the_ceiling_up_to_the_snap(v):
+    assert math.ceil(v) >= _int_ceil(v) >= v - min(32 * math.ulp(v), 1e-12)
 
 
 def test_cauchy_oracle_example_series():

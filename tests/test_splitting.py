@@ -19,6 +19,8 @@ from tmann.sequences import (
     validate_schedule_moduli,
 )
 from tmann.splitting import (
+    CocoerciveOp,
+    MonotoneOp,
     box_operator,
     check_cocoercive,
     check_firmly_nonexpansive,
@@ -90,6 +92,17 @@ def test_cocoercivity_samples():
     assert B.beta_coco == pytest.approx(1.0 / 0.49)
     assert check_cocoercive(B, dim=2) <= 1e-9
     assert check_cocoercive(zero_cocoercive(2), dim=2) <= 1e-9
+
+
+def test_nan_resolvent_fails_the_firm_nonexpansiveness_check():
+    nan_prox = MonotoneOp(name="nan", prox=lambda gamma, x: np.full_like(x, np.nan))
+    assert np.isnan(check_firmly_nonexpansive(nan_prox, dim=2, gammas=[1.0], samples=20))
+
+
+@pytest.mark.parametrize("beta", [1.0, np.inf])
+def test_nan_operator_fails_the_cocoercivity_check(beta):
+    nan_fn = CocoerciveOp(name="nan", fn=lambda x: np.full_like(x, np.nan), beta_coco=beta)
+    assert np.isnan(check_cocoercive(nan_fn, dim=2, samples=20))
 
 
 def test_zero_operators_give_stationary_identity_family():
