@@ -1,0 +1,58 @@
+"""One record for every worst-excess check, and its one renderer.
+
+A check compares two sides of an inequality (or the two sides of an
+equality, by their absolute deviation) over sampled points or along an
+orbit, and keeps the worst excess of the left side over the right: a
+``Row``.  A ``Section`` holds the rows of one check function and the
+tolerance they are read against.  It passes when every row's worst excess
+is at or below ``tol``; a NaN excess compares False, so it fails.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Callable
+
+import numpy as np
+
+
+@dataclass(frozen=True)
+class Row:
+    """The worst excess of one check and where it happened: the step index
+    n (an int, shown in the report), the worst sample, or None."""
+
+    name: str
+    worst_excess: float
+    at: Any = None
+
+    def line(self, width: int) -> str:
+        where = f" (at n={self.at})" if isinstance(self.at, int) else ""
+        return f"{self.name:<{width}} worst excess {self.worst_excess: .3e}{where}"
+
+
+def worst_row(name: str, excess, at: Callable[[int], Any] = lambda i: i) -> Row:
+    """The row of the largest entry of ``excess``; the first NaN, if any, is
+    the largest.  ``at(i)`` says where entry i happened (by default, step i)."""
+    i = int(np.argmax(excess))
+    return Row(name, float(excess[i]), at(i))
+
+
+@dataclass(frozen=True)
+class Section:
+    """The rows of one check, read against ``tol``."""
+
+    title: str
+    checks: tuple
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return all(row.worst_excess <= self.tol for row in self.checks)
+
+    def summary(self) -> str:
+        width = max(len(row.name) for row in self.checks) + 1
+        lines = [self.title]
+        for row in self.checks:
+            status = "ok" if row.worst_excess <= self.tol else "VIOLATED"
+            lines.append(f"  {row.line(width)}  {status}")
+        return "\n".join(lines)

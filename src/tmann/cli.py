@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import geometry, iterate, mappings, rates, sequences, splitting
+from . import checks, geometry, iterate, mappings, rates, sequences, splitting
 from .geometry import EuclideanSpace, StarTreeSpace, TreePoint
 from .iterate import ProblemInstance
 from .mappings import MappingFamily
@@ -100,7 +100,7 @@ ExperimentConfig = make_dataclass(
 
 _EUCLIDEAN_FIELDS = {"dim": (int, 1, None), "box_radius": (float, 5.0, None)}
 _TREE_POINT = Kind(
-    lambda ray, t, space, **_: space.validate_point(TreePoint(ray, t)),
+    lambda ray, t, space, **_: space.as_point(TreePoint(ray, t)),
     {"ray": (int, REQUIRED, None), "t": (float, REQUIRED, None)},
 )
 SPACES = {
@@ -375,6 +375,9 @@ class ExperimentResult:
     def add(self, name: str, status: str, text: str) -> None:
         self.sections.append(Section(name, status, text))
 
+    def add_check(self, name: str, check: checks.Section) -> None:
+        self.add(name, "pass" if check.passed else "fail", check.summary())
+
     @property
     def exit_code(self) -> int:
         return 1 if any(s.status == "fail" for s in self.sections) else 0
@@ -407,27 +410,20 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None) -> int
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)
 
-    axiom = geometry.check_w_axioms(space, samples=config.axiom_samples, tol=tol, rng=rng)
-    result.add("space axioms", "pass" if axiom.passed else "fail", axiom.summary())
-
-    nonexp = mappings.check_nonexpansive(
-        family, space, samples=config.family_samples, tol=tol, rng=rng
+    result.add_check(
+        "space axioms",
+        geometry.check_w_axioms(space, samples=config.axiom_samples, tol=tol, rng=rng),
     )
-    result.add("family nonexpansive", "pass" if nonexp.passed else "fail", nonexp.summary())
-
+    result.add_check(
+        "family nonexpansive",
+        mappings.check_nonexpansive(family, space, samples=config.family_samples, tol=tol, rng=rng),
+    )
     if family.gamma is not None:
         jp2 = mappings.check_jp2_consequence(
-            family,
-            family.gamma,
-            space,
-            samples=max(1, config.family_samples // 10),
-            index_pairs=10,
-            tol=tol,
-            rng=rng,
+            family, family.gamma, space, samples=max(1, config.family_samples // 10),
+            index_pairs=10, tol=tol, rng=rng,
         )
-        result.add(
-            "family cross-index comparison", "pass" if jp2.passed else "fail", jp2.summary()
-        )
+        result.add_check("family cross-index comparison", jp2)
 
     sched_check = sequences.validate_schedule_moduli(
         schedule, k_max=config.modulus_k_max, horizon=config.modulus_horizon
@@ -440,10 +436,10 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None) -> int
 
     trace = iterate.run_tikhonov_mann(instance, config.horizon)
 
-    bounds = iterate.check_basic_bounds(instance, trace, tol=tol)
-    result.add("orbit bounds", "pass" if bounds.passed else "fail", bounds.summary())
-    recursions = iterate.check_recursive_inequalities(instance, trace, tol=tol)
-    result.add("per-step recursions", "pass" if recursions.passed else "fail", recursions.summary())
+    result.add_check("orbit bounds", iterate.check_basic_bounds(instance, trace, tol=tol))
+    result.add_check(
+        "per-step recursions", iterate.check_recursive_inequalities(instance, trace, tol=tol)
+    )
 
     certificates = list(schedule.certificates(instance.M))
     chi_T = mappings.chi_T_for(family, schedule, instance.M)
@@ -459,8 +455,8 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None) -> int
 
     certs: list[rates.CertificationReport] = []
     for certificate in certificates:
-        for name, passed, text in certificate.checks(instance, trace, tol):
-            result.add(name, "pass" if passed else "fail", text)
+        for name, check in certificate.checks(instance, trace, tol):
+            result.add_check(name, check)
         bundle = certificate.bundle
         readings = [("Sigma on d(x_n, x_n+1)", trace.residual_step, bundle.Sigma, True)]
         if bundle.Sigma_T is not None:
@@ -491,26 +487,34 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None) -> int
     return result.exit_code
 
 
-def _write_rates_csv(path: Path, bundles: list, k_max: int) -> None:
+def _write_csv(path: Path, header: list, rows) -> None:
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["provenance", "rate", "k", "value"])
-        for bundle in bundles:
-            for name, k, value in bundle.rows(k_max):
-                writer.writerow([bundle.provenance, name, k, value])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_rates_csv(path: Path, bundles: list, k_max: int) -> None:
+    rows = (
+        [bundle.provenance, name, k, value]
+        for bundle in bundles
+        for name, k, value in bundle.rows(k_max)
+    )
+    _write_csv(path, ["provenance", "rate", "k", "value"], rows)
 
 
 def _write_certifications_csv(path: Path, certs: list) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["label", "k", "rate_k", "threshold", "worst_excess", "empirical_min_index", "status"]
-        )
-        for report in certs:
-            for r in report.rows:
-                worst = "" if r.worst_excess is None else repr(r.worst_excess)
-                row = [r.k, r.rate_index, repr(r.threshold), worst, r.empirical_min_index, r.status]
-                writer.writerow([report.label, *row])
+    header = ["label", "k", "rate_k", "threshold", "worst_excess", "empirical_min_index", "status"]
+    rows = (
+        [
+            report.label, r.k, r.rate_index, repr(r.threshold),
+            "" if r.worst_excess is None else repr(r.worst_excess),
+            r.empirical_min_index, r.status,
+        ]
+        for report in certs
+        for r in report.rows
+    )
+    _write_csv(path, header, rows)
 
 
 def run_suite(directory, overrides: dict | None = None, out_dir: Path | None = None) -> int:
@@ -543,10 +547,7 @@ def run_suite(directory, overrides: dict | None = None, out_dir: Path | None = N
         worst = max(worst, 1 if code else 0)
         print(f"{cfg_path.name}: {status}")
 
-    with open(out / "suite_summary.csv", "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["config", "status", "exit_code"])
-        writer.writerows(rows)
+    _write_csv(out / "suite_summary.csv", ["config", "status", "exit_code"], rows)
     return worst
 
 

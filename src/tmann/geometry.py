@@ -36,6 +36,8 @@ from typing import Any
 
 import numpy as np
 
+from .checks import Section, worst_row
+
 Point = Any
 """Instance-specific point representation: ``np.ndarray`` for Euclidean
 spaces, ``TreePoint`` for star trees."""
@@ -173,12 +175,6 @@ class EuclideanSpace(Space):
             raise ValueError(f"expected a point of shape ({self.dim},), got {p.shape}")
         return p
 
-    def validate_point(self, coords) -> np.ndarray:
-        p = np.array(self.as_point(coords), dtype=float)
-        if not np.all(np.isfinite(p)):
-            raise ValueError("point coordinates must be finite")
-        return p
-
     def dist(self, x, y) -> float:
         return float(np.linalg.norm(self.as_point(x) - self.as_point(y)))
 
@@ -255,8 +251,6 @@ class StarTreeSpace(Space):
             raise ValueError(f"ray index {p.ray} out of range for {self.num_rays} rays")
         return p
 
-    validate_point = as_point
-
     def dist(self, x, y) -> float:
         x = self.as_point(x)
         y = self.as_point(y)
@@ -319,52 +313,24 @@ AXIOM_CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    """Worst observed violation per axiom over the sampled tuples.
-
-    Equalities (W2, W3, endpoint distances) record the absolute deviation;
-    inequalities record the signed excess of the left side over the right,
-    so a negative entry means the inequality held with margin.
-    """
-
-    space: str
-    samples: int
-    tol: float
-    max_violation: dict[str, float]
-
-    @property
-    def passed(self) -> bool:
-        return all(v <= self.tol for v in self.max_violation.values())
-
-    def failures(self) -> list[str]:
-        return [k for k, v in self.max_violation.items() if not v <= self.tol]
-
-    def summary(self) -> str:
-        lines = [f"axiom check on {self.space}: {self.samples} samples, tol {self.tol!r}"]
-        for key in AXIOM_CHECKS:
-            v = self.max_violation[key]
-            status = "ok" if v <= self.tol else "VIOLATED"
-            lines.append(f"  {key:<28} max violation {v: .3e}  {status}")
-        return "\n".join(lines)
-
-
 def check_w_axioms(
     space: Space,
     samples: int,
     tol: float = 1e-9,
     rng: np.random.Generator | None = None,
     seed: int = 0,
-) -> AxiomReport:
+) -> Section:
     """Sample random tuples (x, y, z, w, lam, th) and check every axiom.
 
     The draws are blocks, in this order: the point arrays x, y, z and w,
     each by ``space.sample(rng, samples)``, then ``rng.random((2, samples))``
     for lam and th.  Each check is one array expression over all samples.
-    Returns the per-check worst violation; a NaN anywhere makes that
-    check's worst value NaN, which fails.  The report passes when every
-    entry stays at or below ``tol``.  Check failures never raise, they are
-    carried in the report.
+    Returns one row per check, in ``AXIOM_CHECKS`` order, with its worst
+    violation: the absolute deviation for an equality (W2, W3, endpoint
+    distances), the signed excess of the left side over the right for an
+    inequality, so a negative entry means it held with margin.  A NaN
+    anywhere makes that check's worst value NaN, which fails.  Check
+    failures never raise, they are carried in the section.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -399,5 +365,8 @@ def check_w_axioms(
         "shared_endpoint_comparison": dist(cxz_l, combine(x, w, th))
         - (lam * dzw + np.abs(lam - th) * dist(x, w)),
     }
-    max_violation = {key: float(np.max(violations[key])) for key in AXIOM_CHECKS}
-    return AxiomReport(space=space.name, samples=samples, tol=tol, max_violation=max_violation)
+    return Section(
+        title=f"axiom check on {space.name}: {samples} samples, tol {tol!r}",
+        checks=tuple(worst_row(key, violations[key], at=lambda i: None) for key in AXIOM_CHECKS),
+        tol=tol,
+    )

@@ -34,9 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import Row, Section, worst_row
 from .geometry import Point, Points, Space, TreePoints
 from .mappings import MappingFamily
 from .sequences import ParamSchedule, _int_ceil, terms
+
+
+#: How far T_0 .. T_9 may move the registered fixed point p.
+FIXED_POINT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +51,8 @@ class ProblemInstance:
     M is the integer ceiling of max(d(x0, p), d(u, p)), clamped to >= 1
     because every rate formula consumes a positive integer radius bound.
     Build instances through :meth:`create`, which derives M (or refuses a
-    given M below it) and verifies that p is fixed by the first few maps.
+    given M below it) and verifies that p is fixed by T_0 .. T_9 up to
+    ``FIXED_POINT_TOL``.
     """
 
     space: Space
@@ -67,8 +73,6 @@ class ProblemInstance:
         x0: Point,
         p: Point | None = None,
         M: int | None = None,
-        check_fixed_point: bool = True,
-        fixed_point_tol: float = 1e-9,
     ) -> "ProblemInstance":
         if p is None:
             p = family.fixed_point
@@ -80,13 +84,10 @@ class ProblemInstance:
             raise ValueError(
                 f"M = {M} is below max(d(x0, p), d(u, p)) = {radius!r}; the rates need M >= {least}"
             )
-        if check_fixed_point:
-            for n in range(10):
-                drift = space.dist(family.eval(n, p), p)
-                if not drift <= fixed_point_tol:  # a NaN drift is refused too
-                    raise ValueError(
-                        f"registered point is not fixed by T_{n}: moved by {drift!r}"
-                    )
+        for n in range(10):
+            drift = space.dist(family.eval(n, p), p)
+            if not drift <= FIXED_POINT_TOL:  # a NaN drift is refused too
+                raise ValueError(f"registered point is not fixed by T_{n}: moved by {drift!r}")
         return cls(space=space, family=family, schedule=schedule, u=u, x0=x0, p=p, M=M)
 
 
@@ -276,49 +277,36 @@ def check_halpern_equivalence(
     return EquivalenceReport(horizon=horizon, max_u_y=max_u_y, max_x_v=max_x_v, tol=tol)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
+@dataclass(frozen=True, kw_only=True)
+class BoundCheck(Row):
+    """A bound row: the worst value of a distance sequence against a
+    constant bound, so its worst excess is ``worst_value - bound``."""
+
     bound: float
     worst_value: float
-    worst_index: int
 
     def excess(self) -> float:
-        return self.worst_value - self.bound
+        return self.worst_excess
 
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Orbit boundedness: d(x_n, p) <= M, d(x_n, u) <= 2M, d(u_n, p) <= M
-    and d(u_n, T_n u_n) <= 2M along the whole recorded orbit."""
-
-    checks: tuple
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return all(c.excess() <= self.tol for c in self.checks)
-
-    def summary(self) -> str:
-        lines = ["orbit bounds:"]
-        for c in self.checks:
-            status = "ok" if c.excess() <= self.tol else "VIOLATED"
-            lines.append(
-                f"  {c.name:<16} worst {c.worst_value:.12g} vs bound {c.bound:.17g} "
-                f"(at n={c.worst_index})  {status}"
-            )
-        return "\n".join(lines)
+    def line(self, width: int) -> str:
+        return (
+            f"{self.name:<{width}} worst {self.worst_value:.12g} vs bound {self.bound:.17g} "
+            f"(at n={self.at})"
+        )
 
 
 def check_basic_bounds(
     instance: ProblemInstance, trace: IterationTrace, tol: float = 1e-9
-) -> BoundsReport:
-    """Scan the recorded distance sequences against the M-based bounds."""
+) -> Section:
+    """Orbit boundedness: scan d(x_n, p) <= M, d(x_n, u) <= 2M,
+    d(u_n, p) <= M and d(u_n, T_n u_n) <= 2M along the whole recorded
+    orbit."""
     M = float(instance.M)
 
     def worst(values: np.ndarray, name: str, bound: float) -> BoundCheck:
         idx = int(np.argmax(values))
-        return BoundCheck(name=name, bound=bound, worst_value=float(values[idx]), worst_index=idx)
+        value = float(values[idx])
+        return BoundCheck(name, value - bound, idx, bound=bound, worst_value=value)
 
     checks = (
         worst(trace.dist_x_p, "d(x_n, p)", M),
@@ -326,56 +314,25 @@ def check_basic_bounds(
         worst(trace.dist_u_p, "d(u_n, p)", M),
         worst(trace.dist_u_Tu, "d(u_n, T_n u_n)", 2 * M),
     )
-    return BoundsReport(checks=checks, tol=tol)
+    return Section(title="orbit bounds:", checks=checks, tol=tol)
 
 
-@dataclass(frozen=True)
-class RecursionCheck:
-    name: str
-    worst_excess: float
-    worst_index: int
-
-    def ok(self, tol: float) -> bool:
-        return self.worst_excess <= tol
+#: The relative allowance of the per-step recursions, times max(1, right side).
+RECURSION_REL = 1e-12
 
 
-@dataclass(frozen=True)
-class RecursionReport:
-    """Per-step recursions along the orbit:
+def check_recursive_inequalities(
+    instance: ProblemInstance, trace: IterationTrace, tol: float = 1e-9
+) -> Section:
+    """Assert the three per-step recursions at every recorded step n:
 
     (a) d(u_{n+1}, u_n) <= beta_{n+1} d(x_{n+1}, x_n) + 2M |beta_{n+1} - beta_n|
     (b) d(x_{n+2}, x_{n+1}) <= beta_{n+1} d(x_{n+1}, x_n) + d(T_{n+1} u_n, T_n u_n)
                                + 2M (|lambda_{n+1} - lambda_n| + |beta_{n+1} - beta_n|)
     (c) lambda_n d(x_n, T_n x_n) <= d(x_n, x_{n+1}) + 2M (1 - beta_n)
-    """
 
-    checks: tuple
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok(self.tol) for c in self.checks)
-
-    def summary(self) -> str:
-        lines = ["per-step recursions:"]
-        for c in self.checks:
-            status = "ok" if c.ok(self.tol) else "VIOLATED"
-            lines.append(
-                f"  {c.name:<24} worst excess {c.worst_excess: .3e} (at n={c.worst_index})  {status}"
-            )
-        return "\n".join(lines)
-
-
-def check_recursive_inequalities(
-    instance: ProblemInstance,
-    trace: IterationTrace,
-    tol: float = 1e-9,
-    rel: float = 1e-12,
-) -> RecursionReport:
-    """Assert the three per-step inequalities at every recorded step.
-
-    The comparison allows ``tol`` absolutely plus ``rel`` times the right
-    side, absorbing rounding accumulated over long orbits.
+    The comparison allows ``tol`` absolutely plus ``RECURSION_REL`` times
+    the right side, absorbing rounding accumulated over long orbits.
     """
     if trace.horizon < 2:
         raise ValueError("recursion checks need a trace of at least 2 steps")
@@ -387,10 +344,8 @@ def check_recursive_inequalities(
     dbeta = np.abs(np.diff(beta))
     dlam = np.abs(np.diff(lam))
 
-    def scored(name: str, lhs: np.ndarray, rhs: np.ndarray) -> RecursionCheck:
-        excess = lhs - rhs - rel * np.maximum(1.0, rhs)
-        idx = int(np.argmax(excess))
-        return RecursionCheck(name=name, worst_excess=float(excess[idx]), worst_index=idx)
+    def scored(name: str, lhs: np.ndarray, rhs: np.ndarray) -> Row:
+        return worst_row(name, lhs - rhs - RECURSION_REL * np.maximum(1.0, rhs))
 
     # (a): indices n = 0 .. H-2
     lhs_a = trace.dist_u_succ
@@ -411,7 +366,7 @@ def check_recursive_inequalities(
         scored("main_recursion (b)", lhs_b, rhs_b),
         scored("residual_link (c)", lhs_c, rhs_c),
     )
-    return RecursionReport(checks=checks, tol=tol)
+    return Section(title="per-step recursions:", checks=checks, tol=tol)
 
 
 def run_kmf_direct(

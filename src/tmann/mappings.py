@@ -23,10 +23,11 @@ semidefinite maps) so that every example stays exactly checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
+from .checks import Section, worst_row
 from .geometry import Point, Points, Space, TreePoint, TreePoints
 from .sequences import ParamSchedule, RateFn, terms
 
@@ -183,26 +184,6 @@ def resolvent_quadratic_family(Q, gamma: Callable[[int], float]) -> MappingFamil
     )
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of a sampled inequality check: the worst excess of the left
-    side over the right, and the sample realizing it."""
-
-    name: str
-    samples: int
-    tol: float
-    max_excess: float
-    worst: Any = None
-
-    @property
-    def passed(self) -> bool:
-        return self.max_excess <= self.tol
-
-    def summary(self) -> str:
-        status = "ok" if self.passed else "VIOLATED"
-        return f"{self.name}: max excess {self.max_excess: .3e} over {self.samples} samples  {status}"
-
-
 def check_nonexpansive(
     family: MappingFamily,
     space: Space,
@@ -211,9 +192,10 @@ def check_nonexpansive(
     tol: float = 1e-9,
     rng: np.random.Generator | None = None,
     seed: int = 0,
-) -> CheckReport:
-    """Sample (n, x, y) and report the worst d(T_n x, T_n y) - d(x, y); a
-    NaN excess is the worst and fails.
+) -> Section:
+    """Sample (n, x, y) and report the worst d(T_n x, T_n y) - d(x, y),
+    with the sample (n, x, y) realizing it; a NaN excess is the worst and
+    fails.
 
     The draws are blocks: every index n, then the point arrays x and y.
     """
@@ -226,13 +208,11 @@ def check_nonexpansive(
     y = space.sample(rng, samples)
     dist = space.dist_array
     excess = dist(family.eval_array(space, ns, x), family.eval_array(space, ns, y)) - dist(x, y)
-    i = int(np.argmax(excess))  # the first NaN, if any
-    return CheckReport(
-        name=f"nonexpansive[{family.name}]",
-        samples=samples,
+    row = worst_row("d(T_n x, T_n y) <= d(x, y)", excess, at=lambda i: (int(ns[i]), x[i], y[i]))
+    return Section(
+        title=f"nonexpansive[{family.name}] on {space.name}: {samples} samples, tol {tol!r}",
+        checks=(row,),
         tol=tol,
-        max_excess=float(excess[i]),
-        worst=(int(ns[i]), x[i], y[i]),
     )
 
 
@@ -246,14 +226,15 @@ def check_jp2_consequence(
     n_max: int = 50,
     rng: np.random.Generator | None = None,
     seed: int = 0,
-) -> CheckReport:
+) -> Section:
     """Check d(T_m x, T_n x) <= |gamma_m - gamma_n| / gamma_n * d(T_n x, x)
     on sampled points and index pairs.
 
     The draws are blocks: the point array x, then ``index_pairs`` pairs
     (i, j) per point.  The inequality is asymmetric in (m, n), so every
-    pair is checked as (i, j) and as (j, i).  A NaN excess is the worst and
-    fails.
+    pair is checked as (i, j) and as (j, i).  The row holds the worst
+    excess and the sample (m, n, x) realizing it; a NaN excess is the worst
+    and fails.
     """
     if samples < 1 or index_pairs < 1:
         raise ValueError("samples and index_pairs must be >= 1")
@@ -268,13 +249,16 @@ def check_jp2_consequence(
     lhs = space.dist_array(family.eval_array(space, ms, xs), tn_x)
     gamma_m, gamma_n = terms(gamma, ms), terms(gamma, ns)
     excess = lhs - np.abs(gamma_m - gamma_n) / gamma_n * space.dist_array(tn_x, xs)
-    i = int(np.argmax(excess))  # the first NaN, if any
-    return CheckReport(
-        name=f"jp2_consequence[{family.name}]",
-        samples=samples * index_pairs * 2,
+    row = worst_row(
+        "d(T_m x, T_n x) <= |gamma_m - gamma_n|/gamma_n d(T_n x, x)",
+        excess,
+        at=lambda i: (int(ms[i]), int(ns[i]), x[rows[i]]),
+    )
+    return Section(
+        title=f"jp2_consequence[{family.name}] on {space.name}: "
+        f"{len(excess)} samples, tol {tol!r}",
+        checks=(row,),
         tol=tol,
-        max_excess=float(excess[i]),
-        worst=(int(ms[i]), int(ns[i]), x[rows[i]]),
     )
 
 

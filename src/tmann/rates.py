@@ -36,6 +36,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from .checks import Row, Section, worst_row
 from .sequences import ParamSchedule, RateFn, ceil_reciprocal, first_indices, psi0 as compute_psi0
 
 PROVENANCES = ("general_theorem", "example_closed_form", "linear_theorem", "halpern_translated")
@@ -76,8 +77,8 @@ class RateBundle:
 class Certificate:
     """A rate bundle to certify on an orbit, with the checks its theorem adds.
 
-    ``checks(instance, trace, tol)`` returns the (section name, passed, text)
-    of each orbit check, run before the bundle is certified.  With
+    ``checks(instance, trace, tol)`` returns the (section name, section) of
+    each orbit check, run before the bundle is certified.  With
     ``advisory`` the step rate Sigma is also read against d(x_n, T_n x_n),
     for information only.
     """
@@ -256,7 +257,7 @@ class LinearRates:
         map rate is its own, so the step rate gets no advisory reading."""
         return Certificate(self.bundle(), advisory=False, checks=self.orbit_checks)
 
-    def orbit_checks(self, instance, trace, tol: float) -> list[tuple[str, bool, str]]:
+    def orbit_checks(self, instance, trace, tol: float) -> list[tuple[str, Section]]:
         """The two pointwise bounds, the Sabach-Shtern recursion with L = 3M,
         and a spot check of d(x_n, T_m x_n) <= 20M/(lambda(n+2)) for m in
         {0, n//2, 2n} at 25 log-spaced n."""
@@ -274,17 +275,19 @@ class LinearRates:
             for n in sample_ns
             for m in (0, n // 2, 2 * n)
         ]
-        worst_cross = float(np.max(excesses))  # a NaN excess is the worst
+        row = worst_row(
+            "d(x_n, T_m x_n) <= 20M/(lam(n+2))", excesses, at=lambda i: int(sample_ns[i // 3])
+        )
+        cross = Section(
+            title=f"spot check at {len(sample_ns)} sampled n, m in {{0, n//2, 2n}}:",
+            checks=(row,),
+            tol=tol,
+        )
         return [
-            ("linear pointwise step bound", step.passed, step.summary()),
-            ("linear pointwise map bound", t_map.passed, t_map.summary()),
-            ("sabach-shtern recursion", ss.passed, ss.summary()),
-            (
-                "linear cross-index spot check",
-                worst_cross <= tol,
-                f"worst excess of d(x_n, T_m x_n) over 20M/(lam(n+2)): {worst_cross: .3e} "
-                f"(m in {{0, n//2, 2n}} at {len(sample_ns)} sampled n)",
-            ),
+            ("linear pointwise step bound", step),
+            ("linear pointwise map bound", t_map),
+            ("sabach-shtern recursion", ss),
+            ("linear cross-index spot check", cross),
         ]
 
 
@@ -297,49 +300,17 @@ def linear_rates(M: int, lambda_const: float) -> LinearRates:
     return LinearRates(M=M, lambda_const=float(lambda_const))
 
 
-@dataclass(frozen=True)
-class SabachShternReport:
-    """Outcome of checking the Sabach-Shtern recursion and its conclusion.
+def sabach_shtern_check(s: Sequence[float], L: float, tol: float = 1e-9) -> Section:
+    """Check the Sabach-Shtern recursion and its conclusion on a sequence.
 
     With a_n = 2/(n+2), a nonnegative sequence with s_0 <= L satisfying
 
         s_{n+1} <= (1 - a_{n+1}) s_n + (a_n - a_{n+1}) L
 
-    obeys s_n <= 2L/(n+2).  Both the hypothesis and the conclusion are
-    scanned; first violation indices are recorded (None means clean).
+    obeys s_n <= 2L/(n+2).  The rows are the excess of s_0 over L, the
+    worst excess of the recursion (at the n it steps from) and that of the
+    conclusion; a NaN entry is the worst and fails.
     """
-
-    L: float
-    horizon: int
-    tol: float
-    start_ok: bool
-    hypothesis_first_violation: int | None
-    conclusion_first_violation: int | None
-
-    @property
-    def hypothesis_ok(self) -> bool:
-        return self.start_ok and self.hypothesis_first_violation is None
-
-    @property
-    def conclusion_ok(self) -> bool:
-        return self.conclusion_first_violation is None
-
-    @property
-    def passed(self) -> bool:
-        return self.hypothesis_ok and self.conclusion_ok
-
-    def summary(self) -> str:
-        parts = [f"sabach-shtern check (L={self.L:g}, {self.horizon} steps):"]
-        parts.append(f"  s_0 <= L: {'ok' if self.start_ok else 'VIOLATED'}")
-        hv = self.hypothesis_first_violation
-        cv = self.conclusion_first_violation
-        parts.append(f"  recursion: {'ok' if hv is None else f'VIOLATED at n={hv}'}")
-        parts.append(f"  conclusion s_n <= 2L/(n+2): {'ok' if cv is None else f'VIOLATED at n={cv}'}")
-        return "\n".join(parts)
-
-
-def sabach_shtern_check(s: Sequence[float], L: float, tol: float = 1e-9) -> SabachShternReport:
-    """Verify the recursion hypothesis and the induced bound on a sequence."""
     values = np.asarray(s, dtype=float)
     horizon = len(values) - 1
     if horizon < 1:
@@ -347,22 +318,14 @@ def sabach_shtern_check(s: Sequence[float], L: float, tol: float = 1e-9) -> Saba
 
     ns = np.arange(horizon + 1, dtype=float)
     a = 2.0 / (ns + 2.0)
-    start_ok = bool(values[0] <= L + tol)
-
     rhs = (1.0 - a[1:]) * values[:-1] + (a[:-1] - a[1:]) * L
-    hyp_violations = np.nonzero(values[1:] > rhs + tol)[0]
-    hyp_first = int(hyp_violations[0]) if len(hyp_violations) else None
-
-    con_violations = np.nonzero(values > 2.0 * L / (ns + 2.0) + tol)[0]
-    con_first = int(con_violations[0]) if len(con_violations) else None
-
-    return SabachShternReport(
-        L=float(L),
-        horizon=horizon,
-        tol=tol,
-        start_ok=start_ok,
-        hypothesis_first_violation=hyp_first,
-        conclusion_first_violation=con_first,
+    checks = (
+        Row("s_0 <= L", float(values[0] - L), 0),
+        worst_row("recursion", values[1:] - rhs),
+        worst_row("conclusion s_n <= 2L/(n+2)", values - 2.0 * L / (ns + 2.0)),
+    )
+    return Section(
+        title=f"sabach-shtern check (L={L:g}, {horizon} steps):", checks=checks, tol=tol
     )
 
 
@@ -452,35 +415,15 @@ def certify_rate(
     return CertificationReport(label=label, horizon=horizon, tol=tol, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class PointwiseBoundReport:
-    """Worst excess of a value sequence over a pointwise bound b(n)."""
-
-    name: str
-    worst_excess: float
-    worst_index: int
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.worst_excess <= self.tol
-
-    def summary(self) -> str:
-        status = "ok" if self.passed else "VIOLATED"
-        return (
-            f"pointwise bound {self.name}: worst excess {self.worst_excess: .3e} "
-            f"(at n={self.worst_index})  {status}"
-        )
-
-
 def check_pointwise_bound(
     values: Sequence[float], bound: Callable[[int], float], tol: float = 1e-9, name: str = "bound"
-) -> PointwiseBoundReport:
-    """Scan values[n] <= bound(n) + tol for every recorded n."""
+) -> Section:
+    """Scan values[n] <= bound(n) + tol for every recorded n; a NaN excess
+    is the worst."""
     vals = np.asarray(values, dtype=float)
     bounds = np.fromiter((bound(n) for n in range(len(vals))), dtype=float, count=len(vals))
-    excess = vals - bounds
-    idx = int(np.argmax(excess))
-    return PointwiseBoundReport(
-        name=name, worst_excess=float(excess[idx]), worst_index=idx, tol=tol
+    return Section(
+        title=f"pointwise bound over {len(vals)} steps:",
+        checks=(worst_row(name, vals - bounds),),
+        tol=tol,
     )

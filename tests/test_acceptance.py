@@ -169,7 +169,7 @@ def test_criterion_6_geometry_axioms():
     tree = check_w_axioms(StarTreeSpace(4), samples=10_000, tol=1e-9, seed=202)
     broken = check_w_axioms(BrokenEuclideanSpace(2), samples=10_000, tol=1e-9, seed=303)
     ok = euclid.passed and tree.passed and not broken.passed
-    worst = max(max(euclid.max_violation.values()), max(tree.max_violation.values()))
+    worst = max(row.worst_excess for row in euclid.checks + tree.checks)
     conclude(
         6,
         "geometry axioms",
@@ -213,17 +213,14 @@ def test_criterion_8_sabach_shtern(request):
     L = 3.0 * fx.instance.M
     report = sabach_shtern_check(fx.trace.residual_step, L=L, tol=1e-9)
     synthetic = sabach_shtern_check([float(L)] * 50, L=L, tol=1e-9)
-    ok = (
-        report.passed
-        and not synthetic.conclusion_ok
-        and synthetic.conclusion_first_violation == 1
-    )
+    conclusion = synthetic.checks[2]
+    ok = report.passed and not synthetic.passed and conclusion.at == 49
     conclude(
         8,
         "sabach-shtern recursion",
         ok,
         f"trace: {'pass' if report.passed else 'FAIL'}; synthetic rejected at "
-        f"n={synthetic.conclusion_first_violation}",
+        f"n={conclusion.at}",
     )
 
 

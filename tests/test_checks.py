@@ -1,0 +1,66 @@
+import math
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from tmann.checks import Row, Section, worst_row
+from tmann.iterate import BoundCheck
+
+EXCESS = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.sampled_from([0.0, 1e-9, -1e-9, math.nan, math.inf, -math.inf]),
+)
+
+
+NAME = st.text(alphabet="abdnpux_(), <=", min_size=1, max_size=12)
+
+
+def bound_check(name, worst_value, bound, at):
+    return BoundCheck(name, worst_value - bound, at, bound=bound, worst_value=worst_value)
+
+
+ROWS = st.one_of(
+    st.builds(Row, NAME, EXCESS, st.none()),
+    st.builds(Row, NAME, EXCESS, st.integers(0, 10**6)),
+    st.builds(
+        bound_check,
+        NAME,
+        st.floats(min_value=0.0, max_value=4.0),
+        st.sampled_from([1.0, 2.0]),
+        st.integers(0, 10**6),
+    ),
+)
+
+
+@given(
+    rows=st.lists(ROWS, min_size=1, max_size=6),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]),
+)
+def test_section_fails_exactly_when_a_rendered_row_is_violated(rows, tol):
+    section = Section("title", tuple(rows), tol)
+    title, *lines = section.summary().splitlines()
+    assert title == "title" and len(lines) == len(rows)
+    violated = [line.endswith("  VIOLATED") for line in lines]
+    assert all(v or line.endswith("  ok") for v, line in zip(violated, lines))
+    assert section.passed == (not any(violated))
+    assert violated == [not row.worst_excess <= tol for row in rows]
+
+
+def test_nan_row_fails_its_section():
+    section = Section("t", (Row("a", -1.0, 3), Row("b", math.nan, 4)), 1e-9)
+    assert not section.passed
+    assert section.summary().splitlines()[2] == "  b  worst excess  nan (at n=4)  VIOLATED"
+
+
+def test_worst_row_keeps_the_first_nan_and_its_place():
+    row = worst_row("r", [0.5, math.nan, 2.0, math.nan])
+    assert math.isnan(row.worst_excess) and row.at == 1
+    assert worst_row("r", [0.5, 2.0, 2.0], at=lambda i: ("sample", i)).at == ("sample", 1)
+
+
+def test_rows_are_padded_to_the_longest_name():
+    section = Section("t", (Row("ab", 0.0, None), Row("abcd", -1.0, 7)), 0.0)
+    assert section.summary().splitlines()[1:] == [
+        "  ab    worst excess  0.000e+00  ok",
+        "  abcd  worst excess -1.000e+00 (at n=7)  ok",
+    ]

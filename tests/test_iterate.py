@@ -109,8 +109,8 @@ def test_bad_registered_point_breaks_orbit_bound():
     sp = EuclideanSpace(1)
     fam = box_projection_family([5.0], [6.0])
     sch = builtin_example_schedule(0.5)
-    inst = ProblemInstance.create(
-        sp, fam, sch, u=np.zeros(1), x0=np.zeros(1), p=np.zeros(1), check_fixed_point=False
+    inst = ProblemInstance(
+        space=sp, family=fam, schedule=sch, u=np.zeros(1), x0=np.zeros(1), p=np.zeros(1), M=1
     )
     trace = run_tikhonov_mann(inst, 20)
     report = check_basic_bounds(inst, trace)

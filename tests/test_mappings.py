@@ -60,7 +60,8 @@ def test_soft_threshold_cases():
 
 def test_nonexpansive_identity_and_box():
     sp = EuclideanSpace(2)
-    assert check_nonexpansive(identity_family(np.zeros(2)), sp, samples=200).max_excess == 0.0
+    report = check_nonexpansive(identity_family(np.zeros(2)), sp, samples=200)
+    assert report.checks[0].worst_excess == 0.0
 
     box = box_projection_family([-1.0, -1.0], [1.0, 1.0])
     report = check_nonexpansive(box, sp, samples=500)
@@ -80,15 +81,16 @@ def test_nonexpansive_fails_for_doubling_map():
     )
     report = check_nonexpansive(doubling, sp, samples=300, seed=1)
     assert not report.passed
-    n, x, y = report.worst
-    assert report.max_excess == pytest.approx(sp.dist(x, y), rel=1e-12)
+    (row,) = report.checks
+    n, x, y = row.at
+    assert row.worst_excess == pytest.approx(sp.dist(x, y), rel=1e-12)
 
 
 def test_jp2_constant_family_passes_any_gamma():
     sp = StarTreeSpace(3)
     fam = tree_contraction_family(0.5)
     report = check_jp2_consequence(fam, GAMMA_EXAMPLE, sp, samples=50, index_pairs=5)
-    assert report.max_excess <= 0.0
+    assert report.checks[0].worst_excess <= 0.0
 
 
 @pytest.mark.parametrize(
@@ -108,7 +110,7 @@ def test_jp2_rotation_family_fails():
     sp = EuclideanSpace(2)
     fam = rotation_family(lambda n: 1.0 / (n + 1))
     report = check_jp2_consequence(fam, GAMMA_EXAMPLE, sp, samples=100, index_pairs=8, seed=3)
-    assert report.max_excess > 0.1
+    assert report.checks[0].worst_excess > 0.1
 
 
 def test_resolvents_fix_operator_zeros():
@@ -185,10 +187,11 @@ def nan_at_even_indices_family():
 
 def test_nan_map_fails_nonexpansive_check():
     report = check_nonexpansive(nan_at_even_indices_family(), EuclideanSpace(2), samples=40, seed=1)
-    assert np.isnan(report.max_excess)
+    (row,) = report.checks
+    assert np.isnan(row.worst_excess)
     assert not report.passed
     assert "VIOLATED" in report.summary()
-    assert report.worst[0] % 2 == 0  # the first NaN sample stays the worst
+    assert row.at[0] % 2 == 0  # the first NaN sample stays the worst
 
 
 def test_nan_map_fails_cross_index_check():
@@ -196,9 +199,10 @@ def test_nan_map_fails_cross_index_check():
         nan_at_even_indices_family(), GAMMA_EXAMPLE, EuclideanSpace(2),
         samples=5, index_pairs=4, seed=2,
     )
-    assert np.isnan(report.max_excess)
+    (row,) = report.checks
+    assert np.isnan(row.worst_excess)
     assert not report.passed
-    m, n, _ = report.worst
+    m, n, _ = row.at
     assert m % 2 == 0 or n % 2 == 0
 
 
@@ -294,14 +298,15 @@ def test_family_checks_equal_per_row_loops(name, seed):
 
     rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     excess, worst = reference_nonexpansive(family, space, 60, rng_ref)
-    report = check_nonexpansive(family, space, samples=60, rng=rng)
-    assert bits(report.max_excess) == bits(excess)
-    assert bits(report.worst) == bits(worst)
+    (row,) = check_nonexpansive(family, space, samples=60, rng=rng).checks
+    assert bits(row.worst_excess) == bits(excess)
+    assert bits(row.at) == bits(worst)
 
     excess, worst = reference_jp2(family, GAMMA, space, 8, 5, rng_ref)
     report = check_jp2_consequence(family, GAMMA, space, samples=8, index_pairs=5, rng=rng)
-    assert report.samples == 8 * 5 * 2
-    assert bits(report.max_excess) == bits(excess)
-    assert bits(report.worst) == bits(worst)
+    assert f"{8 * 5 * 2} samples" in report.title
+    (row,) = report.checks
+    assert bits(row.worst_excess) == bits(excess)
+    assert bits(row.at) == bits(worst)
     # both checks leave the generator where the loops leave it
     assert rng.integers(0, 2**62) == rng_ref.integers(0, 2**62)

@@ -1,10 +1,12 @@
-"""The benchmark's traced pass still finds the functions it times.
+"""The benchmark's passes still find the functions and fields they use.
 
 ``perfbench/child.py --spans`` wraps public functions of ``tmann`` by name
-and reads some of their parameters by name; a rename would break the traced
-benchmark without failing anything else.
+and reads some of their parameters by name, and its many-starts pass reads
+fields of the check records; a rename would break the benchmark without
+failing anything else.
 """
 
+import csv
 import json
 import os
 import subprocess
@@ -14,19 +16,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_cli_pass_records_axiom_and_oracle_spans(tmp_path):
-    spans_path = tmp_path / "spans.json"
+def run_child(*args):
+    """``perfbench/child.py ARGS`` in a fresh interpreter that imports
+    ``tmann`` from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    proc = subprocess.run(
-        [
-            sys.executable, str(ROOT / "perfbench" / "child.py"), "--spans", str(spans_path),
-            "cli", "--", "run", str(ROOT / "configs" / "euclidean_example_l1.json"),
-            "--horizon", "50", "--out", str(tmp_path / "out"),
-        ],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), *map(str, args)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_traced_cli_pass_records_axiom_and_oracle_spans(tmp_path):
+    spans_path = tmp_path / "spans.json"
+    proc = run_child(
+        "--spans", spans_path, "cli", "--", "run", ROOT / "configs" / "euclidean_example_l1.json",
+        "--horizon", "50", "--out", tmp_path / "out",
     )
     assert proc.returncode == 0, proc.stderr
     spans = json.loads(spans_path.read_text())["spans"]
@@ -38,3 +45,20 @@ def test_traced_cli_pass_records_axiom_and_oracle_spans(tmp_path):
     # horizon 50,000 + 2 terms each of beta, lambda and gamma
     assert attrs["sequences.validate_schedule_moduli"] == [{"oracle_terms": 3 * 50_002}]
     assert {"mappings.check_nonexpansive", "iterate.run_tikhonov_mann"} <= set(attrs)
+
+
+def test_many_starts_pass_checks_every_start(tmp_path):
+    draws = [
+        {"pair": "euclidean_box", "u": [0.5, -1.5], "x0": [1.2, 0.3]},
+        {"pair": "euclidean_l1", "u": [-0.4, 0.9], "x0": [1.1, -1.0]},
+        {"pair": "tree_contraction", "u": [1, 1.5], "x0": [2, 0.7]},
+    ]
+    draws_path, out = tmp_path / "draws.json", tmp_path / "results.csv"
+    draws_path.write_text(json.dumps(draws))
+    proc = run_child("starts", draws_path, out)
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["pair"] for row in rows] == [draw["pair"] for draw in draws]
+    statuses = ("bounds", "recursions", "sigma", "sigma_T", "halpern")
+    assert all(row[column] == "pass" for row in rows for column in statuses)

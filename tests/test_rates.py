@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,15 +117,31 @@ def test_sabach_shtern_exact_solution_passes():
 
 
 def test_sabach_shtern_constant_sequence_rejected_at_one():
+    # s_n = L breaks s_n <= 2L/(n+2) from n = 1 on, by the most at the last n
     L = 2.0
-    report = sabach_shtern_check([L] * 50, L)
-    assert not report.conclusion_ok
-    assert report.conclusion_first_violation == 1
+    for length in (2, 3, 50):
+        report = sabach_shtern_check([L] * length, L)
+        start, _, conclusion = report.checks
+        assert not report.passed
+        assert start.worst_excess == 0.0
+        assert conclusion.at == length - 1
+        assert conclusion.worst_excess == L - 2.0 * L / (length + 1)
 
 
 def test_sabach_shtern_flags_start_violation():
     report = sabach_shtern_check([5.0, 0.0], L=1.0)
-    assert not report.start_ok
+    assert not report.passed
+    assert report.checks[0].worst_excess == 4.0
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 3])
+def test_sabach_shtern_fails_on_a_nan(index):
+    s = [1.0, 0.5, 0.1, 0.05]
+    assert sabach_shtern_check(s, L=3.0).passed
+    s[index] = math.nan
+    report = sabach_shtern_check(s, L=3.0)
+    assert not report.passed
+    assert "VIOLATED" in report.summary()
 
 
 def test_certify_zero_residuals_any_rate():
@@ -216,7 +234,7 @@ def test_check_pointwise_bound():
     assert ok.passed
     bad = check_pointwise_bound(values, lambda n: 0.5 / (n + 2))
     assert not bad.passed
-    assert bad.worst_index == 0
+    assert bad.checks[0].at == 0
 
 
 def test_soundness_sigma_and_sigma_t_certify_full_window():
@@ -277,5 +295,5 @@ def test_linear_cross_index_spot_check_fails_on_nan():
     )
     trace = run_tikhonov_mann(instance, 200)
     sections = linear_rates(instance.M, 0.5).orbit_checks(instance, trace, tol=1e-9)
-    checks = {name: passed for name, passed, _ in sections}
+    checks = {name: section.passed for name, section in sections}
     assert not checks["linear cross-index spot check"]
