@@ -19,7 +19,8 @@ import numpy as np
 @dataclass(frozen=True)
 class Row:
     """The worst excess of one check and where it happened: the step index
-    n (an int, shown in the report), the worst sample, or None."""
+    n (an int, shown in the report), the worst sample, or None.  A sample
+    with named fields, such as (n, x, y), is shown when the row fails."""
 
     name: str
     worst_excess: float
@@ -53,6 +54,14 @@ class Section:
         width = max(len(row.name) for row in self.checks) + 1
         lines = [self.title]
         for row in self.checks:
-            status = "ok" if row.worst_excess <= self.tol else "VIOLATED"
-            lines.append(f"  {row.line(width)}  {status}")
+            if row.worst_excess <= self.tol:
+                lines.append(f"  {row.line(width)}  ok")
+            else:
+                lines.append(f"  {row.line(width)}{_sample(row.at)}  VIOLATED")
         return "\n".join(lines)
+
+
+def _sample(at) -> str:
+    """The text of a sample with named fields, or '' for any other place."""
+    names = getattr(at, "_fields", ())
+    return f" (at {', '.join(f'{k}={v}' for k, v in zip(names, at))})" if names else ""

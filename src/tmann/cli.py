@@ -22,7 +22,6 @@ parameters.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass, field, make_dataclass
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import checks, geometry, iterate, mappings, rates, sequences, splitting
 from .geometry import EuclideanSpace, StarTreeSpace, TreePoint
-from .iterate import ProblemInstance
+from .iterate import ProblemInstance, write_csv
 from .mappings import MappingFamily
 from .sequences import ParamSchedule
 
@@ -392,11 +391,9 @@ class ExperimentResult:
         ]
         for s in self.sections:
             lines.append(f"[{s.status.upper():<12}] {s.name}")
-            for ln in s.text.splitlines():
-                lines.append("    " + ln)
+            lines.extend("    " + ln for ln in s.text.splitlines())
             lines.append("")
-        verdict = "FAIL" if self.exit_code else "PASS"
-        lines.append(f"overall: {verdict}")
+        lines.append(f"overall: {'FAIL' if self.exit_code else 'PASS'}")
         return "\n".join(lines) + "\n"
 
 
@@ -481,26 +478,11 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None) -> int
             result.add(f"certification: {label}", status, report.summary())
 
     trace.to_csv(out / "trace.csv", include_points=config.record_points)
-    _write_rates_csv(out / "rates.csv", [c.bundle for c in certificates], config.k_max)
+    rate_rows = (row for c in certificates for row in c.bundle.rows(config.k_max))
+    write_csv(out / "rates.csv", ["provenance", "rate", "k", "value"], rate_rows)
     _write_certifications_csv(out / "certification.csv", certs)
     (out / "report.txt").write_text(result.report_text())
     return result.exit_code
-
-
-def _write_csv(path: Path, header: list, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_rates_csv(path: Path, bundles: list, k_max: int) -> None:
-    rows = (
-        [bundle.provenance, name, k, value]
-        for bundle in bundles
-        for name, k, value in bundle.rows(k_max)
-    )
-    _write_csv(path, ["provenance", "rate", "k", "value"], rows)
 
 
 def _write_certifications_csv(path: Path, certs: list) -> None:
@@ -514,11 +496,14 @@ def _write_certifications_csv(path: Path, certs: list) -> None:
         for report in certs
         for r in report.rows
     )
-    _write_csv(path, header, rows)
+    write_csv(path, header, rows)
 
 
 def run_suite(directory, overrides: dict | None = None, out_dir: Path | None = None) -> int:
-    """Run every *.json config in a directory; write suite_summary.csv."""
+    """Run every *.json config in a directory; write suite_summary.csv.
+
+    Returns the worst exit code of the configs: 2 for a configuration
+    error, over 1 for a failed check or a crash, over 0."""
     directory = Path(directory)
     if not directory.is_dir():
         print(f"error: not a directory: {directory}", file=sys.stderr)
@@ -544,10 +529,10 @@ def run_suite(directory, overrides: dict | None = None, out_dir: Path | None = N
             print(f"{cfg_path.name}: error: {exc}", file=sys.stderr)
             code, status = 1, "error"
         rows.append((cfg_path.name, status, code))
-        worst = max(worst, 1 if code else 0)
+        worst = max(worst, code)
         print(f"{cfg_path.name}: {status}")
 
-    _write_csv(out / "suite_summary.csv", ["config", "status", "exit_code"], rows)
+    write_csv(out / "suite_summary.csv", ["config", "status", "exit_code"], rows)
     return worst
 
 

@@ -131,10 +131,15 @@ class IterationTrace:
             names, coords = _point_columns(self.x[: self.horizon])
             header += names
             columns += coords
-        with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(zip(*columns))
+        write_csv(path, header, zip(*columns))
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write ``header`` and then ``rows`` as CSV lines ending in a bare newline."""
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _float_column(values):

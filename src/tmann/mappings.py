@@ -22,6 +22,7 @@ semidefinite maps) so that every example stays exactly checkable.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -184,6 +185,11 @@ def resolvent_quadratic_family(Q, gamma: Callable[[int], float]) -> MappingFamil
     )
 
 
+#: The worst samples of the two family checks, named for the report.
+PointPair = namedtuple("PointPair", "n x y")
+IndexPair = namedtuple("IndexPair", "m n x")
+
+
 def check_nonexpansive(
     family: MappingFamily,
     space: Space,
@@ -208,7 +214,8 @@ def check_nonexpansive(
     y = space.sample(rng, samples)
     dist = space.dist_array
     excess = dist(family.eval_array(space, ns, x), family.eval_array(space, ns, y)) - dist(x, y)
-    row = worst_row("d(T_n x, T_n y) <= d(x, y)", excess, at=lambda i: (int(ns[i]), x[i], y[i]))
+    at = lambda i: PointPair(int(ns[i]), x[i], y[i])
+    row = worst_row("d(T_n x, T_n y) <= d(x, y)", excess, at=at)
     return Section(
         title=f"nonexpansive[{family.name}] on {space.name}: {samples} samples, tol {tol!r}",
         checks=(row,),
@@ -252,7 +259,7 @@ def check_jp2_consequence(
     row = worst_row(
         "d(T_m x, T_n x) <= |gamma_m - gamma_n|/gamma_n d(T_n x, x)",
         excess,
-        at=lambda i: (int(ms[i]), int(ns[i]), x[rows[i]]),
+        at=lambda i: IndexPair(int(ms[i]), int(ns[i]), x[rows[i]]),
     )
     return Section(
         title=f"jp2_consequence[{family.name}] on {space.name}: "

@@ -63,14 +63,15 @@ class RateBundle:
                 f"unknown provenance {self.provenance!r}, expected one of {PROVENANCES}"
             )
 
-    def rows(self, k_max: int) -> list[tuple[str, int, int]]:
-        out = []
-        for name, fn in (("Sigma", self.Sigma), ("Sigma_T", self.Sigma_T), ("chi", self.chi)):
-            if fn is None:
-                continue
-            for k in range(k_max + 1):
-                out.append((name, k, int(fn(k))))
-        return out
+    def rows(self, k_max: int) -> list[tuple[str, str, int, int]]:
+        """The (provenance, rate, k, value) rows of every rate for k <= k_max."""
+        named = (("Sigma", self.Sigma), ("Sigma_T", self.Sigma_T), ("chi", self.chi))
+        return [
+            (self.provenance, name, k, int(fn(k)))
+            for name, fn in named
+            if fn is not None
+            for k in range(k_max + 1)
+        ]
 
 
 @dataclass(frozen=True)
@@ -363,9 +364,6 @@ class CertificationReport:
     def acceptable(self) -> bool:
         """No hard failure; inconclusive levels are not counted against."""
         return all(r.status != "fail" for r in self.rows)
-
-    def failed_levels(self) -> list[int]:
-        return [r.k for r in self.rows if r.status == "fail"]
 
     def summary(self) -> str:
         lines = [f"certification of {self.label} (horizon {self.horizon}, tol {self.tol!r}):"]

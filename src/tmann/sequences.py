@@ -10,9 +10,11 @@ quantity stays at or below 1/(k + 1).  Three flavours appear here:
 
 A ``ParamSchedule`` bundles the sequences (beta_n), (lambda_n) and optionally
 (gamma_n) with *declared* moduli for the conditions the convergence theorems
-consume.  Moduli are stored as data, not re-derived: the theorems take given
-moduli as inputs.  The brute-force oracles in this module exist only to
-validate declared moduli against the actually generated sequences.
+consume, and with ``inverse_product``, the least P with 1/P <= prod_{n=0}^{N}
+beta_{n+1}, which ``psi0`` reads.  Moduli are stored as data, not
+re-derived: the theorems take given moduli as inputs.  The brute-force
+oracles in this module exist only to validate declared moduli against the
+actually generated sequences.
 
 Oracle semantics are deliberately honest about finiteness: a finite horizon
 cannot refute a statement about infinite tails, so results that rest on too
@@ -36,9 +38,6 @@ RateFn = Callable[[int], int]
 #: slack absorbs the last few ulps of rounding so minimal indices come out
 #: deterministic.
 _BOUNDARY_REL = 1e-9
-
-#: ``psi0`` accumulates products over ranges longer than this in log space.
-_LOG_SPACE_CUTOFF = 10_000
 
 
 def _int_ceil(value: float) -> int:
@@ -104,6 +103,9 @@ class ParamSchedule:
     Lambda_cap, N_Lambda   lambda_n >= 1/Lambda_cap for all n >= N_Lambda
     chi_gamma           Cauchy modulus for sum |gamma_{n+1} - gamma_n|
     Gamma_cap, N_Gamma  gamma_n >= 1/Gamma_cap for all n >= N_Gamma
+    inverse_product     N -> the least integer P >= 1 with
+                        1/P <= prod_{n=0}^{N} beta_{n+1}; when not declared,
+                        ``psi0`` takes the exact product of the beta terms
     certificates        M -> the ``rates.Certificate`` records this schedule
                         certifies beyond the general theorem (none by default)
 
@@ -126,6 +128,7 @@ class ParamSchedule:
     chi_gamma: RateFn | None = None
     Gamma_cap: int | None = None
     N_Gamma: int | None = None
+    inverse_product: RateFn | None = None
     certificates: Callable[[int], tuple] = lambda M: ()
 
     def __post_init__(self) -> None:
@@ -148,7 +151,8 @@ def builtin_example_schedule(lambda_const: float) -> ParamSchedule:
 
     Closed forms behind the declared moduli:
 
-    * prod_{n=0}^{N} beta_{n+1} telescopes to 1/(N+2), so sigma_beta(k) = k;
+    * prod_{n=0}^{N} beta_{n+1} telescopes to 1/(N+2), so sigma_beta(k) = k
+      and inverse_product(N) = N + 2;
     * sum_{i=0}^{n} |beta_{i+1} - beta_i| = 1 - 1/(n+2); the tail from index
       n is 1/(n+1), so chi_beta(k) = k;
     * lambda is constant, so chi_lambda(k) = 0;
@@ -179,6 +183,7 @@ def builtin_example_schedule(lambda_const: float) -> ParamSchedule:
         chi_gamma=lambda k: k,
         Gamma_cap=1,
         N_Gamma=0,
+        inverse_product=lambda N: N + 2,
         certificates=lambda M: (rates.Certificate(rates.example_closed_form_rates(M, lam)),),
     )
 
@@ -190,7 +195,8 @@ def builtin_linear_schedule(lambda_const: float) -> ParamSchedule:
     Closed forms behind the declared moduli:
 
     * prod_{n=0}^{N} beta_{n+1} = prod (n+1)/(n+3) = 2/((N+2)(N+3)), and
-      (k+2)(k+3) >= 2(k+1) for every k, so sigma_beta(k) = k is valid;
+      (k+2)(k+3) >= 2(k+1) for every k, so sigma_beta(k) = k is valid and
+      inverse_product(N) = (N+2)(N+3)/2;
     * beta_{n+1} - beta_n = 2/((n+2)(n+3)); the tail from index n is
       2/(n+2), which is <= 1/(k+1) once n >= 2k, so chi_beta(k) = 2k;
     * chi_lambda(k) = 0 (constant lambda);
@@ -221,6 +227,7 @@ def builtin_linear_schedule(lambda_const: float) -> ParamSchedule:
         chi_gamma=lambda k: k,
         Gamma_cap=1,
         N_Gamma=0,
+        inverse_product=lambda N: (N + 2) * (N + 3) // 2,
         certificates=lambda M: (rates.linear_rates(M, lam).certificate(),),
     )
 
@@ -289,11 +296,13 @@ def schedule_from_tables(
     other schedule.  Every table is a nonempty list; every beta and lambda
     entry must be a number in [0, 1] and every gamma entry a positive
     number; rate-table entries and N_Lambda, N_Gamma must be whole numbers
-    >= 0, and Lambda_cap, Gamma_cap whole numbers >= 1.
+    >= 0, and Lambda_cap, Gamma_cap whole numbers >= 1.  The declared
+    ``inverse_product`` is the exact product of the beta table.
     """
+    beta_terms = _table_terms("beta", beta, unit=True)
     return ParamSchedule(
         name=name,
-        beta=_table_terms("beta", beta, unit=True),
+        beta=beta_terms,
         lam=_table_terms("lambda", lam, unit=True),
         sigma_beta=_table_rate("sigma_beta", sigma_beta),
         chi_beta=_table_rate("chi_beta", chi_beta),
@@ -305,7 +314,30 @@ def schedule_from_tables(
         chi_gamma=_table_rate("chi_gamma", chi_gamma) if chi_gamma is not None else None,
         Gamma_cap=_whole("Gamma_cap", Gamma_cap, 1) if Gamma_cap is not None else None,
         N_Gamma=_whole("N_Gamma", N_Gamma, 0) if N_Gamma is not None else None,
+        inverse_product=exact_inverse_product(beta_terms, head=max(len(beta) - 1, 1)),
     )
+
+
+def exact_inverse_product(beta: Callable[[int], float], head: float = math.inf) -> RateFn:
+    """The ``inverse_product`` of a sequence that repeats beta_head from
+    index ``head`` on, computed exactly: each term is read as the binary
+    rational it is, and the repeated tail is one power, so no loop runs
+    over it.  Raises when a term of the product is not positive."""
+
+    def least(N: int) -> int:
+        count = min(N + 1, head)
+        factors = [float(beta(n)) for n in range(1, count + 1)]
+        bad = next((n for n, f in enumerate(factors, 1) if not f > 0), None)
+        if bad is not None:
+            raise ValueError(
+                f"psi0 undefined: beta_{{{bad}}} = {factors[bad - 1]!r} is not positive"
+            )
+        tail = N + 1 - count
+        parts = zip(*(f.as_integer_ratio() for f in factors))
+        num, den = (math.prod(part) * part[-1] ** tail for part in parts)
+        return max(1, -(-den // num))
+
+    return least
 
 
 def first_indices(running: np.ndarray, thresholds) -> tuple:
@@ -411,47 +443,15 @@ def oracle_convergence_rate(values, limit: float, k_max: int, horizon: int) -> O
 
 
 def psi0(schedule: ParamSchedule, chi: RateFn, k: int) -> int:
-    """Least positive integer P with 1/P <= prod_{n=0}^{chi(3k+2)} beta_{n+1}.
-
-    Evaluates the finite product and takes the integer ceiling of its
-    reciprocal; the returned P always satisfies 1/P <= product.  Ranges
-    longer than 10^4 accumulate in log space; if the reciprocal then
-    overflows double precision the ceiling is assembled from its decimal
-    exponent, accurate to roughly 1e-11 relative (documented approximation;
-    exact ceiling semantics hold on the non-overflow paths).
-
-    Raises when some beta_{n+1} vanishes on the range, in which case no
-    finite P exists and the caller must supply a schedule with positive
-    beta_{n+1} or declare a value by hand.
+    """Least positive integer P with 1/P <= prod_{n=0}^{chi(3k+2)} beta_{n+1}:
+    the schedule's ``inverse_product`` at N = chi(3k+2), or, when it declares
+    none, the exact product of its beta terms.  Raises when some beta_{n+1}
+    on the range is not positive, as then no finite P exists.
     """
     upper = chi(3 * k + 2)
     if upper < 0:
         raise ValueError(f"chi(3k+2) must be >= 0, got {upper}")
-    count = upper + 1
-    factors = terms(schedule.beta, np.arange(1, count + 1))
-    if np.any(factors <= 0):
-        bad = int(np.argmax(factors <= 0))
-        raise ValueError(
-            f"psi0 undefined: beta_{{{bad + 1}}} = {factors[bad]!r} is not positive "
-            f"at or below index chi(3k+2) = {upper}"
-        )
-    if count > _LOG_SPACE_CUTOFF:
-        neg_log = -float(np.sum(np.log(factors)))
-        if neg_log <= 700.0:
-            product = math.exp(-neg_log)
-        else:
-            # Reciprocal overflows double precision; build the ceiling from
-            # the decimal exponent, keeping ~15 significant digits.
-            digits = neg_log / math.log(10.0)
-            shift = int(digits) - 15
-            mantissa = 10.0 ** (digits - shift)
-            return max(1, math.ceil(mantissa) * 10**shift)
-    else:
-        product = float(np.prod(factors))
-    value = max(1, _int_ceil(1.0 / product))
-    while 1.0 / value > product:
-        value += 1
-    return value
+    return (schedule.inverse_product or exact_inverse_product(schedule.beta))(upper)
 
 
 @dataclass(frozen=True)
@@ -537,13 +537,9 @@ def validate_schedule_moduli(
         gamma_floor = 1.0 / schedule.Gamma_cap - 1e-12
         gamma_cap_ok = bool(np.all(gamma_vals[schedule.N_Gamma :] >= gamma_floor))
 
-    excursion = float(
-        max(
-            np.max(-beta_vals, initial=0.0),
-            np.max(beta_vals - 1.0, initial=0.0),
-            np.max(-lam_vals, initial=0.0),
-            np.max(lam_vals - 1.0, initial=0.0),
-        )
+    excursion = max(
+        float(max(np.max(-vals, initial=0.0), np.max(vals - 1.0, initial=0.0)))
+        for vals in (beta_vals, lam_vals)
     )
     return ScheduleValidation(
         schedule=schedule.name,

@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -56,6 +57,15 @@ def test_worst_row_keeps_the_first_nan_and_its_place():
     row = worst_row("r", [0.5, math.nan, 2.0, math.nan])
     assert math.isnan(row.worst_excess) and row.at == 1
     assert worst_row("r", [0.5, 2.0, 2.0], at=lambda i: ("sample", i)).at == ("sample", 1)
+
+
+def test_a_named_sample_is_shown_only_on_a_violated_row():
+    Sample = namedtuple("Sample", "n x")
+    rows = (Row("ok", 0.0, Sample(3, 1.5)), Row("bad", 2.0, Sample(4, -0.5)))
+    assert Section("t", rows, 0.0).summary().splitlines()[1:] == [
+        "  ok   worst excess  0.000e+00  ok",
+        "  bad  worst excess  2.000e+00 (at n=4, x=-0.5)  VIOLATED",
+    ]
 
 
 def test_rows_are_padded_to_the_longest_name():

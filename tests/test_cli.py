@@ -141,6 +141,18 @@ def test_suite_isolates_failing_config(tmp_path):
     assert summary["c_good.json"] == "pass"
 
 
+def test_suite_with_a_config_error_exits_two(tmp_path, capsys):
+    suite_dir = tmp_path / "mixed"
+    suite_dir.mkdir()
+    write_config(suite_dir / "a_good.json")
+    write_config(suite_dir / "b_typo.json", horizn=300)
+    code = main(["suite", str(suite_dir), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "b_typo.json: configuration error" in capsys.readouterr().err
+    rows = (tmp_path / "out" / "suite_summary.csv").read_text().splitlines()
+    assert rows[1:] == ["a_good.json,pass,0", "b_typo.json,config_error,2"]
+
+
 def test_linear_schedule_config_runs_linear_sections(tmp_path):
     cfg = write_config(
         tmp_path / "lin.json",

@@ -84,6 +84,20 @@ def test_nonexpansive_fails_for_doubling_map():
     (row,) = report.checks
     n, x, y = row.at
     assert row.worst_excess == pytest.approx(sp.dist(x, y), rel=1e-12)
+    assert report.summary().splitlines()[1].endswith(
+        f" (at n={n}, x={x}, y={y})  VIOLATED"
+    )
+
+
+def test_cross_index_violation_names_its_sample():
+    sp = EuclideanSpace(1)
+    shifts = MappingFamily(
+        name="x+n", kind="custom", fn=lambda n, x: x + n, fixed_point=np.zeros(1)
+    )
+    report = check_jp2_consequence(shifts, GAMMA_EXAMPLE, sp, samples=20, index_pairs=3)
+    assert not report.passed
+    m, n, x = report.checks[0].at
+    assert report.summary().splitlines()[1].endswith(f" (at m={m}, n={n}, x={x})  VIOLATED")
 
 
 def test_jp2_constant_family_passes_any_gamma():

@@ -21,7 +21,7 @@ from tmann.rates import (
     sigma_ar,
     translate_ar_to_tn_ar,
 )
-from tmann.sequences import builtin_example_schedule
+from tmann.sequences import builtin_example_schedule, ceil_reciprocal
 
 identity = lambda k: k
 zero = lambda k: 0
@@ -79,6 +79,16 @@ def test_general_rates_minimal_psi0_dominates_closed_form():
     minimal = general_rates(schedule, 1, example_chi_T(1), psi0="minimal")
     for k in range(10):
         assert minimal.Sigma(k) >= closed.Sigma(k)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.3])
+@pytest.mark.parametrize("M", [1, 2, 3, 5, 8])
+def test_minimal_psi0_composition_has_the_example_closed_form(M, lam):
+    bundle = general_rates(builtin_example_schedule(lam), M, lambda k: 0, psi0="minimal")
+    L = ceil_reciprocal(lam)
+    for k in range(6):
+        assert bundle.Sigma(k) == 144 * M**2 * (k + 1) ** 2 + 6 * M * (k + 1)
+        assert bundle.Sigma_T(k) == 576 * M**2 * L**2 * (k + 1) ** 2 + 12 * M * L * (k + 1)
 
 
 def test_halpern_translate_values():

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmann.rates import general_rates
 from tmann.sequences import (
     _int_ceil,
     builtin_example_schedule,
@@ -189,14 +192,74 @@ def test_psi0_rejects_zero_factor():
         psi0(sch, lambda k: 2, 0)
 
 
-def test_psi0_log_space_overflow_path():
-    halves = schedule_from_tables(
-        "halves", beta=[0.5], lam=[0.5], sigma_beta=[0], chi_beta=[0],
+def halves_table(chi_beta=(0,)):
+    return schedule_from_tables(
+        "halves", beta=[0.5], lam=[0.5], sigma_beta=[0], chi_beta=list(chi_beta),
         chi_lambda=[0], sigma=[0], Lambda_cap=2, N_Lambda=0,
     )
-    upper = 100_000
-    value = psi0(halves, lambda k: upper, 0)  # product = 2^-(upper+1)
-    assert math.log(value) == pytest.approx((upper + 1) * math.log(2.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("upper", [1_022, 1_023, 1_100, 9_998, 20_000, 100_000])
+def test_psi0_of_halves_is_an_exact_power_of_two(upper):
+    # the product is 2^-(upper+1), far below the smallest double past upper 1,073
+    assert psi0(halves_table(), lambda k: upper, 0) == 2 ** (upper + 1)
+
+
+def test_minimal_general_rates_on_a_halving_table_return():
+    bundle = general_rates(halves_table([2000]), 1, lambda k: 0, psi0="minimal")
+    # psi0(0) = 2^2001 and sigma_beta = 0, so Sigma(0) = (chi(2) + 1) + 1
+    assert bundle.Sigma(0) == 2000 + 1 + 1
+
+
+@pytest.mark.parametrize(
+    "make,closed",
+    [
+        (builtin_example_schedule, lambda N: N + 2),
+        (builtin_linear_schedule, lambda N: (N + 2) * (N + 3) // 2),
+    ],
+)
+def test_psi0_of_builtin_schedules_is_the_telescoped_product(make, closed):
+    schedule = make(0.5)
+    for upper in [*range(9_999), 10**4, 5 * 10**4, 10**5]:
+        assert psi0(schedule, lambda k: upper, 0) == closed(upper)
+
+
+def test_builtin_inverse_products_equal_the_exact_products():
+    example, linear = builtin_example_schedule(0.5), builtin_linear_schedule(0.5)
+    example_product = linear_product = Fraction(1)
+    for N in range(2_001):
+        example_product *= Fraction(N + 1, N + 2)
+        linear_product *= Fraction(N + 1, N + 3)
+        assert example.inverse_product(N) == math.ceil(1 / example_product)
+        assert linear.inverse_product(N) == math.ceil(1 / linear_product)
+
+
+@given(
+    entries=st.lists(
+        st.one_of(st.sampled_from([0.5, 1.0]), st.floats(min_value=1e-3, max_value=1.0)),
+        min_size=1,
+        max_size=5,
+    ),
+    upper=st.integers(0, 300),
+)
+def test_psi0_of_a_table_is_the_least_exact_bound(entries, upper):
+    schedule = schedule_from_tables(
+        "t", beta=entries, lam=[0.5], sigma_beta=[0], chi_beta=[0],
+        chi_lambda=[0], sigma=[0], Lambda_cap=2, N_Lambda=0,
+    )
+    product = math.prod(Fraction(schedule.beta(n + 1)) for n in range(upper + 1))
+    value = psi0(schedule, lambda k: upper, 0)
+    assert Fraction(1, value) <= product
+    assert value == 1 or Fraction(1, value - 1) > product
+
+
+def test_hand_built_schedule_gets_the_exact_product_of_its_terms():
+    example = builtin_example_schedule(0.5)
+    hand_built = dataclasses.replace(example, inverse_product=None)
+    for upper in (0, 1, 143, 2_000):
+        # the float terms 1 - 1/(n+1) are not n/(n+1); psi0 reads them as they are
+        product = math.prod(Fraction(example.beta(n + 1)) for n in range(upper + 1))
+        assert psi0(hand_built, lambda k: upper, 0) == math.ceil(1 / product)
 
 
 def test_schedule_validation_quick():

@@ -167,7 +167,6 @@ def test_box_quadratic_converges_to_constrained_minimum():
     )
     report = certify_rate(trace.residual_step, bundle.Sigma, k_max=3, tol=1e-9)
     assert report.acceptable
-    assert not report.failed_levels()
 
 
 def test_tfb_rates_match_example_numbers():
