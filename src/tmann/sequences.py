@@ -334,10 +334,22 @@ def exact_inverse_product(beta: Callable[[int], float], head: float = math.inf) 
             )
         tail = N + 1 - count
         parts = zip(*(f.as_integer_ratio() for f in factors))
-        num, den = (math.prod(part) * part[-1] ** tail for part in parts)
+        num, den = (product_tree(part) * part[-1] ** tail for part in parts)
         return max(1, -(-den // num))
 
     return least
+
+
+def product_tree(values: Sequence[int]) -> int:
+    """The product of a nonempty list of integers, multiplied in a balanced
+    tree so that the two operands of each multiplication are of like size.
+    A running product multiplies an ever longer result by one short term at
+    a time, which costs time quadratic in the number of terms."""
+    values = list(values)
+    while len(values) > 1:
+        odd = values[-1:] if len(values) % 2 else []
+        values = [a * b for a, b in zip(values[0::2], values[1::2])] + odd
+    return values[0]
 
 
 def first_indices(running: np.ndarray, thresholds) -> tuple:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ def test_halpern_equivalence_on_star_tree():
         sp, fam, sch, u=TreePoint(0, 0.3), x0=TreePoint(1, 1.0), p=TreePoint(0, 0.0)
     )
     report = check_halpern_equivalence(inst, 500)
-    assert report.passed, report.summary()
+    assert report.max_u_y == report.max_x_v == 0.0, report.summary()
 
 
 def test_direct_two_step_recursion_matches_zero_anchor_orbit():
@@ -206,9 +207,56 @@ def test_rejects_nonpositive_horizon():
 
 
 def test_halpern_equivalence_on_every_suite_instance(suite_instances):
+    # both loops make the same combine and eval calls on the same operands
     for name, instance in suite_instances:
         report = check_halpern_equivalence(instance, 1000)
-        assert report.passed, f"{name}: {report.summary()}"
+        assert report.max_u_y == report.max_x_v == 0.0, f"{name}: {report.summary()}"
+
+
+def counting_box_family():
+    """The [-1, 1]^2 box projection with a record of its single-point
+    calls; its array evaluation records none."""
+    box = box_projection_family([-1.0, -1.0], [1.0, 1.0])
+    calls = []
+
+    def fn(n, x):
+        calls.append(n)
+        return box.fn(n, x)
+
+    return dataclasses.replace(box, fn=fn), calls
+
+
+def test_halpern_check_reads_the_orbit_of_the_run():
+    family, calls = counting_box_family()
+    inst = euclidean_instance(dim=2, x0=[1.2, 1.6], u=[0.0, -0.5], family=family)
+    calls.clear()
+    H = 300
+    trace = run_tikhonov_mann(inst, H)
+    assert len(calls) == H
+    report = check_halpern_equivalence(inst, H)
+    assert len(calls) == 2 * H  # the Halpern loop only
+    assert report.max_u_y == report.max_x_v == 0.0
+    # the same horizon again shares the stored arrays
+    assert run_tikhonov_mann(inst, H).x is trace.x
+    assert len(calls) == 2 * H
+    # a second horizon computes a new orbit of its own length
+    longer = run_tikhonov_mann(inst, H + 50)
+    assert len(calls) == 3 * H + 50
+    assert len(longer.x) == H + 51 and len(longer.u_seq) == H + 50
+    assert np.array_equal(longer.x[: H + 1], trace.x)
+
+
+def test_stored_orbit_is_read_only_on_both_spaces():
+    euclid = euclidean_instance(dim=2, x0=[1.2, 1.6])
+    tree = ProblemInstance.create(
+        StarTreeSpace(3), tree_contraction_family(0.5), builtin_example_schedule(0.5),
+        u=TreePoint(0, 0.3), x0=TreePoint(1, 1.0), p=TreePoint(0, 0.0),
+    )
+    for inst in (euclid, tree):
+        trace = run_tikhonov_mann(inst, 20)
+        for points in (trace.x, trace.u_seq):
+            with pytest.raises(ValueError, match="read-only"):
+                points[3] = inst.x0
 
 
 def test_step_residuals_eventually_nonincreasing():

@@ -100,6 +100,20 @@ def test_cross_index_violation_names_its_sample():
     assert report.summary().splitlines()[1].endswith(f" (at m={m}, n={n}, x={x})  VIOLATED")
 
 
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 1.0), (-1.0, -0.0)])
+def test_box_projection_equals_clip_bit_for_bit(lo, hi):
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(-2.0, 2.0, size=(100_000, 2))
+    special = rng.random(xs.shape) < 0.3
+    xs[special] = rng.choice([0.0, -0.0, np.nan, 1.0, -1.0, np.inf], special.sum())
+    box = box_projection_family([lo, lo], [hi, hi])
+    reference = np.clip(xs, [lo, lo], [hi, hi])
+    mapped = box.eval_array(EuclideanSpace(2), np.arange(len(xs)), xs)
+    assert np.array_equal(mapped.view(np.uint64), reference.view(np.uint64))
+    for i in range(200):
+        assert np.array_equal(box.eval(i, xs[i]).view(np.uint64), reference[i].view(np.uint64))
+
+
 def test_jp2_constant_family_passes_any_gamma():
     sp = StarTreeSpace(3)
     fam = tree_contraction_family(0.5)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from tmann.sequences import (
     oracle_cauchy_modulus,
     oracle_convergence_rate,
     oracle_product_rate,
+    product_tree,
     psi0,
     schedule_from_tables,
     terms,
@@ -260,6 +262,26 @@ def test_hand_built_schedule_gets_the_exact_product_of_its_terms():
         # the float terms 1 - 1/(n+1) are not n/(n+1); psi0 reads them as they are
         product = math.prod(Fraction(example.beta(n + 1)) for n in range(upper + 1))
         assert psi0(hand_built, lambda k: upper, 0) == math.ceil(1 / product)
+
+
+def test_hand_built_psi0_over_thirty_thousand_terms():
+    example = builtin_example_schedule(0.5)
+    hand_built = dataclasses.replace(example, inverse_product=None)
+    upper = 30_000
+    with localcontext() as ctx:
+        ctx.prec = 80  # each float term is exact in Decimal; the product is good to 1e-75
+        product = math.prod(Decimal(example.beta(n + 1)) for n in range(upper + 1))
+        least = math.ceil(1 / product)
+    # the float terms 1 - 1/(n+1) round so that their product falls just below
+    # 1/(N + 2): 1/product is N + 2 + 4.6e-10
+    assert least == upper + 3
+    assert psi0(hand_built, lambda k: upper, 0) == least
+
+
+@given(ratios=st.lists(st.floats(min_value=1e-300, max_value=1.0), min_size=1, max_size=60))
+def test_product_tree_equals_a_running_product(ratios):
+    for part in zip(*(r.as_integer_ratio() for r in ratios)):
+        assert product_tree(part) == math.prod(part)
 
 
 def test_schedule_validation_quick():
