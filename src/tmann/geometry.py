@@ -98,12 +98,22 @@ class Space(ABC):
     name: str = "space"
 
     @abstractmethod
-    def dist(self, x: Point, y: Point) -> float:
-        """Distance between two points."""
+    def as_point(self, p) -> Point:
+        """``p`` as a point of this space; raises ValueError if it is not one."""
 
     @abstractmethod
+    def mix(self, x: Point, y: Point, lam: float) -> Point:
+        """The combination W(x, y, lam), read as (1 - lam) x + lam y, of two
+        points of this space and a float lam in [0, 1], none of them
+        checked.  The orbit loops call it after checking their terms."""
+
     def combine(self, x: Point, y: Point, lam: float) -> Point:
-        """The combination W(x, y, lam), read as (1 - lam) x + lam y."""
+        """``mix`` after checking lam and both points."""
+        return self.mix(self.as_point(x), self.as_point(y), self._check_lambda(lam))
+
+    def dist(self, x: Point, y: Point) -> float:
+        """Distance between two points: ``dist_array`` of the two points."""
+        return float(self.dist_array(self.as_point(x), self.as_point(y)))
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, count: int) -> Points:
@@ -118,8 +128,7 @@ class Space(ABC):
     @abstractmethod
     def dist_array(self, x: Points | Point, y: Points | Point) -> np.ndarray:
         """Row-by-row distances between two point arrays of equal length;
-        either side may also be a single point.  Each entry equals ``dist``
-        of the two rows bit for bit."""
+        either side, or both, may also be a single point."""
 
     def combine_array(self, x: Points, y: Points, lam) -> Points:
         """Row-by-row combinations W(x[i], y[i], lam[i]) of two point arrays
@@ -128,6 +137,11 @@ class Space(ABC):
         calls ``combine`` once per row."""
         lams = np.broadcast_to(lam, (len(x),))
         return self.stack([self.combine(x[i], y[i], lams[i]) for i in range(len(x))])
+
+    def _maps_with(self, cls: type) -> bool:
+        """Whether this space's map is ``cls.mix`` behind the base ``combine``,
+        so that the array form written for ``cls`` computes it."""
+        return type(self).mix is cls.mix and type(self).combine is Space.combine
 
     def stack(self, points) -> Points:
         """The point array holding ``points`` in order."""
@@ -175,12 +189,8 @@ class EuclideanSpace(Space):
             raise ValueError(f"expected a point of shape ({self.dim},), got {p.shape}")
         return p
 
-    def dist(self, x, y) -> float:
-        return float(np.linalg.norm(self.as_point(x) - self.as_point(y)))
-
-    def combine(self, x, y, lam):
-        lam = self._check_lambda(lam)
-        return (1.0 - lam) * self.as_point(x) + lam * self.as_point(y)
+    def mix(self, x, y, lam):
+        return (1.0 - lam) * x + lam * y
 
     def sample(self, rng, count):
         return rng.uniform(-self.box_radius, self.box_radius, (count, self.dim))
@@ -195,7 +205,7 @@ class EuclideanSpace(Space):
         return np.sqrt(np.vecdot(diff, diff))
 
     def combine_array(self, x, y, lam):
-        if type(self).combine is not EuclideanSpace.combine:  # check the subclass's own map
+        if not self._maps_with(EuclideanSpace):  # check the subclass's own map
             return super().combine_array(x, y, lam)
         lam = self._check_lambdas(lam)[..., None]
         return (1.0 - lam) * x + lam * y
@@ -213,9 +223,8 @@ class BrokenEuclideanSpace(EuclideanSpace):
         super().__init__(dim, box_radius)
         self.name = f"euclidean-{self.dim}d-broken"
 
-    def combine(self, x, y, lam):
-        lam = self._check_lambda(lam)
-        return (1.0 - lam * lam) * self.as_point(x) + (lam * lam) * self.as_point(y)
+    def mix(self, x, y, lam):
+        return (1.0 - lam * lam) * x + (lam * lam) * y
 
     def combine_array(self, x, y, lam):
         lam = self._check_lambdas(lam)[..., None]
@@ -251,17 +260,7 @@ class StarTreeSpace(Space):
             raise ValueError(f"ray index {p.ray} out of range for {self.num_rays} rays")
         return p
 
-    def dist(self, x, y) -> float:
-        x = self.as_point(x)
-        y = self.as_point(y)
-        if x.ray == y.ray:
-            return abs(x.t - y.t)
-        return x.t + y.t
-
-    def combine(self, x, y, lam):
-        lam = self._check_lambda(lam)
-        x = self.as_point(x)
-        y = self.as_point(y)
+    def mix(self, x, y, lam):
         if x.ray == y.ray:
             return TreePoint(x.ray, max(0.0, x.t + lam * (y.t - x.t)))
         walked = lam * (x.t + y.t)
@@ -282,7 +281,7 @@ class StarTreeSpace(Space):
         return np.where(x.ray == y.ray, np.abs(x.t - y.t), x.t + y.t)
 
     def combine_array(self, x, y, lam):
-        if type(self).combine is not StarTreeSpace.combine:  # check the subclass's own map
+        if not self._maps_with(StarTreeSpace):  # check the subclass's own map
             return super().combine_array(x, y, lam)
         lam = self._check_lambdas(lam)
         same = x.ray == y.ray
@@ -316,9 +315,8 @@ AXIOM_CHECKS = (
 def check_w_axioms(
     space: Space,
     samples: int,
+    rng: np.random.Generator,
     tol: float = 1e-9,
-    rng: np.random.Generator | None = None,
-    seed: int = 0,
 ) -> Section:
     """Sample random tuples (x, y, z, w, lam, th) and check every axiom.
 
@@ -336,8 +334,6 @@ def check_w_axioms(
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
 
     x, y, z, w = (space.sample(rng, samples) for _ in range(4))
     lam, th = rng.random((2, samples))

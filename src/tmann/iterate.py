@@ -88,7 +88,7 @@ class ProblemInstance:
                 f"M = {M} is below max(d(x0, p), d(u, p)) = {radius!r}; the rates need M >= {least}"
             )
         for n in range(10):
-            drift = space.dist(family.eval(n, p), p)
+            drift = space.dist(family.fn(n, p), p)
             if not drift <= FIXED_POINT_TOL:  # a NaN drift is refused too
                 raise ValueError(f"registered point is not fixed by T_{n}: moved by {drift!r}")
         return cls(space=space, family=family, schedule=schedule, u=u, x0=x0, p=p, M=M)
@@ -165,16 +165,22 @@ def _orbit(instance: ProblemInstance, horizon: int) -> tuple[Points, Points]:
     stored = instance._stored_orbit
     if stored is not None and stored[0] == horizon:
         return stored[1:]
-    sp, fam, sch = instance.space, instance.family, instance.schedule
-    u = instance.u
+    sp, fn, sch = instance.space, instance.family.fn, instance.schedule
+    # mix checks nothing: the loop checks the terms it reads once, here, and
+    # each point it did not make itself as it arrives.  A memoryview of the
+    # terms indexes as Python floats and keeps 8 bytes a term, a list 32.
+    beta = memoryview(sp._check_lambdas(terms(sch.beta, np.arange(horizon))))
+    lam = memoryview(sp._check_lambdas(terms(sch.lam, np.arange(horizon))))
+    mix, as_point = sp.mix, sp.as_point
 
     xs = sp.empty(horizon + 1)
     us = sp.empty(horizon)
-    x = instance.x0
+    u = as_point(instance.u)
+    x = as_point(instance.x0)
     xs[0] = x
     for n in range(horizon):
-        u_n = sp.combine(u, x, sch.beta(n))
-        x = sp.combine(u_n, fam.eval(n, u_n), sch.lam(n))
+        u_n = mix(u, x, beta[n])
+        x = mix(u_n, as_point(fn(n, u_n)), lam[n])
         us[n] = u_n
         xs[n + 1] = x
     # every trace built from the stored orbit shares these arrays
@@ -225,18 +231,22 @@ def run_modified_halpern(instance: ProblemInstance, horizon: int) -> HalpernTrac
     """Run the modified Halpern iteration started at y_0 = (1 - beta_0) u + beta_0 x_0."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    sp, fam, sch = instance.space, instance.family, instance.schedule
-    u = instance.u
+    sp, fn, sch = instance.space, instance.family.fn, instance.schedule
+    # checked as in _orbit; the loop reads beta_0 .. beta_horizon
+    beta = memoryview(sp._check_lambdas(terms(sch.beta, np.arange(horizon + 1))))
+    lam = memoryview(sp._check_lambdas(terms(sch.lam, np.arange(horizon))))
+    mix, as_point = sp.mix, sp.as_point
 
     ys = sp.empty(horizon + 1)
     vs = sp.empty(horizon)
     t_ys = sp.empty(horizon)
-    y = sp.combine(u, instance.x0, sch.beta(0))
+    u = as_point(instance.u)
+    y = mix(u, as_point(instance.x0), beta[0])
     ys[0] = y
     for n in range(horizon):
-        t_yn = fam.eval(n, y)
-        v = sp.combine(y, t_yn, sch.lam(n))
-        y = sp.combine(u, v, sch.beta(n + 1))
+        t_yn = as_point(fn(n, y))
+        v = mix(y, t_yn, lam[n])
+        y = mix(u, v, beta[n + 1])
         t_ys[n] = t_yn
         vs[n] = v
         ys[n + 1] = y
@@ -281,8 +291,8 @@ def check_halpern_equivalence(
     of this horizon stored it.
 
     With the matching start the identities u_n = y_n and x_{n+1} = v_n hold
-    on any space, and both loops apply the same ``combine`` and ``eval``
-    calls to the same operands in the same order, so both gaps are exactly
+    on any space, and both loops apply the same ``mix`` and ``fn`` calls to
+    the same operands in the same order, so both gaps are exactly
     0.0; a gap above 0 means the arithmetic of one loop changed.
     """
     xs, us = _orbit(instance, horizon)
@@ -401,6 +411,6 @@ def run_kmf_direct(
         beta_n = schedule.beta(n)
         lam_n = schedule.lam(n)
         scaled = beta_n * x
-        x = (1.0 - lam_n) * scaled + lam_n * family.eval(n, scaled)
+        x = (1.0 - lam_n) * scaled + lam_n * family.fn(n, scaled)
         out.append(x)
     return out

@@ -62,9 +62,6 @@ class MappingFamily:
         if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}, expected one of {KINDS}")
 
-    def eval(self, n: int, x: Point) -> Point:
-        return self.fn(n, x)
-
     def eval_array(self, space: Space, ns: np.ndarray, xs: Points) -> Points:
         """The point array of T_{ns[i]} xs[i] for every row i."""
         if self.fn_array is not None:
@@ -195,10 +192,9 @@ def check_nonexpansive(
     family: MappingFamily,
     space: Space,
     samples: int,
+    rng: np.random.Generator,
     n_max: int = 50,
     tol: float = 1e-9,
-    rng: np.random.Generator | None = None,
-    seed: int = 0,
 ) -> Section:
     """Sample (n, x, y) and report the worst d(T_n x, T_n y) - d(x, y),
     with the sample (n, x, y) realizing it; a NaN excess is the worst and
@@ -208,8 +204,6 @@ def check_nonexpansive(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     ns = rng.integers(0, n_max + 1, size=samples)
     x = space.sample(rng, samples)
     y = space.sample(rng, samples)
@@ -230,10 +224,9 @@ def check_jp2_consequence(
     space: Space,
     samples: int,
     index_pairs: int,
+    rng: np.random.Generator,
     tol: float = 1e-9,
     n_max: int = 50,
-    rng: np.random.Generator | None = None,
-    seed: int = 0,
 ) -> Section:
     """Check d(T_m x, T_n x) <= |gamma_m - gamma_n| / gamma_n * d(T_n x, x)
     on sampled points and index pairs.
@@ -246,8 +239,6 @@ def check_jp2_consequence(
     """
     if samples < 1 or index_pairs < 1:
         raise ValueError("samples and index_pairs must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     x = space.sample(rng, samples)
     pairs = rng.integers(0, n_max + 1, size=(samples, index_pairs, 2))
     ms, ns = pairs.ravel(), pairs[..., ::-1].ravel()  # rows (i, j), (j, i) per pair

@@ -156,15 +156,12 @@ def check_firmly_nonexpansive(
     A: MonotoneOp,
     dim: int,
     gammas,
+    rng: np.random.Generator,
     samples: int = 200,
-    rng: np.random.Generator | None = None,
-    seed: int = 0,
     box_radius: float = 5.0,
 ) -> float:
     """Worst violation of firm nonexpansiveness of the resolvent on samples:
     ||Jx - Jy||^2 <= <x - y, Jx - Jy>.  A NaN is the worst."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
     violations = []
     gammas = list(gammas)
     for _ in range(samples):
@@ -181,15 +178,12 @@ def check_firmly_nonexpansive(
 def check_cocoercive(
     B: CocoerciveOp,
     dim: int,
+    rng: np.random.Generator,
     samples: int = 200,
-    rng: np.random.Generator | None = None,
-    seed: int = 0,
     box_radius: float = 5.0,
 ) -> float:
     """Worst violation of <x - y, Bx - By> >= beta ||Bx - By||^2 on
     samples.  A NaN is the worst."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
     beta = B.beta_coco
     violations = []
     for _ in range(samples):

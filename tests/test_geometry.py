@@ -80,9 +80,43 @@ def test_tree_rejects_foreign_points():
         sp.dist(np.zeros(2), TreePoint(0, 0.0))
 
 
+def euclidean_dist_reference(x, y):
+    """The scalar Euclidean distance: the norm of the difference."""
+    return float(np.linalg.norm(x - y))
+
+
+def tree_dist_reference(x, y):
+    """The path metric of the star tree."""
+    return abs(x.t - y.t) if x.ray == y.ray else x.t + y.t
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 16, 32, 64, 128])
+def test_euclidean_dist_array_equals_the_norm_bit_for_bit(dim):
+    sp = EuclideanSpace(dim)
+    rng = np.random.default_rng(dim)
+    scales = np.repeat(10.0 ** np.arange(-200, 151, 25), 100)[:, None]  # 1e-200 .. 1e150
+    x = rng.standard_normal((len(scales), dim)) * scales
+    y = rng.standard_normal((len(scales), dim)) * scales
+    expected = [bits(euclidean_dist_reference(x[i], y[i])) for i in range(len(x))]
+    assert [bits(d) for d in sp.dist_array(x, y)] == expected
+    assert [bits(sp.dist(x[i], y[i])) for i in range(0, len(x), 50)] == expected[::50]
+
+
+@pytest.mark.parametrize("num_rays", [2, 3, 7])
+def test_tree_dist_array_equals_the_path_formula(num_rays):
+    sp = StarTreeSpace(num_rays)
+    rng = np.random.default_rng(num_rays)
+    x, y = sp.sample(rng, 2000), sp.sample(rng, 2000)
+    y.ray[:500] = x.ray[:500]  # same-ray pairs
+    y.t[:100] = x.t[:100]  # equal points
+    expected = [bits(tree_dist_reference(x[i], y[i])) for i in range(len(x))]
+    assert [bits(d) for d in sp.dist_array(x, y)] == expected
+    assert [bits(sp.dist(x[i], y[i])) for i in range(0, len(x), 50)] == expected[::50]
+
+
 @pytest.mark.parametrize("space", [EuclideanSpace(3), StarTreeSpace(4)])
 def test_axioms_pass_on_samples(space):
-    report = check_w_axioms(space, samples=1000, tol=1e-9, seed=7)
+    report = check_w_axioms(space, samples=1000, tol=1e-9, rng=np.random.default_rng(7))
     assert report.passed, report.summary()
 
 
@@ -103,7 +137,7 @@ def test_broken_space_flagged_with_expected_magnitude():
     w2 = abs(sp.dist(sp.combine(x, y, lam), sp.combine(x, y, 0.0)) - lam * sp.dist(x, y))
     assert w2 == pytest.approx(abs(lam**2 - lam) * 2.0)
 
-    report = check_w_axioms(sp, samples=2000, tol=1e-9, seed=3)
+    report = check_w_axioms(sp, samples=2000, tol=1e-9, rng=np.random.default_rng(3))
     assert not report.passed
     assert "W2" in failures(report)
     assert "endpoint_distances" in failures(report)
@@ -206,8 +240,17 @@ class SquaredStarTreeSpace(StarTreeSpace):
         return super().combine(x, y, self._check_lambda(lam) ** 2)
 
 
+class CubedEuclideanSpace(EuclideanSpace):
+    """A Euclidean space whose own ``mix`` interpolates with lam**3: its
+    array form must be the per-row fallback, not the parent's affine one."""
+
+    def mix(self, x, y, lam):
+        return (1.0 - lam**3) * x + lam**3 * y
+
+
 SPACES = {
     "euclidean_own_sampler": lambda: NormalSamplerSpace(3),
+    "euclidean_own_mix": lambda: CubedEuclideanSpace(2),
     "tree_own_combine": lambda: SquaredStarTreeSpace(3),
     "euclidean_1d": lambda: EuclideanSpace(1),
     "euclidean_2d": lambda: EuclideanSpace(2, box_radius=3.0),
@@ -330,12 +373,12 @@ class NanCombineSpace(EuclideanSpace):
 
 
 def test_nan_combination_fails_the_axiom_check():
-    report = check_w_axioms(NanCombineSpace(2), samples=50, seed=0)
+    report = check_w_axioms(NanCombineSpace(2), samples=50, rng=np.random.default_rng(0))
     assert not report.passed
     assert {"W1", "W2", "W3", "W4", "endpoint_distances"} <= set(failures(report))
     assert "VIOLATED" in report.summary()
 
 
 def test_subclass_combination_map_is_the_one_checked():
-    report = check_w_axioms(SquaredStarTreeSpace(3), samples=500, seed=0)
+    report = check_w_axioms(SquaredStarTreeSpace(3), samples=500, rng=np.random.default_rng(0))
     assert "endpoint_distances" in failures(report)

@@ -207,7 +207,7 @@ def test_rejects_nonpositive_horizon():
 
 
 def test_halpern_equivalence_on_every_suite_instance(suite_instances):
-    # both loops make the same combine and eval calls on the same operands
+    # both loops make the same mix and fn calls on the same operands
     for name, instance in suite_instances:
         report = check_halpern_equivalence(instance, 1000)
         assert report.max_u_y == report.max_x_v == 0.0, f"{name}: {report.summary()}"

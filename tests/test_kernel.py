@@ -3,7 +3,7 @@
 ``run_tikhonov_mann`` and ``run_modified_halpern`` step only the recursion
 and compute every residual and distance afterwards with array operations.
 The reference loops below compute each value at its step with ``dist``,
-``combine`` and ``eval`` on single points.  Both must agree bit for bit, on
+``combine`` and ``fn`` on single points.  Both must agree bit for bit, on
 every family with a closed-form array evaluation and on custom families,
 which take the per-point fallback.
 """
@@ -57,11 +57,11 @@ def reference_tikhonov_mann(instance, horizon):
     xs, us = [x], []
     for n in range(horizon):
         u_n = sp.combine(u, x, sch.beta(n))
-        t_un = fam.eval(n, u_n)
+        t_un = fam.fn(n, u_n)
         x_next = sp.combine(u_n, t_un, sch.lam(n))
         seqs["residual_step"].append(sp.dist(x, x_next))
-        seqs["residual_T"].append(sp.dist(x, fam.eval(n, x)))
-        seqs["tfam_gap"].append(sp.dist(fam.eval(n + 1, u_n), t_un))
+        seqs["residual_T"].append(sp.dist(x, fam.fn(n, x)))
+        seqs["tfam_gap"].append(sp.dist(fam.fn(n + 1, u_n), t_un))
         seqs["dist_x_p"].append(sp.dist(x, p))
         seqs["dist_x_u"].append(sp.dist(x, u))
         seqs["dist_u_p"].append(sp.dist(u_n, p))
@@ -83,7 +83,7 @@ def reference_halpern(instance, horizon):
     y = sp.combine(u, instance.x0, sch.beta(0))
     ys, vs, residual_step, residual_T = [y], [], [], []
     for n in range(horizon):
-        t_yn = fam.eval(n, y)
+        t_yn = fam.fn(n, y)
         v = sp.combine(y, t_yn, sch.lam(n))
         y_next = sp.combine(u, v, sch.beta(n + 1))
         residual_step.append(sp.dist(y, y_next))
@@ -236,10 +236,10 @@ def test_tikhonov_mann_kernel_matches_per_step_loop(case):
         assert np.array_equal(getattr(trace, name), np.array(seqs[name])), name
     assert_points_equal(instance.space, trace.x, xs)
     assert_points_equal(instance.space, trace.u_seq, us)
-    # the array evaluation itself returns the points eval does
+    # the array evaluation itself returns the points fn does
     sp, fam = instance.space, instance.family
     mapped = fam.eval_array(sp, np.arange(len(xs)), trace.x)
-    assert_points_equal(sp, mapped, [fam.eval(n, x) for n, x in enumerate(xs)])
+    assert_points_equal(sp, mapped, [fam.fn(n, x) for n, x in enumerate(xs)])
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -300,6 +300,51 @@ def test_combination_parameter_outside_unit_interval_raises(beta, lam):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         run_tikhonov_mann(instance, 20)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        run_modified_halpern(instance, 20)
+
+
+@pytest.mark.parametrize(
+    "beta, lam, raising",
+    [
+        (lambda n: 0.5, lambda n: 1.5 if n == 20 else 0.5, set()),
+        (lambda n: 0.5, lambda n: 1.5 if n == 19 else 0.5, {"anchored", "halpern"}),
+        (lambda n: 1.5 if n == 20 else 0.5, lambda n: 0.5, {"halpern"}),
+    ],
+    ids=["lambda_H", "lambda_H_minus_1", "beta_H"],
+)
+def test_each_loop_checks_exactly_the_terms_it_reads(beta, lam, raising):
+    # over H = 20 steps both loops read lambda_0 .. lambda_19; the anchored
+    # loop reads beta_0 .. beta_19 and the Halpern loop beta_0 .. beta_20
+    for name, run in (("anchored", run_tikhonov_mann), ("halpern", run_modified_halpern)):
+        instance = ProblemInstance.create(
+            EuclideanSpace(1), identity_family(np.zeros(1)), _schedule(beta, lam),
+            u=np.zeros(1), x0=np.ones(1), p=np.zeros(1), M=1,
+        )
+        if name in raising:
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                run(instance, 20)
+        else:
+            assert run(instance, 20).horizon == 20
+
+
+@pytest.mark.parametrize(
+    "space, p, x0, escaped, message",
+    [
+        (EuclideanSpace(2), np.zeros(2), np.ones(2), np.zeros(3), r"shape \(2,\), got \(3,\)"),
+        (StarTreeSpace(3), TreePoint(0, 0.0), TreePoint(1, 1.0), TreePoint(3, 1.0),
+         "ray index 3 out of range for 3 rays"),
+    ],
+    ids=["euclidean_wrong_shape", "tree_ray_out_of_range"],
+)
+def test_family_output_outside_the_space_stops_both_loops(space, p, x0, escaped, message):
+    # T_n is the identity except at n = 12, past the fixed-point check of create
+    family = MappingFamily(
+        name="escape", kind="custom", fn=lambda n, x: escaped if n == 12 else x, fixed_point=p
+    )
+    instance = ProblemInstance.create(space, family, LINEAR, u=p, x0=x0)
+    with pytest.raises(ValueError, match=message):
+        run_tikhonov_mann(instance, 20)
+    with pytest.raises(ValueError, match=message):
         run_modified_halpern(instance, 20)
 
 

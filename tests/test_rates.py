@@ -247,6 +247,15 @@ def test_check_pointwise_bound():
     assert bad.checks[0].at == 0
 
 
+@pytest.mark.parametrize("M, lam", [(1, 0.5), (2, 0.3), (3, 0.7), (7, 0.123)])
+def test_linear_bounds_on_an_index_array_equal_the_per_n_bounds(M, lam):
+    rates = linear_rates(M, lam)
+    ns = np.arange(20_000)
+    for bound in (rates.bound_step, rates.bound_T):
+        per_n = np.array([bound(n) for n in range(len(ns))])
+        assert np.array_equal(bound(ns).view(np.uint64), per_n.view(np.uint64))
+
+
 def test_soundness_sigma_and_sigma_t_certify_full_window():
     # both composed rates must certify out to rate(10) + 1000 on a real orbit
     from tmann.geometry import EuclideanSpace
@@ -277,7 +286,7 @@ def test_soundness_linear_rates_certify(linear_l1):
     window = 2000
     for m in (0, 17):
         residuals = [
-            instance.space.dist(trace.x[n], instance.family.eval(m, trace.x[n]))
+            instance.space.dist(trace.x[n], instance.family.fn(m, trace.x[n]))
             for n in range(window + 1)
         ]
         report = certify_rate(residuals, lr.rate_cross, k_max=10, tol=1e-9)
@@ -296,7 +305,7 @@ def test_linear_cross_index_spot_check_fails_on_nan():
     family = MappingFamily(
         "late_nan_box",
         "constant",
-        lambda n, x: box.eval(n, x) if n < 200 else np.full_like(x, np.nan),
+        lambda n, x: box.fn(n, x) if n < 200 else np.full_like(x, np.nan),
         box.fixed_point,
     )
     instance = ProblemInstance.create(

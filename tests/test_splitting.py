@@ -83,26 +83,28 @@ def test_forward_backward_step_size_domain():
 
 def test_prox_firm_nonexpansiveness_samples():
     gammas = [0.5, 1.0, 2.0]
-    assert check_firmly_nonexpansive(l1_operator(1.0), dim=3, gammas=gammas) <= 1e-9
-    assert check_firmly_nonexpansive(box_operator([-1.0] * 2, [1.0] * 2), dim=2, gammas=gammas) <= 1e-9
+    for A, dim in ((l1_operator(1.0), 3), (box_operator([-1.0] * 2, [1.0] * 2), 2)):
+        rng = np.random.default_rng(0)
+        assert check_firmly_nonexpansive(A, dim=dim, gammas=gammas, rng=rng) <= 1e-9
 
 
 def test_cocoercivity_samples():
     B = quadratic_gradient([0.5, 0.7], [2.0, -3.0])
     assert B.beta_coco == pytest.approx(1.0 / 0.49)
-    assert check_cocoercive(B, dim=2) <= 1e-9
-    assert check_cocoercive(zero_cocoercive(2), dim=2) <= 1e-9
+    assert check_cocoercive(B, dim=2, rng=np.random.default_rng(0)) <= 1e-9
+    assert check_cocoercive(zero_cocoercive(2), dim=2, rng=np.random.default_rng(0)) <= 1e-9
 
 
 def test_nan_resolvent_fails_the_firm_nonexpansiveness_check():
     nan_prox = MonotoneOp(name="nan", prox=lambda gamma, x: np.full_like(x, np.nan))
-    assert np.isnan(check_firmly_nonexpansive(nan_prox, dim=2, gammas=[1.0], samples=20))
+    rng = np.random.default_rng(0)
+    assert np.isnan(check_firmly_nonexpansive(nan_prox, dim=2, gammas=[1.0], samples=20, rng=rng))
 
 
 @pytest.mark.parametrize("beta", [1.0, np.inf])
 def test_nan_operator_fails_the_cocoercivity_check(beta):
     nan_fn = CocoerciveOp(name="nan", fn=lambda x: np.full_like(x, np.nan), beta_coco=beta)
-    assert np.isnan(check_cocoercive(nan_fn, dim=2, samples=20))
+    assert np.isnan(check_cocoercive(nan_fn, dim=2, samples=20, rng=np.random.default_rng(0)))
 
 
 def test_zero_operators_give_stationary_identity_family():
@@ -127,16 +129,16 @@ def test_lasso_solution_is_common_fixed_point():
     schedule, A, B, z = lasso_problem()
     family = forward_backward_family(A, B, schedule.gamma, z)
     for n in range(30):
-        np.testing.assert_allclose(family.eval(n, z), z, atol=1e-12)
+        np.testing.assert_allclose(family.fn(n, z), z, atol=1e-12)
 
 
 def test_fb_family_nonexpansive_and_jp2():
     schedule, A, B, z = lasso_problem()
     family = forward_backward_family(A, B, schedule.gamma, z)
     sp = EuclideanSpace(2)
-    assert check_nonexpansive(family, sp, samples=300, seed=11).passed
+    assert check_nonexpansive(family, sp, samples=300, rng=np.random.default_rng(11)).passed
     assert check_jp2_consequence(
-        family, schedule.gamma, sp, samples=60, index_pairs=6, seed=11
+        family, schedule.gamma, sp, samples=60, index_pairs=6, rng=np.random.default_rng(11)
     ).passed
 
 
