@@ -174,12 +174,18 @@ def resolvent_quadratic_family(Q, gamma: Callable[[int], float]) -> MappingFamil
     def resolvent(n: int, x: np.ndarray) -> np.ndarray:
         return np.linalg.solve(eye + gamma(n) * Q, x)
 
+    def resolvent_array(ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        # one stacked solve, equal to the per-point solves bit for bit
+        systems = eye + terms(gamma, ns)[:, None, None] * Q
+        return np.linalg.solve(systems, xs[..., None])[..., 0]
+
     return MappingFamily(
         name="resolvent_quadratic",
         kind="jp2_with_gamma",
         fn=resolvent,
         fixed_point=np.zeros(dim),
         gamma=gamma,
+        fn_array=resolvent_array,
     )
 
 

@@ -238,7 +238,7 @@ class LinearRates:
     def bound_T(self, n):  # an index or an index array
         return 10.0 * self.M / (self.lambda_const * (n + 2))
 
-    def bound_cross(self, n: int) -> float:
+    def bound_cross(self, n):  # an index or an index array
         return 20.0 * self.M / (self.lambda_const * (n + 2))
 
     def rate_step(self, k: int) -> int:
@@ -272,11 +272,10 @@ class LinearRates:
         space, family = instance.space, instance.family
         # not np.unique, whose first call imports numpy.ma: 14 ms per process
         sample_ns = sorted(set(np.geomspace(1, max(trace.horizon - 1, 1), 25).astype(int).tolist()))
-        excesses = [
-            space.dist(trace.x[n], family.fn(m, trace.x[n])) - self.bound_cross(n)
-            for n in sample_ns
-            for m in (0, n // 2, 2 * n)
-        ]
+        ns = np.repeat(sample_ns, 3)
+        ms = np.array([(0, n // 2, 2 * n) for n in sample_ns]).ravel()
+        xs = trace.x[ns]
+        excesses = space.dist_array(xs, family.eval_array(space, ms, xs)) - self.bound_cross(ns)
         row = worst_row(
             "d(x_n, T_m x_n) <= 20M/(lam(n+2))", excesses, at=lambda i: int(sample_ns[i // 3])
         )

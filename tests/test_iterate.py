@@ -96,6 +96,17 @@ def test_create_rejects_non_fixed_point():
         ProblemInstance.create(sp, fam, sch, u=np.zeros(1), x0=np.zeros(1), p=np.zeros(1))
 
 
+@pytest.mark.parametrize("array_form", [True, False], ids=["fn_array", "per_point"])
+def test_create_names_the_first_map_that_moves_the_point(array_form):
+    # T_0 .. T_3 fix p = 0; T_n moves it by n - 3 from n = 4 on
+    fam = MappingFamily(
+        "late_shift", "custom", lambda n, x: x + max(n - 3, 0), np.zeros(1),
+        fn_array=(lambda ns, xs: xs + np.maximum(ns - 3, 0)[:, None]) if array_form else None,
+    )
+    with pytest.raises(ValueError, match=r"not fixed by T_4: moved by 1\.0$"):
+        euclidean_instance(family=fam, p=np.zeros(1))
+
+
 def test_create_rejects_a_registered_point_mapped_to_nan():
     sp = EuclideanSpace(1)
     fam = MappingFamily("nan", "custom", lambda n, x: np.full_like(x, np.nan), np.zeros(1))
@@ -234,14 +245,14 @@ def test_halpern_check_reads_the_orbit_of_the_run():
     trace = run_tikhonov_mann(inst, H)
     assert len(calls) == H
     report = check_halpern_equivalence(inst, H)
-    assert len(calls) == 2 * H  # the Halpern loop only
+    assert len(calls) == H  # the check evaluates the family through its array form only
     assert report.max_u_y == report.max_x_v == 0.0
     # the same horizon again shares the stored arrays
     assert run_tikhonov_mann(inst, H).x is trace.x
-    assert len(calls) == 2 * H
+    assert len(calls) == H
     # a second horizon computes a new orbit of its own length
     longer = run_tikhonov_mann(inst, H + 50)
-    assert len(calls) == 3 * H + 50
+    assert len(calls) == 2 * H + 50
     assert len(longer.x) == H + 51 and len(longer.u_seq) == H + 50
     assert np.array_equal(longer.x[: H + 1], trace.x)
 

@@ -259,6 +259,56 @@ def test_halpern_kernel_matches_per_step_loop(case):
     assert report.max_x_v == max(sp.dist(xs[n + 1], vs[n]) for n in range(HORIZON))
 
 
+def drifting_array_family(row):
+    """T_n maps every point to 0; its array form moves row ``row`` by 1e-3."""
+    constant = box_projection_family([0.0], [0.0])
+
+    def drifting(ns, xs):
+        return constant.fn_array(ns, xs) + np.where(ns == row, 1e-3, 0.0)[:, None]
+
+    return MappingFamily(
+        name="drifting_array",
+        kind="constant",
+        fn=constant.fn,
+        fixed_point=constant.fixed_point,
+        fn_array=drifting,
+    )
+
+
+def test_halpern_check_flags_an_array_form_that_moves_one_row():
+    # negative controls.  create evaluates T_0 .. T_9 at p through the
+    # array form, so a move at n = 7 already stops it there.
+    schedule = _schedule(LINEAR.beta, lambda n: 1.0)
+    with pytest.raises(ValueError, match="not fixed by T_7: moved by 0.001"):
+        _euclidean(1, drifting_array_family(7), schedule, u=[0.4], x0=[1.5])
+    # Past those maps, at n = 12, the Halpern check must flag it: with
+    # lambda_n = 1 the v-step takes T_n u_n whole, so the replayed V_12
+    # sits exactly 1e-3 from x_13 = 0.
+    instance = _euclidean(1, drifting_array_family(12), schedule, u=[0.4], x0=[1.5])
+    report = check_halpern_equivalence(instance, HORIZON)
+    assert max(report.max_u_y, report.max_x_v) >= 1e-3, report.summary()
+    assert not report.passed
+    # the y-step carries it on: Y_13 = W(u, V_12, beta_13) sits beta_13 * 1e-3
+    # from u_13, and no other defect adds to the running sum
+    assert report.max_u_y == pytest.approx(LINEAR.beta(13) * 1e-3, rel=1e-9)
+    # the Halpern loop itself, which calls fn, still walks the orbit exactly
+    ha = run_modified_halpern(instance, HORIZON)
+    assert_points_equal(instance.space, ha.v, list(run_tikhonov_mann(instance, HORIZON).x[1:]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_quadratic_resolvent_array_equals_per_point_solve(dim):
+    rng = np.random.default_rng(dim)
+    A = rng.standard_normal((dim, dim))
+    Q = A @ A.T
+    Q[-1] = Q[:, -1] = 0.0  # a singular Q is positive semidefinite too
+    family = resolvent_quadratic_family(Q, LINEAR.gamma)
+    ns = rng.integers(0, 50_000, size=5_000)
+    xs = rng.uniform(-3.0, 3.0, size=(5_000, dim))
+    expected = np.array([family.fn(n, x) for n, x in zip(ns.tolist(), xs)])
+    assert np.array_equal(family.eval_array(EuclideanSpace(dim), ns, xs), expected)
+
+
 def test_stored_points_index_as_points_of_the_space():
     instance = CASES["tree_contraction"]()
     trace = run_tikhonov_mann(instance, 5)

@@ -293,6 +293,27 @@ def test_soundness_linear_rates_certify(linear_l1):
         assert report.all_passed, report.summary()
 
 
+def test_linear_cross_index_spot_check_equals_the_per_point_formula(suite_fixtures):
+    # the spot check evaluates its (n, m) rows as arrays; the per-point
+    # distances and bounds below are its reference, bit for bit
+    for fixture in suite_fixtures:
+        instance, trace = fixture.instance, fixture.trace
+        lr = linear_rates(instance.M, 0.5)
+        space, family = instance.space, instance.family
+        ns = sorted(set(np.geomspace(1, trace.horizon - 1, 25).astype(int).tolist()))
+        excess = [
+            space.dist(trace.x[n], family.fn(m, trace.x[n]))
+            - 20.0 * lr.M / (lr.lambda_const * (n + 2))
+            for n in ns
+            for m in (0, n // 2, 2 * n)
+        ]
+        worst = int(np.argmax(excess))
+        (row,) = dict(lr.orbit_checks(instance, trace, tol=1e-9))[
+            "linear cross-index spot check"
+        ].checks
+        assert (row.worst_excess, row.at) == (excess[worst], ns[worst // 3]), fixture.name
+
+
 def test_linear_cross_index_spot_check_fails_on_nan():
     # the family is NaN only from index 200 on: a 200-step orbit never
     # evaluates it there, but the spot check reads T_m x_n at m = 2n
