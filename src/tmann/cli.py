@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import checks, geometry, iterate, mappings, rates, sequences, splitting
+from . import checks, geometry, iterate, mappings, rates, sequences
 from .geometry import EuclideanSpace, StarTreeSpace, TreePoint
 from .iterate import ProblemInstance, write_csv
 from .mappings import MappingFamily
@@ -141,16 +141,16 @@ SCHEDULES = {
 
 _BOX = {"lo": (VECTOR, REQUIRED, None), "hi": (VECTOR, REQUIRED, None)}
 MONOTONE_OPS = {
-    "l1": Kind(lambda rho, **_: splitting.l1_operator(rho), {"rho": (float, 1.0, None)}),
-    "box": Kind(lambda lo, hi, **_: splitting.box_operator(lo, hi), _BOX),
-    "zero": Kind(lambda **_: splitting.zero_operator(), {}),
+    "l1": Kind(lambda rho, **_: mappings.l1_operator(rho), {"rho": (float, 1.0, None)}),
+    "box": Kind(lambda lo, hi, **_: mappings.box_operator(lo, hi), _BOX),
+    "zero": Kind(lambda **_: mappings.zero_operator(), {}),
 }
 COCOERCIVE_OPS = {
     "quadratic": Kind(
-        lambda diag, b, **_: splitting.quadratic_gradient(diag, b),
+        lambda diag, b, **_: mappings.quadratic_gradient(diag, b),
         {"diag": (VECTOR, REQUIRED, None), "b": (VECTOR, REQUIRED, None)},
     ),
-    "zero": Kind(lambda dim, **_: splitting.zero_cocoercive(dim), {}),
+    "zero": Kind(lambda **_: mappings.zero_cocoercive(), {}),
 }
 
 
@@ -163,7 +163,7 @@ def _forward_backward(A, B, schedule: ParamSchedule, p, horizon: int, **_) -> Ma
     if outside.any():
         n = int(np.argmax(outside))
         raise ValueError(f"gamma_{n} = {float(gammas[n])!r} outside the step-size range (0, {cap!r})")
-    return splitting.forward_backward_family(A, B, schedule.gamma, p)
+    return mappings.forward_backward_family(A, B, schedule.gamma, p)
 
 
 FAMILIES = {

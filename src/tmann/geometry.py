@@ -109,7 +109,7 @@ class Space(ABC):
 
     def combine(self, x: Point, y: Point, lam: float) -> Point:
         """``mix`` after checking lam and both points."""
-        return self.mix(self.as_point(x), self.as_point(y), self._check_lambda(lam))
+        return self.mix(self.as_point(x), self.as_point(y), float(self._check_lambdas(lam)))
 
     def dist(self, x: Point, y: Point) -> float:
         """Distance between two points: ``dist_array`` of the two points."""
@@ -149,12 +149,6 @@ class Space(ABC):
         for i, point in enumerate(points):
             out[i] = self.as_point(point)
         return out
-
-    @staticmethod
-    def _check_lambda(lam: float) -> float:
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"combination parameter must lie in [0, 1], got {lam}")
-        return float(lam)
 
     @staticmethod
     def _check_lambdas(lam) -> np.ndarray:

@@ -18,10 +18,26 @@ Resolvent families J_{gamma_n A} of a single maximally monotone operator
 satisfy the comparison; only operators with closed-form resolvents are
 implemented (soft thresholding, box projections, linear positive
 semidefinite maps) so that every example stays exactly checkable.
+
+So does anchored forward-backward splitting with variable step size.  For
+a maximally monotone operator A (given through its resolvent
+J_{gamma A} = (Id + gamma A)^{-1}) and a beta-cocoercive operator B, the
+forward-backward map
+
+    T_gamma = J_{gamma A} (Id - gamma B),        gamma in (0, 2 beta),
+
+is 2beta/(4beta - gamma)-averaged, hence nonexpansive, and its fixed points
+are exactly the zeros of A + B; the family T_n = T_{gamma_n} satisfies the
+comparison with respect to (gamma_n).  Only Euclidean operators with closed
+forms ship, and cocoercivity constants are supplied analytically (the
+gradient of an L-smooth convex function is 1/L-cocoercive).  The
+experiment harness does not check the operators: ``check_firmly_nonexpansive``
+and ``check_cocoercive`` sample them, when called.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
@@ -29,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .checks import Section, worst_row
-from .geometry import Point, Points, Space, TreePoint, TreePoints
+from .geometry import EuclideanSpace, Point, Points, Space, TreePoint, TreePoints
 from .sequences import ParamSchedule, RateFn, terms
 
 KINDS = ("constant", "jp2_with_gamma", "custom")
@@ -96,11 +112,13 @@ def identity_family(fixed_point: Point) -> MappingFamily:
     )
 
 
-def box_projection_family(lo, hi) -> MappingFamily:
-    """Constant family projecting onto the box [lo, hi] componentwise.
+def _box_projector(lo, hi) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """The corners of the nonempty box [lo, hi] as float arrays, and the
+    componentwise projection onto it, of one point or a point array.
 
-    Projections onto closed convex sets are nonexpansive; every point of the
-    box is fixed.  The registered fixed point is the box midpoint.
+    The projection is np.minimum(np.maximum(x, lo), hi), at half the call
+    overhead of np.clip on one point.  It equals np.clip bit for bit unless
+    a bound is -0.0 or +0.0: np.clip(-0.0, 0.0, 1.0) is -0.0, this is 0.0.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -108,13 +126,22 @@ def box_projection_family(lo, hi) -> MappingFamily:
         raise ValueError(f"box corners must share a shape, got {lo.shape} and {hi.shape}")
     if np.any(lo > hi):
         raise ValueError("box is empty: some lo component exceeds hi")
-    # np.clip's result bit for bit, at half its call overhead on one point
+    return lo, hi, lambda x: np.minimum(np.maximum(x, lo), hi)
+
+
+def box_projection_family(lo, hi) -> MappingFamily:
+    """Constant family projecting onto the box [lo, hi] componentwise.
+
+    Projections onto closed convex sets are nonexpansive; every point of the
+    box is fixed.  The registered fixed point is the box midpoint.
+    """
+    lo, hi, project = _box_projector(lo, hi)
     return MappingFamily(
         name="box_projection",
         kind="constant",
-        fn=lambda n, x: np.minimum(np.maximum(x, lo), hi),
+        fn=lambda n, x: project(x),
         fixed_point=(lo + hi) / 2.0,
-        fn_array=lambda ns, xs: np.minimum(np.maximum(xs, lo), hi),
+        fn_array=lambda ns, xs: project(xs),
     )
 
 
@@ -189,9 +216,114 @@ def resolvent_quadratic_family(Q, gamma: Callable[[int], float]) -> MappingFamil
     )
 
 
-#: The worst samples of the two family checks, named for the report.
+@dataclass(frozen=True)
+class MonotoneOp:
+    """A maximally monotone operator given through its resolvent oracle.
+
+    ``prox(gamma, x)`` must return J_{gamma A}(x) = (Id + gamma A)^{-1}(x),
+    for one point and a float step size, and row by row for a point array
+    and a column of step sizes.  Resolvents are firmly nonexpansive;
+    ``check_firmly_nonexpansive`` spot checks that on samples.
+    """
+
+    name: str
+    prox: Callable[[float, np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class CocoerciveOp:
+    """A single-valued operator with a declared cocoercivity constant:
+    <x - y, Bx - By> >= beta_coco ||Bx - By||^2.  ``fn`` takes one point,
+    or a point array and then acts row by row."""
+
+    name: str
+    fn: Callable[[np.ndarray], np.ndarray]
+    beta_coco: float
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.fn(x)
+
+
+def l1_operator(weight: float = 1.0) -> MonotoneOp:
+    """Subdifferential of weight * l1 norm; resolvent is soft thresholding."""
+    if weight < 0:
+        raise ValueError(f"weight must be >= 0, got {weight}")
+    return MonotoneOp(
+        name=f"l1({weight:g})", prox=lambda gamma, x: soft_threshold(x, gamma * weight)
+    )
+
+
+def box_operator(lo, hi) -> MonotoneOp:
+    """Normal cone of the box [lo, hi]; resolvent is the projection, for
+    every step size."""
+    _, _, project = _box_projector(lo, hi)
+    return MonotoneOp(name="box", prox=lambda gamma, x: project(x))
+
+
+def zero_operator() -> MonotoneOp:
+    """The zero operator; its resolvent is the identity."""
+    return MonotoneOp(name="zero", prox=lambda gamma, x: np.asarray(x, dtype=float))
+
+
+def quadratic_gradient(diag, b) -> CocoerciveOp:
+    """Gradient of x -> 0.5 ||D x - b||^2 for diagonal D: B x = D^2 x - D b.
+
+    The gradient is L-smooth with L = max(diag^2), hence 1/L-cocoercive;
+    an all-zero diagonal gives the zero operator (cocoercive for every
+    constant, recorded as infinity).
+    """
+    d = np.asarray(diag, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if d.shape != b.shape:
+        raise ValueError(f"diag and b must share a shape, got {d.shape} and {b.shape}")
+    d2, db = d * d, d * b
+    lipschitz = float(np.max(d2))
+    beta = math.inf if lipschitz == 0.0 else 1.0 / lipschitz
+    return CocoerciveOp(name="quadratic_gradient", fn=lambda x: d2 * x - db, beta_coco=beta)
+
+
+def zero_cocoercive() -> CocoerciveOp:
+    """The zero operator, cocoercive for every constant."""
+    return CocoerciveOp(name="zero", fn=np.zeros_like, beta_coco=math.inf)
+
+
+def forward_backward_map(
+    A: MonotoneOp, B: CocoerciveOp, gamma: float, x: np.ndarray
+) -> np.ndarray:
+    """One forward-backward application: J_{gamma A}(x - gamma B x).
+
+    ``gamma`` may also be a column of step sizes and ``x`` an array with one
+    point per row; every step size must lie in (0, 2 beta).
+    """
+    for g in (gamma,) if np.isscalar(gamma) else (gamma.min(), gamma.max()):
+        if not 0.0 < g < 2.0 * B.beta_coco:
+            raise ValueError(
+                f"step size must lie in (0, 2 beta) = (0, {2.0 * B.beta_coco!r}), got {g}"
+            )
+    x = np.asarray(x, dtype=float)
+    return A.prox(gamma, x - gamma * B(x))
+
+
+def forward_backward_family(
+    A: MonotoneOp, B: CocoerciveOp, gamma: Callable[[int], float], zero_point: np.ndarray
+) -> MappingFamily:
+    """The family T_n = J_{gamma_n A}(Id - gamma_n B) with a registered zero
+    of A + B as its common fixed point."""
+    return MappingFamily(
+        name=f"fb[{A.name}+{B.name}]",
+        kind="jp2_with_gamma",
+        fn=lambda n, x: forward_backward_map(A, B, gamma(n), x),
+        fixed_point=np.asarray(zero_point, dtype=float),
+        gamma=gamma,
+        fn_array=lambda ns, xs: forward_backward_map(A, B, gamma_column(gamma, ns), xs),
+    )
+
+
+#: The worst samples of the family and operator checks, named for the report.
 PointPair = namedtuple("PointPair", "n x y")
 IndexPair = namedtuple("IndexPair", "m n x")
+StepPair = namedtuple("StepPair", "gamma x y")
+Pair = namedtuple("Pair", "x y")
 
 
 def check_nonexpansive(
@@ -262,6 +394,77 @@ def check_jp2_consequence(
     return Section(
         title=f"jp2_consequence[{family.name}] on {space.name}: "
         f"{len(excess)} samples, tol {tol!r}",
+        checks=(row,),
+        tol=tol,
+    )
+
+
+def check_firmly_nonexpansive(
+    A: MonotoneOp,
+    dim: int,
+    gammas,
+    rng: np.random.Generator,
+    samples: int = 200,
+    box_radius: float = 5.0,
+    tol: float = 1e-9,
+) -> Section:
+    """Sample (gamma, x, y) and report the worst violation of firm
+    nonexpansiveness of the resolvent, ||Jx - Jy||^2 <= <x - y, Jx - Jy>,
+    with the sample realizing it; a NaN excess is the worst and fails.
+
+    The draws are blocks: every step size from ``gammas``, then the point
+    arrays x and y in the box [-box_radius, box_radius]^dim.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    steps = rng.choice(np.asarray(gammas, dtype=float), size=samples)
+    space = EuclideanSpace(dim, box_radius)
+    x = space.sample(rng, samples)
+    y = space.sample(rng, samples)
+    diff = A.prox(steps[:, None], x) - A.prox(steps[:, None], y)
+    excess = np.sum(diff * diff, axis=1) - np.sum((x - y) * diff, axis=1)
+    row = worst_row(
+        "||Jx - Jy||^2 <= <x - y, Jx - Jy>",
+        excess,
+        at=lambda i: StepPair(float(steps[i]), x[i], y[i]),
+    )
+    return Section(
+        title=f"firmly_nonexpansive[{A.name}] on {space.name}: {samples} samples, tol {tol!r}",
+        checks=(row,),
+        tol=tol,
+    )
+
+
+def check_cocoercive(
+    B: CocoerciveOp,
+    dim: int,
+    rng: np.random.Generator,
+    samples: int = 200,
+    box_radius: float = 5.0,
+    tol: float = 1e-9,
+) -> Section:
+    """Sample (x, y) and report the worst violation of
+    <x - y, Bx - By> >= beta ||Bx - By||^2, with the sample realizing it; a
+    NaN excess is the worst and fails.  For beta = infinity (the zero
+    operator) the excess is ||Bx - By||^2.
+
+    The draws are blocks: the point arrays x and y in the box
+    [-box_radius, box_radius]^dim.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    space = EuclideanSpace(dim, box_radius)
+    x = space.sample(rng, samples)
+    y = space.sample(rng, samples)
+    bx_by = B(x) - B(y)
+    quad, inner = np.sum(bx_by * bx_by, axis=1), np.sum((x - y) * bx_by, axis=1)
+    beta = B.beta_coco
+    excess = quad if math.isinf(beta) else beta * quad - inner
+    row = worst_row(
+        "<x - y, Bx - By> >= beta ||Bx - By||^2", excess, at=lambda i: Pair(x[i], y[i])
+    )
+    return Section(
+        title=f"cocoercive[{B.name}] on {space.name}: {samples} samples, tol {tol!r}",
         checks=(row,),
         tol=tol,
     )

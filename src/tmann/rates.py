@@ -247,9 +247,6 @@ class LinearRates:
     def rate_T(self, k: int) -> int:
         return 10 * self.M * ceil_reciprocal(self.lambda_const) * (k + 1) - 2
 
-    def rate_cross(self, k: int) -> int:
-        return 20 * self.M * ceil_reciprocal(self.lambda_const) * (k + 1) - 2
-
     def bundle(self) -> RateBundle:
         return RateBundle(provenance="linear_theorem", Sigma=self.rate_step, Sigma_T=self.rate_T)
 
@@ -355,10 +352,6 @@ class CertificationReport:
     horizon: int
     tol: float
     rows: tuple
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.status == "pass" for r in self.rows)
 
     @property
     def acceptable(self) -> bool:

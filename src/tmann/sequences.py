@@ -479,19 +479,12 @@ class ScheduleValidation:
     gamma_cap_ok: bool | None
     range_excursion: float
 
-    def _holds(self, allowed: tuple) -> bool:
-        caps = self.lambda_cap_ok and (self.gamma_cap_ok is not False)
-        return caps and self.range_excursion <= 1e-15 and all(
-            s in allowed for statuses in self.moduli.values() for s in statuses
-        )
-
-    @property
-    def all_pass(self) -> bool:
-        return self._holds(("pass",))
-
     @property
     def no_failure(self) -> bool:
-        return self._holds(("pass", "inconclusive"))
+        caps = self.lambda_cap_ok and (self.gamma_cap_ok is not False)
+        return caps and self.range_excursion <= 1e-15 and all(
+            s != "fail" for statuses in self.moduli.values() for s in statuses
+        )
 
     def summary(self) -> str:
         lines = [

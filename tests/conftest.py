@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from tmann import cli, splitting
+from tmann import cli, mappings
 
 # property tests replay the same examples every run; the acceptance gate is
 # meant to be reproducible bit for bit
@@ -95,11 +95,11 @@ def hilbert_box() -> Fixture:
 
 def _splitting_lasso() -> ProblemInstance:
     schedule = builtin_example_schedule(0.5)
-    A = splitting.l1_operator(1.0)
-    B = splitting.quadratic_gradient([0.5, 0.7], [2.0, -3.0])
+    A = mappings.l1_operator(1.0)
+    B = mappings.quadratic_gradient([0.5, 0.7], [2.0, -3.0])
     # separable optimum: z_i = soft(d_i b_i, rho) / d_i^2
     z = np.array([0.0, -1.1 / 0.49])
-    family = splitting.forward_backward_family(A, B, schedule.gamma, z)
+    family = mappings.forward_backward_family(A, B, schedule.gamma, z)
     return ProblemInstance.create(
         EuclideanSpace(2), family, schedule, u=np.array([0.0, -2.0]), x0=np.array([0.3, -1.5]), p=z
     )
@@ -107,11 +107,11 @@ def _splitting_lasso() -> ProblemInstance:
 
 def _splitting_box_quadratic() -> ProblemInstance:
     schedule = builtin_example_schedule(0.5)
-    A = splitting.box_operator([0.0], [1.0])
-    B = splitting.quadratic_gradient([0.8], [2.0])
+    A = mappings.box_operator([0.0], [1.0])
+    B = mappings.quadratic_gradient([0.8], [2.0])
     # unconstrained minimizer 2.5 lies right of the box, so the solution is 1
     z = np.array([1.0])
-    family = splitting.forward_backward_family(A, B, schedule.gamma, z)
+    family = mappings.forward_backward_family(A, B, schedule.gamma, z)
     return ProblemInstance.create(
         EuclideanSpace(1), family, schedule, u=np.zeros(1), x0=np.array([0.5]), p=z
     )

@@ -1,0 +1,73 @@
+"""Every public function, class and method of ``tmann`` has a caller in
+``src/``, or an entry below that says why it has none.
+
+The check reads ``src/tmann/*.py`` with ``ast``.  A definition counts as
+called when some ``ast.Name`` or ``ast.Attribute`` anywhere in ``src/``
+carries its name.  It matches by name only, so it cannot see a method
+whose name is also used for something else: ``Space.dist`` counts as
+called because ``dist`` is a local name in other functions, although only
+the tests call the method.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tmann"
+
+#: Public names with no caller in ``src/``, and why each is kept.
+NO_CALLER = {
+    "run_modified_halpern": "reference loop the tests compare the stored orbit against; "
+    "the benchmark also patches it by name",
+    "run_kmf_direct": "reference loop the tests compare the anchored iteration against",
+    "check_halpern_equivalence": "planned as a section of `tmann run`; tests and benchmark call it",
+    "halpern_translated_bundle": "planned for certifying the Halpern trace in `tmann run`",
+    "check_firmly_nonexpansive": "checks a user's resolvent; `tmann run` does not run it",
+    "check_cocoercive": "checks a user's cocoercive operator; `tmann run` does not run it",
+}
+
+
+def public_definitions() -> dict[str, str]:
+    """Public top-level functions and classes, and the public methods of
+    top-level classes (as Class.method), each with its module's name."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                found[node.name] = path.stem
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        found[f"{node.name}.{item.name}"] = path.stem
+    return found
+
+
+def referenced_names() -> set[str]:
+    """Every name read as an ``ast.Name`` or an ``ast.Attribute`` in ``src/``."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_definition_has_a_caller_or_a_reason():
+    referenced = referenced_names()
+    uncalled = {
+        f"{module}.{name}"
+        for name, module in public_definitions().items()
+        if name.rsplit(".", 1)[-1] not in referenced and name not in NO_CALLER
+    }
+    assert not uncalled, f"no caller in src/ and no entry in NO_CALLER: {sorted(uncalled)}"
+
+
+def test_every_allowlist_entry_names_an_uncalled_definition():
+    definitions, referenced = public_definitions(), referenced_names()
+    stale = {
+        name
+        for name in NO_CALLER
+        if name not in definitions or name.rsplit(".", 1)[-1] in referenced
+    }
+    assert not stale, f"NO_CALLER entries that are gone or now called: {sorted(stale)}"

@@ -237,7 +237,7 @@ class SquaredStarTreeSpace(StarTreeSpace):
     geodesic: the axiom check must check this map, not the parent's."""
 
     def combine(self, x, y, lam):
-        return super().combine(x, y, self._check_lambda(lam) ** 2)
+        return super().combine(x, y, float(self._check_lambdas(lam)) ** 2)
 
 
 class CubedEuclideanSpace(EuclideanSpace):

@@ -11,7 +11,7 @@ which take the per-point fallback.
 import numpy as np
 import pytest
 
-from tmann import splitting
+from tmann import mappings
 from tmann.geometry import (
     BrokenEuclideanSpace,
     EuclideanSpace,
@@ -142,36 +142,39 @@ def _tree(family, schedule, u, x0):
 
 def _forward_backward(A, B, schedule, u, x0, z):
     z = np.array(z)
-    family = splitting.forward_backward_family(A, B, schedule.gamma, z)
+    family = mappings.forward_backward_family(A, B, schedule.gamma, z)
     return _euclidean(len(z), family, schedule, u, x0, p=z, space=EuclideanSpace(len(z)))
 
 
 def _lasso(schedule):
-    A = splitting.l1_operator(1.0)
-    B = splitting.quadratic_gradient([0.5, 0.7], [2.0, -3.0])
+    A = mappings.l1_operator(1.0)
+    B = mappings.quadratic_gradient([0.5, 0.7], [2.0, -3.0])
     return _forward_backward(A, B, schedule, u=[0.0, -2.0], x0=[0.3, -1.5], z=[0.0, -1.1 / 0.49])
 
 
 def _box_projection_splitting(schedule):
-    A = splitting.box_operator([-1.0, -1.0], [1.0, 1.0])
-    B = splitting.zero_cocoercive(2)
+    A = mappings.box_operator([-1.0, -1.0], [1.0, 1.0])
+    B = mappings.zero_cocoercive()
     return _forward_backward(A, B, schedule, u=[0.2, 0.9], x0=[1.8, 2.4], z=[0.0, 0.0])
 
 
 def group_lasso_operator(weight):
-    """Custom operator on the scalar contract: the prox of weight * ||x||.
-    Its norm spans the whole argument, so it cannot act row by row."""
+    """Custom operator: the prox of weight * ||x||, which shrinks a point
+    toward 0 by gamma * weight along its ray.  Its norm runs over the last
+    axis, so one point with a float step and a point array with a step
+    column give the same rows."""
 
     def prox(gamma, x):
-        norm = np.linalg.norm(x)
-        return np.zeros_like(x) if norm <= gamma * weight else (1.0 - gamma * weight / norm) * x
+        norm = np.linalg.norm(x, axis=-1, keepdims=True)
+        shrink = gamma * weight
+        return np.maximum(1.0 - shrink / np.maximum(norm, shrink), 0.0) * x
 
-    return splitting.MonotoneOp(name="group_lasso", prox=prox)
+    return mappings.MonotoneOp(name="group_lasso", prox=prox)
 
 
 def _group_lasso_splitting(schedule):
     A = group_lasso_operator(0.3)
-    B = splitting.zero_cocoercive(2)
+    B = mappings.zero_cocoercive()
     return _forward_backward(A, B, schedule, u=[0.2, 0.9], x0=[1.8, 2.4], z=[0.0, 0.0])
 
 
@@ -319,13 +322,6 @@ def test_stored_points_index_as_points_of_the_space():
     assert run_tikhonov_mann(euclid, 5).x[2].shape == (3,)
 
 
-def test_forward_backward_evaluates_arrays_only_for_rowwise_operators():
-    library = CASES["euclidean_forward_backward"]().family
-    custom = CASES["euclidean_forward_backward_custom_prox"]().family
-    assert library.fn_array is not None
-    assert custom.fn_array is None
-
-
 def _schedule(beta, lam):
     return ParamSchedule(
         name="bad", beta=beta, lam=lam, sigma_beta=lambda k: k, chi_beta=lambda k: k,
@@ -400,9 +396,9 @@ def test_family_output_outside_the_space_stops_both_loops(space, p, x0, escaped,
 
 @pytest.mark.parametrize("bad_gamma", [2.0, 2.5, 0.0])
 def test_forward_backward_step_size_outside_range_raises(bad_gamma):
-    A = splitting.zero_operator()
-    B = splitting.quadratic_gradient([1.0], [0.0])  # beta = 1, so gamma must lie in (0, 2)
-    family = splitting.forward_backward_family(
+    A = mappings.zero_operator()
+    B = mappings.quadratic_gradient([1.0], [0.0])  # beta = 1, so gamma must lie in (0, 2)
+    family = mappings.forward_backward_family(
         A, B, lambda n: bad_gamma if n == 15 else 1.0, np.zeros(1)
     )
     instance = ProblemInstance.create(

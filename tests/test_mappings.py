@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,14 +13,16 @@ from tmann.mappings import (
     chi_T_for,
     chi_T_from_gamma,
     constant_family_chi_T,
+    forward_backward_family,
     identity_family,
+    l1_operator,
+    quadratic_gradient,
     resolvent_l1_family,
     resolvent_quadratic_family,
     soft_threshold,
     tree_contraction_family,
 )
 from tmann.sequences import builtin_example_schedule, oracle_cauchy_modulus
-from tmann.splitting import MonotoneOp, forward_backward_family, l1_operator, quadratic_gradient
 
 GAMMA_EXAMPLE = lambda n: 1.0 + 1.0 / (n + 1)
 
@@ -297,10 +300,9 @@ def bits(value):
 
 GAMMA = builtin_example_schedule(0.5).gamma
 FB_OPERATORS = (l1_operator(0.5), quadratic_gradient([0.5, 0.7], [2.0, -3.0]))
-LOOPING_PROX = MonotoneOp(name="l1_loop", prox=FB_OPERATORS[0].prox)  # not rowwise
 # every family the config reader builds, then a forward-backward family
-# whose prox is not rowwise and two custom ones; eval_array evaluates a
-# family without fn_array one row at a time
+# without its fn_array and two custom ones; eval_array evaluates a family
+# without fn_array one row at a time
 CHECKED_FAMILIES = {
     "identity_plane": (lambda: identity_family(np.zeros(2)), lambda: EuclideanSpace(2)),
     "identity_tree": (lambda: identity_family(TreePoint(0, 0.0)), lambda: StarTreeSpace(3)),
@@ -319,7 +321,7 @@ CHECKED_FAMILIES = {
         lambda: EuclideanSpace(2),
     ),
     "forward_backward_looping": (
-        lambda: forward_backward_family(LOOPING_PROX, FB_OPERATORS[1], GAMMA, np.zeros(2)),
+        lambda: replace(forward_backward_family(*FB_OPERATORS, GAMMA, np.zeros(2)), fn_array=None),
         lambda: EuclideanSpace(2),
     ),
     "nan_even": (nan_at_even_indices_family, lambda: EuclideanSpace(2)),

@@ -31,6 +31,12 @@ def example_chi_T(M):
     return chi_T_from_gamma(M, 1, 0, identity)
 
 
+def cross_rate(lr):
+    """The linear theorem's rate for d(x_n, T_m x_n) at a fixed m:
+    k -> 20 M ceil(1/lambda) (k + 1) - 2."""
+    return lambda k: 20 * lr.M * ceil_reciprocal(lr.lambda_const) * (k + 1) - 2
+
+
 def test_chi_combined_example_values():
     chi1 = chi_combined(example_chi_T(1), zero, identity, M=1)
     assert chi1(0) == 7
@@ -112,7 +118,7 @@ def test_linear_rates_values():
     lr = linear_rates(1, 0.5)
     assert lr.rate_step(0) == 4
     assert lr.rate_T(0) == 18
-    assert lr.rate_cross(0) == 38
+    assert cross_rate(lr)(0) == 38
     assert lr.bound_step(0) == 3.0
     assert lr.bundle().provenance == "linear_theorem"
 
@@ -156,13 +162,13 @@ def test_sabach_shtern_fails_on_a_nan(index):
 
 def test_certify_zero_residuals_any_rate():
     report = certify_rate(np.zeros(100), lambda k: 3 * k, k_max=5)
-    assert report.all_passed
+    assert {r.status for r in report.rows} == {"pass"}
 
 
 def test_certify_boundary_equality_passes():
     residuals = np.array([1.0 / (n + 1) for n in range(200)])
     report = certify_rate(residuals, identity, k_max=10)
-    assert report.all_passed
+    assert {r.status for r in report.rows} == {"pass"}
 
 
 def test_certify_detects_failure_and_reports_empirical_minimum():
@@ -180,12 +186,12 @@ def test_certify_detects_failure_and_reports_empirical_minimum():
 def test_certify_inconclusive_beyond_horizon():
     report = certify_rate(np.zeros(10), lambda k: 100, k_max=2)
     assert all(r.status == "inconclusive" for r in report.rows)
-    assert report.acceptable and not report.all_passed
+    assert report.acceptable and {r.status for r in report.rows} != {"pass"}
 
 
 def test_certify_single_level_and_short_window():
     report = certify_rate([0.0], zero, k_max=0)
-    assert report.all_passed
+    assert {r.status for r in report.rows} == {"pass"}
     assert report.horizon == 0
     with pytest.raises(ValueError, match="horizon"):
         certify_rate([0.0, 0.0], zero, k_max=0, horizon=5)
@@ -272,16 +278,17 @@ def test_soundness_sigma_and_sigma_t_certify_full_window():
     horizon = bundle.Sigma_T(10) + 1000
     trace = run_tikhonov_mann(instance, horizon)
     step = certify_rate(trace.residual_step, bundle.Sigma, k_max=10, tol=1e-9)
-    assert step.all_passed, step.summary()
+    assert {r.status for r in step.rows} == {"pass"}, step.summary()
     t_res = certify_rate(trace.residual_T, bundle.Sigma_T, k_max=10, tol=1e-9)
-    assert t_res.all_passed, t_res.summary()
+    assert {r.status for r in t_res.rows} == {"pass"}, t_res.summary()
 
 
 def test_soundness_linear_rates_certify(linear_l1):
     instance, trace = linear_l1.instance, linear_l1.trace
     lr = linear_rates(instance.M, 0.5)
-    assert certify_rate(trace.residual_step, lr.rate_step, k_max=10, tol=1e-9).all_passed
-    assert certify_rate(trace.residual_T, lr.rate_T, k_max=10, tol=1e-9).all_passed
+    for residuals, rate in ((trace.residual_step, lr.rate_step), (trace.residual_T, lr.rate_T)):
+        report = certify_rate(residuals, rate, k_max=10, tol=1e-9)
+        assert {r.status for r in report.rows} == {"pass"}, report.summary()
     # fixed-index residuals d(x_n, T_m x_n) obey the cross rate for each m
     window = 2000
     for m in (0, 17):
@@ -289,8 +296,8 @@ def test_soundness_linear_rates_certify(linear_l1):
             instance.space.dist(trace.x[n], instance.family.fn(m, trace.x[n]))
             for n in range(window + 1)
         ]
-        report = certify_rate(residuals, lr.rate_cross, k_max=10, tol=1e-9)
-        assert report.all_passed, report.summary()
+        report = certify_rate(residuals, cross_rate(lr), k_max=10, tol=1e-9)
+        assert {r.status for r in report.rows} == {"pass"}, report.summary()
 
 
 def test_linear_cross_index_spot_check_equals_the_per_point_formula(suite_fixtures):

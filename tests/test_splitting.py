@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,25 +13,27 @@ from tmann.iterate import (
     check_recursive_inequalities,
     run_tikhonov_mann,
 )
-from tmann.mappings import check_jp2_consequence, check_nonexpansive, chi_T_for
-from tmann.rates import certify_rate, general_rates
-from tmann.sequences import (
-    builtin_example_schedule,
-    schedule_from_tables,
-    validate_schedule_moduli,
-)
-from tmann.splitting import (
+from tmann.mappings import (
     CocoerciveOp,
     MonotoneOp,
     box_operator,
     check_cocoercive,
     check_firmly_nonexpansive,
+    check_jp2_consequence,
+    check_nonexpansive,
+    chi_T_for,
     forward_backward_family,
     forward_backward_map,
     l1_operator,
     quadratic_gradient,
     zero_cocoercive,
     zero_operator,
+)
+from tmann.rates import certify_rate, general_rates
+from tmann.sequences import (
+    builtin_example_schedule,
+    schedule_from_tables,
+    validate_schedule_moduli,
 )
 
 
@@ -59,7 +63,7 @@ def test_forward_backward_map_identity_minus_gradient():
 
 def test_forward_backward_map_soft_threshold():
     A = l1_operator(1.0)
-    B = zero_cocoercive(1)
+    B = zero_cocoercive()
     out = forward_backward_map(A, B, 2.0, np.array([3.0]))
     assert out[0] == pytest.approx(1.0)
 
@@ -81,37 +85,88 @@ def test_forward_backward_step_size_domain():
         forward_backward_map(A, B, 0.0, np.array([1.0]))
 
 
+#: Every kind of operator the config reader builds.
+RESOLVENTS = ((l1_operator(1.0), 3), (box_operator([-1.0] * 2, [1.0] * 2), 2), (zero_operator(), 2))
+COCOERCIVE = (
+    quadratic_gradient([0.5, 0.7], [2.0, -3.0]),
+    quadratic_gradient([0.0, 0.8], [1.0, 2.0]),
+    zero_cocoercive(),
+)
+
+
 def test_prox_firm_nonexpansiveness_samples():
-    gammas = [0.5, 1.0, 2.0]
-    for A, dim in ((l1_operator(1.0), 3), (box_operator([-1.0] * 2, [1.0] * 2), 2)):
+    for A, dim in RESOLVENTS:
         rng = np.random.default_rng(0)
-        assert check_firmly_nonexpansive(A, dim=dim, gammas=gammas, rng=rng) <= 1e-9
+        section = check_firmly_nonexpansive(A, dim=dim, gammas=[0.5, 1.0, 2.0], rng=rng)
+        assert section.passed, section.summary()
+        assert section.title.startswith(f"firmly_nonexpansive[{A.name}] on euclidean-{dim}d")
 
 
 def test_cocoercivity_samples():
+    assert COCOERCIVE[0].beta_coco == pytest.approx(1.0 / 0.49)
+    for B in COCOERCIVE:
+        section = check_cocoercive(B, dim=2, rng=np.random.default_rng(0))
+        assert section.passed, section.summary()
+        assert section.title.startswith(f"cocoercive[{B.name}] on euclidean-2d: 200 samples")
+
+
+def test_a_reflection_through_the_box_fails_the_firm_nonexpansiveness_check():
+    # 2 P - Id for the projection P onto a box is nonexpansive, not firmly
+    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    reflect = MonotoneOp(name="reflect", prox=lambda gamma, x: 2.0 * np.clip(x, lo, hi) - x)
+    section = check_firmly_nonexpansive(reflect, dim=2, gammas=[1.0], rng=np.random.default_rng(0))
+    assert not section.passed
+    (row,) = section.checks
+    assert row.worst_excess > 1.0
+    gamma, x, y = row.at
+    assert gamma == 1.0 and row.at._fields == ("gamma", "x", "y")
+    diff = reflect.prox(gamma, x) - reflect.prox(gamma, y)
+    assert row.worst_excess == pytest.approx(diff @ diff - (x - y) @ diff)
+    assert "VIOLATED" in section.summary() and "(at gamma=1.0, x=" in section.summary()
+
+
+def test_an_overstated_cocoercivity_constant_fails_the_check():
     B = quadratic_gradient([0.5, 0.7], [2.0, -3.0])
-    assert B.beta_coco == pytest.approx(1.0 / 0.49)
-    assert check_cocoercive(B, dim=2, rng=np.random.default_rng(0)) <= 1e-9
-    assert check_cocoercive(zero_cocoercive(2), dim=2, rng=np.random.default_rng(0)) <= 1e-9
+    overstated = replace(B, beta_coco=4.0 * B.beta_coco)
+    section = check_cocoercive(overstated, dim=2, rng=np.random.default_rng(0))
+    assert not section.passed
+    (row,) = section.checks
+    x, y = row.at
+    assert row.at._fields == ("x", "y")
+    bx_by = B(x) - B(y)
+    expected = overstated.beta_coco * (bx_by @ bx_by) - (x - y) @ bx_by
+    assert row.worst_excess == pytest.approx(expected)
+    assert row.worst_excess > 1.0
+
+
+def test_operator_checks_refuse_an_empty_sample():
+    with pytest.raises(ValueError, match="samples"):
+        check_firmly_nonexpansive(zero_operator(), 2, [1.0], np.random.default_rng(0), samples=0)
+    with pytest.raises(ValueError, match="samples"):
+        check_cocoercive(zero_cocoercive(), 2, np.random.default_rng(0), samples=0)
 
 
 def test_nan_resolvent_fails_the_firm_nonexpansiveness_check():
     nan_prox = MonotoneOp(name="nan", prox=lambda gamma, x: np.full_like(x, np.nan))
     rng = np.random.default_rng(0)
-    assert np.isnan(check_firmly_nonexpansive(nan_prox, dim=2, gammas=[1.0], samples=20, rng=rng))
+    section = check_firmly_nonexpansive(nan_prox, dim=2, gammas=[1.0], samples=20, rng=rng)
+    assert not section.passed
+    assert math.isnan(section.checks[0].worst_excess)
 
 
 @pytest.mark.parametrize("beta", [1.0, np.inf])
 def test_nan_operator_fails_the_cocoercivity_check(beta):
     nan_fn = CocoerciveOp(name="nan", fn=lambda x: np.full_like(x, np.nan), beta_coco=beta)
-    assert np.isnan(check_cocoercive(nan_fn, dim=2, samples=20, rng=np.random.default_rng(0)))
+    section = check_cocoercive(nan_fn, dim=2, samples=20, rng=np.random.default_rng(0))
+    assert not section.passed
+    assert math.isnan(section.checks[0].worst_excess)
 
 
 def test_zero_operators_give_stationary_identity_family():
     schedule = builtin_example_schedule(0.5)
     # gamma in (1, 2] requires beta_coco > 1; the zero operator allows any
     A = zero_operator()
-    B = zero_cocoercive(1)
+    B = zero_cocoercive()
     trace = run_tikhonov_mann(splitting_instance(A, B, schedule, [0.0], [0.0], [0.0]), 50)
     assert np.all(trace.residual_step == 0.0)
 
@@ -154,7 +209,7 @@ def test_lasso_run_certifies_composed_rates():
     assert check_basic_bounds(instance, trace).passed
     assert check_recursive_inequalities(instance, trace).passed
     report = certify_rate(trace.residual_step, bundle.Sigma, k_max=10, tol=1e-9)
-    assert report.all_passed, report.summary()
+    assert {r.status for r in report.rows} == {"pass"}, report.summary()
 
 
 def test_box_quadratic_converges_to_constrained_minimum():
@@ -199,7 +254,7 @@ def test_tfb_rates_constant_gamma_modulus_collapses_to_n_gamma():
 
     chi_T = chi_T_from_gamma(1, schedule.Gamma_cap, schedule.N_Gamma, schedule.chi_gamma)
     assert [chi_T(k) for k in range(4)] == [3, 3, 3, 3]
-    bundle = splitting_rates(zero_operator(), zero_cocoercive(1), schedule, 1)
+    bundle = splitting_rates(zero_operator(), zero_cocoercive(), schedule, 1)
     assert bundle.chi(0) >= 3
 
 
