@@ -417,7 +417,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None) -> int
     )
     if family.gamma is not None:
         jp2 = mappings.check_jp2_consequence(
-            family, family.gamma, space, samples=max(1, config.family_samples // 10),
+            family, space, samples=max(1, config.family_samples // 10),
             index_pairs=10, tol=tol, rng=rng,
         )
         result.add_check("family cross-index comparison", jp2)

@@ -435,23 +435,3 @@ def check_recursive_inequalities(
     )
     return Section(title="per-step recursions:", checks=checks, tol=tol)
 
-
-def run_kmf_direct(
-    family: MappingFamily, schedule: ParamSchedule, x0: np.ndarray, horizon: int
-) -> list[np.ndarray]:
-    """Direct two-step recursion x_{n+1} = (1 - lambda_n) beta_n x_n
-    + lambda_n T_n(beta_n x_n).
-
-    This grouping is algebraically identical to the anchored iteration with
-    u = 0 in a normed space; it exists as an independent cross-check and is
-    only meaningful for Euclidean instances with the zero anchor.
-    """
-    x = np.asarray(x0, dtype=float)
-    out = [x]
-    for n in range(horizon):
-        beta_n = schedule.beta(n)
-        lam_n = schedule.lam(n)
-        scaled = beta_n * x
-        x = (1.0 - lam_n) * scaled + lam_n * family.fn(n, scaled)
-        out.append(x)
-    return out

@@ -1,18 +1,20 @@
-"""Families (T_n) of nonexpansive self-maps with structural certificates.
+"""Families (T_n) of nonexpansive self-maps and their gap-series certificates.
 
 The iteration machinery needs three things from a family: evaluation of T_n
 at a point, a registered common fixed point (the radius bound M is computed
 from it, so finding fixed points is out of scope here), and a certificate
-controlling the gap series sum_n d(T_{n+1} u_n, T_n u_n).  Certificates come
-in two useful shapes:
+controlling the gap series sum_n d(T_{n+1} u_n, T_n u_n).  A family carries
+its certificate in one of two fields:
 
-* constant families: the gap series vanishes, its Cauchy modulus is k -> 0;
-* gamma-indexed families satisfying the cross-index comparison
+* ``chi_T``, a declared Cauchy modulus; a constant family declares k -> 0,
+  since its gap series vanishes;
+* ``gamma``, for a family satisfying the cross-index comparison
 
       d(T_m x, T_n x) <= |gamma_m - gamma_n| / gamma_n * d(T_n x, x),
 
   for which ``chi_T_from_gamma`` turns a Cauchy modulus for the gamma
-  difference series into one for the gap series.
+  difference series into one for the gap series, when ``gamma`` is the
+  schedule's own.
 
 Resolvent families J_{gamma_n A} of a single maximally monotone operator
 satisfy the comparison; only operators with closed-form resolvents are
@@ -48,35 +50,29 @@ from .checks import Section, worst_row
 from .geometry import EuclideanSpace, Point, Points, Space, TreePoint, TreePoints
 from .sequences import ParamSchedule, RateFn, terms
 
-KINDS = ("constant", "jp2_with_gamma", "custom")
-
 
 @dataclass(frozen=True, eq=False)
 class MappingFamily:
-    """An indexed family of self-maps with optional structural certificates.
+    """An indexed family of self-maps and the certificate for its gap series.
 
-    ``kind`` is one of ``constant``, ``jp2_with_gamma`` (gamma-indexed
-    families satisfying the cross-index comparison, resolvents included) or
-    ``custom``.  ``gamma`` is carried by gamma-indexed families so checkers
-    can exercise the cross-index comparison; ``chi_T`` is an optional
-    declared Cauchy modulus for the gap series of a custom family (for
-    custom families without any certificate the gap series can only be
-    validated along a computed orbit).  ``fn_array`` optionally evaluates
+    A family certifies its gap series in one of two ways.  ``gamma`` is the
+    step-size sequence of a family satisfying the cross-index comparison
+    in it (resolvents and forward-backward families); ``chi_T_for`` derives
+    the modulus from it when it is the schedule's own gamma, and
+    ``check_jp2_consequence`` samples the comparison.  ``chi_T`` is a
+    declared Cauchy modulus for the gap series: 0 for a constant family.
+    A family with neither has no certificate, and its gap series can only
+    be validated along a computed orbit.  ``fn_array`` optionally evaluates
     the family over an index array and a point array at once, equal bit for
     bit to ``fn`` applied row by row; without it ``eval_array`` loops.
     """
 
     name: str
-    kind: str
     fn: Callable[[int, Point], Point]
     fixed_point: Point
     gamma: Callable[[int], float] | None = None
     chi_T: RateFn | None = None
     fn_array: Callable[[np.ndarray, Points], Points] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}, expected one of {KINDS}")
 
     def eval_array(self, space: Space, ns: np.ndarray, xs: Points) -> Points:
         """The point array of T_{ns[i]} xs[i] for every row i."""
@@ -105,9 +101,9 @@ def identity_family(fixed_point: Point) -> MappingFamily:
     """T_n = Id for every n; every point is fixed, one must still be registered."""
     return MappingFamily(
         name="identity",
-        kind="constant",
         fn=lambda n, x: x,
         fixed_point=fixed_point,
+        chi_T=constant_family_chi_T(),
         fn_array=lambda ns, xs: xs,
     )
 
@@ -138,9 +134,9 @@ def box_projection_family(lo, hi) -> MappingFamily:
     lo, hi, project = _box_projector(lo, hi)
     return MappingFamily(
         name="box_projection",
-        kind="constant",
         fn=lambda n, x: project(x),
         fixed_point=(lo + hi) / 2.0,
+        chi_T=constant_family_chi_T(),
         fn_array=lambda ns, xs: project(xs),
     )
 
@@ -160,9 +156,9 @@ def tree_contraction_family(factor: float) -> MappingFamily:
 
     return MappingFamily(
         name=f"tree_contraction({factor})",
-        kind="constant",
         fn=lambda n, x: TreePoint(x.ray, factor * x.t),
         fixed_point=TreePoint(0, 0.0),
+        chi_T=constant_family_chi_T(),
         fn_array=contract_array,
     )
 
@@ -176,7 +172,6 @@ def resolvent_l1_family(
         raise ValueError(f"weight must be >= 0, got {weight}")
     return MappingFamily(
         name="resolvent_l1",
-        kind="jp2_with_gamma",
         fn=lambda n, x: soft_threshold(x, weight * gamma(n)),
         fixed_point=np.zeros(dim),
         gamma=gamma,
@@ -208,7 +203,6 @@ def resolvent_quadratic_family(Q, gamma: Callable[[int], float]) -> MappingFamil
 
     return MappingFamily(
         name="resolvent_quadratic",
-        kind="jp2_with_gamma",
         fn=resolvent,
         fixed_point=np.zeros(dim),
         gamma=gamma,
@@ -311,7 +305,6 @@ def forward_backward_family(
     of A + B as its common fixed point."""
     return MappingFamily(
         name=f"fb[{A.name}+{B.name}]",
-        kind="jp2_with_gamma",
         fn=lambda n, x: forward_backward_map(A, B, gamma(n), x),
         fixed_point=np.asarray(zero_point, dtype=float),
         gamma=gamma,
@@ -358,7 +351,6 @@ def check_nonexpansive(
 
 def check_jp2_consequence(
     family: MappingFamily,
-    gamma: Callable[[int], float],
     space: Space,
     samples: int,
     index_pairs: int,
@@ -367,7 +359,8 @@ def check_jp2_consequence(
     n_max: int = 50,
 ) -> Section:
     """Check d(T_m x, T_n x) <= |gamma_m - gamma_n| / gamma_n * d(T_n x, x)
-    on sampled points and index pairs.
+    on sampled points and index pairs, in the family's own ``gamma``; a
+    family that carries none raises ValueError.
 
     The draws are blocks: the point array x, then ``index_pairs`` pairs
     (i, j) per point.  The inequality is asymmetric in (m, n), so every
@@ -375,6 +368,8 @@ def check_jp2_consequence(
     excess and the sample (m, n, x) realizing it; a NaN excess is the worst
     and fails.
     """
+    if family.gamma is None:
+        raise ValueError(f"family {family.name} carries no gamma to compare indices in")
     if samples < 1 or index_pairs < 1:
         raise ValueError("samples and index_pairs must be >= 1")
     x = space.sample(rng, samples)
@@ -384,7 +379,7 @@ def check_jp2_consequence(
     xs = x[rows]
     tn_x = family.eval_array(space, ns, xs)
     lhs = space.dist_array(family.eval_array(space, ms, xs), tn_x)
-    gamma_m, gamma_n = terms(gamma, ms), terms(gamma, ns)
+    gamma_m, gamma_n = terms(family.gamma, ms), terms(family.gamma, ns)
     excess = lhs - np.abs(gamma_m - gamma_n) / gamma_n * space.dist_array(tn_x, xs)
     row = worst_row(
         "d(T_m x, T_n x) <= |gamma_m - gamma_n|/gamma_n d(T_n x, x)",
@@ -488,19 +483,16 @@ def constant_family_chi_T() -> RateFn:
 
 
 def chi_T_for(family: MappingFamily, schedule: ParamSchedule, M: int) -> RateFn | None:
-    """Best available gap-series modulus for a family under a schedule.
+    """The gap-series modulus of a family under a schedule.
 
-    Preference order: constant families need no data; gamma-certified
-    families (resolvents included) combine the schedule's gamma modulus,
-    which is only sound when the family's step sizes ARE the schedule's
-    gamma sequence, so it is used only when the family's ``gamma`` is the
-    schedule's ``gamma`` object (configs assembled through the constructors
-    here pass it on); otherwise a declared modulus on the family is used as
-    given.  Returns None when no certificate exists, in which case only a
-    posteriori validation along a computed orbit is possible.
+    A family whose ``gamma`` is the schedule's own ``gamma`` object gets the
+    modulus ``chi_T_from_gamma`` builds from the schedule's gamma
+    certificate, even if it declares a ``chi_T``: that modulus is only sound
+    when the family's step sizes ARE the schedule's gamma sequence.  Every
+    other family gets its declared ``chi_T``, None when it declares none; a
+    gap series without a certificate can only be validated along a
+    computed orbit.
     """
-    if family.kind == "constant":
-        return constant_family_chi_T()
-    if family.kind == "jp2_with_gamma" and schedule.has_gamma and family.gamma is schedule.gamma:
+    if family.gamma is not None and family.gamma is schedule.gamma:
         return chi_T_from_gamma(M, schedule.Gamma_cap, schedule.N_Gamma, schedule.chi_gamma)
     return family.chi_T

@@ -375,11 +375,11 @@ def certify_rate(
     residuals: Sequence[float],
     rate: RateFn,
     k_max: int,
-    horizon: int | None = None,
     tol: float = 1e-12,
     label: str = "rate",
 ) -> CertificationReport:
-    """Check a claimed rate against an observed residual sequence.
+    """Check a claimed rate against an observed residual sequence; the
+    window is the whole sequence, so the horizon is its last index.
 
     The comparison allows an absolute tolerance (default 1e-12) because the
     bounds are exact real statements checked in floating point.  Any rate
@@ -387,13 +387,9 @@ def certify_rate(
     window can only remove residuals from consideration.
     """
     values = np.asarray(residuals, dtype=float)
-    if horizon is None:
-        horizon = len(values) - 1
-    if horizon >= len(values):
-        raise ValueError(f"horizon {horizon} exceeds residual length {len(values)}")
-    window = values[: horizon + 1]
+    horizon = len(values) - 1
     # revmax[n] = max residual over [n, horizon]
-    revmax = np.maximum.accumulate(window[::-1])[::-1]
+    revmax = np.maximum.accumulate(values[::-1])[::-1]
     thresholds = [1.0 / (k + 1) for k in range(k_max + 1)]
     empirical = first_indices(revmax, [thr + tol for thr in thresholds])
 

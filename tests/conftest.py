@@ -32,6 +32,24 @@ from tmann.sequences import builtin_example_schedule, builtin_linear_schedule
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
+def run_kmf_direct(family, schedule, x0, horizon: int) -> list[np.ndarray]:
+    """The direct two-step recursion x_{n+1} = (1 - lambda_n) beta_n x_n
+    + lambda_n T_n(beta_n x_n), as a plain loop.
+
+    This grouping is algebraically identical to the anchored iteration with
+    u = 0 in a normed space, so it cross-checks Euclidean instances with
+    the zero anchor.
+    """
+    x = np.asarray(x0, dtype=float)
+    out = [x]
+    for n in range(horizon):
+        scaled = schedule.beta(n) * x
+        lam_n = schedule.lam(n)
+        x = (1.0 - lam_n) * scaled + lam_n * family.fn(n, scaled)
+        out.append(x)
+    return out
+
+
 @dataclass(frozen=True)
 class Fixture:
     name: str

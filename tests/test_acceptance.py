@@ -23,12 +23,11 @@ from tmann.iterate import (
     check_basic_bounds,
     check_halpern_equivalence,
     check_recursive_inequalities,
-    run_kmf_direct,
 )
 from tmann.mappings import (
     box_projection_family,
+    chi_T_for,
     chi_T_from_gamma,
-    constant_family_chi_T,
     tree_contraction_family,
 )
 from tmann.rates import (
@@ -44,6 +43,8 @@ from tmann.sequences import (
     oracle_cauchy_modulus,
     validate_schedule_moduli,
 )
+
+from conftest import run_kmf_direct
 
 
 def conclude(number: int, slug: str, ok: bool, detail: str = "") -> None:
@@ -196,10 +197,7 @@ def test_criterion_7_modulus_oracles(request):
     for name in ("example_box", "example_l1", "linear_l1"):
         fx = request.getfixturevalue(name)
         schedule, family, M = fx.instance.schedule, fx.instance.family, fx.instance.M
-        if family.kind == "constant":
-            chi_T = constant_family_chi_T()
-        else:
-            chi_T = chi_T_from_gamma(M, schedule.Gamma_cap, schedule.N_Gamma, schedule.chi_gamma)
+        chi_T = chi_T_for(family, schedule, M)
         table = oracle_cauchy_modulus(
             fx.trace.tfam_gap, k_max=20, horizon=fx.trace.horizon - 1, include_start=False
         )

@@ -18,7 +18,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "tmann"
 NO_CALLER = {
     "run_modified_halpern": "reference loop the tests compare the stored orbit against; "
     "the benchmark also patches it by name",
-    "run_kmf_direct": "reference loop the tests compare the anchored iteration against",
     "check_halpern_equivalence": "planned as a section of `tmann run`; tests and benchmark call it",
     "halpern_translated_bundle": "planned for certifying the Halpern trace in `tmann run`",
     "check_firmly_nonexpansive": "checks a user's resolvent; `tmann run` does not run it",

@@ -10,7 +10,6 @@ from tmann.iterate import (
     check_basic_bounds,
     check_halpern_equivalence,
     check_recursive_inequalities,
-    run_kmf_direct,
     run_modified_halpern,
     run_tikhonov_mann,
 )
@@ -22,6 +21,8 @@ from tmann.mappings import (
     tree_contraction_family,
 )
 from tmann.sequences import builtin_example_schedule, builtin_linear_schedule
+
+from conftest import run_kmf_direct
 
 
 def euclidean_instance(dim=1, x0=None, u=None, family=None, schedule=None, p=None):
@@ -100,7 +101,7 @@ def test_create_rejects_non_fixed_point():
 def test_create_names_the_first_map_that_moves_the_point(array_form):
     # T_0 .. T_3 fix p = 0; T_n moves it by n - 3 from n = 4 on
     fam = MappingFamily(
-        "late_shift", "custom", lambda n, x: x + max(n - 3, 0), np.zeros(1),
+        "late_shift", lambda n, x: x + max(n - 3, 0), np.zeros(1),
         fn_array=(lambda ns, xs: xs + np.maximum(ns - 3, 0)[:, None]) if array_form else None,
     )
     with pytest.raises(ValueError, match=r"not fixed by T_4: moved by 1\.0$"):
@@ -109,7 +110,7 @@ def test_create_names_the_first_map_that_moves_the_point(array_form):
 
 def test_create_rejects_a_registered_point_mapped_to_nan():
     sp = EuclideanSpace(1)
-    fam = MappingFamily("nan", "custom", lambda n, x: np.full_like(x, np.nan), np.zeros(1))
+    fam = MappingFamily("nan", lambda n, x: np.full_like(x, np.nan), np.zeros(1))
     sch = builtin_example_schedule(0.5)
     with pytest.raises(ValueError, match="not fixed"):
         ProblemInstance.create(sp, fam, sch, u=np.zeros(1), x0=np.zeros(1), p=np.zeros(1))

@@ -114,14 +114,13 @@ def planar_rotation_family(dim):
         out[0], out[1] = c * x[0] - s * x[1], s * x[0] + c * x[1]
         return out
 
-    return MappingFamily(name="rotation", kind="custom", fn=rotate, fixed_point=np.zeros(dim))
+    return MappingFamily(name="rotation", fn=rotate, fixed_point=np.zeros(dim))
 
 
 def ray_shift_family(num_rays):
     """Custom star-tree family: move every point to the next ray (an isometry)."""
     return MappingFamily(
         name="ray_shift",
-        kind="custom",
         fn=lambda n, x: TreePoint((x.ray + 1) % num_rays, x.t),
         fixed_point=TreePoint(0, 0.0),
     )
@@ -271,7 +270,6 @@ def drifting_array_family(row):
 
     return MappingFamily(
         name="drifting_array",
-        kind="constant",
         fn=constant.fn,
         fixed_point=constant.fixed_point,
         fn_array=drifting,
@@ -385,7 +383,7 @@ def test_each_loop_checks_exactly_the_terms_it_reads(beta, lam, raising):
 def test_family_output_outside_the_space_stops_both_loops(space, p, x0, escaped, message):
     # T_n is the identity except at n = 12, past the fixed-point check of create
     family = MappingFamily(
-        name="escape", kind="custom", fn=lambda n, x: escaped if n == 12 else x, fixed_point=p
+        name="escape", fn=lambda n, x: escaped if n == 12 else x, fixed_point=p
     )
     instance = ProblemInstance.create(space, family, LINEAR, u=p, x0=x0)
     with pytest.raises(ValueError, match=message):

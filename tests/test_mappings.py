@@ -22,7 +22,11 @@ from tmann.mappings import (
     soft_threshold,
     tree_contraction_family,
 )
-from tmann.sequences import builtin_example_schedule, oracle_cauchy_modulus
+from tmann.sequences import (
+    builtin_example_schedule,
+    oracle_cauchy_modulus,
+    schedule_from_tables,
+)
 
 GAMMA_EXAMPLE = lambda n: 1.0 + 1.0 / (n + 1)
 
@@ -36,7 +40,7 @@ def rotation_family(angles):
         c, s = np.cos(a), np.sin(a)
         return np.array([c * x[0] - s * x[1], s * x[0] + c * x[1]])
 
-    return MappingFamily(name="rotation", kind="custom", fn=rotate, fixed_point=np.zeros(2))
+    return MappingFamily(name="rotation", fn=rotate, fixed_point=np.zeros(2))
 
 
 def test_identity_and_contraction_eval():
@@ -81,7 +85,7 @@ def test_nonexpansive_identity_and_box():
 def test_nonexpansive_fails_for_doubling_map():
     sp = EuclideanSpace(1)
     doubling = MappingFamily(
-        name="2x", kind="custom", fn=lambda n, x: 2.0 * x, fixed_point=np.zeros(1)
+        name="2x", fn=lambda n, x: 2.0 * x, fixed_point=np.zeros(1)
     )
     report = check_nonexpansive(doubling, sp, samples=300, rng=np.random.default_rng(1))
     assert not report.passed
@@ -96,10 +100,10 @@ def test_nonexpansive_fails_for_doubling_map():
 def test_cross_index_violation_names_its_sample():
     sp = EuclideanSpace(1)
     shifts = MappingFamily(
-        name="x+n", kind="custom", fn=lambda n, x: x + n, fixed_point=np.zeros(1)
+        name="x+n", fn=lambda n, x: x + n, fixed_point=np.zeros(1), gamma=GAMMA_EXAMPLE
     )
     report = check_jp2_consequence(
-        shifts, GAMMA_EXAMPLE, sp, samples=20, index_pairs=3, rng=np.random.default_rng(0)
+        shifts, sp, samples=20, index_pairs=3, rng=np.random.default_rng(0)
     )
     assert not report.passed
     m, n, x = report.checks[0].at
@@ -122,9 +126,9 @@ def test_box_projection_equals_clip_bit_for_bit(lo, hi):
 
 def test_jp2_constant_family_passes_any_gamma():
     sp = StarTreeSpace(3)
-    fam = tree_contraction_family(0.5)
+    fam = replace(tree_contraction_family(0.5), gamma=GAMMA_EXAMPLE)
     report = check_jp2_consequence(
-        fam, GAMMA_EXAMPLE, sp, samples=50, index_pairs=5, rng=np.random.default_rng(0)
+        fam, sp, samples=50, index_pairs=5, rng=np.random.default_rng(0)
     )
     assert report.checks[0].worst_excess <= 0.0
 
@@ -139,15 +143,15 @@ def test_jp2_constant_family_passes_any_gamma():
 def test_jp2_resolvent_families_pass(family, dim):
     sp = EuclideanSpace(dim)
     rng = np.random.default_rng(2)
-    report = check_jp2_consequence(family, GAMMA_EXAMPLE, sp, samples=100, index_pairs=8, rng=rng)
+    report = check_jp2_consequence(family, sp, samples=100, index_pairs=8, rng=rng)
     assert report.passed, report.summary()
 
 
 def test_jp2_rotation_family_fails():
     sp = EuclideanSpace(2)
-    fam = rotation_family(lambda n: 1.0 / (n + 1))
+    fam = replace(rotation_family(lambda n: 1.0 / (n + 1)), gamma=GAMMA_EXAMPLE)
     rng = np.random.default_rng(3)
-    report = check_jp2_consequence(fam, GAMMA_EXAMPLE, sp, samples=100, index_pairs=8, rng=rng)
+    report = check_jp2_consequence(fam, sp, samples=100, index_pairs=8, rng=rng)
     assert report.checks[0].worst_excess > 0.1
 
 
@@ -197,19 +201,40 @@ def test_chi_T_for_selects_certificate():
     l1 = resolvent_l1_family(sch.gamma, dim=1)
     assert chi_T_for(l1, sch, M=2)(0) == 2 * 2 * 1 * 1 - 1
 
-    bare = MappingFamily(name="bare", kind="custom", fn=lambda n, x: x, fixed_point=np.zeros(1))
-    assert chi_T_for(bare, sch, M=2) is None
+    # no gamma, or the schedule's terms in another object: the declaration counts
+    for gamma in (None, lambda n: 1.0 + 1.0 / (n + 1)):
+        bare = MappingFamily(name="bare", fn=lambda n, x: x, fixed_point=np.zeros(1), gamma=gamma)
+        assert chi_T_for(bare, sch, M=2) is None
+        assert chi_T_for(replace(bare, chi_T=lambda k: 7), sch, M=2)(3) == 7
 
-    declared = MappingFamily(
-        name="declared", kind="custom", fn=lambda n, x: x, fixed_point=np.zeros(1),
-        chi_T=lambda k: 7,
+
+def test_constant_family_declares_zero_under_a_schedule_without_gamma():
+    ones = schedule_from_tables(
+        "ones", beta=[1.0], lam=[1.0], sigma_beta=[0], chi_beta=[0], chi_lambda=[0],
+        sigma=[0], Lambda_cap=1, N_Lambda=0,
     )
-    assert chi_T_for(declared, sch, M=2)(3) == 7
+    assert not ones.has_gamma
+    for family in (
+        identity_family(np.zeros(1)),
+        box_projection_family([-1.0], [1.0]),
+        tree_contraction_family(0.5),
+    ):
+        assert [chi_T_for(family, ones, M=2)(k) for k in range(4)] == [0, 0, 0, 0]
 
 
-def test_family_kind_validated():
-    with pytest.raises(ValueError, match="kind"):
-        MappingFamily(name="x", kind="mystery", fn=lambda n, x: x, fixed_point=np.zeros(1))
+def test_schedule_gamma_modulus_wins_over_a_declared_chi_T():
+    sch = builtin_example_schedule(0.5)
+    family = replace(resolvent_l1_family(sch.gamma, dim=1), chi_T=lambda k: 7)
+    # chi_T_from_gamma at M = 1: 2 (k + 1) - 1
+    assert [chi_T_for(family, sch, M=1)(k) for k in range(3)] == [1, 3, 5]
+
+
+def test_cross_index_check_needs_the_family_gamma():
+    with pytest.raises(ValueError, match="carries no gamma"):
+        check_jp2_consequence(
+            box_projection_family([-1.0], [1.0]), EuclideanSpace(1),
+            samples=5, index_pairs=2, rng=np.random.default_rng(0),
+        )
 
 
 def nan_at_even_indices_family():
@@ -217,7 +242,6 @@ def nan_at_even_indices_family():
     coordinates at even n: a broken map the checks must not pass."""
     return MappingFamily(
         name="nan_even",
-        kind="custom",
         fn=lambda n, x: np.full(2, np.nan) if n % 2 == 0 else x,
         fixed_point=np.zeros(2),
     )
@@ -236,7 +260,7 @@ def test_nan_map_fails_nonexpansive_check():
 
 def test_nan_map_fails_cross_index_check():
     report = check_jp2_consequence(
-        nan_at_even_indices_family(), GAMMA_EXAMPLE, EuclideanSpace(2),
+        replace(nan_at_even_indices_family(), gamma=GAMMA_EXAMPLE), EuclideanSpace(2),
         samples=5, index_pairs=4, rng=np.random.default_rng(2),
     )
     (row,) = report.checks
@@ -342,7 +366,9 @@ def test_family_checks_equal_per_row_loops(name, seed):
     assert bits(row.at) == bits(worst)
 
     excess, worst = reference_jp2(family, GAMMA, space, 8, 5, rng_ref)
-    report = check_jp2_consequence(family, GAMMA, space, samples=8, index_pairs=5, rng=rng)
+    report = check_jp2_consequence(
+        replace(family, gamma=GAMMA), space, samples=8, index_pairs=5, rng=rng
+    )
     assert f"{8 * 5 * 2} samples" in report.title
     (row,) = report.checks
     assert bits(row.worst_excess) == bits(excess)

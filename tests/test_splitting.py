@@ -193,7 +193,7 @@ def test_fb_family_nonexpansive_and_jp2():
     sp = EuclideanSpace(2)
     assert check_nonexpansive(family, sp, samples=300, rng=np.random.default_rng(11)).passed
     assert check_jp2_consequence(
-        family, schedule.gamma, sp, samples=60, index_pairs=6, rng=np.random.default_rng(11)
+        family, sp, samples=60, index_pairs=6, rng=np.random.default_rng(11)
     ).passed
 
 
