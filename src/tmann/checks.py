@@ -6,6 +6,9 @@ orbit, and keeps the worst excess of the left side over the right: a
 ``Row``.  A ``Section`` holds the rows of one check function and the
 tolerance they are read against.  It passes when every row's worst excess
 is at or below ``tol``; a NaN excess compares False, so it fails.
+
+Every record a run's report reads (a ``Section``, a ``CertificationReport``,
+a ``ScheduleValidation``) answers ``status`` and ``summary()``, its text.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ class Section:
     @property
     def passed(self) -> bool:
         return all(row.worst_excess <= self.tol for row in self.checks)
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def summary(self) -> str:
         width = max(len(row.name) for row in self.checks) + 1

@@ -12,8 +12,12 @@ Artifacts written per experiment (into the output directory):
     certification.csv   per-level certification outcomes for each rate
     report.txt          human-readable pass/fail summary
 
-Exit codes: 0 when every check passes or is inconclusive by horizon, 1 on
-any hard check failure, 2 on configuration errors.  With a fixed seed the
+Each report section reads one check record and shows its status: "pass",
+"fail", "inconclusive" (a certification with every rate index past the
+horizon) or "info" (the advisory reading, which decides nothing).  Exit
+codes: 1 when a section fails, else 0; 2 on a configuration error, which
+includes a config that cannot be read and an output directory that cannot
+be created, and ends in one line on stderr.  With a fixed seed the
 artifacts are byte-identical across runs; all numeric content in rates.csv
 is reproducible by calling the library functions with the config's
 parameters.
@@ -24,13 +28,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, make_dataclass
+from dataclasses import make_dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import checks, geometry, iterate, mappings, rates, sequences
+from . import geometry, iterate, mappings, rates, sequences
 from .geometry import EuclideanSpace, StarTreeSpace, TreePoint
 from .iterate import ProblemInstance, write_csv
 from .mappings import MappingFamily
@@ -78,7 +82,7 @@ CONFIG_FIELDS = {
     "x0": (object, REQUIRED, None),
     "p": (object, None, None),
     "M": (int, None, None),
-    "horizon": (int, 5000, 1),
+    "horizon": (int, 5000, 2),
     "k_max": (int, 5, 0),
     "tolerance": (float, 1e-9, 0),
     "seed": (int, 0, 0),
@@ -319,6 +323,8 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the config: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
@@ -359,59 +365,23 @@ def build_problem(config: ExperimentConfig) -> ProblemInstance:
         raise ConfigError(f"{source}: {exc}")
 
 
-@dataclass
-class Section:
-    name: str
-    status: str  # pass | fail | inconclusive | info
-    text: str
-
-
-@dataclass
-class ExperimentResult:
-    config: ExperimentConfig
-    sections: list[Section] = field(default_factory=list)
-
-    def add(self, name: str, status: str, text: str) -> None:
-        self.sections.append(Section(name, status, text))
-
-    def add_check(self, name: str, check: checks.Section) -> None:
-        self.add(name, "pass" if check.passed else "fail", check.summary())
-
-    @property
-    def exit_code(self) -> int:
-        return 1 if any(s.status == "fail" for s in self.sections) else 0
-
-    def report_text(self) -> str:
-        lines = [
-            "experiment report",
-            f"config: {Path(self.config.source).name}",
-            f"seed: {self.config.seed}  horizon: {self.config.horizon}  "
-            f"k_max: {self.config.k_max}  tolerance: {self.config.tolerance!r}",
-            "",
-        ]
-        for s in self.sections:
-            lines.append(f"[{s.status.upper():<12}] {s.name}")
-            lines.extend("    " + ln for ln in s.text.splitlines())
-            lines.append("")
-        lines.append(f"overall: {'FAIL' if self.exit_code else 'PASS'}")
-        return "\n".join(lines) + "\n"
-
-
 def run_experiment(config: ExperimentConfig, out_dir: Path | None = None) -> int:
     """Execute one experiment end to end; returns the exit code."""
-    result = ExperimentResult(config=config)
+    sections: list[tuple[str, str, str]] = []  # (name, status, text) of each report section
     tol = config.tolerance
     instance = build_problem(config)
     space, family, schedule = instance.space, instance.family, instance.schedule
-    out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(Path(out_dir) if out_dir is not None else Path(config.out_dir))
     rng = np.random.default_rng(config.seed)
 
-    result.add_check(
+    def add(name: str, record, status: str | None = None) -> None:
+        sections.append((name, status or record.status, record.summary()))
+
+    add(
         "space axioms",
         geometry.check_w_axioms(space, samples=config.axiom_samples, tol=tol, rng=rng),
     )
-    result.add_check(
+    add(
         "family nonexpansive",
         mappings.check_nonexpansive(family, space, samples=config.family_samples, tol=tol, rng=rng),
     )
@@ -420,69 +390,79 @@ def run_experiment(config: ExperimentConfig, out_dir: Path | None = None) -> int
             family, space, samples=max(1, config.family_samples // 10),
             index_pairs=10, tol=tol, rng=rng,
         )
-        result.add_check("family cross-index comparison", jp2)
+        add("family cross-index comparison", jp2)
 
-    sched_check = sequences.validate_schedule_moduli(
-        schedule, k_max=config.modulus_k_max, horizon=config.modulus_horizon
-    )
-    result.add(
+    add(
         "schedule moduli",
-        "pass" if sched_check.no_failure else "fail",
-        sched_check.summary(),
+        sequences.validate_schedule_moduli(
+            schedule, k_max=config.modulus_k_max, horizon=config.modulus_horizon
+        ),
     )
 
     trace = iterate.run_tikhonov_mann(instance, config.horizon)
 
-    result.add_check("orbit bounds", iterate.check_basic_bounds(instance, trace, tol=tol))
-    result.add_check(
-        "per-step recursions", iterate.check_recursive_inequalities(instance, trace, tol=tol)
-    )
+    add("orbit bounds", iterate.check_basic_bounds(instance, trace, tol=tol))
+    add("per-step recursions", iterate.check_recursive_inequalities(instance, trace, tol=tol))
 
-    certificates = list(schedule.certificates(instance.M))
+    bundles = list(schedule.certificates(instance.M))
     chi_T = mappings.chi_T_for(family, schedule, instance.M)
     if chi_T is not None:
-        general = rates.general_rates(schedule, instance.M, chi_T)
-        certificates.insert(0, rates.Certificate(general))
+        bundles.insert(0, rates.general_rates(schedule, instance.M, chi_T))
     else:
-        result.add(
-            "rates",
-            "info",
-            "family carries no gap-series certificate; composed rates unavailable",
-        )
+        no_gap = "family carries no gap-series certificate; composed rates unavailable"
+        sections.append(("rates", "info", no_gap))
 
     certs: list[rates.CertificationReport] = []
-    for certificate in certificates:
-        for name, check in certificate.checks(instance, trace, tol):
-            result.add_check(name, check)
-        bundle = certificate.bundle
-        readings = [("Sigma on d(x_n, x_n+1)", trace.residual_step, bundle.Sigma, True)]
+    for bundle in bundles:
+        for name, check in bundle.checks(instance, trace, tol):
+            add(name, check)
+        # (reading, residuals, rate, status); a None status is the report's own
+        readings = [("Sigma on d(x_n, x_n+1)", trace.residual_step, bundle.Sigma, None)]
         if bundle.Sigma_T is not None:
-            readings.append(("Sigma_T on d(x_n, T_n x_n)", trace.residual_T, bundle.Sigma_T, True))
-        if certificate.advisory:
+            readings.append(("Sigma_T on d(x_n, T_n x_n)", trace.residual_T, bundle.Sigma_T, None))
+        if bundle.advisory:
             # Second reading: the step rate applied to the map residual.
             readings.append(
-                ("Sigma on d(x_n, T_n x_n) [advisory]", trace.residual_T, bundle.Sigma, False)
+                ("Sigma on d(x_n, T_n x_n) [advisory]", trace.residual_T, bundle.Sigma, "info")
             )
-        for reading, residuals, rate_fn, hard in readings:
+        for reading, residuals, rate_fn, status in readings:
             label = f"{bundle.provenance}/{reading}"
             report = rates.certify_rate(residuals, rate_fn, config.k_max, tol=tol, label=label)
             certs.append(report)
-            if not hard:
-                status = "info"
-            elif not report.acceptable:
-                status = "fail"
-            elif all(r.status == "inconclusive" for r in report.rows):
-                status = "inconclusive"
-            else:
-                status = "pass"
-            result.add(f"certification: {label}", status, report.summary())
+            add(f"certification: {label}", report, status)
 
     trace.to_csv(out / "trace.csv", include_points=config.record_points)
-    rate_rows = (row for c in certificates for row in c.bundle.rows(config.k_max))
+    rate_rows = (row for bundle in bundles for row in bundle.rows(config.k_max))
     write_csv(out / "rates.csv", ["provenance", "rate", "k", "value"], rate_rows)
     _write_certifications_csv(out / "certification.csv", certs)
-    (out / "report.txt").write_text(result.report_text())
-    return result.exit_code
+    failed = any(status == "fail" for _, status, _ in sections)
+    (out / "report.txt").write_text(_report_text(config, sections, failed))
+    return int(failed)
+
+
+def _report_text(config: ExperimentConfig, sections: list, failed: bool) -> str:
+    lines = [
+        "experiment report",
+        f"config: {Path(config.source).name}",
+        f"seed: {config.seed}  horizon: {config.horizon}  "
+        f"k_max: {config.k_max}  tolerance: {config.tolerance!r}",
+        "",
+    ]
+    for name, status, text in sections:
+        lines.append(f"[{status.upper():<12}] {name}")
+        lines.extend("    " + ln for ln in text.splitlines())
+        lines.append("")
+    lines.append(f"overall: {'FAIL' if failed else 'PASS'}")
+    return "\n".join(lines) + "\n"
+
+
+def _out_dir(path: Path) -> Path:
+    """``path``, made a directory with its parents, or a ConfigError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}")
+    return path
 
 
 def _write_certifications_csv(path: Path, certs: list) -> None:
@@ -513,8 +493,7 @@ def run_suite(directory, overrides: dict | None = None, out_dir: Path | None = N
         print(f"error: no *.json configs in {directory}", file=sys.stderr)
         return 2
 
-    out = Path(out_dir) if out_dir is not None else Path("suite_out")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(Path(out_dir) if out_dir is not None else Path("suite_out"))
     rows = []
     worst = 0
     for cfg_path in configs:

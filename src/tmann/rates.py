@@ -44,18 +44,24 @@ PROVENANCES = ("general_theorem", "example_closed_form", "linear_theorem", "halp
 
 @dataclass(frozen=True)
 class RateBundle:
-    """The rates produced by one construction route.
+    """The rates produced by one construction route, and how to certify them.
 
     ``chi`` is the combined perturbation modulus (absent for routes that do
     not go through it), ``Sigma`` the asymptotic-regularity rate for
     d(x_n, x_{n+1}), ``Sigma_T`` the rate for d(x_n, T_n x_n) (absent when
     the schedule carries no rate for beta_n -> 1 or no lambda lower bound).
+    ``checks(instance, trace, tol)`` returns the (section name, ``Section``)
+    of each orbit check the route's theorem adds, run before the rates are
+    certified.  With ``advisory`` the step rate Sigma is also read against
+    d(x_n, T_n x_n), for information only.
     """
 
     provenance: str
     Sigma: RateFn
     Sigma_T: RateFn | None = None
     chi: RateFn | None = None
+    advisory: bool = True
+    checks: Callable[[Any, Any, float], list] = lambda instance, trace, tol: []
 
     def __post_init__(self) -> None:
         if self.provenance not in PROVENANCES:
@@ -72,21 +78,6 @@ class RateBundle:
             if fn is not None
             for k in range(k_max + 1)
         ]
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """A rate bundle to certify on an orbit, with the checks its theorem adds.
-
-    ``checks(instance, trace, tol)`` returns the (section name, section) of
-    each orbit check, run before the bundle is certified.  With
-    ``advisory`` the step rate Sigma is also read against d(x_n, T_n x_n),
-    for information only.
-    """
-
-    bundle: RateBundle
-    advisory: bool = True
-    checks: Callable[[Any, Any, float], list] = lambda instance, trace, tol: []
 
 
 def chi_combined(chi_T: RateFn, chi_lambda: RateFn, chi_beta: RateFn, M: int) -> RateFn:
@@ -248,12 +239,12 @@ class LinearRates:
         return 10 * self.M * ceil_reciprocal(self.lambda_const) * (k + 1) - 2
 
     def bundle(self) -> RateBundle:
-        return RateBundle(provenance="linear_theorem", Sigma=self.rate_step, Sigma_T=self.rate_T)
-
-    def certificate(self) -> Certificate:
-        """The linear-theorem bundle with the orbit checks of its bounds.  Its
+        """The linear-theorem rates with the orbit checks of their bounds.  The
         map rate is its own, so the step rate gets no advisory reading."""
-        return Certificate(self.bundle(), advisory=False, checks=self.orbit_checks)
+        return RateBundle(
+            provenance="linear_theorem", Sigma=self.rate_step, Sigma_T=self.rate_T,
+            advisory=False, checks=self.orbit_checks,
+        )
 
     def orbit_checks(self, instance, trace, tol: float) -> list[tuple[str, Section]]:
         """The two pointwise bounds, the Sabach-Shtern recursion with L = 3M,
@@ -357,6 +348,13 @@ class CertificationReport:
     def acceptable(self) -> bool:
         """No hard failure; inconclusive levels are not counted against."""
         return all(r.status != "fail" for r in self.rows)
+
+    @property
+    def status(self) -> str:
+        """"fail" on a failed level, else "pass" if some level passed."""
+        if not self.acceptable:
+            return "fail"
+        return "pass" if any(r.status == "pass" for r in self.rows) else "inconclusive"
 
     def summary(self) -> str:
         lines = [f"certification of {self.label} (horizon {self.horizon}, tol {self.tol!r}):"]

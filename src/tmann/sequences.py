@@ -106,8 +106,9 @@ class ParamSchedule:
     inverse_product     N -> the least integer P >= 1 with
                         1/P <= prod_{n=0}^{N} beta_{n+1}; when not declared,
                         ``psi0`` takes the exact product of the beta terms
-    certificates        M -> the ``rates.Certificate`` records this schedule
-                        certifies beyond the general theorem (none by default)
+    certificates        M -> the ``rates.RateBundle`` records this schedule
+                        certifies beyond the general theorem, each with its
+                        orbit checks (none by default)
 
     The gamma certificate (gamma, chi_gamma, Gamma_cap, N_Gamma) is given
     whole or not at all.  ``name`` only labels the schedule.  The beta, lam
@@ -184,7 +185,7 @@ def builtin_example_schedule(lambda_const: float) -> ParamSchedule:
         Gamma_cap=1,
         N_Gamma=0,
         inverse_product=lambda N: N + 2,
-        certificates=lambda M: (rates.Certificate(rates.example_closed_form_rates(M, lam)),),
+        certificates=lambda M: (rates.example_closed_form_rates(M, lam),),
     )
 
 
@@ -228,7 +229,7 @@ def builtin_linear_schedule(lambda_const: float) -> ParamSchedule:
         Gamma_cap=1,
         N_Gamma=0,
         inverse_product=lambda N: (N + 2) * (N + 3) // 2,
-        certificates=lambda M: (rates.linear_rates(M, lam).certificate(),),
+        certificates=lambda M: (rates.linear_rates(M, lam).bundle(),),
     )
 
 
@@ -480,11 +481,11 @@ class ScheduleValidation:
     range_excursion: float
 
     @property
-    def no_failure(self) -> bool:
+    def status(self) -> str:
+        """"fail" when a level, a cap or the range check fails, else "pass"."""
         caps = self.lambda_cap_ok and (self.gamma_cap_ok is not False)
-        return caps and self.range_excursion <= 1e-15 and all(
-            s != "fail" for statuses in self.moduli.values() for s in statuses
-        )
+        levels = all(s != "fail" for statuses in self.moduli.values() for s in statuses)
+        return "pass" if caps and levels and self.range_excursion <= 1e-15 else "fail"
 
     def summary(self) -> str:
         lines = [
@@ -518,6 +519,8 @@ def validate_schedule_moduli(
     indices = np.arange(horizon + 2)
     beta_vals = terms(schedule.beta, indices)
     lam_vals = terms(schedule.lam, indices)
+    gamma_vals = terms(schedule.gamma, indices) if schedule.has_gamma else None
+    del indices  # one array fewer alive under the oracles, whose peak is the run's
 
     moduli = {
         "sigma_beta": oracle_product_rate(beta_vals, k_max, horizon).validate(schedule.sigma_beta),
@@ -535,7 +538,6 @@ def validate_schedule_moduli(
 
     gamma_cap_ok = None
     if schedule.has_gamma:
-        gamma_vals = terms(schedule.gamma, indices)
         moduli["chi_gamma"] = oracle_cauchy_modulus(
             np.abs(np.diff(gamma_vals)), k_max, horizon
         ).validate(schedule.chi_gamma)

@@ -187,7 +187,7 @@ def test_criterion_7_modulus_oracles(request):
     for schedule in (builtin_example_schedule(0.5), builtin_linear_schedule(0.5)):
         report = validate_schedule_moduli(schedule, k_max=50, horizon=1_000_000)
         statuses = {s for levels in report.moduli.values() for s in levels}
-        passed = report.no_failure and statuses == {"pass"}
+        passed = report.status == "pass" and statuses == {"pass"}
         ok = ok and passed
         results.append(f"{schedule.name}: {'pass' if passed else 'FAIL'}")
         if not passed:

@@ -1,11 +1,15 @@
 import math
 from collections import namedtuple
 
+import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tmann.checks import Row, Section, worst_row
 from tmann.iterate import BoundCheck
+from tmann.rates import certify_rate
+from tmann.sequences import schedule_from_tables, validate_schedule_moduli
 
 EXCESS = st.one_of(
     st.floats(min_value=-1.0, max_value=1.0),
@@ -74,3 +78,38 @@ def test_rows_are_padded_to_the_longest_name():
         "  ab    worst excess  0.000e+00  ok",
         "  abcd  worst excess -1.000e+00 (at n=7)  ok",
     ]
+
+
+#: Residuals 1/(n+1) for n <= 99: level k is met from index k on.
+DECAYING = 1.0 / np.arange(1.0, 101.0)
+
+
+def understated_schedule():
+    """A table schedule whose sigma_beta claims the beta product is below
+    1/(k+1) from index 0 on, which the oracle refutes."""
+    return schedule_from_tables(
+        "understated", beta=[1.0 - 1.0 / (n + 1) for n in range(2000)], lam=[0.5],
+        sigma_beta=[0], chi_beta=[0], chi_lambda=[0], sigma=[0], Lambda_cap=2, N_Lambda=0,
+    )
+
+
+@pytest.mark.parametrize(
+    "record, status",
+    [
+        (lambda: Section("t", (Row("a", -1.0, 0), Row("b", 1e-3, 1)), 1e-9), "fail"),
+        (lambda: Section("t", (Row("a", 1e-9, 0),), 1e-9), "pass"),
+        (lambda: certify_rate(DECAYING, lambda k: 0, 3), "fail"),
+        (lambda: certify_rate(DECAYING, lambda k: 10**6, 3), "inconclusive"),
+        (lambda: certify_rate(DECAYING, lambda k: k, 3), "pass"),
+        (lambda: certify_rate(DECAYING, lambda k: 60 * k, 3), "pass"),
+        (lambda: validate_schedule_moduli(understated_schedule(), k_max=5, horizon=1000), "fail"),
+    ],
+    ids=[
+        "section_row_above_tol", "section_rows_within_tol", "rate_too_small",
+        "rate_past_horizon", "rate_met", "rate_met_then_past_horizon", "understated_modulus",
+    ],
+)
+def test_every_report_record_answers_status_and_summary(record, status):
+    record = record()
+    assert record.status == status
+    assert isinstance(record.summary(), str)

@@ -232,11 +232,53 @@ def test_table_schedule_config(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
+def assert_one_line_error(capsys, text: str) -> None:
+    """stderr holds one line, which contains ``text``, and no traceback."""
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and text in lines[0] and "Traceback" not in err, err
+
+
 def assert_config_error(capsys, cfg: Path, field: str) -> None:
     """The run ends with exit 2 and one stderr line naming the field."""
     assert main(["run", str(cfg), "--out", str(cfg.parent / "out")]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and field in err[0], err
+    assert_one_line_error(capsys, field)
+
+
+def unreadable_config(path: Path, kind: str) -> Path:
+    """A ``*.json`` path that cannot be read as text: a directory, or a file
+    that starts with the bytes ff fe (a UTF-16 byte order mark)."""
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["directory", "utf16_bom"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
+    assert_config_error(capsys, unreadable_config(tmp_path / "bad.json", kind), "cannot read")
+
+
+@pytest.mark.parametrize("kind", ["directory", "utf16_bom"])
+def test_suite_marks_unreadable_config_as_config_error(tmp_path, capsys, kind):
+    suite_dir = tmp_path / "mixed"
+    suite_dir.mkdir()
+    write_config(suite_dir / "a_good.json")
+    unreadable_config(suite_dir / "b_bad.json", kind)
+    assert main(["suite", str(suite_dir), "--out", str(tmp_path / "out")]) == 2
+    assert_one_line_error(capsys, "b_bad.json: configuration error")
+    rows = (tmp_path / "out" / "suite_summary.csv").read_text().splitlines()
+    assert rows[1:] == ["a_good.json,pass,0", "b_bad.json,config_error,2"]
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_out_naming_a_file_is_config_error(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    target = write_config(tmp_path / "c.json") if command == "run" else CONFIG_DIR
+    assert main([command, str(target), "--out", str(taken)]) == 2
+    assert_one_line_error(capsys, "cannot create output directory")
 
 
 @pytest.mark.parametrize(
@@ -468,6 +510,7 @@ def test_table_schedule_whole_float_entries_are_accepted(tmp_path):
 @pytest.mark.parametrize(
     "overrides, field",
     [
+        ({"horizon": 1}, "horizon"),
         ({"axiom_samples": 0}, "axiom_samples"),
         ({"family_samples": 0}, "family_samples"),
         ({"tolerance": 0}, "tolerance"),
@@ -477,8 +520,8 @@ def test_table_schedule_whole_float_entries_are_accepted(tmp_path):
         ({"modulus_k_max": -1}, "modulus_k_max"),
     ],
     ids=[
-        "axiom_samples_zero", "family_samples_zero", "tolerance_zero", "tolerance_negative",
-        "seed_negative", "modulus_horizon_zero", "modulus_k_max_negative",
+        "horizon_one", "axiom_samples_zero", "family_samples_zero", "tolerance_zero",
+        "tolerance_negative", "seed_negative", "modulus_horizon_zero", "modulus_k_max_negative",
     ],
 )
 def test_run_field_below_its_least_value_is_config_error(tmp_path, capsys, overrides, field):

@@ -288,7 +288,7 @@ def test_schedule_validation_quick():
     for sch in (builtin_example_schedule(0.5), builtin_linear_schedule(1.0 / 3.0)):
         report = validate_schedule_moduli(sch, k_max=10, horizon=20_000)
         statuses = {s for levels in report.moduli.values() for s in levels}
-        assert report.no_failure and statuses == {"pass"}, report.summary()
+        assert report.status == "pass" and statuses == {"pass"}, report.summary()
 
 
 def test_schedule_validation_catches_bad_modulus():
@@ -304,7 +304,7 @@ def test_schedule_validation_catches_bad_modulus():
         N_Lambda=0,
     )
     report = validate_schedule_moduli(bad, k_max=5, horizon=1000)
-    assert not report.no_failure
+    assert report.status == "fail"
 
 
 def test_table_schedule_extends_last_entry():

@@ -280,4 +280,4 @@ def test_run_tfb_rejects_out_of_range_lambda():
         chi_lambda=[0], sigma=[0], Lambda_cap=1, N_Lambda=0,
         gamma=[1.0], chi_gamma=[0], Gamma_cap=1, N_Gamma=0,
     )
-    assert validate_schedule_moduli(schedule, k_max=2, horizon=20).no_failure is False
+    assert validate_schedule_moduli(schedule, k_max=2, horizon=20).status == "fail"
