@@ -323,7 +323,7 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: cannot read the config: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")

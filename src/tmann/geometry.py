@@ -29,6 +29,7 @@ instances can be shared freely across concurrent runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -41,6 +42,11 @@ from .checks import Section, worst_row
 Point = Any
 """Instance-specific point representation: ``np.ndarray`` for Euclidean
 spaces, ``TreePoint`` for star trees."""
+
+LoopPoint = Any
+"""A point in the form the orbit loops carry and ``mix`` takes and returns:
+a list of ``dim`` Python floats for Euclidean spaces, ``TreePoint`` for
+star trees."""
 
 Points = Any
 """An array of points: an ``(n, dim)`` float array for Euclidean spaces,
@@ -67,13 +73,24 @@ class TreePoint:
             object.__setattr__(self, "ray", 0)
 
 
+def _tree_point(ray: int, t: float) -> TreePoint:
+    """The ``TreePoint`` of a valid ray and a finite t > 0, or of ray 0 and
+    t == 0, built without the checks of ``__post_init__``."""
+    point = object.__new__(TreePoint)
+    fields = point.__dict__
+    fields["ray"] = ray
+    fields["t"] = t
+    return point
+
+
 @dataclass(frozen=True, eq=False)
 class TreePoints:
     """An array of star-tree points: an int array of rays and a float array
     of radial coordinates.
 
     An int index gives a ``TreePoint``, a slice or an index array gives a
-    ``TreePoints``, and assigning a ``TreePoint`` to an int index stores it.
+    ``TreePoints``, and assigning a ``TreePoint`` to an int index, or a
+    ``TreePoints`` to a slice, stores it.
     """
 
     ray: np.ndarray
@@ -87,7 +104,7 @@ class TreePoints:
             return TreePoint(int(self.ray[index]), float(self.t[index]))
         return TreePoints(self.ray[index], self.t[index])
 
-    def __setitem__(self, index: int, point: TreePoint) -> None:
+    def __setitem__(self, index, point) -> None:
         self.ray[index] = point.ray
         self.t[index] = point.t
 
@@ -102,14 +119,25 @@ class Space(ABC):
         """``p`` as a point of this space; raises ValueError if it is not one."""
 
     @abstractmethod
-    def mix(self, x: Point, y: Point, lam: float) -> Point:
+    def mix(self, x: LoopPoint, y: LoopPoint, lam: float) -> LoopPoint:
         """The combination W(x, y, lam), read as (1 - lam) x + lam y, of two
-        points of this space and a float lam in [0, 1], none of them
-        checked.  The orbit loops call it after checking their terms."""
+        loop points and a float lam in [0, 1], none of them checked.  The
+        orbit loops call it after checking their terms."""
+
+    def to_loop(self, p) -> LoopPoint:
+        """``p``, checked as ``as_point`` checks it, in the form ``mix``
+        takes: the point itself unless a space says otherwise."""
+        return self.as_point(p)
+
+    def from_loop(self, q: LoopPoint) -> Point:
+        """The point a loop point stands for: ``q`` itself unless a space
+        says otherwise."""
+        return q
 
     def combine(self, x: Point, y: Point, lam: float) -> Point:
         """``mix`` after checking lam and both points."""
-        return self.mix(self.as_point(x), self.as_point(y), float(self._check_lambdas(lam)))
+        lam = float(self._check_lambdas(lam))
+        return self.from_loop(self.mix(self.to_loop(x), self.to_loop(y), lam))
 
     def dist(self, x: Point, y: Point) -> float:
         """Distance between two points: ``dist_array`` of the two points."""
@@ -124,6 +152,14 @@ class Space(ABC):
     @abstractmethod
     def empty(self, count: int) -> Points:
         """An array of ``count`` points, to be filled by item assignment."""
+
+    def collect(self, points, count: int) -> Points:
+        """The point array of the first ``count`` loop points that the
+        iterable ``points`` yields, in order; the orbit loop's store."""
+        out = self.empty(count)
+        for i, point in zip(range(count), points):
+            out[i] = point
+        return out
 
     @abstractmethod
     def dist_array(self, x: Points | Point, y: Points | Point) -> np.ndarray:
@@ -164,6 +200,11 @@ class Space(ABC):
 class EuclideanSpace(Space):
     """R^dim with the norm distance and the affine combination.
 
+    A point is a float array of shape ``(dim,)``.  In the orbit loops it is a
+    list of ``dim`` Python floats, which ``mix`` combines coordinate by
+    coordinate with the two products and one sum of the array form, so both
+    give the same floats (up to which of two NaN operands an operation
+    keeps) at a fraction of the per-call cost on one point.
     Sampling is uniform over the box [-box_radius, box_radius]^dim, drawn
     as one ``(count, dim)`` block.
     """
@@ -183,11 +224,26 @@ class EuclideanSpace(Space):
             raise ValueError(f"expected a point of shape ({self.dim},), got {p.shape}")
         return p
 
+    def to_loop(self, p):
+        # a list of dim floats, as mix and the box and l1 families return
+        # it, passes as it is; anything else goes through as_point
+        if type(p) is list and len(p) == self.dim:
+            return p
+        return self.as_point(p).tolist()
+
+    def from_loop(self, q):
+        return np.array(q)
+
     def mix(self, x, y, lam):
-        return (1.0 - lam) * x + lam * y
+        mu = 1.0 - lam
+        return [mu * a + lam * b for a, b in zip(x, y)]
 
     def sample(self, rng, count):
         return rng.uniform(-self.box_radius, self.box_radius, (count, self.dim))
+
+    def collect(self, points, count):
+        flat = np.fromiter(itertools.chain.from_iterable(points), float, count * self.dim)
+        return flat.reshape(count, self.dim)
 
     def empty(self, count):
         return np.empty((count, self.dim))
@@ -218,7 +274,9 @@ class BrokenEuclideanSpace(EuclideanSpace):
         self.name = f"euclidean-{self.dim}d-broken"
 
     def mix(self, x, y, lam):
-        return (1.0 - lam * lam) * x + (lam * lam) * y
+        sq = lam * lam
+        mu = 1.0 - sq
+        return [mu * a + sq * b for a, b in zip(x, y)]
 
     def combine_array(self, x, y, lam):
         lam = self._check_lambdas(lam)[..., None]
@@ -256,11 +314,15 @@ class StarTreeSpace(Space):
 
     def mix(self, x, y, lam):
         if x.ray == y.ray:
-            return TreePoint(x.ray, max(0.0, x.t + lam * (y.t - x.t)))
-        walked = lam * (x.t + y.t)
-        if walked <= x.t:
-            return TreePoint(x.ray, x.t - walked)
-        return TreePoint(y.ray, walked - x.t)
+            ray, t = x.ray, x.t + lam * (y.t - x.t)
+            if not t > 0.0:  # max(0.0, t) is the origin
+                return _tree_point(0, 0.0)
+        else:
+            walked = lam * (x.t + y.t)
+            ray, t = (x.ray, x.t - walked) if walked <= x.t else (y.ray, walked - x.t)
+        if 0.0 < t < math.inf:
+            return _tree_point(ray, t)
+        return TreePoint(ray, t)  # the origin, or the error for an overflowed or NaN t
 
     def sample(self, rng, count):
         ray = rng.integers(self.num_rays, size=count)

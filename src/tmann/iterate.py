@@ -15,14 +15,20 @@ setting.  The modified Halpern iteration
 walks the same orbit when started at y_0 = (1 - beta_0) u + beta_0 x_0:
 then u_n = y_n and x_{n+1} = v_n for every n.
 
-Only the recursion runs step by step.  The loop stores the orbit in
-preallocated point arrays (an (n, d) float array on Euclidean space, ray and
-radius arrays on the star tree); every residual and distance sequence, which
-is what rate certification consumes, is then computed from the stored orbit
-with array operations.  Each instance keeps its latest anchored orbit, read
-only.  The Halpern check runs no loop of its own: it applies each Halpern
-step to the stored orbit with array operations, so an instance runs one loop
-per horizon.
+Only the recursion runs step by step, on the space's loop points: a list of
+d Python floats on Euclidean space, which ``mix`` combines with no numpy
+call, and a ``TreePoint`` on the star tree.  ``fn`` receives each u_n as a
+point of the space (an ndarray on Euclidean space) and may return a loop
+point or anything ``as_point`` accepts.  The loop stores only x_n, in a
+point array (an (n, d) float array on Euclidean space, ray and radius arrays
+on the star tree); u_n = W(u, x_n, beta_n) comes from ``combine_array``
+after it, in blocks of ``BLOCK_ROWS`` rows, equal to the loop's u_n row by
+row.  Every residual and distance sequence, which is what rate
+certification consumes, is then computed from the stored orbit with array
+operations.  Each instance keeps its latest anchored orbit, read only.  The
+Halpern check runs no loop of its own: it applies each Halpern step to the
+stored orbit with array operations, so an instance runs one loop per
+horizon.
 
 The per-step checkers assert, along a computed orbit, the bounds the rate
 theorems rest on.  These are theorems for exact arithmetic: a violation
@@ -45,6 +51,9 @@ from .sequences import ParamSchedule, _int_ceil, terms
 
 #: How far T_0 .. T_9 may move the registered fixed point p.
 FIXED_POINT_TOL = 1e-9
+
+#: Rows per ``combine_array`` call when u_n is computed from the stored x_n.
+BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,20 +190,28 @@ def _orbit(instance: ProblemInstance, horizon: int) -> tuple[Points, Points]:
     # mix checks nothing: the loop checks the terms it reads once, here, and
     # each point it did not make itself as it arrives.  A memoryview of the
     # terms indexes as Python floats and keeps 8 bytes a term, a list 32.
-    beta = memoryview(sp._check_lambdas(terms(sch.beta, np.arange(horizon))))
+    beta = sp._check_lambdas(terms(sch.beta, np.arange(horizon)))
     lam = memoryview(sp._check_lambdas(terms(sch.lam, np.arange(horizon))))
-    mix, as_point = sp.mix, sp.as_point
+    mix, to_loop, from_loop = sp.mix, sp.to_loop, sp.from_loop
 
-    xs = sp.empty(horizon + 1)
+    u = to_loop(instance.u)
+
+    def loop():
+        x = to_loop(instance.x0)
+        yield x
+        for n, beta_n in enumerate(memoryview(beta)):
+            u_n = mix(u, x, beta_n)
+            x = mix(u_n, to_loop(fn(n, from_loop(u_n))), lam[n])
+            yield x
+
+    xs = sp.collect(loop(), horizon + 1)
+    # u_n = W(u, x_n, beta_n), row by row as mix gives it, in blocks that
+    # keep the temporaries of combine_array small
     us = sp.empty(horizon)
-    u = as_point(instance.u)
-    x = as_point(instance.x0)
-    xs[0] = x
-    for n in range(horizon):
-        u_n = mix(u, x, beta[n])
-        x = mix(u_n, as_point(fn(n, u_n)), lam[n])
-        us[n] = u_n
-        xs[n + 1] = x
+    anchor = _repeat(sp, instance.u, min(horizon, BLOCK_ROWS))
+    for start in range(0, horizon, BLOCK_ROWS):
+        rows = slice(start, min(start + BLOCK_ROWS, horizon))
+        us[rows] = sp.combine_array(anchor[: rows.stop - start], xs[rows], beta[rows])
     # every trace built from the stored orbit shares these arrays
     for array in (xs.ray, xs.t, us.ray, us.t) if isinstance(xs, TreePoints) else (xs, us):
         array.flags.writeable = False
@@ -247,16 +264,16 @@ def run_modified_halpern(instance: ProblemInstance, horizon: int) -> HalpernTrac
     # checked as in _orbit; the loop reads beta_0 .. beta_horizon
     beta = memoryview(sp._check_lambdas(terms(sch.beta, np.arange(horizon + 1))))
     lam = memoryview(sp._check_lambdas(terms(sch.lam, np.arange(horizon))))
-    mix, as_point = sp.mix, sp.as_point
+    mix, to_loop, from_loop = sp.mix, sp.to_loop, sp.from_loop
 
     ys = sp.empty(horizon + 1)
     vs = sp.empty(horizon)
     t_ys = sp.empty(horizon)
-    u = as_point(instance.u)
-    y = mix(u, as_point(instance.x0), beta[0])
+    u = to_loop(instance.u)
+    y = mix(u, to_loop(instance.x0), beta[0])
     ys[0] = y
     for n in range(horizon):
-        t_yn = as_point(fn(n, y))
+        t_yn = to_loop(fn(n, from_loop(y)))
         v = mix(y, t_yn, lam[n])
         y = mix(u, v, beta[n + 1])
         t_ys[n] = t_yn

@@ -62,9 +62,15 @@ class MappingFamily:
     ``check_jp2_consequence`` samples the comparison.  ``chi_T`` is a
     declared Cauchy modulus for the gap series: 0 for a constant family.
     A family with neither has no certificate, and its gap series can only
-    be validated along a computed orbit.  ``fn_array`` optionally evaluates
-    the family over an index array and a point array at once, equal bit for
-    bit to ``fn`` applied row by row; without it ``eval_array`` loops.
+    be validated along a computed orbit.
+
+    ``fn(n, x)`` maps one point: ``x`` is a point as the space's
+    ``as_point`` gives it (an ndarray on Euclidean space), and the result
+    may be anything ``as_point`` accepts or a loop point of the space (a
+    list of d floats on Euclidean space).  ``fn_array`` optionally
+    evaluates the family over an index array and a point array at once,
+    equal bit for bit to ``fn`` applied row by row; without it
+    ``eval_array`` loops.
     """
 
     name: str
@@ -125,6 +131,16 @@ def _box_projector(lo, hi) -> tuple[np.ndarray, np.ndarray, Callable]:
     return lo, hi, lambda x: np.minimum(np.maximum(x, lo), hi)
 
 
+# Single-point forms on Python floats.  Each takes the float operations of
+# its numpy counterpart in the same order, and takes numpy's choice where
+# Python's differs: np.maximum(a, b) and np.minimum(a, b) return a NaN
+# operand, the first of two, and return b on a tie, so that
+# np.maximum(-0.0, 0.0) is 0.0 and np.maximum(0.0, -0.0) is -0.0; np.sign
+# of either zero is 0.0, and of a NaN the NaN itself.  Which NaN a Python
+# product of two NaNs keeps depends on the interpreter's state, so no form
+# multiplies two.
+
+
 def box_projection_family(lo, hi) -> MappingFamily:
     """Constant family projecting onto the box [lo, hi] componentwise.
 
@@ -132,9 +148,20 @@ def box_projection_family(lo, hi) -> MappingFamily:
     box is fixed.  The registered fixed point is the box midpoint.
     """
     lo, hi, project = _box_projector(lo, hi)
+    if lo.ndim != 1:
+        raise ValueError(f"box corners must be 1-D, got shape {lo.shape}")
+    corners = list(zip(lo.tolist(), hi.tolist()))
+
+    def project_point(n: int, x) -> list:
+        out = []
+        for c, (a, b) in zip(x.tolist(), corners, strict=True):
+            c = c if c > a or c != c else a  # np.maximum(c, a)
+            out.append(c if c < b or c != c else b)  # np.minimum(c, b)
+        return out
+
     return MappingFamily(
         name="box_projection",
-        fn=lambda n, x: project(x),
+        fn=project_point,
         fixed_point=(lo + hi) / 2.0,
         chi_T=constant_family_chi_T(),
         fn_array=lambda ns, xs: project(xs),
@@ -170,9 +197,22 @@ def resolvent_l1_family(
     weight * gamma_n.  Zero is the common fixed point."""
     if weight < 0:
         raise ValueError(f"weight must be >= 0, got {weight}")
+
+    def shrink_point(n: int, x) -> list:
+        threshold = weight * gamma(n)
+        out = []
+        for c in x.tolist():
+            if c != c:  # np.sign(c) is c, and numpy's product keeps its first NaN
+                out.append(c)
+                continue
+            m = abs(c) - threshold
+            m = m if m > 0.0 or m != m else 0.0  # np.maximum(m, 0.0)
+            out.append((1.0 if c > 0.0 else -1.0 if c < 0.0 else 0.0) * m)  # np.sign(c) * m
+        return out
+
     return MappingFamily(
         name="resolvent_l1",
-        fn=lambda n, x: soft_threshold(x, weight * gamma(n)),
+        fn=shrink_point,
         fixed_point=np.zeros(dim),
         gamma=gamma,
         fn_array=lambda ns, xs: soft_threshold(xs, weight * gamma_column(gamma, ns)),

@@ -45,7 +45,7 @@ def run_kmf_direct(family, schedule, x0, horizon: int) -> list[np.ndarray]:
     for n in range(horizon):
         scaled = schedule.beta(n) * x
         lam_n = schedule.lam(n)
-        x = (1.0 - lam_n) * scaled + lam_n * family.fn(n, scaled)
+        x = (1.0 - lam_n) * scaled + lam_n * np.asarray(family.fn(n, scaled))
         out.append(x)
     return out
 

@@ -246,21 +246,27 @@ def assert_config_error(capsys, cfg: Path, field: str) -> None:
 
 
 def unreadable_config(path: Path, kind: str) -> Path:
-    """A ``*.json`` path that cannot be read as text: a directory, or a file
-    that starts with the bytes ff fe (a UTF-16 byte order mark)."""
+    """A ``*.json`` path that cannot be read as a config: a directory, a
+    file that starts with the bytes ff fe (a UTF-16 byte order mark), or
+    100,000 nested JSON arrays, deeper than the parser can recurse."""
     if kind == "directory":
         path.mkdir()
-    else:
+    elif kind == "utf16_bom":
         path.write_bytes(b"\xff\xfe{}")
+    else:
+        path.write_text("[" * 100_000 + "]" * 100_000)
     return path
 
 
-@pytest.mark.parametrize("kind", ["directory", "utf16_bom"])
+UNREADABLE = ["directory", "utf16_bom", "deeply_nested"]
+
+
+@pytest.mark.parametrize("kind", UNREADABLE)
 def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
     assert_config_error(capsys, unreadable_config(tmp_path / "bad.json", kind), "cannot read")
 
 
-@pytest.mark.parametrize("kind", ["directory", "utf16_bom"])
+@pytest.mark.parametrize("kind", UNREADABLE)
 def test_suite_marks_unreadable_config_as_config_error(tmp_path, capsys, kind):
     suite_dir = tmp_path / "mixed"
     suite_dir.mkdir()

@@ -245,7 +245,7 @@ class CubedEuclideanSpace(EuclideanSpace):
     array form must be the per-row fallback, not the parent's affine one."""
 
     def mix(self, x, y, lam):
-        return (1.0 - lam**3) * x + lam**3 * y
+        return [(1.0 - lam**3) * a + lam**3 * b for a, b in zip(x, y)]
 
 
 SPACES = {

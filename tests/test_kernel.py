@@ -11,7 +11,7 @@ which take the per-point fallback.
 import numpy as np
 import pytest
 
-from tmann import mappings
+from tmann import iterate, mappings
 from tmann.geometry import (
     BrokenEuclideanSpace,
     EuclideanSpace,
@@ -117,6 +117,12 @@ def planar_rotation_family(dim):
     return MappingFamily(name="rotation", fn=rotate, fixed_point=np.zeros(dim))
 
 
+def doubling_family(dim):
+    """Custom family T_n x = 2 x in array arithmetic, returning an ndarray:
+    on a list of floats, 2 * x would repeat the list instead."""
+    return MappingFamily(name="doubling", fn=lambda n, x: 2 * x, fixed_point=np.zeros(dim))
+
+
 def ray_shift_family(num_rays):
     """Custom star-tree family: move every point to the next ray (an isometry)."""
     return MappingFamily(
@@ -219,6 +225,9 @@ CASES = {
         resolvent_quadratic_family(Q3, LINEAR.gamma), LINEAR
     ),
     "random_3d_rotation_custom": lambda: _random_3d(planar_rotation_family(3), EXAMPLE),
+    "euclidean_doubling_custom": lambda: _euclidean(
+        2, doubling_family(2), LINEAR, [0.3, 0.2], [1.5, -0.4]
+    ),
     "tree_identity": lambda: _tree(
         identity_family(TreePoint(0, 0.0)), LINEAR, (1, 0.7), (2, 1.9)
     ),
@@ -259,6 +268,19 @@ def test_halpern_kernel_matches_per_step_loop(case):
     sp = instance.space
     assert report.max_u_y == max(sp.dist(us[n], ys[n]) for n in range(HORIZON))
     assert report.max_x_v == max(sp.dist(xs[n + 1], vs[n]) for n in range(HORIZON))
+
+
+@pytest.mark.parametrize(
+    "case", ["euclidean_box", "broken_euclidean_box", "euclidean_rotation_custom", "tree_contraction"]
+)
+def test_u_sequence_computed_in_blocks_equals_per_step_loop(case, monkeypatch):
+    # 400 rows in blocks of 7: 57 full blocks and a last one of 1 row
+    monkeypatch.setattr(iterate, "BLOCK_ROWS", 7)
+    instance = CASES[case]()
+    _, xs, us = reference_tikhonov_mann(instance, HORIZON)
+    trace = run_tikhonov_mann(instance, HORIZON)
+    assert_points_equal(instance.space, trace.x, xs)
+    assert_points_equal(instance.space, trace.u_seq, us)
 
 
 def drifting_array_family(row):
@@ -375,10 +397,11 @@ def test_each_loop_checks_exactly_the_terms_it_reads(beta, lam, raising):
     "space, p, x0, escaped, message",
     [
         (EuclideanSpace(2), np.zeros(2), np.ones(2), np.zeros(3), r"shape \(2,\), got \(3,\)"),
+        (EuclideanSpace(2), np.zeros(2), np.ones(2), [0.0, 0.0, 0.0], r"shape \(2,\), got \(3,\)"),
         (StarTreeSpace(3), TreePoint(0, 0.0), TreePoint(1, 1.0), TreePoint(3, 1.0),
          "ray index 3 out of range for 3 rays"),
     ],
-    ids=["euclidean_wrong_shape", "tree_ray_out_of_range"],
+    ids=["euclidean_wrong_shape", "euclidean_list_of_wrong_length", "tree_ray_out_of_range"],
 )
 def test_family_output_outside_the_space_stops_both_loops(space, p, x0, escaped, message):
     # T_n is the identity except at n = 12, past the fixed-point check of create

@@ -121,7 +121,49 @@ def test_box_projection_equals_clip_bit_for_bit(lo, hi):
     mapped = box.eval_array(EuclideanSpace(2), np.arange(len(xs)), xs)
     assert np.array_equal(mapped.view(np.uint64), reference.view(np.uint64))
     for i in range(200):
-        assert np.array_equal(box.fn(i, xs[i]).view(np.uint64), reference[i].view(np.uint64))
+        mapped_point = np.asarray(box.fn(i, xs[i]))
+        assert np.array_equal(mapped_point.view(np.uint64), reference[i].view(np.uint64))
+
+
+#: Coordinates where Python's max, min and sign part from numpy's: both
+#: zeros, NaNs of either sign, and the box corners and l1 thresholds below.
+EDGE_VALUES = [0.0, -0.0, math.nan, -math.nan, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, math.inf]
+EDGE_BOXES = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0), (-1.0, -0.0), (0.0, 1.0), (-1.0, 2.0)]
+
+
+def edge_points(rng, dim: int, values) -> np.ndarray:
+    """Every value in every coordinate (a row each), then random rows."""
+    every = np.repeat(np.asarray(values)[:, None], dim, axis=1)
+    return np.concatenate([every, rng.choice(values, size=(600, dim))])
+
+
+def assert_point_forms_agree(family, xs: np.ndarray) -> None:
+    """``fn`` on one point, returned as a list, and the ``fn_array`` row
+    hold the same bytes: signs of zeros and NaNs included."""
+    ns = np.arange(len(xs))
+    rows = family.eval_array(EuclideanSpace(xs.shape[1]), ns, xs)
+    for n, x, row in zip(ns.tolist(), xs, rows):
+        point = family.fn(n, x)
+        assert type(point) is list
+        assert np.asarray(point).tobytes() == row.tobytes(), (n, x, point, row)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_box_projection_point_form_equals_array_form_on_edge_inputs(dim):
+    rng = np.random.default_rng(dim)
+    corners = [EDGE_BOXES[i] for i in rng.integers(len(EDGE_BOXES), size=(4, dim)).ravel()]
+    for start in range(0, len(corners), dim):
+        lo, hi = zip(*corners[start : start + dim])
+        xs = edge_points(rng, dim, EDGE_VALUES + sorted(set(lo + hi)))
+        assert_point_forms_agree(box_projection_family(lo, hi), xs)
+
+
+@pytest.mark.parametrize("weight", [1.0, 0.0])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_resolvent_l1_point_form_equals_array_form_on_edge_inputs(dim, weight):
+    # thresholds 0.5, 1 and 2 times the weight: |x| meets each of them
+    family = resolvent_l1_family(lambda n: (0.5, 1.0, 2.0)[n % 3], dim=dim, weight=weight)
+    assert_point_forms_agree(family, edge_points(np.random.default_rng(dim), dim, EDGE_VALUES))
 
 
 def test_jp2_constant_family_passes_any_gamma():
@@ -159,7 +201,7 @@ def test_resolvents_fix_operator_zeros():
     l1 = resolvent_l1_family(GAMMA_EXAMPLE, dim=3)
     quad = resolvent_quadratic_family(np.diag([1.0, 3.0]), GAMMA_EXAMPLE)
     for n in range(25):
-        assert np.all(l1.fn(n, np.zeros(3)) == 0.0)
+        assert np.all(np.asarray(l1.fn(n, np.zeros(3))) == 0.0)
         np.testing.assert_allclose(quad.fn(n, np.zeros(2)), np.zeros(2), atol=1e-12)
 
 
