@@ -13,7 +13,9 @@ setting.  The modified Halpern iteration
     y_{n+1} = (1 - beta_{n+1}) u + beta_{n+1} v_n
 
 walks the same orbit when started at y_0 = (1 - beta_0) u + beta_0 x_0:
-then u_n = y_n and x_{n+1} = v_n for every n.
+then u_n = y_n and x_{n+1} = v_n for every n.  So the module has one loop,
+the anchored one, which checks the schedule terms it reads and each point it
+did not make itself; the Halpern trace is read off its stored orbit.
 
 Only the recursion runs step by step, on the space's loop points: a list of
 d Python floats on Euclidean space, which ``mix`` combines with no numpy
@@ -25,10 +27,9 @@ on the star tree); u_n = W(u, x_n, beta_n) comes from ``combine_array``
 after it, in blocks of ``BLOCK_ROWS`` rows, equal to the loop's u_n row by
 row.  Every residual and distance sequence, which is what rate
 certification consumes, is then computed from the stored orbit with array
-operations.  Each instance keeps its latest anchored orbit, read only.  The
-Halpern check runs no loop of its own: it applies each Halpern step to the
-stored orbit with array operations, so an instance runs one loop per
-horizon.
+operations.  Each instance keeps its latest anchored orbit, read only, so
+an instance runs the loop once per horizon: the Halpern trace and the
+Halpern check read the stored orbit with array operations.
 
 The per-step checkers assert, along a computed orbit, the bounds the rate
 theorems rest on.  These are theorems for exact arithmetic: a violation
@@ -257,36 +258,22 @@ class HalpernTrace:
 
 
 def run_modified_halpern(instance: ProblemInstance, horizon: int) -> HalpernTrace:
-    """Run the modified Halpern iteration started at y_0 = (1 - beta_0) u + beta_0 x_0."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    sp, fn, sch = instance.space, instance.family.fn, instance.schedule
-    # checked as in _orbit; the loop reads beta_0 .. beta_horizon
-    beta = memoryview(sp._check_lambdas(terms(sch.beta, np.arange(horizon + 1))))
-    lam = memoryview(sp._check_lambdas(terms(sch.lam, np.arange(horizon))))
-    mix, to_loop, from_loop = sp.mix, sp.to_loop, sp.from_loop
-
+    """The modified Halpern iteration from y_0 = (1 - beta_0) u + beta_0 x_0,
+    read off the anchored orbit of :func:`_orbit`: y_n = u_n and v_n = x_{n+1}
+    for n < horizon, and y_horizon = W(u, x_horizon, beta_horizon) from
+    ``combine_array``, which checks beta_horizon; T_n y_n is ``eval_array``'s."""
+    xs, us = _orbit(instance, horizon)
+    sp, fam = instance.space, instance.family
     ys = sp.empty(horizon + 1)
-    vs = sp.empty(horizon)
-    t_ys = sp.empty(horizon)
-    u = to_loop(instance.u)
-    y = mix(u, to_loop(instance.x0), beta[0])
-    ys[0] = y
-    for n in range(horizon):
-        t_yn = to_loop(fn(n, from_loop(y)))
-        v = mix(y, t_yn, lam[n])
-        y = mix(u, v, beta[n + 1])
-        t_ys[n] = t_yn
-        vs[n] = v
-        ys[n + 1] = y
-
-    y_n = ys[:horizon]
+    ys[:horizon] = us
+    beta_H = terms(instance.schedule.beta, np.array([horizon]))
+    ys[horizon:] = sp.combine_array(sp.stack([instance.u]), xs[horizon:], beta_H)
     return HalpernTrace(
         horizon=horizon,
-        residual_step=sp.dist_array(y_n, ys[1:]),
-        residual_T=sp.dist_array(y_n, t_ys),
+        residual_step=sp.dist_array(us, ys[1:]),
+        residual_T=sp.dist_array(us, fam.eval_array(sp, np.arange(horizon), us)),
         y=ys,
-        v=vs,
+        v=xs[1:],
     )
 
 
@@ -318,7 +305,7 @@ def check_halpern_equivalence(
 ) -> EquivalenceReport:
     """Bound the gaps between the modified Halpern iteration and the
     instance's anchored orbit, computed by :func:`_orbit` only when no run
-    of this horizon stored it, without running the Halpern loop.
+    of this horizon stored it.  No Halpern loop runs.
 
     Each Halpern step is applied to the stored orbit at once, with the
     array forms ``eval_array`` and ``combine_array``:
@@ -333,10 +320,11 @@ def check_halpern_equivalence(
     Halpern loop started at y_0 keeps d(u_n, y_n) within the running sum
     e_n of the y-defects up to n, and d(x_{n+1}, v_n) within e_n plus the
     v-defect at n.  ``max_u_y`` and ``max_x_v`` report the largest of these
-    two bounds.  The array forms equal ``mix`` and ``fn`` row by row, so on
-    a correct space and family every defect is exactly 0.0, and by
-    induction the Halpern loop reproduces the orbit bit for bit; a defect
-    above 0 means the array and single-point arithmetic disagree.
+    two bounds.  On a correct space and family the array forms equal ``mix``
+    and ``fn`` row by row, so every defect is exactly 0.0 and the Halpern
+    iteration is the orbit bit for bit, as :func:`run_modified_halpern`
+    reads it.  The check catches a family's ``fn_array`` or a space's
+    ``combine_array`` that disagrees with the ``fn`` or ``mix`` the loop calls.
     """
     xs, us = _orbit(instance, horizon)
     sp, fam, sch = instance.space, instance.family, instance.schedule

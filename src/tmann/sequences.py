@@ -53,9 +53,9 @@ def _int_ceil(value: float) -> int:
 
 
 def ceil_reciprocal(lam: float) -> int:
-    """ceil(1 / lam) for lam in (0, 1], computed robustly."""
-    if not 0 < lam <= 1:
-        raise ValueError(f"expected a value in (0, 1], got {lam}")
+    """ceil(1 / lam) for lam in (0, 1] with a finite reciprocal, computed robustly."""
+    if not (0 < lam <= 1 and 1.0 / lam < math.inf):
+        raise ValueError(f"lambda must lie in (0, 1] with a finite 1 / lambda, got {lam!r}")
     return max(1, _int_ceil(1.0 / lam))
 
 

@@ -15,9 +15,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "tmann"
 
 #: Public names with no caller in ``src/``, and why each is kept.
 NO_CALLER = {
-    "run_modified_halpern": "reference loop the tests compare the stored orbit against; "
-    "the benchmark also patches it by name",
-    "check_halpern_equivalence": "planned as a section of `tmann run`; tests and benchmark call it",
+    "run_modified_halpern": "reads the Halpern trace off the stored orbit; tests call it and "
+    "the benchmark patches it by name, so it waits for a benchmark change to go",
+    "check_halpern_equivalence": "catches an `fn_array` or `combine_array` that disagrees with "
+    "`fn` or `mix`; tests and the benchmark's many-starts pass call it",
     "halpern_translated_bundle": "planned for certifying the Halpern trace in `tmann run`",
     "check_firmly_nonexpansive": "checks a user's resolvent; `tmann run` does not run it",
     "check_cocoercive": "checks a user's cocoercive operator; `tmann run` does not run it",

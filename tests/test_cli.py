@@ -622,13 +622,20 @@ def test_nested_missing_field_is_named_by_path(tmp_path, capsys, overrides, fiel
     [
         ({"space": {"name": "euclidean", "dim": 0}}, "'space'"),
         ({"schedule": {"name": "example", "lambda": 1.5}}, "'schedule'"),
+        # 1 / lambda overflows to inf, which has no integer ceiling
+        ({"schedule": {"name": "linear", "lambda": 1e-310}}, "'schedule'"),
         (
             {"space": {"name": "star_tree"}, "family": {"name": "tree_contraction", "factor": 1.5},
              **TREE_POINTS},
             "'family'",
         ),
     ],
-    ids=["space_dim_zero", "schedule_lambda_above_one", "family_factor_above_one"],
+    ids=[
+        "space_dim_zero",
+        "schedule_lambda_above_one",
+        "schedule_lambda_reciprocal_overflows",
+        "family_factor_above_one",
+    ],
 )
 def test_value_a_constructor_refuses_names_its_object(tmp_path, capsys, overrides, field):
     assert_config_error(capsys, write_config(tmp_path / "refused.json", **overrides), field)

@@ -219,7 +219,7 @@ def test_rejects_nonpositive_horizon():
 
 
 def test_halpern_equivalence_on_every_suite_instance(suite_instances):
-    # both loops make the same mix and fn calls on the same operands
+    # the array forms replay the loop's mix and fn calls on the same operands
     for name, instance in suite_instances:
         report = check_halpern_equivalence(instance, 1000)
         assert report.max_u_y == report.max_x_v == 0.0, f"{name}: {report.summary()}"
@@ -278,3 +278,19 @@ def test_step_residuals_eventually_nonincreasing():
     # observed on this instance: monotone from the start; allow a small
     # burn-in window and rounding slack
     assert np.all(np.diff(trace.residual_step[100:]) <= 1e-12)
+
+
+def test_halpern_trace_runs_the_loop_only_when_no_orbit_is_stored():
+    family, calls = counting_box_family()
+    H = 300
+    fresh = euclidean_instance(dim=2, x0=[1.2, 1.6], u=[0.0, -0.5], family=family)
+    calls.clear()
+    run_modified_halpern(fresh, H)
+    assert len(calls) == H  # the anchored loop, once
+    run_modified_halpern(fresh, H)
+    assert len(calls) == H
+    stored = euclidean_instance(dim=2, x0=[1.2, 1.6], u=[0.0, -0.5], family=family)
+    run_tikhonov_mann(stored, H)
+    calls.clear()
+    run_modified_halpern(stored, H)
+    assert calls == []

@@ -1,11 +1,13 @@
-"""The array orbit kernel against a per-step reference loop.
+"""The array orbit kernel against per-step reference loops.
 
-``run_tikhonov_mann`` and ``run_modified_halpern`` step only the recursion
-and compute every residual and distance afterwards with array operations.
-The reference loops below compute each value at its step with ``dist``,
-``combine`` and ``fn`` on single points.  Both must agree bit for bit, on
-every family with a closed-form array evaluation and on custom families,
-which take the per-point fallback.
+``run_tikhonov_mann`` steps only the anchored recursion and computes every
+residual and distance afterwards with array operations;
+``run_modified_halpern`` runs no loop and reads the Halpern trace off the
+same stored orbit.  The reference loops below, one for each iteration,
+compute each value at its step with ``dist``, ``combine`` and ``fn`` on
+single points.  Both must agree bit for bit, on every family with a
+closed-form array evaluation and on custom families, which take the
+per-point fallback.
 """
 
 import numpy as np
@@ -262,6 +264,12 @@ def test_halpern_kernel_matches_per_step_loop(case):
     assert np.array_equal(ha.residual_T, np.array(residual_T))
     assert_points_equal(instance.space, ha.y, ys)
     assert_points_equal(instance.space, ha.v, vs)
+    # the trace is the anchored orbit: y_n = u_n and v_n = x_{n+1}
+    trace = run_tikhonov_mann(instance, HORIZON)
+    assert_points_equal(instance.space, ha.y[:HORIZON], list(trace.u_seq))
+    assert_points_equal(instance.space, ha.v, list(trace.x[1:]))
+    assert np.array_equal(ha.residual_T, trace.dist_u_Tu)
+    assert np.array_equal(ha.residual_step[:-1], trace.dist_u_succ)
 
     report = check_halpern_equivalence(instance, HORIZON)
     _, xs, us = reference_tikhonov_mann(instance, HORIZON)
@@ -314,7 +322,8 @@ def test_halpern_check_flags_an_array_form_that_moves_one_row():
     # the y-step carries it on: Y_13 = W(u, V_12, beta_13) sits beta_13 * 1e-3
     # from u_13, and no other defect adds to the running sum
     assert report.max_u_y == pytest.approx(LINEAR.beta(13) * 1e-3, rel=1e-9)
-    # the Halpern loop itself, which calls fn, still walks the orbit exactly
+    # the Halpern trace is read off the stored orbit, whose loop calls fn,
+    # so its v sequence stays the orbit exactly
     ha = run_modified_halpern(instance, HORIZON)
     assert_points_equal(instance.space, ha.v, list(run_tikhonov_mann(instance, HORIZON).x[1:]))
 
@@ -379,8 +388,8 @@ def test_combination_parameter_outside_unit_interval_raises(beta, lam):
     ids=["lambda_H", "lambda_H_minus_1", "beta_H"],
 )
 def test_each_loop_checks_exactly_the_terms_it_reads(beta, lam, raising):
-    # over H = 20 steps both loops read lambda_0 .. lambda_19; the anchored
-    # loop reads beta_0 .. beta_19 and the Halpern loop beta_0 .. beta_20
+    # over H = 20 steps the anchored loop reads beta_0 .. beta_19 and
+    # lambda_0 .. lambda_19; the Halpern trace also reads beta_20, for y_20
     for name, run in (("anchored", run_tikhonov_mann), ("halpern", run_modified_halpern)):
         instance = ProblemInstance.create(
             EuclideanSpace(1), identity_family(np.zeros(1)), _schedule(beta, lam),

@@ -47,18 +47,35 @@ def test_traced_cli_pass_records_axiom_and_oracle_spans(tmp_path):
     assert {"mappings.check_nonexpansive", "iterate.run_tikhonov_mann"} <= set(attrs)
 
 
+DRAWS = [
+    {"pair": "euclidean_box", "u": [0.5, -1.5], "x0": [1.2, 0.3]},
+    {"pair": "euclidean_l1", "u": [-0.4, 0.9], "x0": [1.1, -1.0]},
+    {"pair": "tree_contraction", "u": [1, 1.5], "x0": [2, 0.7]},
+]
+
+
+def write_draws(tmp_path) -> Path:
+    draws_path = tmp_path / "draws.json"
+    draws_path.write_text(json.dumps(DRAWS))
+    return draws_path
+
+
+def test_traced_many_starts_pass_records_orbit_and_halpern_spans(tmp_path):
+    spans_path = tmp_path / "spans.json"
+    out = tmp_path / "results.csv"
+    proc = run_child("--spans", spans_path, "starts", write_draws(tmp_path), out)
+    assert proc.returncode == 0, proc.stderr
+    names = [span[0] for span in json.loads(spans_path.read_text())["spans"]]
+    assert names.count("iterate.run_tikhonov_mann") == len(DRAWS)
+    assert names.count("iterate.check_halpern_equivalence") == len(DRAWS)
+
+
 def test_many_starts_pass_checks_every_start(tmp_path):
-    draws = [
-        {"pair": "euclidean_box", "u": [0.5, -1.5], "x0": [1.2, 0.3]},
-        {"pair": "euclidean_l1", "u": [-0.4, 0.9], "x0": [1.1, -1.0]},
-        {"pair": "tree_contraction", "u": [1, 1.5], "x0": [2, 0.7]},
-    ]
-    draws_path, out = tmp_path / "draws.json", tmp_path / "results.csv"
-    draws_path.write_text(json.dumps(draws))
-    proc = run_child("starts", draws_path, out)
+    out = tmp_path / "results.csv"
+    proc = run_child("starts", write_draws(tmp_path), out)
     assert proc.returncode == 0, proc.stderr
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert [row["pair"] for row in rows] == [draw["pair"] for draw in draws]
+    assert [row["pair"] for row in rows] == [draw["pair"] for draw in DRAWS]
     statuses = ("bounds", "recursions", "sigma", "sigma_T", "halpern")
     assert all(row[column] == "pass" for row in rows for column in statuses)

@@ -77,6 +77,9 @@ def test_ceil_reciprocal_robust():
     assert ceil_reciprocal(0.4) == 3
     with pytest.raises(ValueError):
         ceil_reciprocal(0.0)
+    # the reciprocal of the least subnormal overflows to inf
+    with pytest.raises(ValueError, match="lambda"):
+        ceil_reciprocal(5e-324)
 
 
 def test_int_ceil_snaps_only_float_noise():
