@@ -92,7 +92,12 @@ class ProblemInstance:
         if p is None:
             p = family.fixed_point
         fixed = space.as_point(p)
-        radius = max(space.dist_array(space.stack([x0, u]), fixed).tolist())
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+            radii = space.dist_array(space.stack([x0, u]), fixed).tolist()
+        for name, r in zip(("x0", "u"), radii):
+            if not np.isfinite(r):
+                raise ValueError(f"d({name}, p) = {r!r} is not finite")
+        radius = max(radii)
         least = max(1, _int_ceil(radius))
         if M is None:
             M = least

@@ -32,9 +32,14 @@ is 2beta/(4beta - gamma)-averaged, hence nonexpansive, and its fixed points
 are exactly the zeros of A + B; the family T_n = T_{gamma_n} satisfies the
 comparison with respect to (gamma_n).  Only Euclidean operators with closed
 forms ship, and cocoercivity constants are supplied analytically (the
-gradient of an L-smooth convex function is 1/L-cocoercive).  The
-experiment harness does not check the operators: ``check_firmly_nonexpansive``
-and ``check_cocoercive`` sample them, when called.
+gradient of an L-smooth convex function is 1/L-cocoercive).  The rates
+need only that every T_n is nonexpansive and that the family satisfies the
+comparison, so the harness samples those on the family itself
+(``check_nonexpansive``, ``check_jp2_consequence``) and not the operator
+properties that suffice for them.  An overstated cocoercivity constant
+matters only where it lets some T_n expand, which the nonexpansiveness
+check samples; an operator that is not firmly nonexpansive, but leaves the
+family nonexpansive and the comparison intact, does not break the rates.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .checks import Section, worst_row
-from .geometry import EuclideanSpace, Point, Points, Space, TreePoint, TreePoints
+from .geometry import Point, Points, Space, TreePoint, TreePoints
 from .sequences import ParamSchedule, RateFn, terms
 
 
@@ -256,8 +261,8 @@ class MonotoneOp:
 
     ``prox(gamma, x)`` must return J_{gamma A}(x) = (Id + gamma A)^{-1}(x),
     for one point and a float step size, and row by row for a point array
-    and a column of step sizes.  Resolvents are firmly nonexpansive;
-    ``check_firmly_nonexpansive`` spot checks that on samples.
+    and a column of step sizes.  Resolvents are firmly nonexpansive; that is
+    not checked here, since the family checks sample what the rates use.
     """
 
     name: str
@@ -273,9 +278,6 @@ class CocoerciveOp:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     beta_coco: float
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.fn(x)
 
 
 def l1_operator(weight: float = 1.0) -> MonotoneOp:
@@ -335,7 +337,7 @@ def forward_backward_map(
                 f"step size must lie in (0, 2 beta) = (0, {2.0 * B.beta_coco!r}), got {g}"
             )
     x = np.asarray(x, dtype=float)
-    return A.prox(gamma, x - gamma * B(x))
+    return A.prox(gamma, x - gamma * B.fn(x))
 
 
 def forward_backward_family(
@@ -352,11 +354,9 @@ def forward_backward_family(
     )
 
 
-#: The worst samples of the family and operator checks, named for the report.
+#: The worst samples of the family checks, named for the report.
 PointPair = namedtuple("PointPair", "n x y")
 IndexPair = namedtuple("IndexPair", "m n x")
-StepPair = namedtuple("StepPair", "gamma x y")
-Pair = namedtuple("Pair", "x y")
 
 
 def check_nonexpansive(
@@ -429,77 +429,6 @@ def check_jp2_consequence(
     return Section(
         title=f"jp2_consequence[{family.name}] on {space.name}: "
         f"{len(excess)} samples, tol {tol!r}",
-        checks=(row,),
-        tol=tol,
-    )
-
-
-def check_firmly_nonexpansive(
-    A: MonotoneOp,
-    dim: int,
-    gammas,
-    rng: np.random.Generator,
-    samples: int = 200,
-    box_radius: float = 5.0,
-    tol: float = 1e-9,
-) -> Section:
-    """Sample (gamma, x, y) and report the worst violation of firm
-    nonexpansiveness of the resolvent, ||Jx - Jy||^2 <= <x - y, Jx - Jy>,
-    with the sample realizing it; a NaN excess is the worst and fails.
-
-    The draws are blocks: every step size from ``gammas``, then the point
-    arrays x and y in the box [-box_radius, box_radius]^dim.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    steps = rng.choice(np.asarray(gammas, dtype=float), size=samples)
-    space = EuclideanSpace(dim, box_radius)
-    x = space.sample(rng, samples)
-    y = space.sample(rng, samples)
-    diff = A.prox(steps[:, None], x) - A.prox(steps[:, None], y)
-    excess = np.sum(diff * diff, axis=1) - np.sum((x - y) * diff, axis=1)
-    row = worst_row(
-        "||Jx - Jy||^2 <= <x - y, Jx - Jy>",
-        excess,
-        at=lambda i: StepPair(float(steps[i]), x[i], y[i]),
-    )
-    return Section(
-        title=f"firmly_nonexpansive[{A.name}] on {space.name}: {samples} samples, tol {tol!r}",
-        checks=(row,),
-        tol=tol,
-    )
-
-
-def check_cocoercive(
-    B: CocoerciveOp,
-    dim: int,
-    rng: np.random.Generator,
-    samples: int = 200,
-    box_radius: float = 5.0,
-    tol: float = 1e-9,
-) -> Section:
-    """Sample (x, y) and report the worst violation of
-    <x - y, Bx - By> >= beta ||Bx - By||^2, with the sample realizing it; a
-    NaN excess is the worst and fails.  For beta = infinity (the zero
-    operator) the excess is ||Bx - By||^2.
-
-    The draws are blocks: the point arrays x and y in the box
-    [-box_radius, box_radius]^dim.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    space = EuclideanSpace(dim, box_radius)
-    x = space.sample(rng, samples)
-    y = space.sample(rng, samples)
-    bx_by = B(x) - B(y)
-    quad, inner = np.sum(bx_by * bx_by, axis=1), np.sum((x - y) * bx_by, axis=1)
-    beta = B.beta_coco
-    excess = quad if math.isinf(beta) else beta * quad - inner
-    row = worst_row(
-        "<x - y, Bx - By> >= beta ||Bx - By||^2", excess, at=lambda i: Pair(x[i], y[i])
-    )
-    return Section(
-        title=f"cocoercive[{B.name}] on {space.name}: {samples} samples, tol {tol!r}",
         checks=(row,),
         tol=tol,
     )

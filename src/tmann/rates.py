@@ -37,7 +37,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .checks import Row, Section, worst_row
-from .sequences import ParamSchedule, RateFn, ceil_reciprocal, first_indices, psi0 as compute_psi0
+from .sequences import ParamSchedule, RateFn, ceil_reciprocal, first_indices
 
 PROVENANCES = ("general_theorem", "example_closed_form", "linear_theorem", "halpern_translated")
 
@@ -148,8 +148,9 @@ def halpern_translated_bundle(bundle: RateBundle, sigma: RateFn, M: int) -> Rate
     )
 
 
-def psi0_from_chi(chi: RateFn) -> Callable[[int], int]:
-    """The closed-form choice psi0(k) = chi(3k+2), clamped to >= 1.
+def psi0_from_chi(schedule: ParamSchedule, chi: RateFn, k: int) -> int:
+    """The closed-form choice psi0(k) = chi(3k+2), clamped to >= 1; it
+    reads no schedule term.
 
     This is below the least psi0 the hypothesis admits.  With N = chi(3k+2),
     the product up to N telescopes to 1/(N + 2) on the ``example`` schedule,
@@ -159,31 +160,25 @@ def psi0_from_chi(chi: RateFn) -> Callable[[int], int]:
     ``example_closed_form_rates``, and the CLI's ``general_theorem`` rows
     use it.  Use ``sequences.psi0`` for the least valid value.
     """
-    return lambda k: max(1, chi(3 * k + 2))
+    return max(1, chi(3 * k + 2))
 
 
 def general_rates(
     schedule: ParamSchedule,
     M: int,
     chi_T: RateFn,
-    psi0: str = "from_chi",
+    psi0: Callable[[ParamSchedule, RateFn, int], int] = psi0_from_chi,
 ) -> RateBundle:
     """Compose the full rate bundle from a schedule's declared moduli and a
     gap-series modulus chi_T.
 
-    psi0 selects the reciprocal product bound: the closed-form choice
-    ``"from_chi"`` (default; the CLI's ``general_theorem`` rows use it, and
-    ``psi0_from_chi`` says how far it falls below the least valid value) or
-    the computed minimal value ``"minimal"``.
+    ``psi0(schedule, chi, k)`` is the reciprocal product bound: the
+    closed-form ``psi0_from_chi`` by default (the CLI's ``general_theorem``
+    rows use it; its docstring says how far it falls below the least valid
+    value), or ``sequences.psi0`` for the least valid value.
     """
     chi = chi_combined(chi_T, schedule.chi_lambda, schedule.chi_beta, M)
-    if psi0 == "from_chi":
-        psi0_fn = psi0_from_chi(chi)
-    elif psi0 == "minimal":
-        psi0_fn = lambda k: compute_psi0(schedule, chi, k)
-    else:
-        raise ValueError(f"psi0 must be 'from_chi' or 'minimal', got {psi0!r}")
-    Sigma = sigma_ar(schedule.sigma_beta, chi, psi0_fn, M)
+    Sigma = sigma_ar(schedule.sigma_beta, chi, lambda k: psi0(schedule, chi, k), M)
     Sigma_T = translate_ar_to_tn_ar(
         Sigma, M, schedule.Lambda_cap, schedule.N_Lambda, schedule.sigma
     )

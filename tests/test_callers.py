@@ -20,8 +20,6 @@ NO_CALLER = {
     "check_halpern_equivalence": "catches an `fn_array` or `combine_array` that disagrees with "
     "`fn` or `mix`; tests and the benchmark's many-starts pass call it",
     "halpern_translated_bundle": "planned for certifying the Halpern trace in `tmann run`",
-    "check_firmly_nonexpansive": "checks a user's resolvent; `tmann run` does not run it",
-    "check_cocoercive": "checks a user's cocoercive operator; `tmann run` does not run it",
     "Space.dist": "the checked scalar distance; the point-validation tests call it",
     "BoundCheck.excess": "read only by the benchmark's many-starts pass",
 }

@@ -116,6 +116,24 @@ def test_create_rejects_a_registered_point_mapped_to_nan():
         ProblemInstance.create(sp, fam, sch, u=np.zeros(1), x0=np.zeros(1), p=np.zeros(1))
 
 
+@pytest.mark.parametrize(
+    "name,x0,u",
+    [
+        ("u", [0.0, 0.0], [np.nan, 0.0]),
+        ("x0", [np.nan, 0.0], [0.0, 0.0]),
+        ("u", [0.0, 0.0], [np.inf, 0.0]),
+        ("u", [0.0, 0.0], [1e308, 1e308]),  # a finite point whose distance overflows
+    ],
+    ids=["nan_u", "nan_x0", "inf_u", "overflowing_u"],
+)
+def test_create_refuses_a_non_finite_distance_to_p_and_names_the_point(name, x0, u):
+    # max([0.0, nan]) is 0.0, so a NaN anchor once gave M = 1 and a NaN orbit
+    box = box_projection_family([-1.0] * 2, [1.0] * 2)
+    schedule = builtin_linear_schedule(0.5)
+    with pytest.raises(ValueError, match=rf"^d\({name}, p\) = (nan|inf) is not finite$"):
+        euclidean_instance(dim=2, x0=x0, u=u, family=box, schedule=schedule, p=np.zeros(2))
+
+
 def test_bad_registered_point_breaks_orbit_bound():
     # adversarial control: skipping the fixed-point validation with a point
     # far from the family's true fixed set must break d(u_n, T_n u_n) <= 2M

@@ -21,7 +21,7 @@ from tmann.rates import (
     sigma_ar,
     translate_ar_to_tn_ar,
 )
-from tmann.sequences import builtin_example_schedule, ceil_reciprocal
+from tmann.sequences import builtin_example_schedule, ceil_reciprocal, psi0
 
 identity = lambda k: k
 zero = lambda k: 0
@@ -82,7 +82,7 @@ def test_composed_rates_equal_closed_forms(M, lam):
 def test_general_rates_minimal_psi0_dominates_closed_form():
     schedule = builtin_example_schedule(0.5)
     closed = general_rates(schedule, 1, example_chi_T(1))
-    minimal = general_rates(schedule, 1, example_chi_T(1), psi0="minimal")
+    minimal = general_rates(schedule, 1, example_chi_T(1), psi0=psi0)
     for k in range(10):
         assert minimal.Sigma(k) >= closed.Sigma(k)
 
@@ -90,7 +90,7 @@ def test_general_rates_minimal_psi0_dominates_closed_form():
 @pytest.mark.parametrize("lam", [0.5, 0.3])
 @pytest.mark.parametrize("M", [1, 2, 3, 5, 8])
 def test_minimal_psi0_composition_has_the_example_closed_form(M, lam):
-    bundle = general_rates(builtin_example_schedule(lam), M, lambda k: 0, psi0="minimal")
+    bundle = general_rates(builtin_example_schedule(lam), M, lambda k: 0, psi0=psi0)
     L = ceil_reciprocal(lam)
     for k in range(6):
         assert bundle.Sigma(k) == 144 * M**2 * (k + 1) ** 2 + 6 * M * (k + 1)

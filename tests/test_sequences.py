@@ -211,7 +211,7 @@ def test_psi0_of_halves_is_an_exact_power_of_two(upper):
 
 
 def test_minimal_general_rates_on_a_halving_table_return():
-    bundle = general_rates(halves_table([2000]), 1, lambda k: 0, psi0="minimal")
+    bundle = general_rates(halves_table([2000]), 1, lambda k: 0, psi0=psi0)
     # psi0(0) = 2^2001 and sigma_beta = 0, so Sigma(0) = (chi(2) + 1) + 1
     assert bundle.Sigma(0) == 2000 + 1 + 1
 

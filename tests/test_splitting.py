@@ -1,5 +1,4 @@
 import json
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +13,8 @@ from tmann.iterate import (
     run_tikhonov_mann,
 )
 from tmann.mappings import (
-    CocoerciveOp,
     MonotoneOp,
     box_operator,
-    check_cocoercive,
-    check_firmly_nonexpansive,
     check_jp2_consequence,
     check_nonexpansive,
     chi_T_for,
@@ -32,6 +28,7 @@ from tmann.mappings import (
 from tmann.rates import certify_rate, general_rates
 from tmann.sequences import (
     builtin_example_schedule,
+    builtin_linear_schedule,
     schedule_from_tables,
     validate_schedule_moduli,
 )
@@ -85,81 +82,13 @@ def test_forward_backward_step_size_domain():
         forward_backward_map(A, B, 0.0, np.array([1.0]))
 
 
-#: Every kind of operator the config reader builds.
-RESOLVENTS = ((l1_operator(1.0), 3), (box_operator([-1.0] * 2, [1.0] * 2), 2), (zero_operator(), 2))
+#: Every kind of operator the config reader builds, on R^2.
+RESOLVENTS = (l1_operator(1.0), box_operator([-1.0] * 2, [1.0] * 2), zero_operator())
 COCOERCIVE = (
     quadratic_gradient([0.5, 0.7], [2.0, -3.0]),
     quadratic_gradient([0.0, 0.8], [1.0, 2.0]),
     zero_cocoercive(),
 )
-
-
-def test_prox_firm_nonexpansiveness_samples():
-    for A, dim in RESOLVENTS:
-        rng = np.random.default_rng(0)
-        section = check_firmly_nonexpansive(A, dim=dim, gammas=[0.5, 1.0, 2.0], rng=rng)
-        assert section.passed, section.summary()
-        assert section.title.startswith(f"firmly_nonexpansive[{A.name}] on euclidean-{dim}d")
-
-
-def test_cocoercivity_samples():
-    assert COCOERCIVE[0].beta_coco == pytest.approx(1.0 / 0.49)
-    for B in COCOERCIVE:
-        section = check_cocoercive(B, dim=2, rng=np.random.default_rng(0))
-        assert section.passed, section.summary()
-        assert section.title.startswith(f"cocoercive[{B.name}] on euclidean-2d: 200 samples")
-
-
-def test_a_reflection_through_the_box_fails_the_firm_nonexpansiveness_check():
-    # 2 P - Id for the projection P onto a box is nonexpansive, not firmly
-    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
-    reflect = MonotoneOp(name="reflect", prox=lambda gamma, x: 2.0 * np.clip(x, lo, hi) - x)
-    section = check_firmly_nonexpansive(reflect, dim=2, gammas=[1.0], rng=np.random.default_rng(0))
-    assert not section.passed
-    (row,) = section.checks
-    assert row.worst_excess > 1.0
-    gamma, x, y = row.at
-    assert gamma == 1.0 and row.at._fields == ("gamma", "x", "y")
-    diff = reflect.prox(gamma, x) - reflect.prox(gamma, y)
-    assert row.worst_excess == pytest.approx(diff @ diff - (x - y) @ diff)
-    assert "VIOLATED" in section.summary() and "(at gamma=1.0, x=" in section.summary()
-
-
-def test_an_overstated_cocoercivity_constant_fails_the_check():
-    B = quadratic_gradient([0.5, 0.7], [2.0, -3.0])
-    overstated = replace(B, beta_coco=4.0 * B.beta_coco)
-    section = check_cocoercive(overstated, dim=2, rng=np.random.default_rng(0))
-    assert not section.passed
-    (row,) = section.checks
-    x, y = row.at
-    assert row.at._fields == ("x", "y")
-    bx_by = B(x) - B(y)
-    expected = overstated.beta_coco * (bx_by @ bx_by) - (x - y) @ bx_by
-    assert row.worst_excess == pytest.approx(expected)
-    assert row.worst_excess > 1.0
-
-
-def test_operator_checks_refuse_an_empty_sample():
-    with pytest.raises(ValueError, match="samples"):
-        check_firmly_nonexpansive(zero_operator(), 2, [1.0], np.random.default_rng(0), samples=0)
-    with pytest.raises(ValueError, match="samples"):
-        check_cocoercive(zero_cocoercive(), 2, np.random.default_rng(0), samples=0)
-
-
-def test_nan_resolvent_fails_the_firm_nonexpansiveness_check():
-    nan_prox = MonotoneOp(name="nan", prox=lambda gamma, x: np.full_like(x, np.nan))
-    rng = np.random.default_rng(0)
-    section = check_firmly_nonexpansive(nan_prox, dim=2, gammas=[1.0], samples=20, rng=rng)
-    assert not section.passed
-    assert math.isnan(section.checks[0].worst_excess)
-
-
-@pytest.mark.parametrize("beta", [1.0, np.inf])
-def test_nan_operator_fails_the_cocoercivity_check(beta):
-    nan_fn = CocoerciveOp(name="nan", fn=lambda x: np.full_like(x, np.nan), beta_coco=beta)
-    section = check_cocoercive(nan_fn, dim=2, samples=20, rng=np.random.default_rng(0))
-    assert not section.passed
-    assert math.isnan(section.checks[0].worst_excess)
 
 
 def test_zero_operators_give_stationary_identity_family():
@@ -187,6 +116,19 @@ def test_lasso_solution_is_common_fixed_point():
         np.testing.assert_allclose(family.fn(n, z), z, atol=1e-12)
 
 
+def fb_family_checks(A, B, schedule, seed):
+    """The two family checks `tmann run` samples, on the forward-backward
+    family of (A, B) on R^2; neither reads the registered fixed point."""
+    family = forward_backward_family(A, B, schedule.gamma, np.zeros(2))
+    sp = EuclideanSpace(2)
+    return (
+        check_nonexpansive(family, sp, samples=300, rng=np.random.default_rng(seed)),
+        check_jp2_consequence(
+            family, sp, samples=60, index_pairs=6, rng=np.random.default_rng(seed)
+        ),
+    )
+
+
 def test_fb_family_nonexpansive_and_jp2():
     schedule, A, B, z = lasso_problem()
     family = forward_backward_family(A, B, schedule.gamma, z)
@@ -195,6 +137,45 @@ def test_fb_family_nonexpansive_and_jp2():
     assert check_jp2_consequence(
         family, sp, samples=60, index_pairs=6, rng=np.random.default_rng(11)
     ).passed
+    # every pair of operator kinds; the example's steps lie in (1, 2], below every 2 beta
+    assert COCOERCIVE[0].beta_coco == pytest.approx(1.0 / 0.49)
+    for A in RESOLVENTS:
+        for B in COCOERCIVE:
+            for section in fb_family_checks(A, B, schedule, seed=11):
+                assert section.passed, section.summary()
+
+
+def test_an_overstated_cocoercivity_constant_fails_the_family_nonexpansiveness_check():
+    # B is 4-Lipschitz, hence 1/4-cocoercive; declaring beta = 1 admits the
+    # linear schedule's steps in (1, 1.5], past the true 2 beta = 0.5
+    schedule = builtin_linear_schedule(0.5)
+    B = quadratic_gradient([2.0, 1.0], [0.0, 0.0])
+    assert B.beta_coco == 0.25
+    overstated = replace(B, beta_coco=1.0)
+    for A in RESOLVENTS:
+        nonexpansive, _ = fb_family_checks(A, overstated, schedule, seed=0)
+        assert not nonexpansive.passed
+        (row,) = nonexpansive.checks
+        n, x, y = row.at
+        T = lambda point: forward_backward_map(A, overstated, schedule.gamma(n), point)
+        expected = np.linalg.norm(T(x) - T(y)) - np.linalg.norm(x - y)
+        assert row.worst_excess == pytest.approx(expected)
+        assert row.worst_excess > 0.5
+
+
+def test_a_box_reflection_passes_alone_and_fails_the_comparison_with_a_gradient():
+    # 2 P - Id for the projection P onto a box is nonexpansive but not firmly,
+    # so it is no resolvent; alone it gives a constant nonexpansive family,
+    # which the rates accept, and after a gradient step the cross-index
+    # comparison fails, which the family check sees
+    reflect = MonotoneOp("reflect", lambda g, x: 2.0 * np.clip(x, -1, 1) - x)
+    schedule = builtin_example_schedule(0.5)
+    for section in fb_family_checks(reflect, zero_cocoercive(), schedule, seed=0):
+        assert section.passed, section.summary()
+    nonexpansive, jp2 = fb_family_checks(reflect, COCOERCIVE[0], schedule, seed=0)
+    assert nonexpansive.passed, nonexpansive.summary()
+    assert not jp2.passed
+    assert jp2.checks[0].worst_excess > 1.0
 
 
 def test_lasso_run_certifies_composed_rates():
