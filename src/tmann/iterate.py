@@ -15,7 +15,8 @@ setting.  The modified Halpern iteration
 walks the same orbit when started at y_0 = (1 - beta_0) u + beta_0 x_0:
 then u_n = y_n and x_{n+1} = v_n for every n.  So the module has one loop,
 the anchored one, which checks the schedule terms it reads and each point it
-did not make itself; the Halpern trace is read off its stored orbit.
+did not make itself; the Halpern trace replays each Halpern step on its
+stored orbit.
 
 Only the recursion runs step by step, on the space's loop points: a list of
 d Python floats on Euclidean space, which ``mix`` combines with no numpy
@@ -28,8 +29,9 @@ after it, in blocks of ``BLOCK_ROWS`` rows, equal to the loop's u_n row by
 row.  Every residual and distance sequence, which is what rate
 certification consumes, is then computed from the stored orbit with array
 operations.  Each instance keeps its latest anchored orbit, read only, so
-an instance runs the loop once per horizon: the Halpern trace and the
-Halpern check read the stored orbit with array operations.
+an instance runs the loop once per horizon: the Halpern trace replays the
+Halpern steps on the stored orbit with array operations, and the Halpern
+check reads its defects off that trace.
 
 The per-step checkers assert, along a computed orbit, the bounds the rate
 theorems rest on.  These are theorems for exact arithmetic: a violation
@@ -251,35 +253,32 @@ def run_tikhonov_mann(instance: ProblemInstance, horizon: int) -> IterationTrace
 
 @dataclass(eq=False)
 class HalpernTrace:
-    """Orbit of the modified Halpern iteration: the y sequence (horizon + 1
-    points), the v sequence (horizon points), each a point array, and the
-    analogous residuals."""
+    """The modified Halpern iteration's y sequence (horizon + 1 points) and
+    v sequence (horizon points), as point arrays.  Its residuals are the
+    anchored trace's ``dist_u_succ`` and ``dist_u_Tu``, as y_n = u_n; the
+    last step residual d(y_{horizon-1}, y_horizon) is not kept."""
 
     horizon: int
-    residual_step: np.ndarray
-    residual_T: np.ndarray
     y: Points
     v: Points
 
 
 def run_modified_halpern(instance: ProblemInstance, horizon: int) -> HalpernTrace:
-    """The modified Halpern iteration from y_0 = (1 - beta_0) u + beta_0 x_0,
-    read off the anchored orbit of :func:`_orbit`: y_n = u_n and v_n = x_{n+1}
-    for n < horizon, and y_horizon = W(u, x_horizon, beta_horizon) from
-    ``combine_array``, which checks beta_horizon; T_n y_n is ``eval_array``'s."""
+    """The modified Halpern iteration from y_0 = W(u, x_0, beta_0), replayed
+    on the anchored orbit of :func:`_orbit` with ``eval_array`` and
+    ``combine_array``: v_n = W(u_n, T_n u_n, lambda_n) for n < horizon, and
+    y_0 .. y_horizon from one ``combine_array`` of u with x_0, v_0 ..
+    v_{horizon-1}, which checks beta_0 .. beta_horizon.  No Halpern loop
+    runs; when the array forms equal ``mix`` and ``fn`` row by row,
+    y_n = u_n and v_n = x_{n+1} bit for bit."""
     xs, us = _orbit(instance, horizon)
-    sp, fam = instance.space, instance.family
-    ys = sp.empty(horizon + 1)
-    ys[:horizon] = us
-    beta_H = terms(instance.schedule.beta, np.array([horizon]))
-    ys[horizon:] = sp.combine_array(sp.stack([instance.u]), xs[horizon:], beta_H)
-    return HalpernTrace(
-        horizon=horizon,
-        residual_step=sp.dist_array(us, ys[1:]),
-        residual_T=sp.dist_array(us, fam.eval_array(sp, np.arange(horizon), us)),
-        y=ys,
-        v=xs[1:],
-    )
+    sp, fam, sch = instance.space, instance.family, instance.schedule
+    steps = np.arange(horizon + 1)
+    vs = sp.combine_array(us, fam.eval_array(sp, steps[:-1], us), terms(sch.lam, steps[:-1]))
+    ends = sp.empty(horizon + 1)
+    ends[:1], ends[1:] = xs[:1], vs
+    ys = sp.combine_array(_repeat(sp, instance.u, horizon + 1), ends, terms(sch.beta, steps))
+    return HalpernTrace(horizon=horizon, y=ys, v=vs)
 
 
 @dataclass(frozen=True)
@@ -309,43 +308,24 @@ def check_halpern_equivalence(
     instance: ProblemInstance, horizon: int, tol: float = 1e-9
 ) -> EquivalenceReport:
     """Bound the gaps between the modified Halpern iteration and the
-    instance's anchored orbit, computed by :func:`_orbit` only when no run
-    of this horizon stored it.  No Halpern loop runs.
+    anchored orbit by the one-step defects of the trace that
+    :func:`run_modified_halpern` replays on it: the y-defects d(u_n, y_n)
+    and the v-defects d(x_{n+1}, v_n).
 
-    Each Halpern step is applied to the stored orbit at once, with the
-    array forms ``eval_array`` and ``combine_array``:
-
-        V_n     = W(u_n, T_n u_n, lambda_n),     v-defect  d(x_{n+1}, V_n)
-        Y_0     = W(u, x_0, beta_0),             y-defect  d(u_0, Y_0)
-        Y_{n+1} = W(u, V_n, beta_{n+1}),         y-defect  d(u_{n+1}, Y_{n+1})
-
-    for n < horizon (y-defects up to u_{horizon-1}).  When every T_n is
-    nonexpansive and W satisfies (W4), the Halpern step
+    When every T_n is nonexpansive and W satisfies (W4), the Halpern step
     y -> W(u, W(y, T_n y, lambda_n), beta_{n+1}) is nonexpansive, so a
-    Halpern loop started at y_0 keeps d(u_n, y_n) within the running sum
-    e_n of the y-defects up to n, and d(x_{n+1}, v_n) within e_n plus the
-    v-defect at n.  ``max_u_y`` and ``max_x_v`` report the largest of these
-    two bounds.  On a correct space and family the array forms equal ``mix``
-    and ``fn`` row by row, so every defect is exactly 0.0 and the Halpern
-    iteration is the orbit bit for bit, as :func:`run_modified_halpern`
-    reads it.  The check catches a family's ``fn_array`` or a space's
-    ``combine_array`` that disagrees with the ``fn`` or ``mix`` the loop calls.
+    Halpern loop from y_0 keeps d(u_n, y_n) within the running sum e_n of
+    the y-defects up to n, and d(x_{n+1}, v_n) within e_n plus the v-defect
+    at n; ``max_u_y`` and ``max_x_v`` are the largest of these bounds.  The
+    defects are exactly 0.0 when the array forms equal ``mix`` and ``fn``
+    row by row, so the check catches an ``fn_array`` or ``combine_array``
+    that disagrees with the ``fn`` or ``mix`` the loop calls.
     """
+    ha = run_modified_halpern(instance, horizon)
     xs, us = _orbit(instance, horizon)
-    sp, fam, sch = instance.space, instance.family, instance.schedule
-    dist, combine = sp.dist_array, sp.combine_array
-    steps = np.arange(horizon)
-    beta = terms(sch.beta, steps)
-    anchor = _repeat(sp, instance.u, horizon)
-    vs = combine(us, fam.eval_array(sp, steps, us), terms(sch.lam, steps))
-    y_defect = np.concatenate(
-        [
-            dist(us[:1], combine(anchor[:1], xs[:1], beta[:1])),
-            dist(us[1:], combine(anchor[1:], vs[:-1], beta[1:])),
-        ]
-    )
-    gap_u_y = np.cumsum(y_defect)
-    gap_x_v = gap_u_y + dist(xs[1:], vs)
+    dist = instance.space.dist_array
+    gap_u_y = np.cumsum(dist(us, ha.y[:horizon]))
+    gap_x_v = gap_u_y + dist(xs[1:], ha.v)
     return EquivalenceReport(
         horizon=horizon,
         max_u_y=float(np.max(gap_u_y)),

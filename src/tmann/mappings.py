@@ -354,6 +354,9 @@ def forward_backward_family(
     )
 
 
+#: The family checks draw their indices n from 0 .. INDEX_MAX.
+INDEX_MAX = 50
+
 #: The worst samples of the family checks, named for the report.
 PointPair = namedtuple("PointPair", "n x y")
 IndexPair = namedtuple("IndexPair", "m n x")
@@ -364,7 +367,6 @@ def check_nonexpansive(
     space: Space,
     samples: int,
     rng: np.random.Generator,
-    n_max: int = 50,
     tol: float = 1e-9,
 ) -> Section:
     """Sample (n, x, y) and report the worst d(T_n x, T_n y) - d(x, y),
@@ -375,7 +377,7 @@ def check_nonexpansive(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    ns = rng.integers(0, n_max + 1, size=samples)
+    ns = rng.integers(0, INDEX_MAX + 1, size=samples)
     x = space.sample(rng, samples)
     y = space.sample(rng, samples)
     dist = space.dist_array
@@ -396,7 +398,6 @@ def check_jp2_consequence(
     index_pairs: int,
     rng: np.random.Generator,
     tol: float = 1e-9,
-    n_max: int = 50,
 ) -> Section:
     """Check d(T_m x, T_n x) <= |gamma_m - gamma_n| / gamma_n * d(T_n x, x)
     on sampled points and index pairs, in the family's own ``gamma``; a
@@ -413,7 +414,7 @@ def check_jp2_consequence(
     if samples < 1 or index_pairs < 1:
         raise ValueError("samples and index_pairs must be >= 1")
     x = space.sample(rng, samples)
-    pairs = rng.integers(0, n_max + 1, size=(samples, index_pairs, 2))
+    pairs = rng.integers(0, INDEX_MAX + 1, size=(samples, index_pairs, 2))
     ms, ns = pairs.ravel(), pairs[..., ::-1].ravel()  # rows (i, j), (j, i) per pair
     rows = np.repeat(np.arange(samples), 2 * index_pairs)
     xs = x[rows]

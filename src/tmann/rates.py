@@ -381,6 +381,8 @@ def certify_rate(
     """
     values = np.asarray(residuals, dtype=float)
     horizon = len(values) - 1
+    if horizon < 0:
+        raise ValueError("need at least one sequence entry")
     # revmax[n] = max residual over [n, horizon]
     revmax = np.maximum.accumulate(values[::-1])[::-1]
     thresholds = [1.0 / (k + 1) for k in range(k_max + 1)]

@@ -65,7 +65,9 @@ def _indexed(
     """The sequence ``at`` (an int index to a Python float), marked as also
     evaluating an int index array with ``array``, equal to ``at`` entry for
     entry.  ``at`` stays a plain function, so a scalar call costs one
-    function call: the orbit loop makes two per step."""
+    function call: a gamma-indexed family's ``fn`` makes one per step, for
+    gamma(n), while the orbit loop reads beta and lambda with ``terms``
+    once per run."""
     at.index_array = array
     return at
 

@@ -3,9 +3,13 @@
 
 The check reads ``src/tmann/*.py`` with ``ast``.  A function or class
 counts as called when some ``ast.Name`` or ``ast.Attribute`` anywhere in
-``src/`` carries its name.  A method is only ever called as an attribute,
-so it counts as called only when an ``ast.Attribute`` carries its name: a
-local variable of the same name, such as ``dist``, does not count.
+``src/`` carries its name, or a ``from`` import names it.  A name that some
+function in ``src/`` binds as a parameter, such as ``psi0``, is read as that
+parameter wherever it appears bare, so it counts as called only where a
+module imports it or reads it as an attribute.  A method is only ever
+called as an attribute, so it counts as called only when an
+``ast.Attribute`` carries its name: a local variable of the same name, such
+as ``dist``, does not count.
 """
 
 import ast
@@ -15,10 +19,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "tmann"
 
 #: Public names with no caller in ``src/``, and why each is kept.
 NO_CALLER = {
-    "run_modified_halpern": "reads the Halpern trace off the stored orbit; tests call it and "
-    "the benchmark patches it by name, so it waits for a benchmark change to go",
-    "check_halpern_equivalence": "catches an `fn_array` or `combine_array` that disagrees with "
-    "`fn` or `mix`; tests and the benchmark's many-starts pass call it",
+    "check_halpern_equivalence": "reads the defects of the replayed Halpern trace, so it catches "
+    "an `fn_array` or `combine_array` that disagrees with `fn` or `mix`; tests and the "
+    "benchmark's many-starts pass call it",
+    "psi0": "the least valid reciprocal product bound; tests call it, and the CLI is to build its "
+    "`general_theorem` certificate from it",
     "halpern_translated_bundle": "planned for certifying the Halpern trace in `tmann run`",
     "Space.dist": "the checked scalar distance; the point-validation tests call it",
     "BoundCheck.excess": "read only by the benchmark's many-starts pass",
@@ -43,17 +48,22 @@ def public_definitions() -> dict[str, str]:
 def called_definitions() -> set[str]:
     """The names of the public definitions that ``src/`` calls, by the rule
     of the module docstring."""
-    names, attributes = set(), set()
+    names, attributes, imported, parameters = set(), set(), set(), set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.arg):
+                parameters.add(node.arg)
+    bare = (names - parameters) | imported
     called = set()
     for name in public_definitions():
         cls, _, method = name.rpartition(".")
-        if method in attributes or (not cls and method in names):
+        if method in attributes or (not cls and method in bare):
             called.add(name)
     return called
 

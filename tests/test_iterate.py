@@ -169,8 +169,6 @@ def test_halpern_start_and_lengths():
     assert ha.y[0][0] == 0.0
     assert len(ha.y) == 41
     assert len(ha.v) == 40
-    assert len(ha.residual_step) == 40
-    assert np.all(ha.residual_step >= 0.0)
 
 
 def test_halpern_equivalence_identity_anchor():

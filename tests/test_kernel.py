@@ -2,12 +2,12 @@
 
 ``run_tikhonov_mann`` steps only the anchored recursion and computes every
 residual and distance afterwards with array operations;
-``run_modified_halpern`` runs no loop and reads the Halpern trace off the
-same stored orbit.  The reference loops below, one for each iteration,
-compute each value at its step with ``dist``, ``combine`` and ``fn`` on
-single points.  Both must agree bit for bit, on every family with a
-closed-form array evaluation and on custom families, which take the
-per-point fallback.
+``run_modified_halpern`` runs no loop and replays each Halpern step on the
+same stored orbit with ``eval_array`` and ``combine_array``.  The reference
+loops below, one for each iteration, compute each value at its step with
+``dist``, ``combine`` and ``fn`` on single points.  Both must agree bit for
+bit, on every family with a closed-form array evaluation and on custom
+families, which take the per-point fallback.
 """
 
 import numpy as np
@@ -260,16 +260,15 @@ def test_halpern_kernel_matches_per_step_loop(case):
     instance = CASES[case]()
     ha = run_modified_halpern(instance, HORIZON)
     residual_step, residual_T, ys, vs = reference_halpern(instance, HORIZON)
-    assert np.array_equal(ha.residual_step, np.array(residual_step))
-    assert np.array_equal(ha.residual_T, np.array(residual_T))
     assert_points_equal(instance.space, ha.y, ys)
     assert_points_equal(instance.space, ha.v, vs)
-    # the trace is the anchored orbit: y_n = u_n and v_n = x_{n+1}
+    # the trace is the anchored orbit: y_n = u_n and v_n = x_{n+1}, so the
+    # Halpern residuals are the anchored trace's (but the last step residual)
     trace = run_tikhonov_mann(instance, HORIZON)
     assert_points_equal(instance.space, ha.y[:HORIZON], list(trace.u_seq))
     assert_points_equal(instance.space, ha.v, list(trace.x[1:]))
-    assert np.array_equal(ha.residual_T, trace.dist_u_Tu)
-    assert np.array_equal(ha.residual_step[:-1], trace.dist_u_succ)
+    assert np.array_equal(trace.dist_u_Tu, np.array(residual_T))
+    assert np.array_equal(trace.dist_u_succ, np.array(residual_step[:-1]))
 
     report = check_halpern_equivalence(instance, HORIZON)
     _, xs, us = reference_tikhonov_mann(instance, HORIZON)
@@ -322,10 +321,13 @@ def test_halpern_check_flags_an_array_form_that_moves_one_row():
     # the y-step carries it on: Y_13 = W(u, V_12, beta_13) sits beta_13 * 1e-3
     # from u_13, and no other defect adds to the running sum
     assert report.max_u_y == pytest.approx(LINEAR.beta(13) * 1e-3, rel=1e-9)
-    # the Halpern trace is read off the stored orbit, whose loop calls fn,
-    # so its v sequence stays the orbit exactly
+    # the Halpern trace replays the steps with the array form, so it shows
+    # the drift: v_12 = 1e-3 where the loop, which calls fn, has x_13 = 0,
+    # and every other v_n is the orbit's x_{n+1}
     ha = run_modified_halpern(instance, HORIZON)
-    assert_points_equal(instance.space, ha.v, list(run_tikhonov_mann(instance, HORIZON).x[1:]))
+    orbit = run_tikhonov_mann(instance, HORIZON).x[1:]
+    assert ha.v[12].tolist() == [1e-3] and orbit[12].tolist() == [0.0]
+    assert np.array_equal(np.delete(ha.v, 12, axis=0), np.delete(orbit, 12, axis=0))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
@@ -389,8 +391,13 @@ def test_combination_parameter_outside_unit_interval_raises(beta, lam):
 )
 def test_each_loop_checks_exactly_the_terms_it_reads(beta, lam, raising):
     # over H = 20 steps the anchored loop reads beta_0 .. beta_19 and
-    # lambda_0 .. lambda_19; the Halpern trace also reads beta_20, for y_20
-    for name, run in (("anchored", run_tikhonov_mann), ("halpern", run_modified_halpern)):
+    # lambda_0 .. lambda_19; the Halpern trace also reads beta_20, for y_20,
+    # and so does the check that reads its defects off that trace
+    for name, run in (
+        ("anchored", run_tikhonov_mann),
+        ("halpern", run_modified_halpern),
+        ("halpern", check_halpern_equivalence),
+    ):
         instance = ProblemInstance.create(
             EuclideanSpace(1), identity_family(np.zeros(1)), _schedule(beta, lam),
             u=np.zeros(1), x0=np.ones(1), p=np.zeros(1), M=1,

@@ -193,6 +193,8 @@ def test_certify_single_level_and_short_window():
     report = certify_rate([0.0], zero, k_max=0)
     assert {r.status for r in report.rows} == {"pass"}
     assert report.horizon == 0
+    with pytest.raises(ValueError, match="^need at least one sequence entry$"):
+        certify_rate([], zero, k_max=2)
 
 
 def test_certify_csv(tmp_path):
