@@ -7,7 +7,8 @@ aggregates the outcomes.
 
 Artifacts written per experiment (into the output directory):
 
-    trace.csv           per-step residual sequences (optionally points)
+    trace.csv           per-step residual sequences (optionally points) on
+                        the step grid of ``iterate.trace_slices``
     rates.csv           every computed rate, tabulated for k <= k_max
     certification.csv   per-level certification outcomes for each rate
     report.txt          human-readable pass/fail summary

@@ -58,6 +58,10 @@ FIXED_POINT_TOL = 1e-9
 #: Rows per ``combine_array`` call when u_n is computed from the stored x_n.
 BLOCK_ROWS = 4096
 
+#: ``trace.csv`` keeps every step below this and a log-spaced grid above it
+#: (:func:`trace_slices`); every shipped horizon is below it.
+TRACE_DENSE = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
@@ -153,17 +157,40 @@ class IterationTrace:
     u_seq: Points
 
     def to_csv(self, path, include_points: bool = False) -> None:
-        """Write one row per step: n, residual_step, residual_T, tfam_gap,
-        plus the coordinates of x_n when requested."""
+        """Write one row for each step n of :func:`trace_slices`: n,
+        residual_step, residual_T, tfam_gap, plus the coordinates of x_n
+        when requested.  Each slice's columns are read from views of the
+        stored arrays, so no column is copied."""
         header = ["n", "residual_step", "residual_T", "tfam_gap"]
-        columns = [range(self.horizon)] + [
-            _float_column(seq) for seq in (self.residual_step, self.residual_T, self.tfam_gap)
-        ]
         if include_points:
-            names, coords = _point_columns(self.x[: self.horizon])
-            header += names
-            columns += coords
-        write_csv(path, header, zip(*columns))
+            header += _point_columns(self.x[:0])[0]
+
+        def rows():
+            for steps in trace_slices(self.horizon):
+                columns = [range(self.horizon)[steps]] + [
+                    _float_column(seq[steps])
+                    for seq in (self.residual_step, self.residual_T, self.tfam_gap)
+                ]
+                if include_points:
+                    columns += _point_columns(self.x[steps])[1]
+                yield from zip(*columns)
+
+        write_csv(path, header, rows())
+
+
+def trace_slices(horizon: int):
+    """The basic slices of the steps n < ``horizon`` that ``trace.csv``
+    keeps: every n below ``TRACE_DENSE``, every (2^j / 2048)-th n of each
+    octave [2^j, 2^(j+1)) above it, so each octave keeps 2,048 rows, and
+    the last step, horizon - 1."""
+    yield slice(0, min(TRACE_DENSE, horizon))
+    start, stride = TRACE_DENSE, 2
+    while start < horizon:
+        yield slice(start, min(2 * start, horizon), stride)
+        start, stride = 2 * start, 2 * stride
+    # the last slice's stride, 1 when there is no octave, divides its start
+    if (horizon - 1) % (stride // 2):
+        yield slice(horizon - 1, horizon)
 
 
 def write_csv(path, header: list, rows) -> None:

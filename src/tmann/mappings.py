@@ -52,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .checks import Section, worst_row
-from .geometry import Point, Points, Space, TreePoint, TreePoints
+from .geometry import Point, Points, Space, TreePoint, TreePoints, _tree_point
 from .sequences import ParamSchedule, RateFn, terms
 
 
@@ -182,13 +182,18 @@ def tree_contraction_family(factor: float) -> MappingFamily:
     if not 0.0 <= factor <= 1.0:
         raise ValueError(f"contraction factor must lie in [0, 1], got {factor}")
 
+    def contract_point(n: int, x: TreePoint) -> TreePoint:
+        # factor in [0, 1] and a point's finite t >= 0 give a finite t >= 0
+        t = factor * x.t
+        return _tree_point(x.ray, t) if t > 0.0 else _tree_point(0, 0.0)
+
     def contract_array(ns: np.ndarray, xs: TreePoints) -> TreePoints:
         t = factor * xs.t
         return TreePoints(np.where(t == 0.0, 0, xs.ray), t)  # the origin is ray 0
 
     return MappingFamily(
         name=f"tree_contraction({factor})",
-        fn=lambda n, x: TreePoint(x.ray, factor * x.t),
+        fn=contract_point,
         fixed_point=TreePoint(0, 0.0),
         chi_T=constant_family_chi_T(),
         fn_array=contract_array,

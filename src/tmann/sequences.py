@@ -380,6 +380,13 @@ class OracleTable:
     ``conclusive[k]`` is False when no index qualifies or the index falls
     inside the final guard stretch of the horizon (less than 1% of the
     window left to confirm it); such entries must not be counted as passes.
+
+    Every oracle searches a nonincreasing array whose entry at n is at most
+    the true quantity at n: a product whose every factor is observed, or a
+    tail sum or tail maximum over the observed window only, which the
+    unobserved tail can only raise.  So an observed entry above 1/(k+1) at
+    an index n <= horizon refutes any modulus declaring n at level k, and
+    :meth:`validate` can fail a declaration without seeing the tail.
     """
 
     horizon: int
@@ -397,11 +404,14 @@ class OracleTable:
         return tuple(m is not None and m <= last for m in self.minimal)
 
     def validate(self, declared: RateFn) -> tuple:
-        """The status of a declared modulus at each level: pass when it
-        dominates the brute-force minimum, else fail, and inconclusive
-        where the minimum is not conclusive."""
+        """The status of a declared modulus at each level k: fail when
+        declared(k) <= horizon and the minimum is missing or larger than
+        declared(k), as the observed entry at declared(k) then lies above
+        1/(k+1); pass when the minimum is conclusive and declared(k)
+        dominates it; inconclusive otherwise."""
         return tuple(
-            "inconclusive" if not ok else "pass" if declared(k) >= m else "fail"
+            "fail" if (d := declared(k)) <= self.horizon and (m is None or d < m)
+            else "pass" if ok else "inconclusive"
             for k, (m, ok) in enumerate(zip(self.minimal, self.conclusive))
         )
 
@@ -423,7 +433,10 @@ def oracle_cauchy_modulus(
 
     The horizon is the caller's responsibility: it must be large enough that
     the unobserved tail is negligible for the series at hand.  Indices found
-    only inside the final guard stretch are flagged inconclusive.
+    only inside the final guard stretch are flagged inconclusive.  A fail
+    needs no such horizon: the observed tail sums are nonincreasing in n,
+    and the unobserved terms are nonnegative, so each true tail sum is at
+    least the observed one.
     """
     values = np.asarray(series_terms, dtype=float)[: horizon + 1]
     if np.any(values < 0):
@@ -440,7 +453,9 @@ def oracle_product_rate(beta, k_max: int, horizon: int) -> OracleTable:
     Factors must lie in [0, 1], so the running product is nonincreasing and
     the minimal index is well defined.  The product accumulates in log
     space, so it does not underflow.  A product that never reaches the
-    threshold within the horizon yields an inconclusive entry.
+    threshold within the horizon has no minimal index; as every factor up to
+    the horizon is observed, a declared index at or below the horizon then
+    fails.
     """
     factors = np.asarray(beta, dtype=float)[1 : horizon + 2]
     if np.any((factors < 0) | (factors > 1)):
@@ -451,7 +466,11 @@ def oracle_product_rate(beta, k_max: int, horizon: int) -> OracleTable:
 
 
 def oracle_convergence_rate(values, limit: float, k_max: int, horizon: int) -> OracleTable:
-    """Minimal indices n with |a_m - limit| <= 1/(k+1) for all m in [n, horizon]."""
+    """Minimal indices n with |a_m - limit| <= 1/(k+1) for all m in [n, horizon].
+
+    The observed tail maximum is nonincreasing in n, and the true supremum
+    over m >= n is at least it, so an observed deviation above 1/(k+1) from
+    a declared index on fails that declaration."""
     dev = np.abs(np.asarray(values, dtype=float)[: horizon + 1] - float(limit))
     # revmax[n] = max deviation over [n, horizon]
     return OracleTable.search(np.maximum.accumulate(dev[::-1])[::-1], horizon, _levels(k_max))

@@ -232,6 +232,43 @@ def test_table_schedule_config(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize(
+    "last_beta, sigma_beta, failing_row",
+    [
+        # prod beta stays at 0.25, so no index reaches 1/5
+        (1.0, [0, 1, 2, 3], "sigma_beta   pass 4, inconclusive 0, fail 17  FAILED at k=4"),
+        # 1 - beta_n = 0.1 from n = 4 on, above 1/11
+        (0.9, [0, 1, 2, 3, 40], "sigma        pass 10, inconclusive 0, fail 11  FAILED at k=10"),
+    ],
+)
+def test_table_schedule_that_misses_a_hypothesis_fails(
+    tmp_path, last_beta, sigma_beta, failing_row
+):
+    # negative controls: the moved linear box config with a table schedule
+    # whose sequences repeat their last entry
+    config = json.loads((CONFIG_DIR / "euclidean_linear_box.json").read_text())
+    config.update(
+        u=[2.0, 0.0],
+        schedule={
+            "name": "table",
+            "beta": [0.0, 0.5, 2.0 / 3.0, 0.75, last_beta],
+            "lambda": [0.5],
+            "sigma_beta": sigma_beta,
+            "chi_beta": [0, 1, 2, 3, 4],
+            "chi_lambda": [0],
+            "sigma": [0, 1, 2, 3, 4],
+            "Lambda_cap": 2,
+            "N_Lambda": 0,
+        },
+    )
+    cfg = tmp_path / "control.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert failing_row in report
+    assert "[FAIL        ] schedule moduli" in report
+
+
 def assert_one_line_error(capsys, text: str) -> None:
     """stderr holds one line, which contains ``text``, and no traceback."""
     err = capsys.readouterr().err

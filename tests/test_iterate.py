@@ -6,12 +6,14 @@ import pytest
 
 from tmann.geometry import EuclideanSpace, StarTreeSpace, TreePoint
 from tmann.iterate import (
+    TRACE_DENSE,
     ProblemInstance,
     check_basic_bounds,
     check_halpern_equivalence,
     check_recursive_inequalities,
     run_modified_halpern,
     run_tikhonov_mann,
+    trace_slices,
 )
 from tmann.mappings import (
     MappingFamily,
@@ -226,6 +228,58 @@ def test_tree_trace_csv_has_ray_column(tmp_path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
     assert header[-2:] == ["ray", "t"]
+
+
+def grid_steps(horizon):
+    return [n for steps in trace_slices(horizon) for n in range(horizon)[steps]]
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 4095, 4096, 4097, 4098, 73_537, 1_036_082])
+def test_trace_grid_is_increasing_from_0_to_the_last_step(horizon):
+    steps = grid_steps(horizon)
+    assert steps[0] == 0 and steps[-1] == horizon - 1
+    assert all(a < b for a, b in zip(steps, steps[1:]))
+    dense = min(horizon, TRACE_DENSE)
+    assert steps[:dense] == list(range(dense))
+
+
+def test_trace_grid_keeps_2048_rows_an_octave():
+    # 4,096 dense rows, then 2,048 per octave; the last step ends a slice at
+    # 73,537 and is one extra row at 1,036,082
+    assert len(grid_steps(73_537)) == 12_539
+    assert len(grid_steps(1_036_082)) == 20_433
+    steps = grid_steps(2**17 + 1)
+    assert sum(2**16 <= n < 2**17 for n in steps) == 2048
+
+
+def tree_instance():
+    return ProblemInstance.create(
+        StarTreeSpace(3), tree_contraction_family(0.5), builtin_linear_schedule(0.5),
+        u=TreePoint(2, 0.3), x0=TreePoint(1, 1.0), p=TreePoint(0, 0.0),
+    )
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "tree"])
+def test_trace_csv_rows_equal_the_arrays_on_the_grid(tmp_path, kind):
+    H = 10_000
+    if kind == "euclidean":
+        inst = euclidean_instance(dim=2, x0=[1.5, -2.0], u=[0.5, 0.5])
+    else:
+        inst = tree_instance()
+    trace = run_tikhonov_mann(inst, H)
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path, include_points=True)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["n"]) for row in rows] == grid_steps(H)
+    for row in rows:
+        n = int(row["n"])
+        for name in ("residual_step", "residual_T", "tfam_gap"):
+            assert float(row[name]) == getattr(trace, name)[n]
+        if kind == "euclidean":
+            assert [float(row["x0"]), float(row["x1"])] == trace.x[n].tolist()
+        else:
+            assert TreePoint(int(row["ray"]), float(row["t"])) == trace.x[n]
 
 
 def test_rejects_nonpositive_horizon():

@@ -310,6 +310,24 @@ def test_schedule_validation_catches_bad_modulus():
     assert report.status == "fail"
 
 
+def test_validate_fails_what_the_window_refutes():
+    # running products 0.5, 0.25, 0.25, ...: no index reaches 1/5 (k = 4)
+    table = oracle_product_rate([0.0, 0.5, 0.5] + [1.0] * 99, k_max=4, horizon=100)
+    assert table.minimal == (0, 0, 1, 1, None)
+    # a declared index inside the window is refuted at k = 4, one past it is not
+    assert table.validate(lambda k: 1) == ("pass",) * 4 + ("fail",)
+    assert table.validate(lambda k: 1 if k < 4 else 101)[4] == "inconclusive"
+
+
+def test_validate_fails_below_a_minimum_in_the_guard_stretch():
+    # the deviation drops to 0 at n = 100, inside the last 1% of the window
+    values = [0.5] * 100 + [1.0]
+    table = oracle_convergence_rate(values, limit=1.0, k_max=2, horizon=100)
+    assert table.minimal == (0, 0, 100) and table.conclusive == (True, True, False)
+    assert table.validate(lambda k: 99) == ("pass", "pass", "fail")
+    assert table.validate(lambda k: 100) == ("pass", "pass", "inconclusive")
+
+
 def test_table_schedule_extends_last_entry():
     sch = schedule_from_tables(
         "tbl", beta=[0.0, 0.25, 0.5], lam=[0.5], sigma_beta=[0], chi_beta=[0],
