@@ -41,6 +41,24 @@ def worst_row(name: str, excess, at: Callable[[int], Any] = lambda i: i) -> Row:
     return Row(name, float(excess[i]), at(i))
 
 
+def worst_row_in_blocks(name: str, blocks) -> Row:
+    """``worst_row`` of the concatenation of the non-empty arrays that
+    ``blocks`` yields, read one block at a time and never joined: the first
+    largest entry, or the first NaN, at its step in the whole sequence.
+    Raises ValueError, naming the check, when ``blocks`` yields nothing."""
+    worst, at, start = None, None, 0
+    for excess in blocks:
+        i = int(np.argmax(excess))
+        value = float(excess[i])
+        # a later block wins only with a larger entry or the first NaN
+        if worst is None or (worst == worst and not value <= worst):
+            worst, at = value, start + i
+        start += len(excess)
+    if worst is None:
+        raise ValueError(f"check {name!r} needs at least one sequence entry")
+    return Row(name, worst, at)
+
+
 @dataclass(frozen=True)
 class Section:
     """The rows of one check, read against ``tol``."""

@@ -28,10 +28,12 @@ on the star tree); u_n = W(u, x_n, beta_n) comes from ``combine_array``
 after it, in blocks of ``BLOCK_ROWS`` rows, equal to the loop's u_n row by
 row.  Every residual and distance sequence, which is what rate
 certification consumes, is then computed from the stored orbit with array
-operations.  Each instance keeps its latest anchored orbit, read only, so
-an instance runs the loop once per horizon: the Halpern trace replays the
-Halpern steps on the stored orbit with array operations, and the Halpern
-check reads its defects off that trace.
+operations in blocks of the same size, and the recursion checks read them
+a block at a time, so no temporary spans the horizon.  Each instance keeps
+its latest anchored orbit, read only, so an instance runs the loop once per
+horizon: the Halpern trace replays the Halpern steps on the stored orbit
+with array operations, and the Halpern check reads its defects off that
+trace.
 
 The per-step checkers assert, along a computed orbit, the bounds the rate
 theorems rest on.  These are theorems for exact arithmetic: a violation
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import Row, Section, worst_row
+from .checks import Row, Section, worst_row_in_blocks
 from .geometry import Point, Points, Space, TreePoints
 from .mappings import MappingFamily
 from .sequences import ParamSchedule, _int_ceil, terms
@@ -55,7 +57,8 @@ from .sequences import ParamSchedule, _int_ceil, terms
 #: How far T_0 .. T_9 may move the registered fixed point p.
 FIXED_POINT_TOL = 1e-9
 
-#: Rows per ``combine_array`` call when u_n is computed from the stored x_n.
+#: Rows per block of every array computation over the stored orbit: u_n
+#: from x_n, the residuals, and the orbit checks.
 BLOCK_ROWS = 4096
 
 #: ``trace.csv`` keeps every step below this and a log-spaced grid above it
@@ -120,6 +123,11 @@ class ProblemInstance:
                 f"registered point is not fixed by T_{n}: moved by {float(drift[n])!r}"
             )
         return cls(space=space, family=family, schedule=schedule, u=u, x0=x0, p=p, M=M)
+
+
+def blocks(count: int):
+    """The slices of consecutive ``BLOCK_ROWS`` rows that cover range(count)."""
+    return (slice(s, min(s + BLOCK_ROWS, count)) for s in range(0, count, BLOCK_ROWS))
 
 
 def _repeat(space: Space, point: Point, count: int) -> Points:
@@ -244,9 +252,8 @@ def _orbit(instance: ProblemInstance, horizon: int) -> tuple[Points, Points]:
     # keep the temporaries of combine_array small
     us = sp.empty(horizon)
     anchor = _repeat(sp, instance.u, min(horizon, BLOCK_ROWS))
-    for start in range(0, horizon, BLOCK_ROWS):
-        rows = slice(start, min(start + BLOCK_ROWS, horizon))
-        us[rows] = sp.combine_array(anchor[: rows.stop - start], xs[rows], beta[rows])
+    for rows in blocks(horizon):
+        us[rows] = sp.combine_array(anchor[: rows.stop - rows.start], xs[rows], beta[rows])
     # every trace built from the stored orbit shares these arrays
     for array in (xs.ray, xs.t, us.ray, us.t) if isinstance(xs, TreePoints) else (xs, us):
         array.flags.writeable = False
@@ -256,26 +263,27 @@ def _orbit(instance: ProblemInstance, horizon: int) -> tuple[Points, Points]:
 
 def run_tikhonov_mann(instance: ProblemInstance, horizon: int) -> IterationTrace:
     """Run the anchored iteration for ``horizon`` steps and record its orbit
-    and residuals."""
+    and residuals.  The eight sequences are filled in blocks of
+    ``BLOCK_ROWS`` steps, so no temporary spans the horizon."""
     xs, us = _orbit(instance, horizon)
     sp, fam, u, p = instance.space, instance.family, instance.u, instance.p
-    dist = sp.dist_array
-    steps = np.arange(horizon + 1)
-    x_n = xs[:horizon]
-    t_us = fam.eval_array(sp, steps[:-1], us)  # equal to the loop's T_n u_n bit for bit
-    return IterationTrace(
-        horizon=horizon,
-        residual_step=dist(x_n, xs[1:]),
-        residual_T=dist(x_n, fam.eval_array(sp, steps[:-1], x_n)),
-        tfam_gap=dist(fam.eval_array(sp, steps[1:], us), t_us),
-        dist_u_succ=dist(us[1:], us[:-1]),
-        dist_x_p=dist(xs, p),
-        dist_x_u=dist(xs, u),
-        dist_u_p=dist(us, p),
-        dist_u_Tu=dist(us, t_us),
-        x=xs,
-        u_seq=us,
-    )
+    dist, H = sp.dist_array, horizon
+    seqs = [np.empty(size) for size in (H, H, H, H - 1, H + 1, H + 1, H, H)]
+    step, res_T, gap, u_succ, x_p, x_u, u_p, u_Tu = seqs
+    for rows in blocks(H):
+        s, e = rows.start, rows.stop
+        ns, x_n, u_n = np.arange(s, e), xs[rows], us[rows]
+        t_us = fam.eval_array(sp, ns, u_n)  # equal to the loop's T_n u_n bit for bit
+        step[rows] = dist(x_n, xs[s + 1 : e + 1])
+        res_T[rows] = dist(x_n, fam.eval_array(sp, ns, x_n))
+        gap[rows] = dist(fam.eval_array(sp, ns + 1, u_n), t_us)
+        m = min(e, H - 1)  # d(u_{n+1}, u_n) ends at n = H - 2
+        u_succ[s:m] = dist(us[s + 1 : m + 1], us[s:m])
+        x_p[s : e + 1] = dist(xs[s : e + 1], p)  # x_e again in the next block
+        x_u[s : e + 1] = dist(xs[s : e + 1], u)
+        u_p[rows] = dist(u_n, p)
+        u_Tu[rows] = dist(u_n, t_us)
+    return IterationTrace(H, *seqs, x=xs, u_seq=us)
 
 
 @dataclass(eq=False)
@@ -422,33 +430,34 @@ def check_recursive_inequalities(
         raise ValueError("recursion checks need a trace of at least 2 steps")
     M = float(instance.M)
     H = trace.horizon
-    indices = np.arange(H + 1)
-    beta = terms(instance.schedule.beta, indices)
-    lam = terms(instance.schedule.lam, indices)
-    dbeta = np.abs(np.diff(beta))
-    dlam = np.abs(np.diff(lam))
+    sch, step, gap = instance.schedule, trace.residual_step, trace.tfam_gap
 
-    def scored(name: str, lhs: np.ndarray, rhs: np.ndarray) -> Row:
-        return worst_row(name, lhs - rhs - RECURSION_REL * np.maximum(1.0, rhs))
+    def scored(name: str, count: int, sides) -> Row:
+        """The worst excess of the steps n < count, a block at a time:
+        ``sides(rows, beta, lam)`` gives (lhs, rhs) for the steps of
+        ``rows`` from beta and lambda at rows.start .. rows.stop."""
 
-    # (a): indices n = 0 .. H-2
-    lhs_a = trace.dist_u_succ
-    rhs_a = beta[1:H] * trace.residual_step[: H - 1] + 2 * M * dbeta[: H - 1]
-    # (b): indices n = 0 .. H-2
-    lhs_b = trace.residual_step[1:H]
-    rhs_b = (
-        beta[1:H] * trace.residual_step[: H - 1]
-        + trace.tfam_gap[: H - 1]
-        + 2 * M * (dlam[: H - 1] + dbeta[: H - 1])
-    )
-    # (c): indices n = 0 .. H-1
-    lhs_c = lam[:H] * trace.residual_T
-    rhs_c = trace.residual_step + 2 * M * (1.0 - beta[:H])
+        def excess(rows):
+            n = np.arange(rows.start, rows.stop + 1)
+            lhs, rhs = sides(rows, terms(sch.beta, n), terms(sch.lam, n))
+            return lhs - rhs - RECURSION_REL * np.maximum(1.0, rhs)
+
+        return worst_row_in_blocks(name, map(excess, blocks(count)))
+
+    def anchor_step(rows, beta, lam):  # (a)
+        return trace.dist_u_succ[rows], beta[1:] * step[rows] + 2 * M * np.abs(np.diff(beta))
+
+    def main_recursion(rows, beta, lam):  # (b)
+        drift = np.abs(np.diff(lam)) + np.abs(np.diff(beta))
+        lhs = step[rows.start + 1 : rows.stop + 1]
+        return lhs, beta[1:] * step[rows] + gap[rows] + 2 * M * drift
+
+    def residual_link(rows, beta, lam):  # (c)
+        return lam[:-1] * trace.residual_T[rows], step[rows] + 2 * M * (1.0 - beta[:-1])
 
     checks = (
-        scored("anchor_step (a)", lhs_a, rhs_a),
-        scored("main_recursion (b)", lhs_b, rhs_b),
-        scored("residual_link (c)", lhs_c, rhs_c),
+        scored("anchor_step (a)", H - 1, anchor_step),
+        scored("main_recursion (b)", H - 1, main_recursion),
+        scored("residual_link (c)", H, residual_link),
     )
     return Section(title="per-step recursions:", checks=checks, tol=tol)
-

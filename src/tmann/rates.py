@@ -36,7 +36,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .checks import Row, Section, worst_row
+from .checks import Row, Section, worst_row, worst_row_in_blocks
+from .iterate import blocks
 from .sequences import ParamSchedule, RateFn, ceil_reciprocal, first_indices
 
 PROVENANCES = ("general_theorem", "example_closed_form", "linear_theorem", "halpern_translated")
@@ -300,13 +301,18 @@ def sabach_shtern_check(s: Sequence[float], L: float, tol: float = 1e-9) -> Sect
     if horizon < 1:
         raise ValueError("need at least two sequence entries")
 
-    ns = np.arange(horizon + 1, dtype=float)
-    a = 2.0 / (ns + 2.0)
-    rhs = (1.0 - a[1:]) * values[:-1] + (a[:-1] - a[1:]) * L
+    def recursion(rows):  # for the steps n of rows, with a at n .. rows.stop
+        a = 2.0 / (np.arange(rows.start, rows.stop + 1, dtype=float) + 2.0)
+        rhs = (1.0 - a[1:]) * values[rows] + (a[:-1] - a[1:]) * L
+        return values[rows.start + 1 : rows.stop + 1] - rhs
+
+    def conclusion(rows):
+        return values[rows] - 2.0 * L / (np.arange(rows.start, rows.stop, dtype=float) + 2.0)
+
     checks = (
         Row("s_0 <= L", float(values[0] - L), 0),
-        worst_row("recursion", values[1:] - rhs),
-        worst_row("conclusion s_n <= 2L/(n+2)", values - 2.0 * L / (ns + 2.0)),
+        worst_row_in_blocks("recursion", map(recursion, blocks(horizon))),
+        worst_row_in_blocks("conclusion s_n <= 2L/(n+2)", map(conclusion, blocks(horizon + 1))),
     )
     return Section(
         title=f"sabach-shtern check (L={L:g}, {horizon} steps):", checks=checks, tol=tol
@@ -401,11 +407,17 @@ def check_pointwise_bound(
     values: Sequence[float], bound: Callable, tol: float = 1e-9, name: str = "bound"
 ) -> Section:
     """Scan values[n] <= bound(n) + tol for every recorded n; a NaN excess
-    is the worst.  ``bound`` takes the index array 0 .. len(values) - 1 and
-    returns the bounds as an array of that length, or one number."""
+    is the worst.  ``bound`` is called once per block of ``BLOCK_ROWS``
+    steps, on that block's index array, and returns the bounds as an array
+    of its length or one number, so it must act element by element.
+    Raises ValueError, naming the check, when ``values`` is empty."""
     vals = np.asarray(values, dtype=float)
+
+    def excess(rows):
+        return vals[rows] - bound(np.arange(rows.start, rows.stop))
+
     return Section(
         title=f"pointwise bound over {len(vals)} steps:",
-        checks=(worst_row(name, vals - bound(np.arange(len(vals)))),),
+        checks=(worst_row_in_blocks(name, map(excess, blocks(len(vals)))),),
         tol=tol,
     )

@@ -10,7 +10,7 @@ Session-scoped so the long orbits run once.  The poster instances:
 plus the eight shipped suite configs and the two splitting toys.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,12 @@ def run_kmf_direct(family, schedule, x0, horizon: int) -> list[np.ndarray]:
         x = (1.0 - lam_n) * scaled + lam_n * np.asarray(family.fn(n, scaled))
         out.append(x)
     return out
+
+
+def row_bits(row) -> tuple:
+    """A check row's fields, each float as its bit pattern, so that NaN,
+    -0.0 and every last bit compare exactly."""
+    return tuple(np.float64(v).tobytes() if isinstance(v, float) else v for v in astuple(row))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tmann.geometry import EuclideanSpace, StarTreeSpace, TreePoint
+from tmann import iterate
+from tmann.geometry import EuclideanSpace, StarTreeSpace, TreePoint, TreePoints
 from tmann.iterate import (
     TRACE_DENSE,
     ProblemInstance,
+    _orbit,
     check_basic_bounds,
     check_halpern_equivalence,
     check_recursive_inequalities,
@@ -22,9 +25,11 @@ from tmann.mappings import (
     resolvent_l1_family,
     tree_contraction_family,
 )
+from tmann.rates import certify_rate, linear_rates
 from tmann.sequences import builtin_example_schedule, builtin_linear_schedule
 
-from conftest import run_kmf_direct
+from conftest import row_bits, run_kmf_direct
+from test_kernel import CASES, SEQUENCES
 
 
 def euclidean_instance(dim=1, x0=None, u=None, family=None, schedule=None, p=None):
@@ -364,3 +369,54 @@ def test_halpern_trace_runs_the_loop_only_when_no_orbit_is_stored():
     calls.clear()
     run_modified_halpern(stored, H)
     assert calls == []
+
+
+#: Horizons around blocks of 7 rows: 1, 2 and 6 fit in one block, 7 fills
+#: it, 8 and 15 end in a block of one row, and 200 takes 29 blocks.
+BLOCK_HORIZONS = [1, 2, 6, 7, 8, 15, 200]
+
+
+def trace_and_rows(case, horizon):
+    """The bit patterns of the trace of a fresh ``CASES`` instance, and of
+    the rows of its bound and recursion checks."""
+    instance = CASES[case]()
+    trace = run_tikhonov_mann(instance, horizon)
+    arrays = [getattr(trace, name) for name in SEQUENCES]
+    for points in (trace.x, trace.u_seq):
+        arrays += [points.ray, points.t] if isinstance(points, TreePoints) else [points]
+    sections = [check_basic_bounds(instance, trace)]
+    if horizon >= 2:
+        sections.append(check_recursive_inequalities(instance, trace))
+    rows = [row_bits(row) for section in sections for row in section.checks]
+    return [a.tobytes() for a in arrays], rows
+
+
+@pytest.mark.parametrize("horizon", BLOCK_HORIZONS)
+@pytest.mark.parametrize("case", ["euclidean_box", "euclidean_forward_backward", "tree_contraction"])
+def test_trace_and_iterate_checks_in_blocks_of_7_equal_the_default_run(case, horizon, monkeypatch):
+    default = trace_and_rows(case, horizon)
+    monkeypatch.setattr(iterate, "BLOCK_ROWS", 7)
+    assert trace_and_rows(case, horizon) == default
+
+
+def test_residuals_and_orbit_checks_keep_no_whole_horizon_temporaries():
+    # the longest full-certify orbit; a whole-horizon float array is 0.59 MB,
+    # an (H, 2) point array 1.18 MB
+    H = 73_537
+    fam = box_projection_family([-1.0, -1.0], [1.0, 1.0])
+    schedule = builtin_linear_schedule(0.5)
+    inst = euclidean_instance(dim=2, x0=[0.6, 0.8], u=[0.0, 0.0], family=fam, schedule=schedule)
+    lr = linear_rates(inst.M, 0.5)
+    _orbit(inst, H)
+    tracemalloc.start()
+    try:
+        trace = run_tikhonov_mann(inst, H)
+        held = tracemalloc.get_traced_memory()[0]
+        check_recursive_inequalities(inst, trace)
+        lr.orbit_checks(inst, trace, 1e-9)
+        certify_rate(trace.residual_T, lr.rate_T, k_max=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held > 8 * 8 * H  # the eight sequences
+    assert peak - held < 1_000_000

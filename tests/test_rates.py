@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmann import iterate
 from tmann.cli import _write_certifications_csv
+from tmann.iterate import run_tikhonov_mann
 from tmann.mappings import chi_T_from_gamma
 from tmann.rates import (
     RateBundle,
@@ -22,6 +24,10 @@ from tmann.rates import (
     translate_ar_to_tn_ar,
 )
 from tmann.sequences import builtin_example_schedule, ceil_reciprocal, psi0
+
+from conftest import row_bits
+from test_iterate import BLOCK_HORIZONS
+from test_kernel import CASES
 
 identity = lambda k: k
 zero = lambda k: 0
@@ -251,6 +257,40 @@ def test_check_pointwise_bound():
     bad = check_pointwise_bound(values, lambda n: 0.5 / (n + 2))
     assert not bad.passed
     assert bad.checks[0].at == 0
+
+
+def test_check_pointwise_bound_refuses_an_empty_sequence_by_name():
+    with pytest.raises(ValueError, match="check 'd_n <= 1' needs at least one sequence entry"):
+        check_pointwise_bound([], lambda n: 1.0, name="d_n <= 1")
+
+
+def pointwise_and_sabach_shtern_rows(case, horizon):
+    """The bit patterns of the rows of the pointwise-bound and Sabach-Shtern
+    checks on the trace of a fresh ``CASES`` instance: on residual_step and
+    residual_T (horizon entries) and on dist_x_p (horizon + 1), with an
+    index-array bound and a constant one."""
+    instance = CASES[case]()
+    trace = run_tikhonov_mann(instance, horizon)
+    lr = linear_rates(instance.M, 0.5)
+    sections = [
+        check_pointwise_bound(trace.residual_step, lr.bound_step),
+        check_pointwise_bound(trace.residual_T, lr.bound_T),
+        check_pointwise_bound(trace.dist_x_p, lambda n: 0.5 * instance.M),
+        sabach_shtern_check(trace.dist_x_p, L=0.5 * instance.M),
+    ]
+    if horizon >= 2:
+        sections.append(sabach_shtern_check(trace.residual_step, L=3.0 * instance.M))
+    return [row_bits(row) for section in sections for row in section.checks]
+
+
+@pytest.mark.parametrize("horizon", BLOCK_HORIZONS)
+@pytest.mark.parametrize("case", ["euclidean_box", "tree_contraction"])
+def test_pointwise_and_sabach_shtern_rows_in_blocks_of_7_equal_the_default_run(
+    case, horizon, monkeypatch
+):
+    default = pointwise_and_sabach_shtern_rows(case, horizon)
+    monkeypatch.setattr(iterate, "BLOCK_ROWS", 7)
+    assert pointwise_and_sabach_shtern_rows(case, horizon) == default
 
 
 @pytest.mark.parametrize("M, lam", [(1, 0.5), (2, 0.3), (3, 0.7), (7, 0.123)])
