@@ -58,15 +58,15 @@ class Kind(NamedTuple):
     (None: unbounded) may equal an int field and lies below a float field.
     ``make`` also takes the context the object is read in, such as the
     space's ``dim``, and ignores what it does not use.  A space gives the
-    kind of its points; a family, the space its maps act on and whether
-    they are indexed by the schedule's gamma_n.
+    kind of its points; a family, the space its maps act on.  Every
+    schedule kind declares gamma, so a family may read the schedule's
+    gamma_n.
     """
 
     make: Callable
     fields: dict
     point: object = None
     space: type = geometry.Space
-    gamma: bool = False
 
 
 class ConfigError(Exception):
@@ -117,31 +117,10 @@ SPACES = {
     ),
 }
 
-
-def _table_schedule(label, **tables) -> ParamSchedule:
-    tables["lam"] = tables.pop("lambda")
-    return sequences.schedule_from_tables(name=label, **tables)
-
-
-_TABLES = "beta lambda sigma_beta chi_beta chi_lambda sigma".split()
 _LAMBDA = {"lambda": (float, REQUIRED, None)}
 SCHEDULES = {
     "example": Kind(lambda **f: sequences.builtin_example_schedule(f["lambda"]), _LAMBDA),
     "linear": Kind(lambda **f: sequences.builtin_linear_schedule(f["lambda"]), _LAMBDA),
-    # the lists are checked entry by entry by schedule_from_tables
-    "table": Kind(
-        _table_schedule,
-        {
-            "label": (str, "table", None),
-            **{name: (object, REQUIRED, None) for name in _TABLES},
-            "Lambda_cap": (int, REQUIRED, None),
-            "N_Lambda": (int, REQUIRED, None),
-            "gamma": (object, None, None),
-            "chi_gamma": (object, None, None),
-            "Gamma_cap": (int, None, None),
-            "N_Gamma": (int, None, None),
-        },
-    ),
 }
 
 _BOX = {"lo": (VECTOR, REQUIRED, None), "hi": (VECTOR, REQUIRED, None)}
@@ -192,19 +171,16 @@ FAMILIES = {
         ),
         {"weight": (float, 1.0, None)},
         space=EuclideanSpace,
-        gamma=True,
     ),
     "resolvent_quadratic": Kind(
         lambda matrix, schedule, **_: mappings.resolvent_quadratic_family(matrix, schedule.gamma),
         {"matrix": (MATRIX, REQUIRED, None)},
         space=EuclideanSpace,
-        gamma=True,
     ),
     "forward_backward": Kind(
         _forward_backward,
         {"A": (MONOTONE_OPS, REQUIRED, None), "B": (COCOERCIVE_OPS, REQUIRED, None)},
         space=EuclideanSpace,
-        gamma=True,
     ),
 }
 
@@ -353,8 +329,6 @@ def build_problem(config: ExperimentConfig) -> ProblemInstance:
     if not isinstance(space, kind.space):
         acts_on = f"does not act on a {config.space['name']!r} space"
         raise ConfigError(f"{source}: field 'space.name': family {name!r} {acts_on}")
-    if kind.gamma and not schedule.has_gamma:
-        raise ConfigError(f"{source}: field 'schedule': family {name!r} needs a schedule with gamma")
     family = _make(
         kind, values, "family", source, space=space, schedule=schedule, p=p, horizon=config.horizon
     )

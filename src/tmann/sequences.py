@@ -24,7 +24,6 @@ small an observed window are flagged inconclusive rather than passed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -114,8 +113,9 @@ class ParamSchedule:
 
     The gamma certificate (gamma, chi_gamma, Gamma_cap, N_Gamma) is given
     whole or not at all.  ``name`` only labels the schedule.  The beta, lam
-    and gamma of the builtin and table schedules also evaluate int index
-    arrays; ``terms`` reads any sequence as an array.
+    and gamma of the builtin schedules also evaluate int index arrays;
+    ``terms`` reads any sequence as an array, calling a plain callable once
+    per index.
     """
 
     name: str
@@ -235,109 +235,20 @@ def builtin_linear_schedule(lambda_const: float) -> ParamSchedule:
     )
 
 
-def _entries(label: str, values) -> list:
-    if not isinstance(values, (list, tuple, np.ndarray)) or len(values) == 0:
-        raise ValueError(f"{label} = {values!r} must be a nonempty list")
-    return list(values)
-
-
-def _table_terms(label: str, values, unit: bool) -> Callable[[int], float]:
-    """A sequence read from a table of numbers in [0, 1] (``unit``) or
-    positive numbers, repeating its last entry."""
-    vals = []
-    for n, value in enumerate(_entries(label, values)):
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if not (real and (0.0 <= value <= 1.0 if unit else value > 0.0)):
-            span = "[0, 1]" if unit else "(0, inf)"
-            raise ValueError(f"{label}[{n}] = {value!r} is not a number in {span}")
-        vals.append(float(value))
-    last = vals[-1]
-    table = np.array(vals)
-    return _indexed(
-        lambda n: vals[n] if n < len(vals) else last,
-        lambda ns: table[np.minimum(ns, len(vals) - 1)],
-    )
-
-
-def _whole(label: str, value, least: int) -> int:
-    """``value`` as an int of at least ``least``; a fraction, text or a
-    boolean is refused, never truncated."""
-    whole = isinstance(value, (int, np.integer)) or (
-        isinstance(value, (float, np.floating)) and float(value).is_integer()
-    )
-    if isinstance(value, bool) or not whole or value < least:
-        raise ValueError(f"{label} = {value!r} must be a whole number >= {least}")
-    return int(value)
-
-
-def _table_rate(label: str, values) -> RateFn:
-    vals = [_whole(f"{label}[{k}]", v, 0) for k, v in enumerate(_entries(label, values))]
-    last = vals[-1]
-    return lambda k: vals[k] if k < len(vals) else last
-
-
-def schedule_from_tables(
-    name: str,
-    beta: Sequence[float],
-    lam: Sequence[float],
-    sigma_beta: Sequence[int],
-    chi_beta: Sequence[int],
-    chi_lambda: Sequence[int],
-    sigma: Sequence[int],
-    Lambda_cap: int,
-    N_Lambda: int,
-    gamma: Sequence[float] | None = None,
-    chi_gamma: Sequence[int] | None = None,
-    Gamma_cap: int | None = None,
-    N_Gamma: int | None = None,
-) -> ParamSchedule:
-    """Build a schedule from finite value tables.
-
-    Sequences and rate tables extend beyond their last entry by repeating
-    it, which suits finite-horizon experiments with eventually constant
-    parameters.  Declared moduli still go through the oracles like any
-    other schedule.  Every table is a nonempty list; every beta and lambda
-    entry must be a number in [0, 1] and every gamma entry a positive
-    number; rate-table entries and N_Lambda, N_Gamma must be whole numbers
-    >= 0, and Lambda_cap, Gamma_cap whole numbers >= 1.  The declared
-    ``inverse_product`` is the exact product of the beta table.
-    """
-    beta_terms = _table_terms("beta", beta, unit=True)
-    return ParamSchedule(
-        name=name,
-        beta=beta_terms,
-        lam=_table_terms("lambda", lam, unit=True),
-        sigma_beta=_table_rate("sigma_beta", sigma_beta),
-        chi_beta=_table_rate("chi_beta", chi_beta),
-        chi_lambda=_table_rate("chi_lambda", chi_lambda),
-        sigma=_table_rate("sigma", sigma),
-        Lambda_cap=_whole("Lambda_cap", Lambda_cap, 1),
-        N_Lambda=_whole("N_Lambda", N_Lambda, 0),
-        gamma=_table_terms("gamma", gamma, unit=False) if gamma is not None else None,
-        chi_gamma=_table_rate("chi_gamma", chi_gamma) if chi_gamma is not None else None,
-        Gamma_cap=_whole("Gamma_cap", Gamma_cap, 1) if Gamma_cap is not None else None,
-        N_Gamma=_whole("N_Gamma", N_Gamma, 0) if N_Gamma is not None else None,
-        inverse_product=exact_inverse_product(beta_terms, head=max(len(beta) - 1, 1)),
-    )
-
-
-def exact_inverse_product(beta: Callable[[int], float], head: float = math.inf) -> RateFn:
-    """The ``inverse_product`` of a sequence that repeats beta_head from
-    index ``head`` on, computed exactly: each term is read as the binary
-    rational it is, and the repeated tail is one power, so no loop runs
-    over it.  Raises when a term of the product is not positive."""
+def exact_inverse_product(beta: Callable[[int], float]) -> RateFn:
+    """The ``inverse_product`` of the sequence ``beta``, computed exactly:
+    each term of the product is read as the binary rational it is.  Raises
+    when a term of the product is not positive."""
 
     def least(N: int) -> int:
-        count = min(N + 1, head)
-        factors = [float(beta(n)) for n in range(1, count + 1)]
+        factors = [float(beta(n)) for n in range(1, N + 2)]
         bad = next((n for n, f in enumerate(factors, 1) if not f > 0), None)
         if bad is not None:
             raise ValueError(
                 f"psi0 undefined: beta_{{{bad}}} = {factors[bad - 1]!r} is not positive"
             )
-        tail = N + 1 - count
         parts = zip(*(f.as_integer_ratio() for f in factors))
-        num, den = (product_tree(part) * part[-1] ** tail for part in parts)
+        num, den = (product_tree(part) for part in parts)
         return max(1, -(-den // num))
 
     return least

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import namedtuple
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from tmann.checks import Row, Section, worst_row, worst_row_in_blocks
 from tmann.iterate import BoundCheck
 from tmann.rates import certify_rate
-from tmann.sequences import schedule_from_tables, validate_schedule_moduli
+from tmann.sequences import builtin_example_schedule, validate_schedule_moduli
 
 from conftest import row_bits
 
@@ -102,12 +103,9 @@ DECAYING = 1.0 / np.arange(1.0, 101.0)
 
 
 def understated_schedule():
-    """A table schedule whose sigma_beta claims the beta product is below
-    1/(k+1) from index 0 on, which the oracle refutes."""
-    return schedule_from_tables(
-        "understated", beta=[1.0 - 1.0 / (n + 1) for n in range(2000)], lam=[0.5],
-        sigma_beta=[0], chi_beta=[0], chi_lambda=[0], sigma=[0], Lambda_cap=2, N_Lambda=0,
-    )
+    """The example schedule with a sigma_beta that claims the beta product is
+    below 1/(k+1) from index 0 on, which the oracle refutes."""
+    return dataclasses.replace(builtin_example_schedule(0.5), sigma_beta=lambda k: 0)
 
 
 @pytest.mark.parametrize(

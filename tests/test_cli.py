@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from tmann.cli import ConfigError, main, parse_config, run_experiment
+from tmann import cli
+from tmann.cli import ConfigError, build_problem, main, parse_config, run_experiment
+from tmann.sequences import builtin_linear_schedule
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -211,56 +214,41 @@ def test_forward_backward_family_rejects_bad_step_sizes(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
-def test_table_schedule_config(tmp_path):
-    cfg = write_config(
-        tmp_path / "table.json",
-        schedule={
-            "name": "table",
-            "beta": [1.0 - 1.0 / (n + 1) for n in range(4000)],
-            "lambda": [0.5],
-            "sigma_beta": [k for k in range(30)],
-            "chi_beta": [k for k in range(30)],
-            "chi_lambda": [0],
-            "sigma": [k for k in range(30)],
-            "Lambda_cap": 2,
-            "N_Lambda": 0,
-        },
-        horizon=300,
-        modulus_horizon=3000,
-        modulus_k_max=5,
-    )
-    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+@pytest.mark.parametrize("name", sorted(cli.SCHEDULES))
+def test_every_schedule_kind_declares_gamma(tmp_path, name):
+    # so every family, a gamma-indexed one too, can run on every schedule
+    cfg = write_config(tmp_path / "kind.json", schedule={"name": name, "lambda": 0.5})
+    assert build_problem(parse_config(cfg)).schedule.has_gamma
 
 
 @pytest.mark.parametrize(
     "last_beta, sigma_beta, failing_row",
     [
         # prod beta stays at 0.25, so no index reaches 1/5
-        (1.0, [0, 1, 2, 3], "sigma_beta   pass 4, inconclusive 0, fail 17  FAILED at k=4"),
+        (1.0, lambda k: min(k, 3), "sigma_beta   pass 4, inconclusive 0, fail 17  FAILED at k=4"),
         # 1 - beta_n = 0.1 from n = 4 on, above 1/11
-        (0.9, [0, 1, 2, 3, 40], "sigma        pass 10, inconclusive 0, fail 11  FAILED at k=10"),
+        (0.9, lambda k: k if k < 4 else 40,
+         "sigma        pass 10, inconclusive 0, fail 11  FAILED at k=10"),
     ],
+    ids=["product_stays_positive", "beta_stays_below_one"],
 )
-def test_table_schedule_that_misses_a_hypothesis_fails(
-    tmp_path, last_beta, sigma_beta, failing_row
+def test_schedule_that_misses_a_hypothesis_fails(
+    tmp_path, monkeypatch, last_beta, sigma_beta, failing_row
 ):
-    # negative controls: the moved linear box config with a table schedule
-    # whose sequences repeat their last entry
-    config = json.loads((CONFIG_DIR / "euclidean_linear_box.json").read_text())
-    config.update(
-        u=[2.0, 0.0],
-        schedule={
-            "name": "table",
-            "beta": [0.0, 0.5, 2.0 / 3.0, 0.75, last_beta],
-            "lambda": [0.5],
-            "sigma_beta": sigma_beta,
-            "chi_beta": [0, 1, 2, 3, 4],
-            "chi_lambda": [0],
-            "sigma": [0, 1, 2, 3, 4],
-            "Lambda_cap": 2,
-            "N_Lambda": 0,
-        },
+    # negative controls: the moved linear box config on a linear schedule
+    # whose beta repeats its last entry
+    entries = [0.0, 0.5, 2.0 / 3.0, 0.75, last_beta]
+    control = dataclasses.replace(
+        builtin_linear_schedule(0.5),
+        beta=lambda n: entries[min(n, 4)],
+        sigma_beta=sigma_beta,
+        inverse_product=None,
+        certificates=lambda M: (),
     )
+    linear = cli.SCHEDULES["linear"]._replace(make=lambda **_: control)
+    monkeypatch.setitem(cli.SCHEDULES, "linear", linear)
+    config = json.loads((CONFIG_DIR / "euclidean_linear_box.json").read_text())
+    config.update(u=[2.0, 0.0])
     cfg = tmp_path / "control.json"
     cfg.write_text(json.dumps(config))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
@@ -333,6 +321,14 @@ def test_horizon_of_wrong_type_is_config_error(tmp_path, capsys, horizon):
     assert_config_error(capsys, write_config(tmp_path / "h.json", horizon=horizon), "horizon")
 
 
+def test_whole_float_is_read_as_an_integer(tmp_path):
+    # 2.0 is a whole number: read as 2, like the JSON integer
+    cfg = write_config(tmp_path / "whole.json", space={"name": "euclidean", "dim": 2.0}, seed=3.0)
+    config = parse_config(cfg)
+    assert type(config.seed) is int and config.seed == 3
+    assert build_problem(config).space.dim == 2
+
+
 def test_string_record_points_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "rp.json", record_points="false")
     assert_config_error(capsys, cfg, "record_points")
@@ -341,24 +337,6 @@ def test_string_record_points_is_config_error(tmp_path, capsys):
 
 def test_unknown_top_level_field_is_config_error(tmp_path, capsys):
     assert_config_error(capsys, write_config(tmp_path / "typo.json", horizn=300), "horizn")
-
-
-def test_table_schedule_beta_outside_unit_interval_is_config_error(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path / "table_bad.json",
-        schedule={
-            "name": "table",
-            "beta": [0.5, 1.5],
-            "lambda": [0.5],
-            "sigma_beta": [0],
-            "chi_beta": [0],
-            "chi_lambda": [0],
-            "sigma": [0],
-            "Lambda_cap": 2,
-            "N_Lambda": 0,
-        },
-    )
-    assert_config_error(capsys, cfg, "beta[1]")
 
 
 FORWARD_BACKWARD = {
@@ -417,26 +395,6 @@ def test_nested_number_of_wrong_type_is_config_error(tmp_path, capsys, overrides
     assert_config_error(capsys, write_config(tmp_path / "nested.json", **overrides), field)
 
 
-def test_table_schedule_with_partial_gamma_certificate_is_config_error(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path / "table_gamma.json",
-        family={"name": "resolvent_l1"},
-        schedule={
-            "name": "table",
-            "beta": [1.0 - 1.0 / (n + 1) for n in range(400)],
-            "lambda": [0.5],
-            "sigma_beta": list(range(30)),
-            "chi_beta": list(range(30)),
-            "chi_lambda": [0],
-            "sigma": list(range(30)),
-            "Lambda_cap": 2,
-            "N_Lambda": 0,
-            "gamma": [1.0],
-        },
-    )
-    assert_config_error(capsys, cfg, "chi_gamma")
-
-
 def test_given_m_below_radius_bound_is_config_error(tmp_path, capsys):
     config = json.loads((CONFIG_DIR / "euclidean_example_box.json").read_text())
     config.update(M=1, x0=[3.0, 0.0])
@@ -451,103 +409,6 @@ def test_far_anchor_derives_an_m_the_orbit_meets(tmp_path, scale):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     report = (tmp_path / "out" / "report.txt").read_text()
     assert f"vs bound {float(math.ceil(scale)):.17g} (at n=0)  ok" in report
-
-
-@pytest.mark.parametrize("label", ["linear", "example"])
-def test_table_schedule_label_only_names_it(tmp_path, label):
-    # a table whose beta is the example schedule's, under a builtin's label,
-    # gets the general theorem only: the label certifies nothing
-    cfg = write_config(
-        tmp_path / "labelled.json",
-        schedule={
-            "name": "table",
-            "label": label,
-            "beta": [1.0 - 1.0 / (n + 1) for n in range(4000)],
-            "lambda": [0.5],
-            "sigma_beta": list(range(30)),
-            "chi_beta": list(range(30)),
-            "chi_lambda": [0],
-            "sigma": list(range(30)),
-            "Lambda_cap": 2,
-            "N_Lambda": 0,
-        },
-        modulus_horizon=3000,
-    )
-    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    report = (tmp_path / "out" / "report.txt").read_text()
-    assert f"modulus validation for schedule '{label}'" in report
-    sections = [line for line in report.splitlines() if line.startswith("[")]
-    assert not any("linear" in s or "sabach" in s or "example_closed_form" in s for s in sections)
-    rates = (tmp_path / "out" / "rates.csv").read_text().splitlines()[1:]
-    assert {row.split(",")[0] for row in rates} == {"general_theorem"}
-
-
-def table_schedule(**overrides) -> dict:
-    """A valid example-like table schedule with some fields replaced."""
-    schedule = {
-        "name": "table",
-        "beta": [1.0 - 1.0 / (n + 1) for n in range(400)],
-        "lambda": [0.5],
-        "sigma_beta": list(range(30)),
-        "chi_beta": list(range(30)),
-        "chi_lambda": [0],
-        "sigma": list(range(30)),
-        "Lambda_cap": 2,
-        "N_Lambda": 0,
-    }
-    schedule.update(overrides)
-    return schedule
-
-
-GAMMA_TABLE = {"gamma": [1.0], "chi_gamma": [0], "Gamma_cap": 1, "N_Gamma": 0}
-
-
-@pytest.mark.parametrize(
-    "overrides, field",
-    [
-        ({"Lambda_cap": 0}, "Lambda_cap"),
-        ({"Lambda_cap": -3}, "Lambda_cap"),
-        ({**GAMMA_TABLE, "Gamma_cap": 0}, "Gamma_cap"),
-    ],
-    ids=["lambda_cap_zero", "lambda_cap_negative", "gamma_cap_zero"],
-)
-def test_table_schedule_cap_below_one_is_config_error(tmp_path, capsys, overrides, field):
-    cfg = write_config(tmp_path / "cap.json", schedule=table_schedule(**overrides))
-    assert_config_error(capsys, cfg, field)
-
-
-@pytest.mark.parametrize(
-    "overrides, field",
-    [
-        ({"sigma_beta": [2.7]}, "sigma_beta[0]"),
-        ({"chi_beta": [0, 1, 2.5]}, "chi_beta[2]"),
-        ({"chi_lambda": ["0"]}, "chi_lambda[0]"),
-        ({"sigma": [0, True]}, "sigma[1]"),
-        ({"Lambda_cap": 2.5}, "Lambda_cap"),
-        ({"N_Lambda": 0.5}, "N_Lambda"),
-        ({**GAMMA_TABLE, "chi_gamma": [1.5]}, "chi_gamma[0]"),
-        ({**GAMMA_TABLE, "Gamma_cap": 1.5}, "Gamma_cap"),
-        ({"Lambda_cap": 10**400}, "schedule.Lambda_cap"),
-    ],
-    ids=[
-        "sigma_beta_fraction", "chi_beta_fraction", "chi_lambda_text", "sigma_boolean",
-        "lambda_cap_fraction", "n_lambda_fraction", "chi_gamma_fraction", "gamma_cap_fraction",
-        "lambda_cap_huge_integer",
-    ],
-)
-def test_table_schedule_fractional_rate_entry_is_config_error(tmp_path, capsys, overrides, field):
-    cfg = write_config(tmp_path / "frac.json", schedule=table_schedule(**overrides))
-    assert_config_error(capsys, cfg, field)
-
-
-def test_table_schedule_whole_float_entries_are_accepted(tmp_path):
-    # 2.0 is a whole number: read as 2, like the JSON integer
-    cfg = write_config(
-        tmp_path / "whole.json",
-        schedule=table_schedule(sigma_beta=[float(k) for k in range(30)], Lambda_cap=2.0),
-        modulus_horizon=3000,
-    )
-    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize(
@@ -576,7 +437,6 @@ def test_run_field_below_its_least_value_is_config_error(tmp_path, capsys, overr
     [
         ({"space": {"name": "euclidean", "dim": 2, "box_radious": 3.0}}, "space.box_radious"),
         ({"schedule": {"name": "example", "lambda": 0.5, "lamda": 0.9}}, "schedule.lamda"),
-        ({"schedule": table_schedule(Lambda_kap=2)}, "schedule.Lambda_kap"),
         ({"family": {"name": "identity", "factor": 0.5}}, "family.factor"),
         ({"family": {**FORWARD_BACKWARD, "A": {"name": "l1", "rho": 1.0, "r": 2}}}, "family.A.r"),
         ({"family": {**FORWARD_BACKWARD, "B": {"name": "zero", "diag": [1.0]}}}, "family.B.diag"),
@@ -588,7 +448,7 @@ def test_run_field_below_its_least_value_is_config_error(tmp_path, capsys, overr
         ),
     ],
     ids=[
-        "space_typo", "schedule_typo", "table_typo", "family_foreign_field", "operator_a_typo",
+        "space_typo", "schedule_typo", "family_foreign_field", "operator_a_typo",
         "operator_b_foreign_field", "operator_a_not_object", "tree_point_foreign_field",
     ],
 )
@@ -617,24 +477,6 @@ def test_nested_unknown_field_is_config_error(tmp_path, capsys, overrides, field
 )
 def test_family_on_a_space_it_cannot_act_on_is_config_error(tmp_path, capsys, overrides):
     assert_config_error(capsys, write_config(tmp_path / "mismatch.json", **overrides), "space.name")
-
-
-@pytest.mark.parametrize(
-    "overrides, field",
-    [
-        ({"sigma_beta": 5}, "sigma_beta"),
-        ({"beta": 0.5}, "beta"),
-        ({"beta": ["abc"]}, "beta[0]"),
-        ({"lambda": [0.5, None]}, "lambda[1]"),
-    ],
-    ids=["rate_table_number", "sequence_table_number", "sequence_entry_text",
-         "sequence_entry_null"],
-)
-def test_table_schedule_field_that_is_not_a_list_of_numbers_is_config_error(
-    tmp_path, capsys, overrides, field
-):
-    cfg = write_config(tmp_path / "table.json", schedule=table_schedule(**overrides))
-    assert_config_error(capsys, cfg, field)
 
 
 @pytest.mark.parametrize(

@@ -22,11 +22,7 @@ from tmann.mappings import (
     soft_threshold,
     tree_contraction_family,
 )
-from tmann.sequences import (
-    builtin_example_schedule,
-    oracle_cauchy_modulus,
-    schedule_from_tables,
-)
+from tmann.sequences import builtin_example_schedule, oracle_cauchy_modulus
 
 GAMMA_EXAMPLE = lambda n: 1.0 + 1.0 / (n + 1)
 
@@ -251,17 +247,16 @@ def test_chi_T_for_selects_certificate():
 
 
 def test_constant_family_declares_zero_under_a_schedule_without_gamma():
-    ones = schedule_from_tables(
-        "ones", beta=[1.0], lam=[1.0], sigma_beta=[0], chi_beta=[0], chi_lambda=[0],
-        sigma=[0], Lambda_cap=1, N_Lambda=0,
+    no_gamma = replace(
+        builtin_example_schedule(0.5), gamma=None, chi_gamma=None, Gamma_cap=None, N_Gamma=None
     )
-    assert not ones.has_gamma
+    assert not no_gamma.has_gamma
     for family in (
         identity_family(np.zeros(1)),
         box_projection_family([-1.0], [1.0]),
         tree_contraction_family(0.5),
     ):
-        assert [chi_T_for(family, ones, M=2)(k) for k in range(4)] == [0, 0, 0, 0]
+        assert [chi_T_for(family, no_gamma, M=2)(k) for k in range(4)] == [0, 0, 0, 0]
 
 
 def test_schedule_gamma_modulus_wins_over_a_declared_chi_T():

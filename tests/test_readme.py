@@ -1,5 +1,5 @@
 """The README's library session runs as written, and its config schema
-names every kind the CLI reads."""
+names every kind the CLI reads and no other."""
 
 import re
 from pathlib import Path
@@ -21,5 +21,8 @@ def test_readme_python_session_runs(capsys):
 def test_readme_config_schema_names_every_kind():
     schema = re.search(r"### Config schema\n\n```jsonc\n(.*?)```", README.read_text(), re.DOTALL)
     tables = (cli.SPACES, cli.SCHEDULES, cli.FAMILIES, cli.MONOTONE_OPS, cli.COCOERCIVE_OPS)
-    missing = [name for table in tables for name in table if f'"{name}"' not in schema.group(1)]
+    kinds = {name for table in tables for name in table}
+    missing = sorted(name for name in kinds if f'"{name}"' not in schema.group(1))
     assert not missing, missing
+    unknown = sorted(set(re.findall(r'"name": "(\w+)"', schema.group(1))) - kinds)
+    assert not unknown, unknown

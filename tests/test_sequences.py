@@ -19,7 +19,6 @@ from tmann.sequences import (
     oracle_product_rate,
     product_tree,
     psi0,
-    schedule_from_tables,
     terms,
     validate_schedule_moduli,
 )
@@ -165,16 +164,23 @@ def test_convergence_oracle_reciprocal_decay():
     assert set(table.validate(lambda k: k)) == {"pass"}
 
 
+def hand_built(beta, **fields):
+    """The builtin linear schedule with the sequence ``beta``, a plain
+    callable, and no declared ``inverse_product``: ``psi0`` then takes the
+    exact product of its terms."""
+    return dataclasses.replace(
+        builtin_linear_schedule(0.5), beta=beta, inverse_product=None, **fields
+    )
+
+
+def repeat_last(entries):
+    """The sequence of ``entries`` that repeats its last entry."""
+    return lambda n: entries[min(n, len(entries) - 1)]
+
+
 def test_psi0_trivial_cases():
-    ones = schedule_from_tables(
-        "ones", beta=[1.0], lam=[0.5], sigma_beta=[0], chi_beta=[0],
-        chi_lambda=[0], sigma=[0], Lambda_cap=2, N_Lambda=0,
-    )
-    assert psi0(ones, lambda k: 5, 0) == 1
-    halves = schedule_from_tables(
-        "halves", beta=[0.5], lam=[0.5], sigma_beta=[0], chi_beta=[0],
-        chi_lambda=[0], sigma=[0], Lambda_cap=2, N_Lambda=0,
-    )
+    assert psi0(hand_built(lambda n: 1.0), lambda k: 5, 0) == 1
+    halves = hand_built(lambda n: 0.5)
     assert psi0(halves, lambda k: 2, 7) == 8  # product over 3 factors = 1/8
 
 
@@ -189,29 +195,20 @@ def test_psi0_minimality_invariant():
 
 
 def test_psi0_rejects_zero_factor():
-    sch = schedule_from_tables(
-        "zero_start", beta=[0.0, 0.0, 1.0], lam=[0.5], sigma_beta=[0], chi_beta=[0],
-        chi_lambda=[0], sigma=[0], Lambda_cap=2, N_Lambda=0,
-    )
+    sch = hand_built(repeat_last([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError, match="not positive"):
         psi0(sch, lambda k: 2, 0)
-
-
-def halves_table(chi_beta=(0,)):
-    return schedule_from_tables(
-        "halves", beta=[0.5], lam=[0.5], sigma_beta=[0], chi_beta=list(chi_beta),
-        chi_lambda=[0], sigma=[0], Lambda_cap=2, N_Lambda=0,
-    )
 
 
 @pytest.mark.parametrize("upper", [1_022, 1_023, 1_100, 9_998, 20_000, 100_000])
 def test_psi0_of_halves_is_an_exact_power_of_two(upper):
     # the product is 2^-(upper+1), far below the smallest double past upper 1,073
-    assert psi0(halves_table(), lambda k: upper, 0) == 2 ** (upper + 1)
+    assert psi0(hand_built(lambda n: 0.5), lambda k: upper, 0) == 2 ** (upper + 1)
 
 
-def test_minimal_general_rates_on_a_halving_table_return():
-    bundle = general_rates(halves_table([2000]), 1, lambda k: 0, psi0=psi0)
+def test_minimal_general_rates_on_a_halving_schedule_return():
+    halves = hand_built(lambda n: 0.5, sigma_beta=lambda k: 0, chi_beta=lambda k: 2000)
+    bundle = general_rates(halves, 1, lambda k: 0, psi0=psi0)
     # psi0(0) = 2^2001 and sigma_beta = 0, so Sigma(0) = (chi(2) + 1) + 1
     assert bundle.Sigma(0) == 2000 + 1 + 1
 
@@ -247,11 +244,8 @@ def test_builtin_inverse_products_equal_the_exact_products():
     ),
     upper=st.integers(0, 300),
 )
-def test_psi0_of_a_table_is_the_least_exact_bound(entries, upper):
-    schedule = schedule_from_tables(
-        "t", beta=entries, lam=[0.5], sigma_beta=[0], chi_beta=[0],
-        chi_lambda=[0], sigma=[0], Lambda_cap=2, N_Lambda=0,
-    )
+def test_psi0_of_a_repeat_last_beta_is_the_least_exact_bound(entries, upper):
+    schedule = hand_built(repeat_last(entries))
     product = math.prod(Fraction(schedule.beta(n + 1)) for n in range(upper + 1))
     value = psi0(schedule, lambda k: upper, 0)
     assert Fraction(1, value) <= product
@@ -287,6 +281,21 @@ def test_product_tree_equals_a_running_product(ratios):
         assert product_tree(part) == math.prod(part)
 
 
+@pytest.mark.parametrize(
+    "missing",
+    [("chi_gamma",), ("gamma", "N_Gamma"), ("chi_gamma", "Gamma_cap", "N_Gamma")],
+    ids=["chi_gamma", "gamma_and_n_gamma", "all_but_gamma"],
+)
+def test_incomplete_gamma_certificate_names_the_missing_parts(missing):
+    builtin = builtin_linear_schedule(0.5)
+    message = f"incomplete gamma certificate: missing {', '.join(missing)} "
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(builtin, **dict.fromkeys(missing))
+    # all four gone is a schedule without gamma
+    parts = ("gamma", "chi_gamma", "Gamma_cap", "N_Gamma")
+    assert not dataclasses.replace(builtin, **dict.fromkeys(parts)).has_gamma
+
+
 def test_schedule_validation_quick():
     for sch in (builtin_example_schedule(0.5), builtin_linear_schedule(1.0 / 3.0)):
         report = validate_schedule_moduli(sch, k_max=10, horizon=20_000)
@@ -295,19 +304,30 @@ def test_schedule_validation_quick():
 
 
 def test_schedule_validation_catches_bad_modulus():
-    bad = schedule_from_tables(
-        "bad",
-        beta=[1.0 - 1.0 / (n + 1) for n in range(2000)],
-        lam=[0.5],
-        sigma_beta=[0],  # claims the product is below 1/(k+1) immediately: false
-        chi_beta=[0],
-        chi_lambda=[0],
-        sigma=[0],
-        Lambda_cap=2,
-        N_Lambda=0,
-    )
+    # claims the product 1/(N+2) is below 1/(k+1) from N = 0 on: false from k = 2
+    bad = dataclasses.replace(builtin_example_schedule(0.5), sigma_beta=lambda k: 0)
     report = validate_schedule_moduli(bad, k_max=5, horizon=1000)
     assert report.status == "fail"
+    assert "sigma_beta   pass 2, inconclusive 0, fail 4  FAILED at k=2" in report.summary()
+
+
+@pytest.mark.parametrize(
+    "fields, line",
+    [
+        # lambda_n = 0.5 lies below 1/Lambda_cap = 1 from N_Lambda = 0 on
+        ({"Lambda_cap": 1}, "lambda cap   VIOLATED"),
+        # gamma_n = 0.25 lies below 1/Gamma_cap = 1 from N_Gamma = 0 on
+        ({"gamma": lambda n: 0.25}, "gamma cap    VIOLATED"),
+        # lambda_n = 1.25 lies 0.25 beyond [0, 1]
+        ({"lam": lambda n: 1.25}, "range excursion beyond [0, 1]: 2.500e-01"),
+    ],
+    ids=["lambda_cap", "gamma_cap", "lambda_above_one"],
+)
+def test_schedule_validation_fails_a_violated_cap_or_range(fields, line):
+    schedule = dataclasses.replace(builtin_example_schedule(0.5), **fields)
+    report = validate_schedule_moduli(schedule, k_max=5, horizon=1000)
+    assert report.status == "fail"
+    assert line in report.summary()
 
 
 def test_validate_fails_what_the_window_refutes():
@@ -326,16 +346,6 @@ def test_validate_fails_below_a_minimum_in_the_guard_stretch():
     assert table.minimal == (0, 0, 100) and table.conclusive == (True, True, False)
     assert table.validate(lambda k: 99) == ("pass", "pass", "fail")
     assert table.validate(lambda k: 100) == ("pass", "pass", "inconclusive")
-
-
-def test_table_schedule_extends_last_entry():
-    sch = schedule_from_tables(
-        "tbl", beta=[0.0, 0.25, 0.5], lam=[0.5], sigma_beta=[0], chi_beta=[0],
-        chi_lambda=[0], sigma=[0], Lambda_cap=2, N_Lambda=0,
-    )
-    assert sch.beta(2) == 0.5
-    assert sch.beta(100) == 0.5
-    assert sch.lam(100) == 0.5
 
 
 @settings(max_examples=60, deadline=None)
@@ -406,26 +416,17 @@ def test_convergence_oracle_matches_a_plain_scan(values, limit, k_max):
     assert table.minimal == expected
 
 
-def _table_schedule_with_gamma():
-    return schedule_from_tables(
-        "tbl", beta=[0.0, 0.25, 0.5, 1.0 / 3.0], lam=[0.5, 0.7, 0.1], sigma_beta=[0],
-        chi_beta=[0], chi_lambda=[0], sigma=[0], Lambda_cap=10, N_Lambda=0,
-        gamma=[2.0, 1.0 / 7.0], chi_gamma=[0], Gamma_cap=7, N_Gamma=0,
-    )
-
-
 SCHEDULES = {
     "example": lambda: builtin_example_schedule(0.5),
     "example_third": lambda: builtin_example_schedule(1.0 / 3.0),
     "linear": lambda: builtin_linear_schedule(0.3),
-    "table": _table_schedule_with_gamma,
 }
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULES))
 def test_schedule_arrays_equal_scalar_terms(name):
     sch = SCHEDULES[name]()
-    # past the table's last entry, and the large indices a long oracle reads
+    # the indices a short orbit reads, and the large indices a long oracle reads
     ns = np.concatenate([np.arange(60), np.arange(99_990, 100_010), [2**40 + 7]])
     for seq in (sch.beta, sch.lam, sch.gamma):
         scalars = [seq(int(n)) for n in ns]

@@ -1,10 +1,8 @@
-import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tmann import cli
 from tmann.geometry import EuclideanSpace
 from tmann.iterate import (
     ProblemInstance,
@@ -29,7 +27,6 @@ from tmann.rates import certify_rate, general_rates
 from tmann.sequences import (
     builtin_example_schedule,
     builtin_linear_schedule,
-    schedule_from_tables,
     validate_schedule_moduli,
 )
 
@@ -215,20 +212,8 @@ def test_tfb_rates_match_example_numbers():
 
 
 def test_tfb_rates_constant_gamma_modulus_collapses_to_n_gamma():
-    schedule = schedule_from_tables(
-        "const_gamma",
-        beta=[1.0 - 1.0 / (n + 1) for n in range(50)],
-        lam=[0.5],
-        sigma_beta=[0],
-        chi_beta=[0],
-        chi_lambda=[0],
-        sigma=[0],
-        Lambda_cap=2,
-        N_Lambda=0,
-        gamma=[1.5],
-        chi_gamma=[0],
-        Gamma_cap=1,
-        N_Gamma=3,
+    schedule = replace(
+        builtin_example_schedule(0.5), gamma=lambda n: 1.5, chi_gamma=lambda k: 0, N_Gamma=3
     )
     # constant gamma has modulus 0, so chi_T collapses to N_Gamma
     from tmann.mappings import chi_T_from_gamma
@@ -239,26 +224,7 @@ def test_tfb_rates_constant_gamma_modulus_collapses_to_n_gamma():
     assert bundle.chi(0) >= 3
 
 
-def test_tfb_rates_missing_gamma_names_ingredient(tmp_path):
-    # a forward-backward problem takes its step sizes from the schedule
-    config = tmp_path / "fb_no_gamma.json"
-    config.write_text(json.dumps({
-        "space": {"name": "euclidean", "dim": 1},
-        "family": {"name": "forward_backward", "A": {"name": "zero"}, "B": {"name": "zero"}},
-        "schedule": {
-            "name": "table", "beta": [0.5], "lambda": [0.5], "sigma_beta": [0],
-            "chi_beta": [0], "chi_lambda": [0], "sigma": [0], "Lambda_cap": 2, "N_Lambda": 0,
-        },
-        "u": [0.0], "x0": [1.0], "p": [0.0],
-    }))
-    with pytest.raises(cli.ConfigError, match="gamma"):
-        cli.build_problem(cli.parse_config(config))
-
-
 def test_run_tfb_rejects_out_of_range_lambda():
-    schedule = schedule_from_tables(
-        "lam_zero", beta=[0.5], lam=[0.0], sigma_beta=[0], chi_beta=[0],
-        chi_lambda=[0], sigma=[0], Lambda_cap=1, N_Lambda=0,
-        gamma=[1.0], chi_gamma=[0], Gamma_cap=1, N_Gamma=0,
-    )
-    assert validate_schedule_moduli(schedule, k_max=2, horizon=20).status == "fail"
+    schedule = replace(builtin_example_schedule(0.5), lam=lambda n: 0.0, Lambda_cap=1)
+    report = validate_schedule_moduli(schedule, k_max=2, horizon=20)
+    assert report.status == "fail" and not report.lambda_cap_ok
