@@ -365,6 +365,10 @@ TREE_POINTS = {"u": {"ray": 0, "t": 0.0}, "x0": {"ray": 1, "t": 1.0}, "p": {"ray
             "u.ray",
         ),
         ({"schedule": {"name": "linear", "lambda": "0.5"}}, "schedule.lambda"),
+        ({"schedule": {"name": "example", "lambda": True}}, "schedule.lambda"),
+        ({"schedule": {"name": "linear", "lambda": None}}, "schedule.lambda"),
+        ({"schedule": {"name": "example", "lambda": [0.5]}}, "schedule.lambda"),
+        ({"schedule": {"name": "linear", "lambda": 10**400}}, "schedule.lambda"),
         ({"family": {"name": "tree_contraction", "factor": "half"}}, "family.factor"),
         ({"family": {"name": "resolvent_l1", "weight": [1.0]}}, "family.weight"),
         (
@@ -385,7 +389,8 @@ TREE_POINTS = {"u": {"ray": 0, "t": 0.0}, "x0": {"ray": 1, "t": 1.0}, "p": {"ray
     ],
     ids=[
         "dim_fraction", "dim_text", "box_radius_text", "num_rays_fraction",
-        "max_radius_boolean", "tree_point_ray_fraction", "lambda_text", "factor_text",
+        "max_radius_boolean", "tree_point_ray_fraction", "lambda_text", "lambda_boolean",
+        "lambda_null", "lambda_list", "lambda_huge_integer", "factor_text",
         "weight_list", "rho_text", "box_lo_short", "operator_box_lo_short",
         "operator_diag_short", "matrix_too_small", "vector_entry_text", "vector_entry_null",
         "point_numeric_text", "vector_numeric_text",
@@ -501,6 +506,10 @@ def test_nested_missing_field_is_named_by_path(tmp_path, capsys, overrides, fiel
     [
         ({"space": {"name": "euclidean", "dim": 0}}, "'space'"),
         ({"schedule": {"name": "example", "lambda": 1.5}}, "'schedule'"),
+        # lambda lies in the open interval (0, 1): both ends are refused
+        ({"schedule": {"name": "example", "lambda": 0.0}}, "'schedule'"),
+        ({"schedule": {"name": "linear", "lambda": 1.0}}, "'schedule'"),
+        ({"schedule": {"name": "linear", "lambda": -0.5}}, "'schedule'"),
         # 1 / lambda overflows to inf, which has no integer ceiling
         ({"schedule": {"name": "linear", "lambda": 1e-310}}, "'schedule'"),
         (
@@ -512,6 +521,9 @@ def test_nested_missing_field_is_named_by_path(tmp_path, capsys, overrides, fiel
     ids=[
         "space_dim_zero",
         "schedule_lambda_above_one",
+        "schedule_lambda_zero",
+        "schedule_lambda_one",
+        "schedule_lambda_negative",
         "schedule_lambda_reciprocal_overflows",
         "family_factor_above_one",
     ],

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -69,6 +70,15 @@ def test_linear_product_telescopes():
         assert prod == pytest.approx(2.0 / ((n + 2) * (n + 3)))
 
 
+@pytest.mark.parametrize("make", [builtin_example_schedule, builtin_linear_schedule])
+@pytest.mark.parametrize(
+    "lam", [0.0, 1.0, -0.25, math.nan], ids=["zero", "one", "negative", "nan"]
+)
+def test_builtin_schedule_refuses_lambda_outside_the_open_unit_interval(make, lam):
+    with pytest.raises(ValueError, match=r"lambda must lie in \(0, 1\)"):
+        make(lam)
+
+
 def test_ceil_reciprocal_robust():
     assert ceil_reciprocal(0.5) == 2
     assert ceil_reciprocal(1.0 / 3.0) == 3
@@ -136,6 +146,18 @@ def test_cauchy_oracle_rejects_negative_terms():
         oracle_cauchy_modulus([1.0, -0.5], k_max=0, horizon=1)
 
 
+@pytest.mark.parametrize("factor", [-0.5, 1.5])
+def test_product_oracle_rejects_beta_outside_the_unit_interval(factor):
+    with pytest.raises(ValueError, match=r"beta values must lie in \[0, 1\]"):
+        oracle_product_rate([1.0, 0.5, factor, 0.5], k_max=2, horizon=2)
+
+
+def test_oracle_search_needs_one_term_per_index():
+    # the horizon 10 needs the 12 values beta_0 .. beta_11, so 11 factors
+    with pytest.raises(ValueError, match="horizon 10 needs 11 terms, got 4"):
+        oracle_product_rate([1.0, 0.5, 0.5, 0.5, 0.5], k_max=2, horizon=10)
+
+
 def test_product_oracle_example_schedule():
     sch = builtin_example_schedule(0.5)
     table = oracle_product_rate(terms(sch.beta, np.arange(5002)), k_max=6, horizon=5000)
@@ -198,6 +220,18 @@ def test_psi0_rejects_zero_factor():
     sch = hand_built(repeat_last([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError, match="not positive"):
         psi0(sch, lambda k: 2, 0)
+
+
+@pytest.mark.parametrize("factor", [-0.5, math.nan], ids=["negative", "nan"])
+def test_psi0_names_the_first_factor_that_is_not_positive(factor):
+    sch = hand_built(repeat_last([1.0, 0.5, factor, factor, 1.0]))
+    with pytest.raises(ValueError, match=re.escape(f"beta_{{2}} = {factor!r} is not positive")):
+        psi0(sch, lambda k: 4, 0)
+
+
+def test_psi0_rejects_a_negative_upper_index():
+    with pytest.raises(ValueError, match="chi\\(3k\\+2\\) must be >= 0, got -1"):
+        psi0(builtin_example_schedule(0.5), lambda k: -1, 0)
 
 
 @pytest.mark.parametrize("upper", [1_022, 1_023, 1_100, 9_998, 20_000, 100_000])
@@ -328,6 +362,15 @@ def test_schedule_validation_fails_a_violated_cap_or_range(fields, line):
     report = validate_schedule_moduli(schedule, k_max=5, horizon=1000)
     assert report.status == "fail"
     assert line in report.summary()
+
+
+def test_schedule_without_gamma_validates_without_a_gamma_row():
+    parts = ("gamma", "chi_gamma", "Gamma_cap", "N_Gamma")
+    schedule = dataclasses.replace(builtin_example_schedule(0.5), **dict.fromkeys(parts))
+    report = validate_schedule_moduli(schedule, k_max=5, horizon=1000)
+    assert report.status == "pass" and report.gamma_cap_ok is None
+    assert "chi_gamma" not in report.moduli
+    assert "gamma" not in report.summary()
 
 
 def test_validate_fails_what_the_window_refutes():
