@@ -34,29 +34,23 @@ class Row:
         return f"{self.name:<{width}} worst excess {self.worst_excess: .3e}{where}"
 
 
-def worst_row(name: str, excess, at: Callable[[int], Any] = lambda i: i) -> Row:
-    """The row of the largest entry of ``excess``; the first NaN, if any, is
-    the largest.  ``at(i)`` says where entry i happened (by default, step i)."""
-    i = int(np.argmax(excess))
-    return Row(name, float(excess[i]), at(i))
-
-
-def worst_row_in_blocks(name: str, blocks) -> Row:
-    """``worst_row`` of the concatenation of the non-empty arrays that
-    ``blocks`` yields, read one block at a time and never joined: the first
-    largest entry, or the first NaN, at its step in the whole sequence.
-    Raises ValueError, naming the check, when ``blocks`` yields nothing."""
-    worst, at, start = None, None, 0
+def worst_row(name: str, blocks, at: Callable[[int], Any] = lambda i: i) -> Row:
+    """The row of the largest entry of the non-empty arrays that ``blocks``
+    yields, read one block at a time and never joined: the first NaN if
+    there is one, else the first largest.  ``at(i)`` says where entry i of
+    the whole sequence happened (by default, step i).  Raises ValueError,
+    naming the check, when ``blocks`` yields nothing."""
+    worst, where, start = None, None, 0
     for excess in blocks:
         i = int(np.argmax(excess))
         value = float(excess[i])
         # a later block wins only with a larger entry or the first NaN
         if worst is None or (worst == worst and not value <= worst):
-            worst, at = value, start + i
+            worst, where = value, start + i
         start += len(excess)
     if worst is None:
         raise ValueError(f"check {name!r} needs at least one sequence entry")
-    return Row(name, worst, at)
+    return Row(name, worst, at(where))
 
 
 @dataclass(frozen=True)

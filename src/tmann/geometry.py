@@ -419,6 +419,6 @@ def check_w_axioms(
     }
     return Section(
         title=f"axiom check on {space.name}: {samples} samples, tol {tol!r}",
-        checks=tuple(worst_row(key, violations[key], at=lambda i: None) for key in AXIOM_CHECKS),
+        checks=tuple(worst_row(k, (violations[k],), at=lambda i: None) for k in AXIOM_CHECKS),
         tol=tol,
     )

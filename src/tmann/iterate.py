@@ -26,14 +26,14 @@ point or anything ``as_point`` accepts.  The loop stores only x_n, in a
 point array (an (n, d) float array on Euclidean space, ray and radius arrays
 on the star tree); u_n = W(u, x_n, beta_n) comes from ``combine_array``
 after it, in blocks of ``BLOCK_ROWS`` rows, equal to the loop's u_n row by
-row.  Every residual and distance sequence, which is what rate
-certification consumes, is then computed from the stored orbit with array
-operations in blocks of the same size, and the recursion checks read them
-a block at a time, so no temporary spans the horizon.  Each instance keeps
-its latest anchored orbit, read only, so an instance runs the loop once per
-horizon: the Halpern trace replays the Halpern steps on the stored orbit
-with array operations, and the Halpern check reads its defects off that
-trace.
+row.  The three residual sequences, which ``trace.csv`` writes and rate
+certification consumes, are then computed from the stored orbit with array
+operations in blocks of the same size.  The orbit checks read them, and
+compute the distances only they need from the stored orbit, a block at a
+time, so no temporary spans the horizon.  Each instance keeps its latest
+anchored orbit, read only, so an instance runs the loop once per horizon:
+the Halpern trace replays the Halpern steps on the stored orbit with array
+operations, and the Halpern check reads its defects off that trace.
 
 The per-step checkers assert, along a computed orbit, the bounds the rate
 theorems rest on.  These are theorems for exact arithmetic: a violation
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import Row, Section, worst_row_in_blocks
+from .checks import Row, Section, worst_row
 from .geometry import Point, Points, Space, TreePoints
 from .mappings import MappingFamily
 from .sequences import ParamSchedule, _int_ceil, terms
@@ -137,30 +137,23 @@ def _repeat(space: Space, point: Point, count: int) -> Points:
 
 @dataclass(eq=False)
 class IterationTrace:
-    """Recorded orbit data.
+    """Recorded orbit data: the orbit and the three residual sequences
+    that ``trace.csv`` writes and rate certification reads, indexed by
+    step n < horizon:
 
-    Scalar sequences (always present, indexed by step n):
-
-        residual_step[n] = d(x_n, x_{n+1})            n < horizon
-        residual_T[n]    = d(x_n, T_n x_n)            n < horizon
-        tfam_gap[n]      = d(T_{n+1} u_n, T_n u_n)    n < horizon
-        dist_u_succ[n]   = d(u_{n+1}, u_n)            n < horizon - 1
-        dist_x_p, dist_x_u                            n <= horizon
-        dist_u_p, dist_u_Tu                           n < horizon
+        residual_step[n] = d(x_n, x_{n+1})
+        residual_T[n]    = d(x_n, T_n x_n)
+        tfam_gap[n]      = d(T_{n+1} u_n, T_n u_n)
 
     ``x`` holds the horizon + 1 points x_n and ``u_seq`` the horizon points
-    u_n, each as a point array of the space.
+    u_n, each as a point array of the space.  The orbit checks compute any
+    other distance they need from these point arrays.
     """
 
     horizon: int
     residual_step: np.ndarray
     residual_T: np.ndarray
     tfam_gap: np.ndarray
-    dist_u_succ: np.ndarray
-    dist_x_p: np.ndarray
-    dist_x_u: np.ndarray
-    dist_u_p: np.ndarray
-    dist_u_Tu: np.ndarray
     x: Points
     u_seq: Points
 
@@ -263,35 +256,25 @@ def _orbit(instance: ProblemInstance, horizon: int) -> tuple[Points, Points]:
 
 def run_tikhonov_mann(instance: ProblemInstance, horizon: int) -> IterationTrace:
     """Run the anchored iteration for ``horizon`` steps and record its orbit
-    and residuals.  The eight sequences are filled in blocks of
+    and residuals.  The three residual sequences are filled in blocks of
     ``BLOCK_ROWS`` steps, so no temporary spans the horizon."""
     xs, us = _orbit(instance, horizon)
-    sp, fam, u, p = instance.space, instance.family, instance.u, instance.p
-    dist, H = sp.dist_array, horizon
-    seqs = [np.empty(size) for size in (H, H, H, H - 1, H + 1, H + 1, H, H)]
-    step, res_T, gap, u_succ, x_p, x_u, u_p, u_Tu = seqs
-    for rows in blocks(H):
-        s, e = rows.start, rows.stop
-        ns, x_n, u_n = np.arange(s, e), xs[rows], us[rows]
-        t_us = fam.eval_array(sp, ns, u_n)  # equal to the loop's T_n u_n bit for bit
-        step[rows] = dist(x_n, xs[s + 1 : e + 1])
+    sp, fam, dist = instance.space, instance.family, instance.space.dist_array
+    step, res_T, gap = np.empty(horizon), np.empty(horizon), np.empty(horizon)
+    for rows in blocks(horizon):
+        ns, x_n, u_n = np.arange(rows.start, rows.stop), xs[rows], us[rows]
+        step[rows] = dist(x_n, xs[rows.start + 1 : rows.stop + 1])
         res_T[rows] = dist(x_n, fam.eval_array(sp, ns, x_n))
-        gap[rows] = dist(fam.eval_array(sp, ns + 1, u_n), t_us)
-        m = min(e, H - 1)  # d(u_{n+1}, u_n) ends at n = H - 2
-        u_succ[s:m] = dist(us[s + 1 : m + 1], us[s:m])
-        x_p[s : e + 1] = dist(xs[s : e + 1], p)  # x_e again in the next block
-        x_u[s : e + 1] = dist(xs[s : e + 1], u)
-        u_p[rows] = dist(u_n, p)
-        u_Tu[rows] = dist(u_n, t_us)
-    return IterationTrace(H, *seqs, x=xs, u_seq=us)
+        gap[rows] = dist(fam.eval_array(sp, ns + 1, u_n), fam.eval_array(sp, ns, u_n))
+    return IterationTrace(horizon, step, res_T, gap, x=xs, u_seq=us)
 
 
 @dataclass(eq=False)
 class HalpernTrace:
     """The modified Halpern iteration's y sequence (horizon + 1 points) and
-    v sequence (horizon points), as point arrays.  Its residuals are the
-    anchored trace's ``dist_u_succ`` and ``dist_u_Tu``, as y_n = u_n; the
-    last step residual d(y_{horizon-1}, y_horizon) is not kept."""
+    v sequence (horizon points), as point arrays.  It keeps no residuals:
+    as y_n = u_n, d(y_n, T_n y_n) and d(y_{n+1}, y_n) are distances of the
+    anchored trace's ``u_seq``."""
 
     horizon: int
     y: Points
@@ -391,20 +374,24 @@ def check_basic_bounds(
     instance: ProblemInstance, trace: IterationTrace, tol: float = 1e-9
 ) -> Section:
     """Orbit boundedness: scan d(x_n, p) <= M, d(x_n, u) <= 2M,
-    d(u_n, p) <= M and d(u_n, T_n u_n) <= 2M along the whole recorded
-    orbit."""
-    M = float(instance.M)
+    d(u_n, p) <= M and d(u_n, T_n u_n) <= 2M along the stored orbit, a
+    block of ``BLOCK_ROWS`` steps at a time."""
+    sp, fam, M, H = instance.space, instance.family, float(instance.M), trace.horizon
+    dist, xs, us, u, p = sp.dist_array, trace.x, trace.u_seq, instance.u, instance.p
 
-    def worst(values: np.ndarray, name: str, bound: float) -> BoundCheck:
-        idx = int(np.argmax(values))
-        value = float(values[idx])
-        return BoundCheck(name, value - bound, idx, bound=bound, worst_value=value)
+    def bounded(name: str, bound: float, count: int, distances) -> BoundCheck:
+        row = worst_row(name, map(distances, blocks(count)))
+        value = row.worst_excess
+        return BoundCheck(name, value - bound, row.at, bound=bound, worst_value=value)
+
+    def residual(rows):  # d(u_n, T_n u_n)
+        return dist(us[rows], fam.eval_array(sp, np.arange(rows.start, rows.stop), us[rows]))
 
     checks = (
-        worst(trace.dist_x_p, "d(x_n, p)", M),
-        worst(trace.dist_x_u, "d(x_n, u)", 2 * M),
-        worst(trace.dist_u_p, "d(u_n, p)", M),
-        worst(trace.dist_u_Tu, "d(u_n, T_n u_n)", 2 * M),
+        bounded("d(x_n, p)", M, H + 1, lambda rows: dist(xs[rows], p)),
+        bounded("d(x_n, u)", 2 * M, H + 1, lambda rows: dist(xs[rows], u)),
+        bounded("d(u_n, p)", M, H, lambda rows: dist(us[rows], p)),
+        bounded("d(u_n, T_n u_n)", 2 * M, H, residual),
     )
     return Section(title="orbit bounds:", checks=checks, tol=tol)
 
@@ -428,9 +415,8 @@ def check_recursive_inequalities(
     """
     if trace.horizon < 2:
         raise ValueError("recursion checks need a trace of at least 2 steps")
-    M = float(instance.M)
-    H = trace.horizon
-    sch, step, gap = instance.schedule, trace.residual_step, trace.tfam_gap
+    M, H = float(instance.M), trace.horizon
+    sch, step, gap, us = instance.schedule, trace.residual_step, trace.tfam_gap, trace.u_seq
 
     def scored(name: str, count: int, sides) -> Row:
         """The worst excess of the steps n < count, a block at a time:
@@ -442,10 +428,11 @@ def check_recursive_inequalities(
             lhs, rhs = sides(rows, terms(sch.beta, n), terms(sch.lam, n))
             return lhs - rhs - RECURSION_REL * np.maximum(1.0, rhs)
 
-        return worst_row_in_blocks(name, map(excess, blocks(count)))
+        return worst_row(name, map(excess, blocks(count)))
 
     def anchor_step(rows, beta, lam):  # (a)
-        return trace.dist_u_succ[rows], beta[1:] * step[rows] + 2 * M * np.abs(np.diff(beta))
+        lhs = instance.space.dist_array(us[rows.start + 1 : rows.stop + 1], us[rows])
+        return lhs, beta[1:] * step[rows] + 2 * M * np.abs(np.diff(beta))
 
     def main_recursion(rows, beta, lam):  # (b)
         drift = np.abs(np.diff(lam)) + np.abs(np.diff(beta))

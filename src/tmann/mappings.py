@@ -388,7 +388,7 @@ def check_nonexpansive(
     dist = space.dist_array
     excess = dist(family.eval_array(space, ns, x), family.eval_array(space, ns, y)) - dist(x, y)
     at = lambda i: PointPair(int(ns[i]), x[i], y[i])
-    row = worst_row("d(T_n x, T_n y) <= d(x, y)", excess, at=at)
+    row = worst_row("d(T_n x, T_n y) <= d(x, y)", (excess,), at=at)
     return Section(
         title=f"nonexpansive[{family.name}] on {space.name}: {samples} samples, tol {tol!r}",
         checks=(row,),
@@ -429,7 +429,7 @@ def check_jp2_consequence(
     excess = lhs - np.abs(gamma_m - gamma_n) / gamma_n * space.dist_array(tn_x, xs)
     row = worst_row(
         "d(T_m x, T_n x) <= |gamma_m - gamma_n|/gamma_n d(T_n x, x)",
-        excess,
+        (excess,),
         at=lambda i: IndexPair(int(ms[i]), int(ns[i]), x[rows[i]]),
     )
     return Section(

@@ -36,7 +36,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .checks import Row, Section, worst_row, worst_row_in_blocks
+from .checks import Row, Section, worst_row
 from .iterate import blocks
 from .sequences import ParamSchedule, RateFn, ceil_reciprocal, first_indices
 
@@ -261,7 +261,7 @@ class LinearRates:
         xs = trace.x[ns]
         excesses = space.dist_array(xs, family.eval_array(space, ms, xs)) - self.bound_cross(ns)
         row = worst_row(
-            "d(x_n, T_m x_n) <= 20M/(lam(n+2))", excesses, at=lambda i: int(sample_ns[i // 3])
+            "d(x_n, T_m x_n) <= 20M/(lam(n+2))", (excesses,), at=lambda i: int(sample_ns[i // 3])
         )
         cross = Section(
             title=f"spot check at {len(sample_ns)} sampled n, m in {{0, n//2, 2n}}:",
@@ -311,8 +311,8 @@ def sabach_shtern_check(s: Sequence[float], L: float, tol: float = 1e-9) -> Sect
 
     checks = (
         Row("s_0 <= L", float(values[0] - L), 0),
-        worst_row_in_blocks("recursion", map(recursion, blocks(horizon))),
-        worst_row_in_blocks("conclusion s_n <= 2L/(n+2)", map(conclusion, blocks(horizon + 1))),
+        worst_row("recursion", map(recursion, blocks(horizon))),
+        worst_row("conclusion s_n <= 2L/(n+2)", map(conclusion, blocks(horizon + 1))),
     )
     return Section(
         title=f"sabach-shtern check (L={L:g}, {horizon} steps):", checks=checks, tol=tol
@@ -418,6 +418,6 @@ def check_pointwise_bound(
 
     return Section(
         title=f"pointwise bound over {len(vals)} steps:",
-        checks=(worst_row_in_blocks(name, map(excess, blocks(len(vals)))),),
+        checks=(worst_row(name, map(excess, blocks(len(vals)))),),
         tol=tol,
     )

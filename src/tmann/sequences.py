@@ -446,16 +446,24 @@ def validate_schedule_moduli(
 
     Checks the product rate for beta, the Cauchy moduli for the beta, lambda
     and (when present) gamma difference series, the rate for beta_n -> 1, and
-    the lower-bound certificates for lambda and gamma.
+    the lower-bound certificates for lambda and gamma.  A beta or lambda
+    outside [0, 1] fails the range excursion row, read off the raw terms;
+    the ``sigma_beta`` row is then read on the beta factors clipped to [0, 1].
     """
     indices = np.arange(horizon + 2)
     beta_vals = terms(schedule.beta, indices)
     lam_vals = terms(schedule.lam, indices)
     gamma_vals = terms(schedule.gamma, indices) if schedule.has_gamma else None
     del indices  # one array fewer alive under the oracles, whose peak is the run's
+    excursion = max(
+        float(max(np.max(-vals, initial=0.0), np.max(vals - 1.0, initial=0.0)))
+        for vals in (beta_vals, lam_vals)
+    )
+    # clipping is the identity in range, so only a failing run holds the copy
+    factors = np.clip(beta_vals, 0.0, 1.0) if excursion > 0 else beta_vals
 
     moduli = {
-        "sigma_beta": oracle_product_rate(beta_vals, k_max, horizon).validate(schedule.sigma_beta),
+        "sigma_beta": oracle_product_rate(factors, k_max, horizon).validate(schedule.sigma_beta),
         "chi_beta": oracle_cauchy_modulus(np.abs(np.diff(beta_vals)), k_max, horizon).validate(
             schedule.chi_beta
         ),
@@ -476,10 +484,6 @@ def validate_schedule_moduli(
         gamma_floor = 1.0 / schedule.Gamma_cap - 1e-12
         gamma_cap_ok = bool(np.all(gamma_vals[schedule.N_Gamma :] >= gamma_floor))
 
-    excursion = max(
-        float(max(np.max(-vals, initial=0.0), np.max(vals - 1.0, initial=0.0)))
-        for vals in (beta_vals, lam_vals)
-    )
     return ScheduleValidation(
         schedule=schedule.name,
         k_max=k_max,

@@ -60,12 +60,12 @@ def test_trace_lengths_consistent():
     inst = euclidean_instance(x0=[2.0])
     H = 37
     trace = run_tikhonov_mann(inst, H)
+    fields = [f.name for f in dataclasses.fields(trace)]
+    assert fields == ["horizon", "residual_step", "residual_T", "tfam_gap", "x", "u_seq"]
     assert len(trace.x) == H + 1
     assert len(trace.u_seq) == H
     for arr in (trace.residual_step, trace.residual_T, trace.tfam_gap):
         assert len(arr) == H
-    assert len(trace.dist_u_succ) == H - 1
-    assert len(trace.dist_x_p) == H + 1
     assert np.all(np.isfinite(trace.residual_step))
     assert np.all(trace.residual_step >= 0.0)
 
@@ -76,7 +76,7 @@ def test_m_derivation_and_bounds_on_r1():
     trace = run_tikhonov_mann(inst, 2000)
     report = check_basic_bounds(inst, trace)
     assert report.passed, report.summary()
-    assert np.max(np.abs(trace.dist_x_p)) <= 3.0 + 1e-9
+    assert np.max(inst.space.dist_array(trace.x, inst.p)) <= 3.0 + 1e-9
 
 
 def test_m_clamped_to_one_for_degenerate_instance():
@@ -412,11 +412,12 @@ def test_residuals_and_orbit_checks_keep_no_whole_horizon_temporaries():
     try:
         trace = run_tikhonov_mann(inst, H)
         held = tracemalloc.get_traced_memory()[0]
+        check_basic_bounds(inst, trace)
         check_recursive_inequalities(inst, trace)
         lr.orbit_checks(inst, trace, 1e-9)
         certify_rate(trace.residual_T, lr.rate_T, k_max=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert held > 8 * 8 * H  # the eight sequences
+    assert 3 * 8 * H <= held < 4 * 8 * H  # the three residual sequences
     assert peak - held < 1_000_000

@@ -1,7 +1,8 @@
 """The array orbit kernel against per-step reference loops.
 
-``run_tikhonov_mann`` steps only the anchored recursion and computes every
-residual and distance afterwards with array operations;
+``run_tikhonov_mann`` steps only the anchored recursion and computes its
+residuals afterwards with array operations, and the orbit checks compute
+the distances they need from the stored orbit the same way;
 ``run_modified_halpern`` runs no loop and replays each Halpern step on the
 same stored orbit with ``eval_array`` and ``combine_array``.  The reference
 loops below, one for each iteration, compute each value at its step with
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from tmann import iterate, mappings
+from tmann.checks import Row
 from tmann.geometry import (
     BrokenEuclideanSpace,
     EuclideanSpace,
@@ -22,8 +24,12 @@ from tmann.geometry import (
     TreePoints,
 )
 from tmann.iterate import (
+    RECURSION_REL,
+    BoundCheck,
     ProblemInstance,
+    check_basic_bounds,
     check_halpern_equivalence,
+    check_recursive_inequalities,
     run_modified_halpern,
     run_tikhonov_mann,
 )
@@ -35,26 +41,29 @@ from tmann.mappings import (
     resolvent_quadratic_family,
     tree_contraction_family,
 )
-from tmann.sequences import ParamSchedule, builtin_example_schedule, builtin_linear_schedule
+from tmann.sequences import (
+    ParamSchedule,
+    builtin_example_schedule,
+    builtin_linear_schedule,
+    terms,
+)
+
+from conftest import row_bits
 
 HORIZON = 400
-SEQUENCES = (
-    "residual_step",
-    "residual_T",
-    "tfam_gap",
-    "dist_u_succ",
-    "dist_x_p",
-    "dist_x_u",
-    "dist_u_p",
-    "dist_u_Tu",
-)
+#: The residual sequences an ``IterationTrace`` keeps.
+SEQUENCES = ("residual_step", "residual_T", "tfam_gap")
+#: The distances the orbit checks compute from the stored orbit: d(u_{n+1}, u_n)
+#: for n < horizon - 1, d(x_n, p) and d(x_n, u) for n <= horizon, d(u_n, p)
+#: and d(u_n, T_n u_n) for n < horizon.
+DISTANCES = ("dist_u_succ", "dist_x_p", "dist_x_u", "dist_u_p", "dist_u_Tu")
 
 
 def reference_tikhonov_mann(instance, horizon):
     """The anchored iteration with every value computed at its step."""
     sp, fam, sch = instance.space, instance.family, instance.schedule
     u, p = instance.u, instance.p
-    seqs = {name: [] for name in SEQUENCES}
+    seqs = {name: [] for name in SEQUENCES + DISTANCES}
     x = instance.x0
     xs, us = [x], []
     for n in range(horizon):
@@ -267,14 +276,54 @@ def test_halpern_kernel_matches_per_step_loop(case):
     trace = run_tikhonov_mann(instance, HORIZON)
     assert_points_equal(instance.space, ha.y[:HORIZON], list(trace.u_seq))
     assert_points_equal(instance.space, ha.v, list(trace.x[1:]))
-    assert np.array_equal(trace.dist_u_Tu, np.array(residual_T))
-    assert np.array_equal(trace.dist_u_succ, np.array(residual_step[:-1]))
+    sp, us = instance.space, trace.u_seq
+    t_us = instance.family.eval_array(sp, np.arange(HORIZON), us)
+    assert np.array_equal(sp.dist_array(us, t_us), np.array(residual_T))
+    assert np.array_equal(sp.dist_array(us[1:], us[:-1]), np.array(residual_step[:-1]))
 
     report = check_halpern_equivalence(instance, HORIZON)
     _, xs, us = reference_tikhonov_mann(instance, HORIZON)
-    sp = instance.space
     assert report.max_u_y == max(sp.dist(us[n], ys[n]) for n in range(HORIZON))
     assert report.max_x_v == max(sp.dist(xs[n + 1], vs[n]) for n in range(HORIZON))
+
+
+def first_worst(values):
+    """The index and value of the first NaN of ``values``, else of its first
+    largest entry."""
+    values = np.asarray(values, dtype=float)
+    nans = np.flatnonzero(np.isnan(values))
+    i = int(nans[0]) if nans.size else int(np.argmax(values))
+    return i, float(values[i])
+
+
+#: The orbit-bound rows: name, reference distance, bound in units of M.
+BOUNDS = (
+    ("d(x_n, p)", "dist_x_p", 1),
+    ("d(x_n, u)", "dist_x_u", 2),
+    ("d(u_n, p)", "dist_u_p", 1),
+    ("d(u_n, T_n u_n)", "dist_u_Tu", 2),
+)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_orbit_checks_read_the_per_step_distances(case):
+    # the bound rows and recursion (a) compute their distances from the
+    # stored orbit; each row is the worst entry of the reference's lists
+    instance = CASES[case]()
+    trace = run_tikhonov_mann(instance, HORIZON)
+    seqs, _, _ = reference_tikhonov_mann(instance, HORIZON)
+    M = float(instance.M)
+    for row, (name, seq, factor) in zip(check_basic_bounds(instance, trace).checks, BOUNDS):
+        at, value = first_worst(seqs[seq])
+        bound = factor * M
+        expected = BoundCheck(name, value - bound, at, bound=bound, worst_value=value)
+        assert row_bits(row) == row_bits(expected)
+    beta = terms(instance.schedule.beta, np.arange(HORIZON))
+    rhs = beta[1:] * np.array(seqs["residual_step"][:-1]) + 2 * M * np.abs(np.diff(beta))
+    excess = np.array(seqs["dist_u_succ"]) - rhs - RECURSION_REL * np.maximum(1.0, rhs)
+    at, value = first_worst(excess)
+    anchor_step = check_recursive_inequalities(instance, trace).checks[0]
+    assert row_bits(anchor_step) == row_bits(Row("anchor_step (a)", value, at))
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ failing anything else.
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -79,3 +80,8 @@ def test_many_starts_pass_checks_every_start(tmp_path):
     assert [row["pair"] for row in rows] == [draw["pair"] for draw in DRAWS]
     statuses = ("bounds", "recursions", "sigma", "sigma_T", "halpern")
     assert all(row[column] == "pass" for row in rows for column in statuses)
+    # the worst excesses of the bound and recursion rows parse as finite floats
+    for row in rows:
+        for column in ("worst_bound_excess", "worst_recursion_excess"):
+            value = float(row[column])
+            assert math.isfinite(value) and value <= 1e-9, (column, value)

@@ -267,16 +267,17 @@ def test_check_pointwise_bound_refuses_an_empty_sequence_by_name():
 def pointwise_and_sabach_shtern_rows(case, horizon):
     """The bit patterns of the rows of the pointwise-bound and Sabach-Shtern
     checks on the trace of a fresh ``CASES`` instance: on residual_step and
-    residual_T (horizon entries) and on dist_x_p (horizon + 1), with an
+    residual_T (horizon entries) and on d(x_n, p) (horizon + 1), with an
     index-array bound and a constant one."""
     instance = CASES[case]()
     trace = run_tikhonov_mann(instance, horizon)
     lr = linear_rates(instance.M, 0.5)
+    dist_x_p = instance.space.dist_array(trace.x, instance.p)
     sections = [
         check_pointwise_bound(trace.residual_step, lr.bound_step),
         check_pointwise_bound(trace.residual_T, lr.bound_T),
-        check_pointwise_bound(trace.dist_x_p, lambda n: 0.5 * instance.M),
-        sabach_shtern_check(trace.dist_x_p, L=0.5 * instance.M),
+        check_pointwise_bound(dist_x_p, lambda n: 0.5 * instance.M),
+        sabach_shtern_check(dist_x_p, L=0.5 * instance.M),
     ]
     if horizon >= 2:
         sections.append(sabach_shtern_check(trace.residual_step, L=3.0 * instance.M))

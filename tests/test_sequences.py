@@ -345,6 +345,9 @@ def test_schedule_validation_catches_bad_modulus():
     assert "sigma_beta   pass 2, inconclusive 0, fail 4  FAILED at k=2" in report.summary()
 
 
+EXCURSION_HALF = "range excursion beyond [0, 1]: 5.000e-01"
+
+
 @pytest.mark.parametrize(
     "fields, line",
     [
@@ -354,8 +357,11 @@ def test_schedule_validation_catches_bad_modulus():
         ({"gamma": lambda n: 0.25}, "gamma cap    VIOLATED"),
         # lambda_n = 1.25 lies 0.25 beyond [0, 1]
         ({"lam": lambda n: 1.25}, "range excursion beyond [0, 1]: 2.500e-01"),
+        # beta_5 lies 0.5 beyond [0, 1], which the product oracle alone refuses
+        ({"beta": lambda n: 1.5 if n == 5 else 1.0 - 1.0 / (n + 1)}, EXCURSION_HALF),
+        ({"beta": lambda n: -0.5 if n == 5 else 1.0 - 1.0 / (n + 1)}, EXCURSION_HALF),
     ],
-    ids=["lambda_cap", "gamma_cap", "lambda_above_one"],
+    ids=["lambda_cap", "gamma_cap", "lambda_above_one", "beta_above_one", "beta_below_zero"],
 )
 def test_schedule_validation_fails_a_violated_cap_or_range(fields, line):
     schedule = dataclasses.replace(builtin_example_schedule(0.5), **fields)
