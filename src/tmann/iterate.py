@@ -14,26 +14,28 @@ setting.  The modified Halpern iteration
 
 walks the same orbit when started at y_0 = (1 - beta_0) u + beta_0 x_0:
 then u_n = y_n and x_{n+1} = v_n for every n.  So the module has one loop,
-the anchored one, which checks the schedule terms it reads and each point it
-did not make itself; the Halpern trace replays each Halpern step on its
-stored orbit.
+the anchored one, which checks every schedule term it reads before its first
+step and each point it did not make itself; the Halpern trace replays each
+Halpern step on its stored orbit.
 
 Only the recursion runs step by step, on the space's loop points: a list of
 d Python floats on Euclidean space, which ``mix`` combines with no numpy
 call, and a ``TreePoint`` on the star tree.  ``fn`` receives each u_n as a
 point of the space (an ndarray on Euclidean space) and may return a loop
-point or anything ``as_point`` accepts.  The loop stores only x_n, in a
-point array (an (n, d) float array on Euclidean space, ray and radius arrays
-on the star tree); u_n = W(u, x_n, beta_n) comes from ``combine_array``
-after it, in blocks of ``BLOCK_ROWS`` rows, equal to the loop's u_n row by
-row.  The three residual sequences, which ``trace.csv`` writes and rate
-certification consumes, are then computed from the stored orbit with array
-operations in blocks of the same size.  The orbit checks read them, and
-compute the distances only they need from the stored orbit, a block at a
-time, so no temporary spans the horizon.  Each instance keeps its latest
-anchored orbit, read only, so an instance runs the loop once per horizon:
-the Halpern trace replays the Halpern steps on the stored orbit with array
-operations, and the Halpern check reads its defects off that trace.
+point or anything ``as_point`` accepts.  The loop reads beta_n and lambda_n
+a block of ``BLOCK_ROWS`` steps at a time and stores only x_n, in a point
+array (an (n, d) float array on Euclidean space, ray and radius arrays on
+the star tree).  Every reader of u_n rebuilds it from x_n with
+:func:`u_points`, one ``combine_array`` per block, equal to the loop's u_n
+row by row.  The three residual sequences, which ``trace.csv`` writes and
+rate certification consumes, are computed from the stored orbit with array
+operations in blocks of the same size, and the worst d(u_n, T_n u_n) in the
+same pass.  The orbit checks read them, and compute the distances only they
+need from the stored orbit, a block at a time, so no temporary spans the
+horizon.  Each instance keeps its latest anchored orbit, read only, so an
+instance runs the loop once per horizon: the Halpern trace replays the
+Halpern steps on the stored orbit with array operations, and the Halpern
+check reads its defects off that trace.
 
 The per-step checkers assert, along a computed orbit, the bounds the rate
 theorems rest on.  These are theorems for exact arithmetic: a violation
@@ -57,8 +59,9 @@ from .sequences import ParamSchedule, _int_ceil, terms
 #: How far T_0 .. T_9 may move the registered fixed point p.
 FIXED_POINT_TOL = 1e-9
 
-#: Rows per block of every array computation over the stored orbit: u_n
-#: from x_n, the residuals, and the orbit checks.
+#: Rows per block of the loop's schedule terms and of every array
+#: computation over the stored orbit: u_n from x_n, the residuals, the orbit
+#: checks and rate certification.
 BLOCK_ROWS = 4096
 
 #: ``trace.csv`` keeps every step below this and a log-spaced grid above it
@@ -74,7 +77,7 @@ class ProblemInstance:
     because every rate formula consumes a positive integer radius bound.
     Build instances through :meth:`create`, which derives M (or refuses a
     given M below it) and verifies that p is fixed by T_0 .. T_9 up to
-    ``FIXED_POINT_TOL``.  ``_stored_orbit`` keeps the latest (horizon, x, u)
+    ``FIXED_POINT_TOL``.  ``_stored_orbit`` keeps the latest (horizon, x)
     that :func:`_orbit` computed for the instance.
     """
 
@@ -135,6 +138,17 @@ def _repeat(space: Space, point: Point, count: int) -> Points:
     return space.stack([point])[np.zeros(count, dtype=int)]
 
 
+def u_points(instance: ProblemInstance, xs: Points, rows: slice, beta=None) -> Points:
+    """The points u_n = W(u, x_n, beta_n) for the steps n of ``rows``,
+    rebuilt from the orbit ``xs`` with one ``combine_array``: the loop's u_n
+    bit for bit.  ``beta`` holds beta_n for those steps, when the caller
+    has them."""
+    sp = instance.space
+    if beta is None:
+        beta = terms(instance.schedule.beta, np.arange(rows.start, rows.stop))
+    return sp.combine_array(_repeat(sp, instance.u, len(beta)), xs[rows], beta)
+
+
 @dataclass(eq=False)
 class IterationTrace:
     """Recorded orbit data: the orbit and the three residual sequences
@@ -145,9 +159,11 @@ class IterationTrace:
         residual_T[n]    = d(x_n, T_n x_n)
         tfam_gap[n]      = d(T_{n+1} u_n, T_n u_n)
 
-    ``x`` holds the horizon + 1 points x_n and ``u_seq`` the horizon points
-    u_n, each as a point array of the space.  The orbit checks compute any
-    other distance they need from these point arrays.
+    ``x`` holds the horizon + 1 points x_n as a point array of the space;
+    ``u_points(instance, trace.x, slice(a, b))`` rebuilds u_a .. u_{b-1}.
+    ``u_residual`` is the worst d(u_n, T_n u_n) over n < horizon and its
+    step, as a ``Row``.  The orbit checks compute any other distance they
+    need from ``x``, a block at a time.
     """
 
     horizon: int
@@ -155,7 +171,7 @@ class IterationTrace:
     residual_T: np.ndarray
     tfam_gap: np.ndarray
     x: Points
-    u_seq: Points
+    u_residual: Row
 
     def to_csv(self, path, include_points: bool = False) -> None:
         """Write one row for each step n of :func:`trace_slices`: n,
@@ -214,20 +230,20 @@ def _point_columns(points: Points) -> tuple[list[str], list]:
     return [f"x{i}" for i in range(points.shape[1])], [_float_column(c) for c in points.T]
 
 
-def _orbit(instance: ProblemInstance, horizon: int) -> tuple[Points, Points]:
-    """The read-only point arrays x_0 .. x_horizon and u_0 .. u_{horizon-1}
-    of the anchored iteration, computed once per instance and horizon."""
+def _orbit(instance: ProblemInstance, horizon: int) -> Points:
+    """The read-only point array x_0 .. x_horizon of the anchored
+    iteration, computed once per instance and horizon."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     stored = instance._stored_orbit
     if stored is not None and stored[0] == horizon:
-        return stored[1:]
+        return stored[1]
     sp, fn, sch = instance.space, instance.family.fn, instance.schedule
-    # mix checks nothing: the loop checks the terms it reads once, here, and
-    # each point it did not make itself as it arrives.  A memoryview of the
-    # terms indexes as Python floats and keeps 8 bytes a term, a list 32.
-    beta = sp._check_lambdas(terms(sch.beta, np.arange(horizon)))
-    lam = memoryview(sp._check_lambdas(terms(sch.lam, np.arange(horizon))))
+    # mix checks nothing: the loop checks every term it reads here, before
+    # its first step, and each point it did not make itself as it arrives
+    for seq in (sch.beta, sch.lam):
+        for rows in blocks(horizon):
+            sp._check_lambdas(terms(seq, np.arange(rows.start, rows.stop)))
     mix, to_loop, from_loop = sp.mix, sp.to_loop, sp.from_loop
 
     u = to_loop(instance.u)
@@ -235,38 +251,43 @@ def _orbit(instance: ProblemInstance, horizon: int) -> tuple[Points, Points]:
     def loop():
         x = to_loop(instance.x0)
         yield x
-        for n, beta_n in enumerate(memoryview(beta)):
-            u_n = mix(u, x, beta_n)
-            x = mix(u_n, to_loop(fn(n, from_loop(u_n))), lam[n])
-            yield x
+        for rows in blocks(horizon):
+            ns = np.arange(rows.start, rows.stop)
+            # a memoryview of the terms indexes as Python floats
+            beta, lam = memoryview(terms(sch.beta, ns)), memoryview(terms(sch.lam, ns))
+            for n, beta_n, lam_n in zip(range(rows.start, rows.stop), beta, lam):
+                u_n = mix(u, x, beta_n)
+                x = mix(u_n, to_loop(fn(n, from_loop(u_n))), lam_n)
+                yield x
 
     xs = sp.collect(loop(), horizon + 1)
-    # u_n = W(u, x_n, beta_n), row by row as mix gives it, in blocks that
-    # keep the temporaries of combine_array small
-    us = sp.empty(horizon)
-    anchor = _repeat(sp, instance.u, min(horizon, BLOCK_ROWS))
-    for rows in blocks(horizon):
-        us[rows] = sp.combine_array(anchor[: rows.stop - rows.start], xs[rows], beta[rows])
     # every trace built from the stored orbit shares these arrays
-    for array in (xs.ray, xs.t, us.ray, us.t) if isinstance(xs, TreePoints) else (xs, us):
+    for array in (xs.ray, xs.t) if isinstance(xs, TreePoints) else (xs,):
         array.flags.writeable = False
-    object.__setattr__(instance, "_stored_orbit", (horizon, xs, us))
-    return xs, us
+    object.__setattr__(instance, "_stored_orbit", (horizon, xs))
+    return xs
 
 
 def run_tikhonov_mann(instance: ProblemInstance, horizon: int) -> IterationTrace:
     """Run the anchored iteration for ``horizon`` steps and record its orbit
-    and residuals.  The three residual sequences are filled in blocks of
-    ``BLOCK_ROWS`` steps, so no temporary spans the horizon."""
-    xs, us = _orbit(instance, horizon)
+    and residuals.  The three residual sequences and the worst
+    d(u_n, T_n u_n) are computed in one pass, in blocks of ``BLOCK_ROWS``
+    steps, so no temporary spans the horizon."""
+    xs = _orbit(instance, horizon)
     sp, fam, dist = instance.space, instance.family, instance.space.dist_array
     step, res_T, gap = np.empty(horizon), np.empty(horizon), np.empty(horizon)
-    for rows in blocks(horizon):
-        ns, x_n, u_n = np.arange(rows.start, rows.stop), xs[rows], us[rows]
-        step[rows] = dist(x_n, xs[rows.start + 1 : rows.stop + 1])
-        res_T[rows] = dist(x_n, fam.eval_array(sp, ns, x_n))
-        gap[rows] = dist(fam.eval_array(sp, ns + 1, u_n), fam.eval_array(sp, ns, u_n))
-    return IterationTrace(horizon, step, res_T, gap, x=xs, u_seq=us)
+
+    def u_residuals():  # fills the three sequences as it yields d(u_n, T_n u_n)
+        for rows in blocks(horizon):
+            ns, x_n, u_n = np.arange(rows.start, rows.stop), xs[rows], u_points(instance, xs, rows)
+            t_u = fam.eval_array(sp, ns, u_n)
+            step[rows] = dist(x_n, xs[rows.start + 1 : rows.stop + 1])
+            res_T[rows] = dist(x_n, fam.eval_array(sp, ns, x_n))
+            gap[rows] = dist(fam.eval_array(sp, ns + 1, u_n), t_u)
+            yield dist(u_n, t_u)
+
+    u_residual = worst_row("d(u_n, T_n u_n)", u_residuals())
+    return IterationTrace(horizon, step, res_T, gap, x=xs, u_residual=u_residual)
 
 
 @dataclass(eq=False)
@@ -274,7 +295,7 @@ class HalpernTrace:
     """The modified Halpern iteration's y sequence (horizon + 1 points) and
     v sequence (horizon points), as point arrays.  It keeps no residuals:
     as y_n = u_n, d(y_n, T_n y_n) and d(y_{n+1}, y_n) are distances of the
-    anchored trace's ``u_seq``."""
+    anchored orbit's u_n, which :func:`u_points` rebuilds."""
 
     horizon: int
     y: Points
@@ -284,18 +305,21 @@ class HalpernTrace:
 def run_modified_halpern(instance: ProblemInstance, horizon: int) -> HalpernTrace:
     """The modified Halpern iteration from y_0 = W(u, x_0, beta_0), replayed
     on the anchored orbit of :func:`_orbit` with ``eval_array`` and
-    ``combine_array``: v_n = W(u_n, T_n u_n, lambda_n) for n < horizon, and
+    ``combine_array``: u_n from :func:`u_points`,
+    v_n = W(u_n, T_n u_n, lambda_n) for n < horizon, and
     y_0 .. y_horizon from one ``combine_array`` of u with x_0, v_0 ..
     v_{horizon-1}, which checks beta_0 .. beta_horizon.  No Halpern loop
     runs; when the array forms equal ``mix`` and ``fn`` row by row,
     y_n = u_n and v_n = x_{n+1} bit for bit."""
-    xs, us = _orbit(instance, horizon)
+    xs = _orbit(instance, horizon)
     sp, fam, sch = instance.space, instance.family, instance.schedule
     steps = np.arange(horizon + 1)
+    beta = terms(sch.beta, steps)
+    us = u_points(instance, xs, slice(0, horizon), beta[:-1])
     vs = sp.combine_array(us, fam.eval_array(sp, steps[:-1], us), terms(sch.lam, steps[:-1]))
     ends = sp.empty(horizon + 1)
     ends[:1], ends[1:] = xs[:1], vs
-    ys = sp.combine_array(_repeat(sp, instance.u, horizon + 1), ends, terms(sch.beta, steps))
+    ys = sp.combine_array(_repeat(sp, instance.u, horizon + 1), ends, beta)
     return HalpernTrace(horizon=horizon, y=ys, v=vs)
 
 
@@ -340,9 +364,9 @@ def check_halpern_equivalence(
     that disagrees with the ``fn`` or ``mix`` the loop calls.
     """
     ha = run_modified_halpern(instance, horizon)
-    xs, us = _orbit(instance, horizon)
+    xs = _orbit(instance, horizon)
     dist = instance.space.dist_array
-    gap_u_y = np.cumsum(dist(us, ha.y[:horizon]))
+    gap_u_y = np.cumsum(dist(u_points(instance, xs, slice(0, horizon)), ha.y[:horizon]))
     gap_x_v = gap_u_y + dist(xs[1:], ha.v)
     return EquivalenceReport(
         horizon=horizon,
@@ -373,25 +397,24 @@ class BoundCheck(Row):
 def check_basic_bounds(
     instance: ProblemInstance, trace: IterationTrace, tol: float = 1e-9
 ) -> Section:
-    """Orbit boundedness: scan d(x_n, p) <= M, d(x_n, u) <= 2M,
-    d(u_n, p) <= M and d(u_n, T_n u_n) <= 2M along the stored orbit, a
-    block of ``BLOCK_ROWS`` steps at a time."""
-    sp, fam, M, H = instance.space, instance.family, float(instance.M), trace.horizon
-    dist, xs, us, u, p = sp.dist_array, trace.x, trace.u_seq, instance.u, instance.p
+    """Orbit boundedness: scan d(x_n, p) <= M, d(x_n, u) <= 2M and
+    d(u_n, p) <= M along the stored orbit, a block of ``BLOCK_ROWS`` steps
+    at a time, and read d(u_n, T_n u_n) <= 2M off ``trace.u_residual``."""
+    M, H, xs, u, p = float(instance.M), trace.horizon, trace.x, instance.u, instance.p
+    dist = instance.space.dist_array
 
-    def bounded(name: str, bound: float, count: int, distances) -> BoundCheck:
-        row = worst_row(name, map(distances, blocks(count)))
+    def bounded(row: Row, bound: float) -> BoundCheck:
         value = row.worst_excess
-        return BoundCheck(name, value - bound, row.at, bound=bound, worst_value=value)
+        return BoundCheck(row.name, value - bound, row.at, bound=bound, worst_value=value)
 
-    def residual(rows):  # d(u_n, T_n u_n)
-        return dist(us[rows], fam.eval_array(sp, np.arange(rows.start, rows.stop), us[rows]))
+    def scanned(name: str, count: int, distances) -> Row:
+        return worst_row(name, map(distances, blocks(count)))
 
     checks = (
-        bounded("d(x_n, p)", M, H + 1, lambda rows: dist(xs[rows], p)),
-        bounded("d(x_n, u)", 2 * M, H + 1, lambda rows: dist(xs[rows], u)),
-        bounded("d(u_n, p)", M, H, lambda rows: dist(us[rows], p)),
-        bounded("d(u_n, T_n u_n)", 2 * M, H, residual),
+        bounded(scanned("d(x_n, p)", H + 1, lambda rows: dist(xs[rows], p)), M),
+        bounded(scanned("d(x_n, u)", H + 1, lambda rows: dist(xs[rows], u)), 2 * M),
+        bounded(scanned("d(u_n, p)", H, lambda rows: dist(u_points(instance, xs, rows), p)), M),
+        bounded(trace.u_residual, 2 * M),
     )
     return Section(title="orbit bounds:", checks=checks, tol=tol)
 
@@ -416,7 +439,7 @@ def check_recursive_inequalities(
     if trace.horizon < 2:
         raise ValueError("recursion checks need a trace of at least 2 steps")
     M, H = float(instance.M), trace.horizon
-    sch, step, gap, us = instance.schedule, trace.residual_step, trace.tfam_gap, trace.u_seq
+    sch, step, gap = instance.schedule, trace.residual_step, trace.tfam_gap
 
     def scored(name: str, count: int, sides) -> Row:
         """The worst excess of the steps n < count, a block at a time:
@@ -430,8 +453,9 @@ def check_recursive_inequalities(
 
         return worst_row(name, map(excess, blocks(count)))
 
-    def anchor_step(rows, beta, lam):  # (a)
-        lhs = instance.space.dist_array(us[rows.start + 1 : rows.stop + 1], us[rows])
+    def anchor_step(rows, beta, lam):  # (a), on u_n at rows.start .. rows.stop
+        us = u_points(instance, trace.x, slice(rows.start, rows.stop + 1), beta)
+        lhs = instance.space.dist_array(us[1:], us[:-1])
         return lhs, beta[1:] * step[rows] + 2 * M * np.abs(np.diff(beta))
 
     def main_recursion(rows, beta, lam):  # (b)

@@ -17,6 +17,7 @@ from tmann.iterate import (
     run_modified_halpern,
     run_tikhonov_mann,
     trace_slices,
+    u_points,
 )
 from tmann.mappings import (
     MappingFamily,
@@ -52,7 +53,7 @@ def test_first_step_collapses_to_anchor_when_beta0_zero():
     # beta_0 = 0 forces u_0 = u; with the identity family x_1 = u
     inst = euclidean_instance(x0=[1.0], u=[0.0])
     trace = run_tikhonov_mann(inst, 3)
-    assert trace.u_seq[0][0] == 0.0
+    assert u_points(inst, trace.x, slice(0, 3))[0][0] == 0.0
     assert trace.x[1][0] == 0.0
 
 
@@ -61,9 +62,9 @@ def test_trace_lengths_consistent():
     H = 37
     trace = run_tikhonov_mann(inst, H)
     fields = [f.name for f in dataclasses.fields(trace)]
-    assert fields == ["horizon", "residual_step", "residual_T", "tfam_gap", "x", "u_seq"]
+    assert fields == ["horizon", "residual_step", "residual_T", "tfam_gap", "x", "u_residual"]
     assert len(trace.x) == H + 1
-    assert len(trace.u_seq) == H
+    assert len(u_points(inst, trace.x, slice(0, H))) == H
     for arr in (trace.residual_step, trace.residual_T, trace.tfam_gap):
         assert len(arr) == H
     assert np.all(np.isfinite(trace.residual_step))
@@ -329,7 +330,7 @@ def test_halpern_check_reads_the_orbit_of_the_run():
     # a second horizon computes a new orbit of its own length
     longer = run_tikhonov_mann(inst, H + 50)
     assert len(calls) == 2 * H + 50
-    assert len(longer.x) == H + 51 and len(longer.u_seq) == H + 50
+    assert len(longer.x) == H + 51 and len(u_points(inst, longer.x, slice(0, H + 50))) == H + 50
     assert np.array_equal(longer.x[: H + 1], trace.x)
 
 
@@ -341,9 +342,13 @@ def test_stored_orbit_is_read_only_on_both_spaces():
     )
     for inst in (euclid, tree):
         trace = run_tikhonov_mann(inst, 20)
-        for points in (trace.x, trace.u_seq):
-            with pytest.raises(ValueError, match="read-only"):
-                points[3] = inst.x0
+        with pytest.raises(ValueError, match="read-only"):
+            trace.x[3] = inst.x0
+        # u_n is rebuilt for each reader, so writing to one copy changes no other
+        us = u_points(inst, trace.x, slice(0, 20))
+        before = u_points(inst, trace.x, slice(0, 20))[3]
+        us[3] = inst.x0
+        assert inst.space.dist(u_points(inst, trace.x, slice(0, 20))[3], before) == 0.0
 
 
 def test_step_residuals_eventually_nonincreasing():
@@ -382,7 +387,7 @@ def trace_and_rows(case, horizon):
     instance = CASES[case]()
     trace = run_tikhonov_mann(instance, horizon)
     arrays = [getattr(trace, name) for name in SEQUENCES]
-    for points in (trace.x, trace.u_seq):
+    for points in (trace.x, u_points(instance, trace.x, slice(0, horizon))):
         arrays += [points.ray, points.t] if isinstance(points, TreePoints) else [points]
     sections = [check_basic_bounds(instance, trace)]
     if horizon >= 2:
@@ -407,17 +412,26 @@ def test_residuals_and_orbit_checks_keep_no_whole_horizon_temporaries():
     schedule = builtin_linear_schedule(0.5)
     inst = euclidean_instance(dim=2, x0=[0.6, 0.8], u=[0.0, 0.0], family=fam, schedule=schedule)
     lr = linear_rates(inst.M, 0.5)
-    _orbit(inst, H)
     tracemalloc.start()
     try:
+        _orbit(inst, H)
+        orbit_peak = tracemalloc.get_traced_memory()[1]
         trace = run_tikhonov_mann(inst, H)
         held = tracemalloc.get_traced_memory()[0]
         check_basic_bounds(inst, trace)
         check_recursive_inequalities(inst, trace)
         lr.orbit_checks(inst, trace, 1e-9)
-        certify_rate(trace.residual_T, lr.rate_T, k_max=3)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        certify_rate(trace.residual_T, lr.rate_T, k_max=3)
+        certify_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert 3 * 8 * H <= held < 4 * 8 * H  # the three residual sequences
+    # the loop keeps x_n (16 B a step) and no whole-horizon term array
+    assert orbit_peak < 20 * H
+    # x_n and the three residual sequences: 5 floats a step
+    assert 5 * 8 * H <= held < 6 * 8 * H
     assert peak - held < 1_000_000
+    # the running maximum of certification is one block long
+    assert certify_peak < 100_000

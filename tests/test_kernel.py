@@ -11,6 +11,8 @@ bit, on every family with a closed-form array evaluation and on custom
 families, which take the per-point fallback.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from tmann.iterate import (
     check_recursive_inequalities,
     run_modified_halpern,
     run_tikhonov_mann,
+    u_points,
 )
 from tmann.mappings import (
     MappingFamily,
@@ -257,7 +260,7 @@ def test_tikhonov_mann_kernel_matches_per_step_loop(case):
     for name in SEQUENCES:
         assert np.array_equal(getattr(trace, name), np.array(seqs[name])), name
     assert_points_equal(instance.space, trace.x, xs)
-    assert_points_equal(instance.space, trace.u_seq, us)
+    assert_points_equal(instance.space, u_points(instance, trace.x, slice(0, HORIZON)), us)
     # the array evaluation itself returns the points fn does
     sp, fam = instance.space, instance.family
     mapped = fam.eval_array(sp, np.arange(len(xs)), trace.x)
@@ -274,9 +277,9 @@ def test_halpern_kernel_matches_per_step_loop(case):
     # the trace is the anchored orbit: y_n = u_n and v_n = x_{n+1}, so the
     # Halpern residuals are the anchored trace's (but the last step residual)
     trace = run_tikhonov_mann(instance, HORIZON)
-    assert_points_equal(instance.space, ha.y[:HORIZON], list(trace.u_seq))
+    sp, us = instance.space, u_points(instance, trace.x, slice(0, HORIZON))
+    assert_points_equal(instance.space, ha.y[:HORIZON], list(us))
     assert_points_equal(instance.space, ha.v, list(trace.x[1:]))
-    sp, us = instance.space, trace.u_seq
     t_us = instance.family.eval_array(sp, np.arange(HORIZON), us)
     assert np.array_equal(sp.dist_array(us, t_us), np.array(residual_T))
     assert np.array_equal(sp.dist_array(us[1:], us[:-1]), np.array(residual_step[:-1]))
@@ -336,7 +339,12 @@ def test_u_sequence_computed_in_blocks_equals_per_step_loop(case, monkeypatch):
     _, xs, us = reference_tikhonov_mann(instance, HORIZON)
     trace = run_tikhonov_mann(instance, HORIZON)
     assert_points_equal(instance.space, trace.x, xs)
-    assert_points_equal(instance.space, trace.u_seq, us)
+    # as each reader rebuilds them: a whole block, and the blocks of 7
+    # that recursion (a) reads, one row past each block
+    assert_points_equal(instance.space, u_points(instance, trace.x, slice(0, HORIZON)), us)
+    for start in range(0, HORIZON - 1, 7):
+        rows = slice(start, min(start + 8, HORIZON))
+        assert_points_equal(instance.space, u_points(instance, trace.x, rows), us[rows])
 
 
 def drifting_array_family(row):
@@ -396,7 +404,7 @@ def test_stored_points_index_as_points_of_the_space():
     instance = CASES["tree_contraction"]()
     trace = run_tikhonov_mann(instance, 5)
     assert isinstance(trace.x[3], TreePoint)
-    assert len(trace.x) == 6 and len(trace.u_seq) == 5
+    assert len(trace.x) == 6 and len(u_points(instance, trace.x, slice(0, 5))) == 5
     assert trace.x[0] == instance.x0
     euclid = CASES["random_3d_box"]()
     assert run_tikhonov_mann(euclid, 5).x[2].shape == (3,)
@@ -429,33 +437,54 @@ def test_combination_parameter_outside_unit_interval_raises(beta, lam):
         run_modified_halpern(instance, 20)
 
 
+#: A step past the first block of the loop's schedule terms.
+PAST_FIRST_BLOCK = iterate.BLOCK_ROWS + 3
+
+
 @pytest.mark.parametrize(
-    "beta, lam, raising",
+    "beta, lam, horizon, raising",
     [
-        (lambda n: 0.5, lambda n: 1.5 if n == 20 else 0.5, set()),
-        (lambda n: 0.5, lambda n: 1.5 if n == 19 else 0.5, {"anchored", "halpern"}),
-        (lambda n: 1.5 if n == 20 else 0.5, lambda n: 0.5, {"halpern"}),
+        (lambda n: 0.5, lambda n: 1.5 if n == 20 else 0.5, 20, set()),
+        (lambda n: 0.5, lambda n: 1.5 if n == 19 else 0.5, 20, {"anchored", "halpern"}),
+        (lambda n: 1.5 if n == 20 else 0.5, lambda n: 0.5, 20, {"halpern"}),
+        (
+            lambda n: 1.5 if n == PAST_FIRST_BLOCK else 0.5, lambda n: 0.5,
+            PAST_FIRST_BLOCK + 5, {"anchored", "halpern"},
+        ),
     ],
-    ids=["lambda_H", "lambda_H_minus_1", "beta_H"],
+    ids=["lambda_H", "lambda_H_minus_1", "beta_H", "beta_past_the_first_block"],
 )
-def test_each_loop_checks_exactly_the_terms_it_reads(beta, lam, raising):
+def test_each_loop_checks_exactly_the_terms_it_reads(beta, lam, horizon, raising):
     # over H = 20 steps the anchored loop reads beta_0 .. beta_19 and
     # lambda_0 .. lambda_19; the Halpern trace also reads beta_20, for y_20,
-    # and so does the check that reads its defects off that trace
+    # and so does the check that reads its defects off that trace.  The loop
+    # reads its terms a block at a time, but refuses a bad one in any block
+    # before its first step, so it never calls fn.
+    identity = identity_family(np.zeros(1))
+    calls = []
+
+    def fn(n, x):
+        calls.append(n)
+        return identity.fn(n, x)
+
+    family = dataclasses.replace(identity, fn=fn)
     for name, run in (
         ("anchored", run_tikhonov_mann),
         ("halpern", run_modified_halpern),
         ("halpern", check_halpern_equivalence),
     ):
         instance = ProblemInstance.create(
-            EuclideanSpace(1), identity_family(np.zeros(1)), _schedule(beta, lam),
+            EuclideanSpace(1), family, _schedule(beta, lam),
             u=np.zeros(1), x0=np.ones(1), p=np.zeros(1), M=1,
         )
+        calls.clear()
         if name in raising:
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                run(instance, 20)
+                run(instance, horizon)
+            if "anchored" in raising:  # refused before the loop's first step
+                assert calls == []
         else:
-            assert run(instance, 20).horizon == 20
+            assert run(instance, horizon).horizon == horizon
 
 
 @pytest.mark.parametrize(

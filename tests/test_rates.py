@@ -10,6 +10,7 @@ from tmann.cli import _write_certifications_csv
 from tmann.iterate import run_tikhonov_mann
 from tmann.mappings import chi_T_from_gamma
 from tmann.rates import (
+    CertRow,
     RateBundle,
     certify_rate,
     check_pointwise_bound,
@@ -23,7 +24,7 @@ from tmann.rates import (
     sigma_ar,
     translate_ar_to_tn_ar,
 )
-from tmann.sequences import builtin_example_schedule, ceil_reciprocal, psi0
+from tmann.sequences import builtin_example_schedule, ceil_reciprocal, first_indices, psi0
 
 from conftest import row_bits
 from test_iterate import BLOCK_HORIZONS
@@ -248,6 +249,70 @@ def test_certify_empirical_minimum_matches_a_plain_scan(residuals, k_max, tol):
                 break
             expected = n
         assert row.empirical_min_index == expected
+
+
+def reference_cert_rows(values, rate, k_max, tol):
+    """``certify_rate``'s rows from the whole reverse running maximum, as
+    they were computed before certification ran in blocks."""
+    revmax = np.maximum.accumulate(values[::-1])[::-1]
+    thresholds = [1.0 / (k + 1) for k in range(k_max + 1)]
+    empirical = first_indices(revmax, [thr + tol for thr in thresholds])
+    rows = []
+    for k, (thr, first) in enumerate(zip(thresholds, empirical)):
+        n0 = max(0, int(rate(k)))
+        worst = float(revmax[n0] - thr) if n0 < len(values) else None
+        status = "inconclusive" if worst is None else "pass" if worst <= tol else "fail"
+        rows.append(CertRow(k, n0, thr, worst, -1 if first is None else first, status))
+    return rows
+
+
+#: Sequence lengths around the block size of certification.
+CERT_LENGTHS = [1] + [
+    n * iterate.BLOCK_ROWS + extra for n, extra in ((1, -1), (1, 0), (1, 1), (3, 5))
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.sampled_from(CERT_LENGTHS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    decay=st.floats(min_value=0.0, max_value=1.5),
+    nans=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=2),
+    at_level=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=4)),
+        max_size=3,
+    ),
+    starts=st.lists(
+        st.one_of(
+            st.sampled_from(["zero", "horizon", "past"]), st.floats(min_value=0.0, max_value=1.0)
+        ),
+        min_size=5,
+        max_size=5,
+    ),
+    tol=st.sampled_from([0.0, 1e-12, 1e-3]),
+)
+def test_certification_in_blocks_equals_the_whole_reverse_maximum(
+    length, seed, decay, nans, at_level, starts, tol
+):
+    # residuals that decay at a drawn rate, with NaNs and entries exactly at
+    # 1/(k+1) + tol placed at drawn fractions of the window, and rate indices
+    # 0, the horizon, one past it, or inside the window
+    rng = np.random.default_rng(seed)
+    n = np.arange(length, dtype=float)
+    values = rng.uniform(0.0, 3.0) * (n + 1.0) ** -decay * rng.uniform(0.5, 1.5, length)
+    place = lambda f: int(f * (length - 1))
+    for f, k in at_level:
+        values[place(f)] = 1.0 / (k + 1) + tol
+    for f in nans:
+        values[place(f)] = np.nan
+    horizon = length - 1
+    named = {"zero": 0, "horizon": horizon, "past": horizon + 1}
+    indices = [named[s] if isinstance(s, str) else place(s) for s in starts]
+    rate = lambda k: indices[k]
+    report = certify_rate(values, rate, k_max=4, tol=tol)
+    assert report.horizon == horizon
+    expected = reference_cert_rows(values, rate, 4, tol)
+    assert [row_bits(row) for row in report.rows] == [row_bits(row) for row in expected]
 
 
 def test_check_pointwise_bound():
