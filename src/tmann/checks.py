@@ -9,6 +9,8 @@ is at or below ``tol``; a NaN excess compares False, so it fails.
 
 Every record a run's report reads (a ``Section``, a ``CertificationReport``,
 a ``ScheduleValidation``) answers ``status`` and ``summary()``, its text.
+The scans over a whole sequence, ``worst_row`` and ``settle_indices``, read
+it in ``blocks``, so no temporary is as long as the sequence.
 """
 
 from __future__ import annotations
@@ -17,6 +19,29 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
+
+#: Rows per block of every scan over a whole sequence or orbit.
+BLOCK_ROWS = 4096
+
+
+def blocks(count: int):
+    """The slices of consecutive ``BLOCK_ROWS`` rows that cover range(count)."""
+    return (slice(s, min(s + BLOCK_ROWS, count)) for s in range(0, count, BLOCK_ROWS))
+
+
+def settle_indices(values, levels) -> list:
+    """For each level, the least n from which ``values`` stays at or below
+    it: one past the last entry not at or below it (a NaN is not), or 0
+    when there is none.  One forward pass compares each block with every
+    level at once, so its temporaries are (levels x block) long."""
+    values, column = np.asarray(values, dtype=float), np.asarray(levels, dtype=float)[:, None]
+    settle = np.zeros(len(column), dtype=int)
+    for rows in blocks(len(values)):
+        above = ~(values[rows] <= column)
+        hit = above.any(axis=1)
+        # the first entry above in a reversed row is the last one above
+        settle[hit] = rows.stop - np.argmax(above[:, ::-1], axis=1)[hit]
+    return settle.tolist()
 
 
 @dataclass(frozen=True)

@@ -166,13 +166,23 @@ class Space(ABC):
         """Row-by-row distances between two point arrays of equal length;
         either side, or both, may also be a single point."""
 
-    def combine_array(self, x: Points, y: Points, lam) -> Points:
+    def combine_array(self, x: Points | Point, y: Points | Point, lam) -> Points:
         """Row-by-row combinations W(x[i], y[i], lam[i]) of two point arrays
-        of equal length; ``lam`` is an array of that length or one number.
-        Each row equals ``combine`` of the rows bit for bit.  This default
-        calls ``combine`` once per row."""
+        of equal length, one of which may be a single point that stands in
+        every row; ``lam`` is an array of that length or one number.  Each
+        row equals ``combine`` of the rows bit for bit.  This default
+        repeats a single point and calls ``combine`` once per row."""
+        x, y = self._rows(x, y), self._rows(y, x)
         lams = np.broadcast_to(lam, (len(x),))
         return self.stack([self.combine(x[i], y[i], lams[i]) for i in range(len(x))])
+
+    def _rows(self, p, other: Points) -> Points:
+        """A point array ``p`` as it is, a single point once per row of ``other``."""
+        try:
+            point = self.as_point(p)
+        except ValueError:  # as_point refuses a point array
+            return p
+        return self.stack([point] * len(other))
 
     def _maps_with(self, cls: type) -> bool:
         """Whether this space's map is ``cls.mix`` behind the base ``combine``,

@@ -23,9 +23,9 @@ d Python floats on Euclidean space, which ``mix`` combines with no numpy
 call, and a ``TreePoint`` on the star tree.  ``fn`` receives each u_n as a
 point of the space (an ndarray on Euclidean space) and may return a loop
 point or anything ``as_point`` accepts.  The loop reads beta_n and lambda_n
-a block of ``BLOCK_ROWS`` steps at a time and stores only x_n, in a point
-array (an (n, d) float array on Euclidean space, ray and radius arrays on
-the star tree).  Every reader of u_n rebuilds it from x_n with
+a block of ``checks.BLOCK_ROWS`` steps at a time and stores only x_n, in a
+point array (an (n, d) float array on Euclidean space, ray and radius
+arrays on the star tree).  Every reader of u_n rebuilds it from x_n with
 :func:`u_points`, one ``combine_array`` per block, equal to the loop's u_n
 row by row.  The three residual sequences, which ``trace.csv`` writes and
 rate certification consumes, are computed from the stored orbit with array
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import Row, Section, worst_row
+from .checks import Row, Section, blocks, worst_row
 from .geometry import Point, Points, Space, TreePoints
 from .mappings import MappingFamily
 from .sequences import ParamSchedule, _int_ceil, terms
@@ -58,11 +58,6 @@ from .sequences import ParamSchedule, _int_ceil, terms
 
 #: How far T_0 .. T_9 may move the registered fixed point p.
 FIXED_POINT_TOL = 1e-9
-
-#: Rows per block of the loop's schedule terms and of every array
-#: computation over the stored orbit: u_n from x_n, the residuals, the orbit
-#: checks and rate certification.
-BLOCK_ROWS = 4096
 
 #: ``trace.csv`` keeps every step below this and a log-spaced grid above it
 #: (:func:`trace_slices`); every shipped horizon is below it.
@@ -117,7 +112,7 @@ class ProblemInstance:
             raise ValueError(
                 f"M = {M} is below max(d(x0, p), d(u, p)) = {radius!r}; the rates need M >= {least}"
             )
-        mapped = family.eval_array(space, np.arange(10), _repeat(space, fixed, 10))
+        mapped = family.eval_array(space, np.arange(10), space.stack([fixed] * 10))
         drift = space.dist_array(mapped, fixed)
         moved = np.flatnonzero(~(drift <= FIXED_POINT_TOL))  # a NaN drift is refused too
         if moved.size:
@@ -128,25 +123,14 @@ class ProblemInstance:
         return cls(space=space, family=family, schedule=schedule, u=u, x0=x0, p=p, M=M)
 
 
-def blocks(count: int):
-    """The slices of consecutive ``BLOCK_ROWS`` rows that cover range(count)."""
-    return (slice(s, min(s + BLOCK_ROWS, count)) for s in range(0, count, BLOCK_ROWS))
-
-
-def _repeat(space: Space, point: Point, count: int) -> Points:
-    """The point array holding ``point`` in each of ``count`` rows."""
-    return space.stack([point])[np.zeros(count, dtype=int)]
-
-
 def u_points(instance: ProblemInstance, xs: Points, rows: slice, beta=None) -> Points:
     """The points u_n = W(u, x_n, beta_n) for the steps n of ``rows``,
     rebuilt from the orbit ``xs`` with one ``combine_array``: the loop's u_n
     bit for bit.  ``beta`` holds beta_n for those steps, when the caller
     has them."""
-    sp = instance.space
     if beta is None:
         beta = terms(instance.schedule.beta, np.arange(rows.start, rows.stop))
-    return sp.combine_array(_repeat(sp, instance.u, len(beta)), xs[rows], beta)
+    return instance.space.combine_array(instance.u, xs[rows], beta)
 
 
 @dataclass(eq=False)
@@ -293,11 +277,13 @@ def run_tikhonov_mann(instance: ProblemInstance, horizon: int) -> IterationTrace
 @dataclass(eq=False)
 class HalpernTrace:
     """The modified Halpern iteration's y sequence (horizon + 1 points) and
-    v sequence (horizon points), as point arrays.  It keeps no residuals:
-    as y_n = u_n, d(y_n, T_n y_n) and d(y_{n+1}, y_n) are distances of the
-    anchored orbit's u_n, which :func:`u_points` rebuilds."""
+    v sequence (horizon points), and the anchored orbit's u_0 .. u_{H-1}
+    it was replayed from, as point arrays.  It keeps no residuals: as
+    y_n = u_n, d(y_n, T_n y_n) and d(y_{n+1}, y_n) are distances of the
+    anchored orbit's u_n."""
 
     horizon: int
+    u: Points
     y: Points
     v: Points
 
@@ -319,8 +305,8 @@ def run_modified_halpern(instance: ProblemInstance, horizon: int) -> HalpernTrac
     vs = sp.combine_array(us, fam.eval_array(sp, steps[:-1], us), terms(sch.lam, steps[:-1]))
     ends = sp.empty(horizon + 1)
     ends[:1], ends[1:] = xs[:1], vs
-    ys = sp.combine_array(_repeat(sp, instance.u, horizon + 1), ends, beta)
-    return HalpernTrace(horizon=horizon, y=ys, v=vs)
+    ys = sp.combine_array(instance.u, ends, beta)
+    return HalpernTrace(horizon=horizon, u=us, y=ys, v=vs)
 
 
 @dataclass(frozen=True)
@@ -364,10 +350,9 @@ def check_halpern_equivalence(
     that disagrees with the ``fn`` or ``mix`` the loop calls.
     """
     ha = run_modified_halpern(instance, horizon)
-    xs = _orbit(instance, horizon)
     dist = instance.space.dist_array
-    gap_u_y = np.cumsum(dist(u_points(instance, xs, slice(0, horizon)), ha.y[:horizon]))
-    gap_x_v = gap_u_y + dist(xs[1:], ha.v)
+    gap_u_y = np.cumsum(dist(ha.u, ha.y[:horizon]))
+    gap_x_v = gap_u_y + dist(_orbit(instance, horizon)[1:], ha.v)
     return EquivalenceReport(
         horizon=horizon,
         max_u_y=float(np.max(gap_u_y)),

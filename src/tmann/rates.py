@@ -36,8 +36,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .checks import Row, Section, worst_row
-from .iterate import blocks
+from .checks import Row, Section, blocks, settle_indices, worst_row
 from .sequences import ParamSchedule, RateFn, ceil_reciprocal
 
 PROVENANCES = ("general_theorem", "example_closed_form", "linear_theorem", "halpern_translated")
@@ -385,37 +384,22 @@ def certify_rate(
     that dominates a passing rate pointwise also passes: shrinking the
     window can only remove residuals from consideration.
 
-    One backward pass over blocks of ``BLOCK_ROWS`` residuals carries their
-    running maximum, so nothing as long as the sequence is allocated.  The
-    empirical minimum index is one past the last index whose residual is
-    not at or below 1/(k+1) + tol (a NaN is not), or -1 when that is the
-    last index.
+    The worst excess at level k is the largest residual from rate(k) on (a
+    NaN is the largest) less 1/(k+1).  The empirical minimum index is the
+    ``checks.settle_indices`` of 1/(k+1) + tol, or -1 past the horizon.
     """
     values = np.asarray(residuals, dtype=float)
     horizon = len(values) - 1
     if horizon < 0:
         raise ValueError("need at least one sequence entry")
     thresholds = [1.0 / (k + 1) for k in range(k_max + 1)]
-    starts = [max(0, int(rate(k))) for k in range(k_max + 1)]
-    worst, first = [None] * (k_max + 1), [0] * (k_max + 1)
-    carry = -np.inf  # the largest residual after the current block
-    for block in reversed(list(blocks(len(values)))):
-        # running[j] = max residual over [block.stop - 1 - j, horizon]
-        running = np.maximum.accumulate(values[block][::-1])
-        np.maximum(carry, running, out=running)
-        for k, (thr, n0) in enumerate(zip(thresholds, starts)):
-            if block.start <= n0 < block.stop:
-                worst[k] = float(running[block.stop - 1 - n0] - thr)
-            # entries at or below the level lead running; set once, in the
-            # block of the last residual above it, so 0 means there is none
-            if first[k] == 0 and not running[-1] <= thr + tol:
-                first[k] = block.stop - int(np.count_nonzero(running <= thr + tol))
-        carry = running[-1]
-
+    settle = settle_indices(values, [thr + tol for thr in thresholds])
     rows = []
-    for k, (thr, n0, excess) in enumerate(zip(thresholds, starts, worst)):
+    for k, (thr, first) in enumerate(zip(thresholds, settle)):
+        n0 = max(0, int(rate(k)))
+        excess = float(values[n0:].max() - thr) if n0 <= horizon else None
         status = "inconclusive" if excess is None else "pass" if excess <= tol else "fail"
-        rows.append(CertRow(k, n0, thr, excess, first[k] if first[k] <= horizon else -1, status))
+        rows.append(CertRow(k, n0, thr, excess, first if first <= horizon else -1, status))
     return CertificationReport(label=label, horizon=horizon, tol=tol, rows=tuple(rows))
 
 

@@ -29,6 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .checks import settle_indices
+
 RateFn = Callable[[int], int]
 """A total function from precision levels k >= 0 to indices."""
 
@@ -266,17 +268,6 @@ def product_tree(values: Sequence[int]) -> int:
     return values[0]
 
 
-def first_indices(running: np.ndarray, thresholds) -> tuple:
-    """For each threshold, the least index n from which the nonincreasing
-    array ``running`` stays at or below it to its last entry, or None when
-    its last entry lies above it."""
-    found = []
-    for threshold in thresholds:
-        below = running <= threshold
-        found.append(int(np.argmax(below)) if below[-1] else None)
-    return tuple(found)
-
-
 def _levels(k_max: int) -> list:
     """The oracle threshold 1/(k+1), with its boundary slack, for k <= k_max."""
     return [(1.0 / (k + 1)) * (1.0 + _BOUNDARY_REL) for k in range(k_max + 1)]
@@ -292,11 +283,12 @@ class OracleTable:
     inside the final guard stretch of the horizon (less than 1% of the
     window left to confirm it); such entries must not be counted as passes.
 
-    Every oracle searches a nonincreasing array whose entry at n is at most
-    the true quantity at n: a product whose every factor is observed, or a
-    tail sum or tail maximum over the observed window only, which the
-    unobserved tail can only raise.  So an observed entry above 1/(k+1) at
-    an index n <= horizon refutes any modulus declaring n at level k, and
+    Every oracle searches an array whose entry at n is at most the true
+    quantity at n: the product up to n and the deviation at n are observed
+    whole, and a tail sum is taken over the observed window only, which the
+    unobserved terms can only raise.  A modulus declaring n at level k
+    claims the true quantity at or below 1/(k+1) at every index from n on,
+    so an observed entry above 1/(k+1) at or after n refutes it, and
     :meth:`validate` can fail a declaration without seeing the tail.
     """
 
@@ -304,10 +296,12 @@ class OracleTable:
     minimal: tuple
 
     @classmethod
-    def search(cls, running: np.ndarray, horizon: int, thresholds) -> "OracleTable":
-        if len(running) != horizon + 1:
-            raise ValueError(f"horizon {horizon} needs {horizon + 1} terms, got {len(running)}")
-        return cls(horizon, first_indices(running, thresholds))
+    def search(cls, values: np.ndarray, horizon: int, thresholds) -> "OracleTable":
+        """The least n from which ``values`` stays at or below each threshold."""
+        if len(values) != horizon + 1:
+            raise ValueError(f"horizon {horizon} needs {horizon + 1} terms, got {len(values)}")
+        settle = settle_indices(values, thresholds)
+        return cls(horizon, tuple(n if n <= horizon else None for n in settle))
 
     @property
     def conclusive(self) -> tuple:
@@ -345,9 +339,8 @@ def oracle_cauchy_modulus(
     The horizon is the caller's responsibility: it must be large enough that
     the unobserved tail is negligible for the series at hand.  Indices found
     only inside the final guard stretch are flagged inconclusive.  A fail
-    needs no such horizon: the observed tail sums are nonincreasing in n,
-    and the unobserved terms are nonnegative, so each true tail sum is at
-    least the observed one.
+    needs no such horizon: the unobserved terms are nonnegative, so each
+    true tail sum is at least the observed one.
     """
     values = np.asarray(series_terms, dtype=float)[: horizon + 1]
     if np.any(values < 0):
@@ -379,12 +372,10 @@ def oracle_product_rate(beta, k_max: int, horizon: int) -> OracleTable:
 def oracle_convergence_rate(values, limit: float, k_max: int, horizon: int) -> OracleTable:
     """Minimal indices n with |a_m - limit| <= 1/(k+1) for all m in [n, horizon].
 
-    The observed tail maximum is nonincreasing in n, and the true supremum
-    over m >= n is at least it, so an observed deviation above 1/(k+1) from
-    a declared index on fails that declaration."""
+    An observed deviation above 1/(k+1) from a declared index on fails that
+    declaration."""
     dev = np.abs(np.asarray(values, dtype=float)[: horizon + 1] - float(limit))
-    # revmax[n] = max deviation over [n, horizon]
-    return OracleTable.search(np.maximum.accumulate(dev[::-1])[::-1], horizon, _levels(k_max))
+    return OracleTable.search(dev, horizon, _levels(k_max))
 
 
 def psi0(schedule: ParamSchedule, chi: RateFn, k: int) -> int:

@@ -56,6 +56,18 @@ def row_bits(row) -> tuple:
     return tuple(np.float64(v).tobytes() if isinstance(v, float) else v for v in astuple(row))
 
 
+def first_indices(running, thresholds) -> tuple:
+    """For each threshold, the least index n from which the nonincreasing
+    array ``running`` stays at or below it to its last entry, or None when
+    its last entry lies above it: the search of the modulus oracles and of
+    certification before both read ``checks.settle_indices``."""
+    found = []
+    for threshold in thresholds:
+        below = running <= threshold
+        found.append(int(np.argmax(below)) if below[-1] else None)
+    return tuple(found)
+
+
 @dataclass(frozen=True)
 class Fixture:
     name: str

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmann.checks import Row, Section, worst_row
+from tmann import checks
+from tmann.checks import Row, Section, settle_indices, worst_row
 from tmann.iterate import BoundCheck
 from tmann.rates import certify_rate
 from tmann.sequences import builtin_example_schedule, validate_schedule_moduli
@@ -81,6 +82,61 @@ def test_worst_row_in_blocks_is_the_first_nan_or_first_largest_of_the_whole(exce
     nans = np.flatnonzero(np.isnan(whole))
     i = int(nans[0]) if nans.size else int(np.argmax(whole))
     assert row_bits(worst_row("r", iter(blocks))) == row_bits(Row("r", float(whole[i]), i))
+
+
+def backward_scan(values, level) -> int:
+    """Plain reference: step back from the end while the entry is at or
+    below ``level``; where it stops is one past the last entry above it."""
+    n = len(values)
+    while n > 0 and values[n - 1] <= level:
+        n -= 1
+    return n
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    block=st.sampled_from([checks.BLOCK_ROWS, 7]),
+    blocks_and_extra=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    decay=st.floats(min_value=0.0, max_value=1.5),
+    nans=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=2),
+    levels=st.lists(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=2.0),
+            st.sampled_from([0.0, math.inf, -math.inf, math.nan]),
+        ),
+        max_size=6,
+    ),
+    at_level=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=5)),
+        max_size=3,
+    ),
+)
+def test_settle_indices_equal_a_plain_backward_scan(
+    block, blocks_and_extra, seed, decay, nans, levels, at_level
+):
+    # lengths 1, block - 1, block, block + 1 and 3 block + 5, with NaNs and
+    # entries exactly at a level placed at drawn fractions of the sequence
+    count, extra = blocks_and_extra
+    length = count * block + extra
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 3.0) * np.arange(1.0, length + 1.0) ** -decay
+    place = lambda f: int(f * (length - 1))
+    for f, k in at_level:
+        if k < len(levels) and math.isfinite(levels[k]):
+            values[place(f)] = levels[k]
+    for f in nans:
+        values[place(f)] = np.nan
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "BLOCK_ROWS", block)
+        got = settle_indices(values, levels)
+    assert got == [backward_scan(values, level) for level in levels]
+    assert all(type(n) is int for n in got)
+
+
+def test_settle_indices_of_an_empty_sequence_are_zero():
+    assert settle_indices([], [0.5, math.nan]) == [0, 0]
+    assert settle_indices([0.1, 0.9], []) == []
 
 
 def test_a_named_sample_is_shown_only_on_a_violated_row():

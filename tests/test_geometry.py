@@ -345,6 +345,15 @@ def test_combine_array_equals_per_row_combine(name):
         assert np.all(got.ray[50:60] == 0) and np.all(got.t[50:60] == 0.0)
     # one number for every row
     assert_rows_equal(space, space.combine_array(x, y, 0.25), [space.combine(x[i], y[i], 0.25) for i in range(len(lam))])
+    # a single point on either side, with a lam per row or one number;
+    # x[60] is the origin on the tree
+    for point in (x[0], x[60]):
+        for lams in (lam, 0.25):
+            each = np.broadcast_to(lams, lam.shape)
+            per_row = [space.combine(point, y[i], each[i]) for i in range(len(lam))]
+            assert_rows_equal(space, space.combine_array(point, y, lams), per_row)
+            per_row = [space.combine(x[i], point, each[i]) for i in range(len(lam))]
+            assert_rows_equal(space, space.combine_array(x, point, lams), per_row)
 
 
 @pytest.mark.parametrize("name", ["euclidean_2d", "broken_2d", "tree_3"])

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tmann import iterate
+from tmann import checks
 from tmann.geometry import EuclideanSpace, StarTreeSpace, TreePoint, TreePoints
 from tmann.iterate import (
     TRACE_DENSE,
@@ -400,7 +400,7 @@ def trace_and_rows(case, horizon):
 @pytest.mark.parametrize("case", ["euclidean_box", "euclidean_forward_backward", "tree_contraction"])
 def test_trace_and_iterate_checks_in_blocks_of_7_equal_the_default_run(case, horizon, monkeypatch):
     default = trace_and_rows(case, horizon)
-    monkeypatch.setattr(iterate, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(checks, "BLOCK_ROWS", 7)
     assert trace_and_rows(case, horizon) == default
 
 

@@ -16,7 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tmann import iterate, mappings
+from tmann import checks, mappings
 from tmann.checks import Row
 from tmann.geometry import (
     BrokenEuclideanSpace,
@@ -334,7 +334,7 @@ def test_orbit_checks_read_the_per_step_distances(case):
 )
 def test_u_sequence_computed_in_blocks_equals_per_step_loop(case, monkeypatch):
     # 400 rows in blocks of 7: 57 full blocks and a last one of 1 row
-    monkeypatch.setattr(iterate, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(checks, "BLOCK_ROWS", 7)
     instance = CASES[case]()
     _, xs, us = reference_tikhonov_mann(instance, HORIZON)
     trace = run_tikhonov_mann(instance, HORIZON)
@@ -438,7 +438,7 @@ def test_combination_parameter_outside_unit_interval_raises(beta, lam):
 
 
 #: A step past the first block of the loop's schedule terms.
-PAST_FIRST_BLOCK = iterate.BLOCK_ROWS + 3
+PAST_FIRST_BLOCK = checks.BLOCK_ROWS + 3
 
 
 @pytest.mark.parametrize(

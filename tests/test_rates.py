@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmann import iterate
+from tmann import checks
 from tmann.cli import _write_certifications_csv
 from tmann.iterate import run_tikhonov_mann
 from tmann.mappings import chi_T_from_gamma
@@ -24,9 +24,9 @@ from tmann.rates import (
     sigma_ar,
     translate_ar_to_tn_ar,
 )
-from tmann.sequences import builtin_example_schedule, ceil_reciprocal, first_indices, psi0
+from tmann.sequences import builtin_example_schedule, ceil_reciprocal, psi0
 
-from conftest import row_bits
+from conftest import first_indices, row_bits
 from test_iterate import BLOCK_HORIZONS
 from test_kernel import CASES
 
@@ -268,7 +268,7 @@ def reference_cert_rows(values, rate, k_max, tol):
 
 #: Sequence lengths around the block size of certification.
 CERT_LENGTHS = [1] + [
-    n * iterate.BLOCK_ROWS + extra for n, extra in ((1, -1), (1, 0), (1, 1), (3, 5))
+    n * checks.BLOCK_ROWS + extra for n, extra in ((1, -1), (1, 0), (1, 1), (3, 5))
 ]
 
 
@@ -355,7 +355,7 @@ def test_pointwise_and_sabach_shtern_rows_in_blocks_of_7_equal_the_default_run(
     case, horizon, monkeypatch
 ):
     default = pointwise_and_sabach_shtern_rows(case, horizon)
-    monkeypatch.setattr(iterate, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(checks, "BLOCK_ROWS", 7)
     assert pointwise_and_sabach_shtern_rows(case, horizon) == default
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tmann.rates import general_rates
 from tmann.sequences import (
     _int_ceil,
+    _levels,
     builtin_example_schedule,
     builtin_linear_schedule,
     ceil_reciprocal,
@@ -23,6 +24,8 @@ from tmann.sequences import (
     terms,
     validate_schedule_moduli,
 )
+
+from conftest import first_indices
 
 
 def test_example_schedule_values():
@@ -347,22 +350,26 @@ def test_schedule_validation_catches_bad_modulus():
 
 EXCURSION_HALF = "range excursion beyond [0, 1]: 5.000e-01"
 
+#: Fields replaced on the builtin example schedule, and the report line
+#: that then fails.
+FAILING = {
+    # lambda_n = 0.5 lies below 1/Lambda_cap = 1 from N_Lambda = 0 on
+    "lambda_cap": ({"Lambda_cap": 1}, "lambda cap   VIOLATED"),
+    # gamma_n = 0.25 lies below 1/Gamma_cap = 1 from N_Gamma = 0 on
+    "gamma_cap": ({"gamma": lambda n: 0.25}, "gamma cap    VIOLATED"),
+    # lambda_n = 1.25 lies 0.25 beyond [0, 1]
+    "lambda_above_one": ({"lam": lambda n: 1.25}, "range excursion beyond [0, 1]: 2.500e-01"),
+    # beta_5 lies 0.5 beyond [0, 1], which the product oracle alone refuses
+    "beta_above_one": (
+        {"beta": lambda n: 1.5 if n == 5 else 1.0 - 1.0 / (n + 1)}, EXCURSION_HALF
+    ),
+    "beta_below_zero": (
+        {"beta": lambda n: -0.5 if n == 5 else 1.0 - 1.0 / (n + 1)}, EXCURSION_HALF
+    ),
+}
 
-@pytest.mark.parametrize(
-    "fields, line",
-    [
-        # lambda_n = 0.5 lies below 1/Lambda_cap = 1 from N_Lambda = 0 on
-        ({"Lambda_cap": 1}, "lambda cap   VIOLATED"),
-        # gamma_n = 0.25 lies below 1/Gamma_cap = 1 from N_Gamma = 0 on
-        ({"gamma": lambda n: 0.25}, "gamma cap    VIOLATED"),
-        # lambda_n = 1.25 lies 0.25 beyond [0, 1]
-        ({"lam": lambda n: 1.25}, "range excursion beyond [0, 1]: 2.500e-01"),
-        # beta_5 lies 0.5 beyond [0, 1], which the product oracle alone refuses
-        ({"beta": lambda n: 1.5 if n == 5 else 1.0 - 1.0 / (n + 1)}, EXCURSION_HALF),
-        ({"beta": lambda n: -0.5 if n == 5 else 1.0 - 1.0 / (n + 1)}, EXCURSION_HALF),
-    ],
-    ids=["lambda_cap", "gamma_cap", "lambda_above_one", "beta_above_one", "beta_below_zero"],
-)
+
+@pytest.mark.parametrize("fields, line", FAILING.values(), ids=FAILING.keys())
 def test_schedule_validation_fails_a_violated_cap_or_range(fields, line):
     schedule = dataclasses.replace(builtin_example_schedule(0.5), **fields)
     report = validate_schedule_moduli(schedule, k_max=5, horizon=1000)
@@ -494,3 +501,72 @@ def test_terms_of_a_plain_callable_calls_it_per_index():
 
     assert terms(beta, np.arange(5)).tolist() == [0.5, 0.5, 0.5, 1.0, 1.0]
     assert seen == [0, 1, 2, 3, 4] and all(type(n) is int for n in seen)
+
+
+def parent_minimal(name, values, k_max, horizon):
+    """The ``minimal`` tuple of an oracle as it was found before the oracles
+    read ``checks.settle_indices``: ``first_indices`` on a running tail sum,
+    a running log product or a reverse running maximum of the deviation."""
+    levels = _levels(k_max)
+    if name == "product":
+        factors = np.asarray(values, dtype=float)[1 : horizon + 2]
+        with np.errstate(divide="ignore"):
+            logs = np.where(factors > 0, np.log(np.maximum(factors, 1e-300)), -np.inf)
+        return first_indices(np.cumsum(logs), [math.log(t) for t in levels])
+    if name == "convergence":
+        dev = np.abs(np.asarray(values, dtype=float)[: horizon + 1] - 1.0)
+        return first_indices(np.maximum.accumulate(dev[::-1])[::-1], levels)
+    series = np.asarray(values, dtype=float)[: horizon + 1]
+    rev = np.concatenate([np.cumsum(series[::-1])[::-1], [0.0]])
+    return first_indices(rev[:-1] if name == "cauchy_at" else rev[1:], levels)
+
+
+ORACLES = {
+    "product": oracle_product_rate,
+    "convergence": lambda v, k_max, h: oracle_convergence_rate(v, 1.0, k_max, h),
+    "cauchy_at": oracle_cauchy_modulus,
+    "cauchy_after": lambda v, k_max, h: oracle_cauchy_modulus(v, k_max, h, include_start=False),
+}
+
+
+#: Hand-made oracle inputs: the windows the two tests of refuted
+#: declarations read, and series with NaN terms.
+HAND_INPUTS = [
+    ("product", [0.0, 0.5, 0.5] + [1.0] * 99),
+    ("convergence", [0.5] * 100 + [1.0]),
+    ("product", [0.5, 0.9, math.nan, 0.8] + [0.99] * 97),
+    ("convergence", [0.0, math.nan] + [1.0 - 1.0 / (n + 1) for n in range(2, 101)]),
+    ("cauchy_at", [math.nan] + [0.01] * 100),
+    ("cauchy_after", [0.2] * 50 + [math.nan] + [0.001] * 50),
+]
+
+
+@pytest.mark.parametrize("oracle, values", HAND_INPUTS)
+def test_oracle_minima_on_hand_inputs_equal_the_parent_search(oracle, values):
+    horizon = len(values) - (2 if oracle == "product" else 1)
+    got = ORACLES[oracle](values, 6, horizon).minimal
+    assert got == parent_minimal(oracle, values, 6, horizon)
+
+
+#: The failing schedules whose terms differ from the builtin's.
+FAILING_TERMS = sorted(name for name, (fields, _) in FAILING.items() if "Lambda_cap" not in fields)
+
+
+@pytest.mark.parametrize("horizon", [1000, 20_000])
+@pytest.mark.parametrize("name", sorted(SCHEDULES) + FAILING_TERMS)
+def test_oracle_minima_equal_the_parent_search(name, horizon):
+    # the inputs validate_schedule_moduli gives each oracle, at k <= 50
+    if name in SCHEDULES:
+        schedule = SCHEDULES[name]()
+    else:
+        schedule = dataclasses.replace(builtin_example_schedule(0.5), **FAILING[name][0])
+    ns = np.arange(horizon + 2)
+    beta, lam, gamma = (terms(seq, ns) for seq in (schedule.beta, schedule.lam, schedule.gamma))
+    inputs = [("product", np.clip(beta, 0.0, 1.0)), ("convergence", beta)] + [
+        (cauchy, np.abs(np.diff(seq)))
+        for seq in (beta, lam, gamma)
+        for cauchy in ("cauchy_at", "cauchy_after")
+    ]
+    for oracle, values in inputs:
+        got = ORACLES[oracle](values, 50, horizon).minimal
+        assert got == parent_minimal(oracle, values, 50, horizon), (oracle, got)
