@@ -110,7 +110,9 @@ class TreePoints:
 
 
 class Space(ABC):
-    """A metric together with a convex-combination map and a point sampler."""
+    """A metric ``dist_array``, a convex-combination map W written twice, as
+    ``mix`` for the orbit loops and ``combine_array`` for point arrays, and a
+    sampler: with ``as_point`` and ``empty``, the six methods a space writes."""
 
     name: str = "space"
 
@@ -122,7 +124,8 @@ class Space(ABC):
     def mix(self, x: LoopPoint, y: LoopPoint, lam: float) -> LoopPoint:
         """The combination W(x, y, lam), read as (1 - lam) x + lam y, of two
         loop points and a float lam in [0, 1], none of them checked.  The
-        orbit loops call it after checking their terms."""
+        orbit loops call it after checking their terms; ``combine_array``
+        is its array form."""
 
     def to_loop(self, p) -> LoopPoint:
         """``p``, checked as ``as_point`` checks it, in the form ``mix``
@@ -133,15 +136,6 @@ class Space(ABC):
         """The point a loop point stands for: ``q`` itself unless a space
         says otherwise."""
         return q
-
-    def combine(self, x: Point, y: Point, lam: float) -> Point:
-        """``mix`` after checking lam and both points."""
-        lam = float(self._check_lambdas(lam))
-        return self.from_loop(self.mix(self.to_loop(x), self.to_loop(y), lam))
-
-    def dist(self, x: Point, y: Point) -> float:
-        """Distance between two points: ``dist_array`` of the two points."""
-        return float(self.dist_array(self.as_point(x), self.as_point(y)))
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, count: int) -> Points:
@@ -154,8 +148,8 @@ class Space(ABC):
         """An array of ``count`` points, to be filled by item assignment."""
 
     def collect(self, points, count: int) -> Points:
-        """The point array of the first ``count`` loop points that the
-        iterable ``points`` yields, in order; the orbit loop's store."""
+        """The point array of the first ``count`` points or loop points that
+        the iterable ``points`` yields, in order; the orbit loop's store."""
         out = self.empty(count)
         for i, point in zip(range(count), points):
             out[i] = point
@@ -166,35 +160,17 @@ class Space(ABC):
         """Row-by-row distances between two point arrays of equal length;
         either side, or both, may also be a single point."""
 
+    @abstractmethod
     def combine_array(self, x: Points | Point, y: Points | Point, lam) -> Points:
         """Row-by-row combinations W(x[i], y[i], lam[i]) of two point arrays
         of equal length, one of which may be a single point that stands in
-        every row; ``lam`` is an array of that length or one number.  Each
-        row equals ``combine`` of the rows bit for bit.  This default
-        repeats a single point and calls ``combine`` once per row."""
-        x, y = self._rows(x, y), self._rows(y, x)
-        lams = np.broadcast_to(lam, (len(x),))
-        return self.stack([self.combine(x[i], y[i], lams[i]) for i in range(len(x))])
-
-    def _rows(self, p, other: Points) -> Points:
-        """A point array ``p`` as it is, a single point once per row of ``other``."""
-        try:
-            point = self.as_point(p)
-        except ValueError:  # as_point refuses a point array
-            return p
-        return self.stack([point] * len(other))
-
-    def _maps_with(self, cls: type) -> bool:
-        """Whether this space's map is ``cls.mix`` behind the base ``combine``,
-        so that the array form written for ``cls`` computes it."""
-        return type(self).mix is cls.mix and type(self).combine is Space.combine
+        every row; ``lam`` is an array of that length or one number, and a
+        lam outside [0, 1] raises ValueError.  Each row equals ``mix`` of its
+        rows' loop points, bit for bit."""
 
     def stack(self, points) -> Points:
         """The point array holding ``points`` in order."""
-        out = self.empty(len(points))
-        for i, point in enumerate(points):
-            out[i] = self.as_point(point)
-        return out
+        return self.collect(map(self.as_point, points), len(points))
 
     @staticmethod
     def _check_lambdas(lam) -> np.ndarray:
@@ -265,8 +241,6 @@ class EuclideanSpace(Space):
         return np.sqrt(np.vecdot(diff, diff))
 
     def combine_array(self, x, y, lam):
-        if not self._maps_with(EuclideanSpace):  # check the subclass's own map
-            return super().combine_array(x, y, lam)
         lam = self._check_lambdas(lam)[..., None]
         return (1.0 - lam) * x + lam * y
 
@@ -298,7 +272,7 @@ class StarTreeSpace(Space):
 
     Distances: |s - t| between (i, s) and (i, t) on the same ray, and s + t
     across distinct rays.  The geodesic between points on distinct rays runs
-    through the origin; ``combine`` walks the requested fraction of its
+    through the origin; ``mix`` walks the requested fraction of its
     length starting from the first point.  This is an R-tree, hence CAT(0),
     so the combination axioms hold exactly up to rounding.
 
@@ -347,8 +321,6 @@ class StarTreeSpace(Space):
         return np.where(x.ray == y.ray, np.abs(x.t - y.t), x.t + y.t)
 
     def combine_array(self, x, y, lam):
-        if not self._maps_with(StarTreeSpace):  # check the subclass's own map
-            return super().combine_array(x, y, lam)
         lam = self._check_lambdas(lam)
         same = x.ray == y.ray
         along = x.t + lam * (y.t - x.t)
@@ -356,7 +328,7 @@ class StarTreeSpace(Space):
         back = walked <= x.t
         t = np.where(
             same,
-            np.where(along > 0.0, along, 0.0),  # max(0.0, along), as combine takes it
+            np.where(along > 0.0, along, 0.0),  # max(0.0, along), as mix takes it
             np.where(back, x.t - walked, walked - x.t),
         )
         ray = np.where(same | back, x.ray, y.ray)

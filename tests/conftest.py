@@ -50,6 +50,20 @@ def run_kmf_direct(family, schedule, x0, horizon: int) -> list[np.ndarray]:
     return out
 
 
+def combine_points(space, x, y, lam):
+    """W(x, y, lam) of two points in the loop's own form: ``mix`` of their
+    loop points after the lambda check.  The per-row reference that
+    ``combine_array`` must equal bit for bit."""
+    lam = float(space._check_lambdas(lam))
+    return space.from_loop(space.mix(space.to_loop(x), space.to_loop(y), lam))
+
+
+def point_dist(space, x, y) -> float:
+    """d(x, y) of two points, each checked by ``as_point``: ``dist_array``
+    of the pair."""
+    return float(space.dist_array(space.as_point(x), space.as_point(y)))
+
+
 def row_bits(row) -> tuple:
     """A check row's fields, each float as its bit pattern, so that NaN,
     -0.0 and every last bit compare exactly."""

@@ -44,7 +44,7 @@ from tmann.sequences import (
     validate_schedule_moduli,
 )
 
-from conftest import run_kmf_direct
+from conftest import point_dist, run_kmf_direct
 
 
 def conclude(number: int, slug: str, ok: bool, detail: str = "") -> None:
@@ -109,7 +109,7 @@ def test_criterion_3_linear_pointwise_bounds(request):
         xn = trace.x[n]
         bound = 20.0 * M / (lam * (n + 2))
         for m in (0, n // 2, 2 * n):
-            dist = instance.space.dist(xn, instance.family.fn(m, xn))
+            dist = point_dist(instance.space, xn, instance.family.fn(m, xn))
             cross_excess = max(cross_excess, dist - bound)
     elapsed = time.perf_counter() - t0
 

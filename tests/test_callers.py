@@ -25,7 +25,6 @@ NO_CALLER = {
     "psi0": "the least valid reciprocal product bound; tests call it, and the CLI is to build its "
     "`general_theorem` certificate from it",
     "halpern_translated_bundle": "planned for certifying the Halpern trace in `tmann run`",
-    "Space.dist": "the checked scalar distance; the point-validation tests call it",
     "BoundCheck.excess": "read only by the benchmark's many-starts pass",
 }
 

@@ -11,8 +11,11 @@ from tmann.geometry import (
     EuclideanSpace,
     StarTreeSpace,
     TreePoint,
+    Space,
     check_w_axioms,
 )
+
+from conftest import combine_points, point_dist
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -22,27 +25,27 @@ ray = st.integers(min_value=0, max_value=4)
 
 def test_euclidean_combine_midquarter():
     sp = EuclideanSpace(1)
-    c = sp.combine(np.array([0.0]), np.array([2.0]), 0.25)
-    assert c[0] == pytest.approx(0.5)
-    assert sp.dist(np.array([0.0]), c) == pytest.approx(0.25 * sp.dist(np.array([0.0]), np.array([2.0])))
+    c = sp.combine_array(np.array([0.0]), np.array([[2.0]]), 0.25)
+    assert c[0, 0] == pytest.approx(0.5)
+    assert sp.dist_array(np.array([0.0]), c)[0] == pytest.approx(0.25 * 2.0)
 
 
 def test_euclidean_dist_345():
     sp = EuclideanSpace(2)
-    assert sp.dist(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
+    assert sp.dist_array(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
 
 
 def test_tree_dist_cases():
     sp = StarTreeSpace(3)
-    assert sp.dist(TreePoint(1, 2.0), TreePoint(2, 1.0)) == 3.0
-    assert sp.dist(TreePoint(1, 2.0), TreePoint(1, 0.5)) == 1.5
+    assert sp.dist_array(TreePoint(1, 2.0), TreePoint(2, 1.0)) == 3.0
+    assert sp.dist_array(TreePoint(1, 2.0), TreePoint(1, 0.5)) == 1.5
 
 
 def test_tree_combine_through_origin():
     sp = StarTreeSpace(3)
-    mid = sp.combine(TreePoint(1, 1.0), TreePoint(2, 1.0), 0.5)
+    mid = combine_points(sp, TreePoint(1, 1.0), TreePoint(2, 1.0), 0.5)
     assert mid == TreePoint(0, 0.0)
-    walked = sp.combine(TreePoint(1, 2.0), TreePoint(2, 1.0), 0.5)
+    walked = combine_points(sp, TreePoint(1, 2.0), TreePoint(2, 1.0), 0.5)
     assert walked.ray == 1
     assert walked.t == pytest.approx(0.5)
 
@@ -59,25 +62,53 @@ def test_tree_point_canonical_origin():
 def test_combine_rejects_bad_lambda():
     sp = EuclideanSpace(1)
     with pytest.raises(ValueError):
-        sp.combine(np.array([0.0]), np.array([1.0]), 1.5)
+        sp.combine_array(np.array([0.0]), np.array([[1.0]]), 1.5)
     with pytest.raises(ValueError):
-        sp.combine(np.array([0.0]), np.array([1.0]), -0.1)
+        sp.combine_array(np.array([0.0]), np.array([[1.0]]), -0.1)
 
 
 def test_shape_mismatch_rejected():
     sp = EuclideanSpace(2)
     with pytest.raises(ValueError):
-        sp.dist(np.array([0.0, 0.0]), np.array([1.0]))
+        sp.as_point(np.array([1.0]))
     with pytest.raises(ValueError):
-        sp.combine(np.zeros(2), np.zeros(3), 0.5)
+        sp.as_point(np.zeros(3))
+    with pytest.raises(ValueError):
+        sp.combine_array(np.zeros((4, 2)), np.zeros((4, 3)), 0.5)
 
 
 def test_tree_rejects_foreign_points():
     sp = StarTreeSpace(2)
     with pytest.raises(ValueError):
-        sp.dist(TreePoint(5, 1.0), TreePoint(0, 0.0))
+        sp.as_point(TreePoint(5, 1.0))
     with pytest.raises(ValueError):
-        sp.dist(np.zeros(2), TreePoint(0, 0.0))
+        sp.as_point(np.zeros(2))
+
+
+def test_space_contract_is_six_abstract_methods():
+    assert Space.__abstractmethods__ == {
+        "as_point",
+        "mix",
+        "sample",
+        "empty",
+        "dist_array",
+        "combine_array",
+    }
+
+
+def test_space_without_combine_array_cannot_be_instantiated():
+    class NoArrayForm(Space):
+        """Euclidean space's methods, all but ``combine_array``: no per-row
+        default stands in for the array form."""
+
+        as_point = EuclideanSpace.as_point
+        mix = EuclideanSpace.mix
+        sample = EuclideanSpace.sample
+        empty = EuclideanSpace.empty
+        dist_array = EuclideanSpace.dist_array
+
+    with pytest.raises(TypeError, match="combine_array"):
+        NoArrayForm()
 
 
 def euclidean_dist_reference(x, y):
@@ -99,7 +130,7 @@ def test_euclidean_dist_array_equals_the_norm_bit_for_bit(dim):
     y = rng.standard_normal((len(scales), dim)) * scales
     expected = [bits(euclidean_dist_reference(x[i], y[i])) for i in range(len(x))]
     assert [bits(d) for d in sp.dist_array(x, y)] == expected
-    assert [bits(sp.dist(x[i], y[i])) for i in range(0, len(x), 50)] == expected[::50]
+    assert [bits(sp.dist_array(x[i], y[i])) for i in range(0, len(x), 50)] == expected[::50]
 
 
 @pytest.mark.parametrize("num_rays", [2, 3, 7])
@@ -111,7 +142,7 @@ def test_tree_dist_array_equals_the_path_formula(num_rays):
     y.t[:100] = x.t[:100]  # equal points
     expected = [bits(tree_dist_reference(x[i], y[i])) for i in range(len(x))]
     assert [bits(d) for d in sp.dist_array(x, y)] == expected
-    assert [bits(sp.dist(x[i], y[i])) for i in range(0, len(x), 50)] == expected[::50]
+    assert [bits(sp.dist_array(x[i], y[i])) for i in range(0, len(x), 50)] == expected[::50]
 
 
 @pytest.mark.parametrize("space", [EuclideanSpace(3), StarTreeSpace(4)])
@@ -131,10 +162,11 @@ def test_broken_space_flagged_with_expected_magnitude():
     lam = 0.5
     # distance from x to the lam-combination should be lam*d; the broken map
     # yields lam^2*d, so the analytic violation is |lam^2 - lam| * d(x, y)
-    observed = abs(sp.dist(x, sp.combine(x, y, lam)) - lam * sp.dist(x, y))
+    observed = abs(point_dist(sp, x, combine_points(sp, x, y, lam)) - lam * point_dist(sp, x, y))
     assert observed == pytest.approx(abs(lam**2 - lam) * 2.0)
     # and the (W2) comparison against theta = 0 shows the same magnitude
-    w2 = abs(sp.dist(sp.combine(x, y, lam), sp.combine(x, y, 0.0)) - lam * sp.dist(x, y))
+    c_lam, c_zero = combine_points(sp, x, y, lam), combine_points(sp, x, y, 0.0)
+    w2 = abs(point_dist(sp, c_lam, c_zero) - lam * point_dist(sp, x, y))
     assert w2 == pytest.approx(abs(lam**2 - lam) * 2.0)
 
     report = check_w_axioms(sp, samples=2000, tol=1e-9, rng=np.random.default_rng(3))
@@ -148,11 +180,11 @@ def test_broken_space_flagged_with_expected_magnitude():
 def test_euclidean_endpoint_and_w2_exact(x, y, lam, th):
     sp = EuclideanSpace(1)
     px, py = np.array([x]), np.array([y])
-    d = sp.dist(px, py)
-    c_lam = sp.combine(px, py, lam)
-    assert sp.dist(px, c_lam) == pytest.approx(lam * d, abs=1e-9)
-    assert sp.dist(py, c_lam) == pytest.approx((1 - lam) * d, abs=1e-9)
-    assert sp.dist(c_lam, sp.combine(px, py, th)) == pytest.approx(abs(lam - th) * d, abs=1e-9)
+    d = point_dist(sp, px, py)
+    c_lam = combine_points(sp, px, py, lam)
+    assert point_dist(sp, px, c_lam) == pytest.approx(lam * d, abs=1e-9)
+    assert point_dist(sp, py, c_lam) == pytest.approx((1 - lam) * d, abs=1e-9)
+    assert point_dist(sp, c_lam, combine_points(sp, px, py, th)) == pytest.approx(abs(lam - th) * d, abs=1e-9)
 
 
 @settings(max_examples=100, deadline=None)
@@ -160,13 +192,13 @@ def test_euclidean_endpoint_and_w2_exact(x, y, lam, th):
 def test_tree_endpoint_and_w2_exact(r1, t1, r2, t2, lam, th):
     sp = StarTreeSpace(5)
     x, y = TreePoint(r1, t1), TreePoint(r2, t2)
-    d = sp.dist(x, y)
-    c_lam = sp.combine(x, y, lam)
-    assert sp.dist(x, c_lam) == pytest.approx(lam * d, abs=1e-9)
-    assert sp.dist(y, c_lam) == pytest.approx((1 - lam) * d, abs=1e-9)
-    assert sp.dist(c_lam, sp.combine(x, y, th)) == pytest.approx(abs(lam - th) * d, abs=1e-9)
+    d = point_dist(sp, x, y)
+    c_lam = combine_points(sp, x, y, lam)
+    assert point_dist(sp, x, c_lam) == pytest.approx(lam * d, abs=1e-9)
+    assert point_dist(sp, y, c_lam) == pytest.approx((1 - lam) * d, abs=1e-9)
+    assert point_dist(sp, c_lam, combine_points(sp, x, y, th)) == pytest.approx(abs(lam - th) * d, abs=1e-9)
     # symmetry of the combination map
-    assert sp.dist(c_lam, sp.combine(y, x, 1.0 - lam)) <= 1e-9
+    assert point_dist(sp, c_lam, combine_points(sp, y, x, 1.0 - lam)) <= 1e-9
 
 
 # ------------------------------------------------ array paths against per-row
@@ -174,7 +206,7 @@ def test_tree_endpoint_and_w2_exact(r1, t1, r2, t2, lam, th):
 
 def reference_check_w_axioms(space, samples, rng):
     """The per-sample axiom loop: draw the same blocks as the check, then
-    check one tuple at a time with the scalar ``dist`` and ``combine`` and
+    check one tuple at a time with ``point_dist`` and ``combine_points`` and
     keep the worst."""
     worst = {key: -math.inf for key in AXIOM_CHECKS}
 
@@ -188,38 +220,38 @@ def reference_check_w_axioms(space, samples, rng):
         x, y, z, w = xs[i], ys[i], zs[i], ws[i]
         lam, th = float(lams[i]), float(ths[i])
 
-        dxy = space.dist(x, y)
-        dzw = space.dist(z, w)
-        cxy_l = space.combine(x, y, lam)
-        cxy_t = space.combine(x, y, th)
+        dxy = point_dist(space, x, y)
+        dzw = point_dist(space, z, w)
+        cxy_l = combine_points(space, x, y, lam)
+        cxy_t = combine_points(space, x, y, th)
 
-        record("metric_symmetry", abs(dxy - space.dist(y, x)))
-        record("metric_identity", space.dist(x, x))
-        record("metric_triangle", space.dist(x, z) - (dxy + space.dist(y, z)))
+        record("metric_symmetry", abs(dxy - point_dist(space, y, x)))
+        record("metric_identity", point_dist(space, x, x))
+        record("metric_triangle", point_dist(space, x, z) - (dxy + point_dist(space, y, z)))
 
-        record("W1", space.dist(z, cxy_l) - ((1 - lam) * space.dist(z, x) + lam * space.dist(z, y)))
-        record("W2", abs(space.dist(cxy_l, cxy_t) - abs(lam - th) * dxy))
-        record("W3", space.dist(cxy_l, space.combine(y, x, 1.0 - lam)))
+        record("W1", point_dist(space, z, cxy_l) - ((1 - lam) * point_dist(space, z, x) + lam * point_dist(space, z, y)))
+        record("W2", abs(point_dist(space, cxy_l, cxy_t) - abs(lam - th) * dxy))
+        record("W3", point_dist(space, cxy_l, combine_points(space, y, x, 1.0 - lam)))
 
-        cxz_l = space.combine(x, z, lam)
-        record("W4", space.dist(cxz_l, space.combine(y, w, lam)) - ((1 - lam) * dxy + lam * dzw))
+        cxz_l = combine_points(space, x, z, lam)
+        record("W4", point_dist(space, cxz_l, combine_points(space, y, w, lam)) - ((1 - lam) * dxy + lam * dzw))
 
         record(
             "endpoint_distances",
             max(
-                abs(space.dist(x, cxy_l) - lam * dxy),
-                abs(space.dist(y, cxy_l) - (1 - lam) * dxy),
+                abs(point_dist(space, x, cxy_l) - lam * dxy),
+                abs(point_dist(space, y, cxy_l) - (1 - lam) * dxy),
             ),
         )
         record(
             "two_parameter_comparison",
-            space.dist(cxz_l, space.combine(y, w, th))
-            - ((1 - lam) * dxy + lam * dzw + abs(lam - th) * space.dist(y, w)),
+            point_dist(space, cxz_l, combine_points(space, y, w, th))
+            - ((1 - lam) * dxy + lam * dzw + abs(lam - th) * point_dist(space, y, w)),
         )
         record(
             "shared_endpoint_comparison",
-            space.dist(cxz_l, space.combine(x, w, th))
-            - (lam * dzw + abs(lam - th) * space.dist(x, w)),
+            point_dist(space, cxz_l, combine_points(space, x, w, th))
+            - (lam * dzw + abs(lam - th) * point_dist(space, x, w)),
         )
     return worst
 
@@ -233,19 +265,31 @@ class NormalSamplerSpace(EuclideanSpace):
 
 
 class SquaredStarTreeSpace(StarTreeSpace):
-    """A star tree with its own combination map, which walks lam**2 of the
-    geodesic: the axiom check must check this map, not the parent's."""
+    """A star tree with its own combination map, in both forms, which walks
+    lam**2 of the geodesic: the axiom check must check this map, not the
+    parent's."""
 
-    def combine(self, x, y, lam):
-        return super().combine(x, y, float(self._check_lambdas(lam)) ** 2)
+    def mix(self, x, y, lam):
+        return super().mix(x, y, lam * lam)
+
+    def combine_array(self, x, y, lam):
+        lam = self._check_lambdas(lam)
+        return super().combine_array(x, y, lam * lam)
 
 
 class CubedEuclideanSpace(EuclideanSpace):
-    """A Euclidean space whose own ``mix`` interpolates with lam**3: its
-    array form must be the per-row fallback, not the parent's affine one."""
+    """A Euclidean space whose own ``mix`` and ``combine_array`` interpolate
+    with lam**3: the axiom check must check this map, not the parent's
+    affine one."""
 
     def mix(self, x, y, lam):
-        return [(1.0 - lam**3) * a + lam**3 * b for a, b in zip(x, y)]
+        cube = lam * lam * lam
+        return [(1.0 - cube) * a + cube * b for a, b in zip(x, y)]
+
+    def combine_array(self, x, y, lam):
+        lam = self._check_lambdas(lam)[..., None]
+        cube = lam * lam * lam
+        return (1.0 - cube) * x + cube * y
 
 
 SPACES = {
@@ -339,20 +383,22 @@ def test_combine_array_equals_per_row_combine(name):
         lam[50:60] = 0.5
         x.t[60:62] = 0.0  # x at the origin, stored on ray 0
         x.ray[60:62] = 0
+    # the reference is each row's from_loop(mix(...)), the loop's own form
     got = space.combine_array(x, y, lam)
-    assert_rows_equal(space, got, [space.combine(x[i], y[i], lam[i]) for i in range(len(lam))])
+    assert_rows_equal(space, got, [combine_points(space, x[i], y[i], lam[i]) for i in range(len(lam))])
     if type(space) is StarTreeSpace:  # halfway between equal radii is the origin
         assert np.all(got.ray[50:60] == 0) and np.all(got.t[50:60] == 0.0)
     # one number for every row
-    assert_rows_equal(space, space.combine_array(x, y, 0.25), [space.combine(x[i], y[i], 0.25) for i in range(len(lam))])
+    per_row = [combine_points(space, x[i], y[i], 0.25) for i in range(len(lam))]
+    assert_rows_equal(space, space.combine_array(x, y, 0.25), per_row)
     # a single point on either side, with a lam per row or one number;
     # x[60] is the origin on the tree
     for point in (x[0], x[60]):
         for lams in (lam, 0.25):
             each = np.broadcast_to(lams, lam.shape)
-            per_row = [space.combine(point, y[i], each[i]) for i in range(len(lam))]
+            per_row = [combine_points(space, point, y[i], each[i]) for i in range(len(lam))]
             assert_rows_equal(space, space.combine_array(point, y, lams), per_row)
-            per_row = [space.combine(x[i], point, each[i]) for i in range(len(lam))]
+            per_row = [combine_points(space, x[i], point, each[i]) for i in range(len(lam))]
             assert_rows_equal(space, space.combine_array(x, point, lams), per_row)
 
 
@@ -371,14 +417,14 @@ def test_combine_array_refuses_lambda_outside_unit_interval(name, bad):
 def test_broken_space_breaks_combine_array_like_combine():
     space = BrokenEuclideanSpace(1)
     x, y = np.array([[0.0]]), np.array([[2.0]])
-    assert space.combine_array(x, y, 0.5)[0, 0] == space.combine(x[0], y[0], 0.5)[0] == 0.5
+    assert space.combine_array(x, y, 0.5)[0, 0] == combine_points(space, x[0], y[0], 0.5)[0] == 0.5
 
 
 class NanCombineSpace(EuclideanSpace):
     """A Euclidean space whose combination map returns NaN coordinates."""
 
-    def combine(self, x, y, lam):
-        return np.full(self.dim, math.nan)
+    def combine_array(self, x, y, lam):
+        return np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), math.nan)
 
 
 def test_nan_combination_fails_the_axiom_check():

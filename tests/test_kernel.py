@@ -51,7 +51,7 @@ from tmann.sequences import (
     terms,
 )
 
-from conftest import row_bits
+from conftest import combine_points, point_dist, row_bits
 
 HORIZON = 400
 #: The residual sequences an ``IterationTrace`` keeps.
@@ -70,23 +70,23 @@ def reference_tikhonov_mann(instance, horizon):
     x = instance.x0
     xs, us = [x], []
     for n in range(horizon):
-        u_n = sp.combine(u, x, sch.beta(n))
+        u_n = combine_points(sp, u, x, sch.beta(n))
         t_un = fam.fn(n, u_n)
-        x_next = sp.combine(u_n, t_un, sch.lam(n))
-        seqs["residual_step"].append(sp.dist(x, x_next))
-        seqs["residual_T"].append(sp.dist(x, fam.fn(n, x)))
-        seqs["tfam_gap"].append(sp.dist(fam.fn(n + 1, u_n), t_un))
-        seqs["dist_x_p"].append(sp.dist(x, p))
-        seqs["dist_x_u"].append(sp.dist(x, u))
-        seqs["dist_u_p"].append(sp.dist(u_n, p))
-        seqs["dist_u_Tu"].append(sp.dist(u_n, t_un))
+        x_next = combine_points(sp, u_n, t_un, sch.lam(n))
+        seqs["residual_step"].append(point_dist(sp, x, x_next))
+        seqs["residual_T"].append(point_dist(sp, x, fam.fn(n, x)))
+        seqs["tfam_gap"].append(point_dist(sp, fam.fn(n + 1, u_n), t_un))
+        seqs["dist_x_p"].append(point_dist(sp, x, p))
+        seqs["dist_x_u"].append(point_dist(sp, x, u))
+        seqs["dist_u_p"].append(point_dist(sp, u_n, p))
+        seqs["dist_u_Tu"].append(point_dist(sp, u_n, t_un))
         if n > 0:
-            seqs["dist_u_succ"].append(sp.dist(u_n, us[-1]))
+            seqs["dist_u_succ"].append(point_dist(sp, u_n, us[-1]))
         xs.append(x_next)
         us.append(u_n)
         x = x_next
-    seqs["dist_x_p"].append(sp.dist(x, p))
-    seqs["dist_x_u"].append(sp.dist(x, u))
+    seqs["dist_x_p"].append(point_dist(sp, x, p))
+    seqs["dist_x_u"].append(point_dist(sp, x, u))
     return seqs, xs, us
 
 
@@ -94,14 +94,14 @@ def reference_halpern(instance, horizon):
     """The modified Halpern iteration with every value computed at its step."""
     sp, fam, sch = instance.space, instance.family, instance.schedule
     u = instance.u
-    y = sp.combine(u, instance.x0, sch.beta(0))
+    y = combine_points(sp, u, instance.x0, sch.beta(0))
     ys, vs, residual_step, residual_T = [y], [], [], []
     for n in range(horizon):
         t_yn = fam.fn(n, y)
-        v = sp.combine(y, t_yn, sch.lam(n))
-        y_next = sp.combine(u, v, sch.beta(n + 1))
-        residual_step.append(sp.dist(y, y_next))
-        residual_T.append(sp.dist(y, t_yn))
+        v = combine_points(sp, y, t_yn, sch.lam(n))
+        y_next = combine_points(sp, u, v, sch.beta(n + 1))
+        residual_step.append(point_dist(sp, y, y_next))
+        residual_T.append(point_dist(sp, y, t_yn))
         vs.append(v)
         ys.append(y_next)
         y = y_next
@@ -286,8 +286,8 @@ def test_halpern_kernel_matches_per_step_loop(case):
 
     report = check_halpern_equivalence(instance, HORIZON)
     _, xs, us = reference_tikhonov_mann(instance, HORIZON)
-    assert report.max_u_y == max(sp.dist(us[n], ys[n]) for n in range(HORIZON))
-    assert report.max_x_v == max(sp.dist(xs[n + 1], vs[n]) for n in range(HORIZON))
+    assert report.max_u_y == max(point_dist(sp, us[n], ys[n]) for n in range(HORIZON))
+    assert report.max_x_v == max(point_dist(sp, xs[n + 1], vs[n]) for n in range(HORIZON))
 
 
 def first_worst(values):

@@ -24,6 +24,8 @@ from tmann.mappings import (
 )
 from tmann.sequences import builtin_example_schedule, oracle_cauchy_modulus
 
+from conftest import point_dist
+
 GAMMA_EXAMPLE = lambda n: 1.0 + 1.0 / (n + 1)
 
 
@@ -87,7 +89,7 @@ def test_nonexpansive_fails_for_doubling_map():
     assert not report.passed
     (row,) = report.checks
     n, x, y = row.at
-    assert row.worst_excess == pytest.approx(sp.dist(x, y), rel=1e-12)
+    assert row.worst_excess == pytest.approx(point_dist(sp, x, y), rel=1e-12)
     assert report.summary().splitlines()[1].endswith(
         f" (at n={n}, x={x}, y={y})  VIOLATED"
     )
@@ -325,7 +327,7 @@ def reference_nonexpansive(family, space, samples, rng, n_max=50):
     ns = rng.integers(0, n_max + 1, size=samples)
     x, y = space.sample(rng, samples), space.sample(rng, samples)
     excess = [
-        space.dist(family.fn(int(n), x[i]), family.fn(int(n), y[i])) - space.dist(x[i], y[i])
+        point_dist(space, family.fn(int(n), x[i]), family.fn(int(n), y[i])) - point_dist(space, x[i], y[i])
         for i, n in enumerate(ns)
     ]
     i = first_worst(excess)
@@ -341,8 +343,8 @@ def reference_jp2(family, gamma, space, samples, index_pairs, rng, n_max=50):
         for i, j in pairs[s].tolist():
             for m, n in ((i, j), (j, i)):
                 tn_x = family.fn(n, x[s])
-                lhs = space.dist(family.fn(m, x[s]), tn_x)
-                excess.append(lhs - abs(gamma(m) - gamma(n)) / gamma(n) * space.dist(tn_x, x[s]))
+                lhs = point_dist(space, family.fn(m, x[s]), tn_x)
+                excess.append(lhs - abs(gamma(m) - gamma(n)) / gamma(n) * point_dist(space, tn_x, x[s]))
                 where.append((m, n, x[s]))
     i = first_worst(excess)
     return excess[i], where[i]

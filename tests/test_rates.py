@@ -26,7 +26,7 @@ from tmann.rates import (
 )
 from tmann.sequences import builtin_example_schedule, ceil_reciprocal, psi0
 
-from conftest import first_indices, row_bits
+from conftest import first_indices, point_dist, row_bits
 from test_iterate import BLOCK_HORIZONS
 from test_kernel import CASES
 
@@ -399,7 +399,7 @@ def test_soundness_linear_rates_certify(linear_l1):
     window = 2000
     for m in (0, 17):
         residuals = [
-            instance.space.dist(trace.x[n], instance.family.fn(m, trace.x[n]))
+            point_dist(instance.space, trace.x[n], instance.family.fn(m, trace.x[n]))
             for n in range(window + 1)
         ]
         report = certify_rate(residuals, cross_rate(lr), k_max=10, tol=1e-9)
@@ -415,7 +415,7 @@ def test_linear_cross_index_spot_check_equals_the_per_point_formula(suite_fixtur
         space, family = instance.space, instance.family
         ns = sorted(set(np.geomspace(1, trace.horizon - 1, 25).astype(int).tolist()))
         excess = [
-            space.dist(trace.x[n], family.fn(m, trace.x[n]))
+            point_dist(space, trace.x[n], family.fn(m, trace.x[n]))
             - 20.0 * lr.M / (lr.lambda_const * (n + 2))
             for n in ns
             for m in (0, n // 2, 2 * n)
