@@ -32,15 +32,15 @@ def blocks(count: int):
 def settle_indices(values, levels) -> list:
     """For each level, the least n from which ``values`` stays at or below
     it: one past the last entry not at or below it (a NaN is not), or 0
-    when there is none.  One forward pass compares each block with every
-    level at once, so its temporaries are (levels x block) long."""
-    values, column = np.asarray(values, dtype=float), np.asarray(levels, dtype=float)[:, None]
-    settle = np.zeros(len(column), dtype=int)
-    for rows in blocks(len(values)):
-        above = ~(values[rows] <= column)
-        hit = above.any(axis=1)
-        # the first entry above in a reversed row is the last one above
-        settle[hit] = rows.stop - np.argmax(above[:, ::-1], axis=1)[hit]
+    when there is none.  One backward pass settles each level in the last
+    block holding such an entry, so its temporaries are one block long."""
+    values, levels = np.asarray(values, dtype=float), np.asarray(levels, dtype=float)
+    settle = np.zeros(len(levels), dtype=int)  # 0 until a block settles the level
+    for rows in reversed(list(blocks(len(values)))):
+        # the unsettled levels that the block's maximum is not at or below
+        # (a NaN maximum or level never is) settle in this block
+        for k in np.flatnonzero((settle == 0) & ~(levels >= values[rows].max())):
+            settle[k] = rows.stop - np.argmax(~(values[rows][::-1] <= levels[k]))
     return settle.tolist()
 
 

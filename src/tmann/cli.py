@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import geometry, iterate, mappings, rates, sequences
+from . import checks, geometry, iterate, mappings, rates, sequences
 from .geometry import EuclideanSpace, StarTreeSpace, TreePoint
 from .iterate import ProblemInstance, write_csv
 from .mappings import MappingFamily
@@ -141,12 +141,9 @@ COCOERCIVE_OPS = {
 def _forward_backward(A, B, schedule: ParamSchedule, p, horizon: int, **_) -> MappingFamily:
     if p is None:
         raise ValueError("needs 'p', a registered zero of A + B")
-    cap = 2.0 * B.beta_coco
-    gammas = sequences.terms(schedule.gamma, np.arange(horizon + 1))
-    outside = ~((0.0 < gammas) & (gammas < cap))
-    if outside.any():
-        n = int(np.argmax(outside))
-        raise ValueError(f"gamma_{n} = {float(gammas[n])!r} outside the step-size range (0, {cap!r})")
+    for rows in checks.blocks(horizon + 1):
+        steps = sequences.terms(schedule.gamma, np.arange(rows.start, rows.stop))
+        mappings.check_step_sizes(B, steps, start=rows.start)
     return mappings.forward_backward_family(A, B, schedule.gamma, p)
 
 

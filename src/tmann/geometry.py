@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Any
 
@@ -53,40 +54,29 @@ Points = Any
 ``TreePoints`` for star trees.  Indexing with an int gives a ``Point``."""
 
 
-@dataclass(frozen=True)
-class TreePoint:
-    """Point on a star tree: a ray index and a radial coordinate t >= 0.
+class TreePoint(namedtuple("TreePoint", "ray t")):
+    """Point on a star tree: the tuple (ray, t) of a ray index and a radial
+    coordinate t >= 0, built only by this checked constructor.  The origin
+    (t == 0) belongs to every ray; it canonicalizes to ray 0 so that point
+    equality is decidable."""
 
-    The origin (t == 0) belongs to every ray; it canonicalizes to ray 0 so
-    that point equality is decidable.
-    """
+    __slots__ = ()
 
-    ray: int
-    t: float
+    def __new__(cls, ray: int, t: float):
+        if ray < 0:
+            raise ValueError(f"ray index must be >= 0, got {ray}")
+        if not 0.0 <= t < math.inf:  # a NaN compares False
+            raise ValueError(f"radial coordinate must be finite and >= 0, got {t}")
+        return tuple.__new__(cls, (ray if t else 0, t))
 
-    def __post_init__(self) -> None:
-        if self.ray < 0:
-            raise ValueError(f"ray index must be >= 0, got {self.ray}")
-        if not math.isfinite(self.t) or self.t < 0:
-            raise ValueError(f"radial coordinate must be finite and >= 0, got {self.t}")
-        if self.t == 0.0 and self.ray != 0:
-            object.__setattr__(self, "ray", 0)
-
-
-def _tree_point(ray: int, t: float) -> TreePoint:
-    """The ``TreePoint`` of a valid ray and a finite t > 0, or of ray 0 and
-    t == 0, built without the checks of ``__post_init__``."""
-    point = object.__new__(TreePoint)
-    fields = point.__dict__
-    fields["ray"] = ray
-    fields["t"] = t
-    return point
+    # namedtuple's _make (and _replace, which calls it) skips __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 @dataclass(frozen=True, eq=False)
 class TreePoints:
     """An array of star-tree points: an int array of rays and a float array
-    of radial coordinates.
+    of radial coordinates: in a stored orbit, the fields of one record array.
 
     An int index gives a ``TreePoint``, a slice or an index array gives a
     ``TreePoints``, and assigning a ``TreePoint`` to an int index, or a
@@ -205,7 +195,14 @@ class EuclideanSpace(Space):
         self.name = f"euclidean-{self.dim}d"
 
     def as_point(self, coords) -> np.ndarray:
-        p = coords if isinstance(coords, np.ndarray) else np.asarray(coords, dtype=float)
+        p = coords
+        if not isinstance(p, np.ndarray):
+            try:  # np.asarray would read a TreePoint, a 2-tuple, as 2 coordinates
+                p = None if isinstance(p, TreePoint) else np.asarray(p, dtype=float)
+            except TypeError:  # not numbers
+                p = None
+            if p is None:
+                raise ValueError(f"expected {self.dim} numbers, got {type(coords).__name__}")
         if p.shape != (self.dim,):
             raise ValueError(f"expected a point of shape ({self.dim},), got {p.shape}")
         return p
@@ -297,16 +294,12 @@ class StarTreeSpace(Space):
         return p
 
     def mix(self, x, y, lam):
+        # only distinct rays can give an overflowed or NaN t: TreePoint refuses it
         if x.ray == y.ray:
-            ray, t = x.ray, x.t + lam * (y.t - x.t)
-            if not t > 0.0:  # max(0.0, t) is the origin
-                return _tree_point(0, 0.0)
-        else:
-            walked = lam * (x.t + y.t)
-            ray, t = (x.ray, x.t - walked) if walked <= x.t else (y.ray, walked - x.t)
-        if 0.0 < t < math.inf:
-            return _tree_point(ray, t)
-        return TreePoint(ray, t)  # the origin, or the error for an overflowed or NaN t
+            t = x.t + lam * (y.t - x.t)
+            return TreePoint(x.ray, t if t > 0.0 else 0.0)  # max(0.0, t)
+        walked = lam * (x.t + y.t)
+        return TreePoint(x.ray, x.t - walked) if walked <= x.t else TreePoint(y.ray, walked - x.t)
 
     def sample(self, rng, count):
         ray = rng.integers(self.num_rays, size=count)
@@ -316,6 +309,10 @@ class StarTreeSpace(Space):
 
     def empty(self, count):
         return TreePoints(np.zeros(count, dtype=int), np.zeros(count))
+
+    def collect(self, points, count):  # one structured fromiter of (ray, t) records
+        rows = np.fromiter(points, [("ray", int), ("t", float)], count)
+        return TreePoints(rows["ray"], rows["t"])
 
     def dist_array(self, x, y):
         return np.where(x.ray == y.ray, np.abs(x.t - y.t), x.t + y.t)

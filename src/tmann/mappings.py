@@ -52,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .checks import Section, worst_row
-from .geometry import Point, Points, Space, TreePoint, TreePoints, _tree_point
+from .geometry import Point, Points, Space, TreePoint, TreePoints
 from .sequences import ParamSchedule, RateFn, terms
 
 
@@ -182,18 +182,13 @@ def tree_contraction_family(factor: float) -> MappingFamily:
     if not 0.0 <= factor <= 1.0:
         raise ValueError(f"contraction factor must lie in [0, 1], got {factor}")
 
-    def contract_point(n: int, x: TreePoint) -> TreePoint:
-        # factor in [0, 1] and a point's finite t >= 0 give a finite t >= 0
-        t = factor * x.t
-        return _tree_point(x.ray, t) if t > 0.0 else _tree_point(0, 0.0)
-
     def contract_array(ns: np.ndarray, xs: TreePoints) -> TreePoints:
         t = factor * xs.t
         return TreePoints(np.where(t == 0.0, 0, xs.ray), t)  # the origin is ray 0
 
     return MappingFamily(
         name=f"tree_contraction({factor})",
-        fn=contract_point,
+        fn=lambda n, x: TreePoint(x.ray, factor * x.t),
         fixed_point=TreePoint(0, 0.0),
         chi_T=constant_family_chi_T(),
         fn_array=contract_array,
@@ -328,19 +323,29 @@ def zero_cocoercive() -> CocoerciveOp:
     return CocoerciveOp(name="zero", fn=np.zeros_like, beta_coco=math.inf)
 
 
+def check_step_sizes(B: CocoerciveOp, gamma, start: int | None = None) -> None:
+    """The step-size rule of forward-backward splitting: raise ValueError
+    naming the first step size outside (0, 2 beta) in ``gamma``, one number
+    or an array of gamma_start, gamma_start + 1, ... when ``start`` is given."""
+    cap = 2.0 * B.beta_coco
+    if not (np.isscalar(gamma) and 0.0 < gamma < cap):  # no numpy call for one good step
+        gammas = np.ravel(gamma)
+        outside = ~((0.0 < gammas) & (gammas < cap))
+        i = int(np.argmax(outside))  # the first outside, if any
+        if outside[i]:
+            name = "gamma" if start is None else f"gamma_{start + i}"
+            raise ValueError(f"step size {name} = {float(gammas[i])!r} outside (0, {cap!r})")
+
+
 def forward_backward_map(
     A: MonotoneOp, B: CocoerciveOp, gamma: float, x: np.ndarray
 ) -> np.ndarray:
     """One forward-backward application: J_{gamma A}(x - gamma B x).
 
     ``gamma`` may also be a column of step sizes and ``x`` an array with one
-    point per row; every step size must lie in (0, 2 beta).
+    point per row; every step size must pass ``check_step_sizes``.
     """
-    for g in (gamma,) if np.isscalar(gamma) else (gamma.min(), gamma.max()):
-        if not 0.0 < g < 2.0 * B.beta_coco:
-            raise ValueError(
-                f"step size must lie in (0, 2 beta) = (0, {2.0 * B.beta_coco!r}), got {g}"
-            )
+    check_step_sizes(B, gamma)
     x = np.asarray(x, dtype=float)
     return A.prox(gamma, x - gamma * B.fn(x))
 

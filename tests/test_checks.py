@@ -111,12 +111,17 @@ def backward_scan(values, level) -> int:
         st.tuples(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=5)),
         max_size=3,
     ),
+    many=st.booleans(),
 )
 def test_settle_indices_equal_a_plain_backward_scan(
-    block, blocks_and_extra, seed, decay, nans, levels, at_level
+    block, blocks_and_extra, seed, decay, nans, levels, at_level, many
 ):
     # lengths 1, block - 1, block, block + 1 and 3 block + 5, with NaNs and
-    # entries exactly at a level placed at drawn fractions of the sequence
+    # entries exactly at a level placed at drawn fractions of the sequence;
+    # ``many`` adds levels 1/(k+1) up to 1,001 levels, as certification at
+    # k_max = 1,000 reads
+    if many:
+        levels = levels + [1.0 / (k + 1) for k in range(1001 - len(levels))]
     count, extra = blocks_and_extra
     length = count * block + extra
     rng = np.random.default_rng(seed)
@@ -130,7 +135,7 @@ def test_settle_indices_equal_a_plain_backward_scan(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(checks, "BLOCK_ROWS", block)
         got = settle_indices(values, levels)
-    assert got == [backward_scan(values, level) for level in levels]
+    assert got == [backward_scan(values.tolist(), level) for level in levels]
     assert all(type(n) is int for n in got)
 
 

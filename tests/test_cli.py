@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -197,7 +198,7 @@ def test_forward_backward_family_config(tmp_path):
     assert "overall: PASS" in report
 
 
-def test_forward_backward_family_rejects_bad_step_sizes(tmp_path):
+def test_forward_backward_family_rejects_bad_step_sizes(tmp_path, capsys):
     # beta = 1 for this B, so the example gamma schedule starts at the cap
     cfg = write_config(
         tmp_path / "fb_bad.json",
@@ -212,6 +213,28 @@ def test_forward_backward_family_rejects_bad_step_sizes(tmp_path):
         p=[0.0],
     )
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert_one_line_error(capsys, "step size gamma_0 = 2.0 outside (0, 2.0)")
+
+
+def test_forward_backward_step_sizes_are_read_a_block_at_a_time(tmp_path):
+    # gamma_0 .. gamma_horizon, checked without a horizon-long array (8 MB)
+    cfg = write_config(
+        tmp_path / "fb_long.json",
+        space={"name": "euclidean", "dim": 1},
+        family={"name": "forward_backward", "A": {"name": "zero"}, "B": {"name": "zero"}},
+        u=[0.0],
+        x0=[1.0],
+        p=[0.0],
+        horizon=1_000_000,
+    )
+    config = parse_config(cfg)
+    tracemalloc.start()
+    try:
+        build_problem(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1_000_000
 
 
 @pytest.mark.parametrize("name", sorted(cli.SCHEDULES))

@@ -11,9 +11,11 @@ from tmann.geometry import (
     EuclideanSpace,
     StarTreeSpace,
     TreePoint,
+    TreePoints,
     Space,
     check_w_axioms,
 )
+from tmann.mappings import tree_contraction_family
 
 from conftest import combine_points, point_dist
 
@@ -50,13 +52,41 @@ def test_tree_combine_through_origin():
     assert walked.t == pytest.approx(0.5)
 
 
-def test_tree_point_canonical_origin():
+def test_treepoint_checks_and_canonical_origin():
     assert TreePoint(2, 0.0) == TreePoint(0, 0.0)
     assert TreePoint(2, 0.0).ray == 0
-    with pytest.raises(ValueError):
-        TreePoint(1, -0.5)
-    with pytest.raises(ValueError):
-        TreePoint(-1, 1.0)
+    for t in (-0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"radial coordinate must be finite and >= 0, got {t}"):
+            TreePoint(1, t)
+    for t in (1.0, 0.0, math.nan):  # the ray is checked first
+        with pytest.raises(ValueError, match="ray index must be >= 0, got -1"):
+            TreePoint(-1, t)
+    with pytest.raises(ValueError, match="radial coordinate must be finite and >= 0, got -1.0"):
+        TreePoint(1, 2.0)._replace(t=-1.0)  # namedtuple's own copy is checked too
+    assert TreePoint._make([2, 0.0]) == (0, 0.0)
+    # every other way to a point at t == 0 also comes out on ray 0
+    sp = StarTreeSpace(3)
+    assert sp.mix(TreePoint(2, 1.0), TreePoint(2, 1e-20), 1.0) == (0, 0.0)  # 1 + (1e-20 - 1)
+    assert tree_contraction_family(0.0).fn(0, TreePoint(2, 1.5)) == (0, 0.0)
+    assert TreePoints(np.array([2, 1]), np.array([0.0, 1.0]))[0] == (0, 0.0)
+
+
+def test_tree_mix_refuses_an_overflowed_radius():
+    with pytest.raises(ValueError, match="radial coordinate must be finite and >= 0, got inf"):
+        StarTreeSpace(3).mix(TreePoint(1, 1e308), TreePoint(2, 1e308), 0.75)
+
+
+def test_tree_collect_equals_assigning_row_by_row():
+    sp = StarTreeSpace(3)
+    points = list(sp.sample(np.random.default_rng(5), 50))
+    points[7:10] = [TreePoint(2, 0.0), TreePoint(0, -0.0), TreePoint(1, 5e-324)]
+    expected = sp.empty(len(points))
+    for i, point in enumerate(points):
+        expected[i] = point
+    stored = sp.collect(iter(points), len(points))
+    assert stored.ray.tobytes() == expected.ray.tobytes()
+    assert stored.t.tobytes() == expected.t.tobytes()
+    assert stored.ray[7] == 0
 
 
 def test_combine_rejects_bad_lambda():
@@ -73,6 +103,10 @@ def test_shape_mismatch_rejected():
         sp.as_point(np.array([1.0]))
     with pytest.raises(ValueError):
         sp.as_point(np.zeros(3))
+    # a TreePoint is a 2-tuple, which np.asarray would read as 2 coordinates
+    for foreign in (TreePoint(1, 2.0), object(), {"x": 1.0}):
+        with pytest.raises(ValueError, match=f"^expected 2 numbers, got {type(foreign).__name__}$"):
+            sp.as_point(foreign)
     with pytest.raises(ValueError):
         sp.combine_array(np.zeros((4, 2)), np.zeros((4, 3)), 0.5)
 

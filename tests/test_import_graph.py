@@ -24,7 +24,7 @@ MODULE_IMPORTS = {
     "mappings": {"checks", "geometry", "sequences"},
     "iterate": {"checks", "geometry", "mappings", "sequences"},
     "rates": {"checks", "sequences"},
-    "cli": {"geometry", "iterate", "mappings", "rates", "sequences"},
+    "cli": {"checks", "geometry", "iterate", "mappings", "rates", "sequences"},
 }
 
 #: Module -> the ``tmann`` modules a function body imports when called:

@@ -344,6 +344,10 @@ def test_stored_orbit_is_read_only_on_both_spaces():
         trace = run_tikhonov_mann(inst, 20)
         with pytest.raises(ValueError, match="read-only"):
             trace.x[3] = inst.x0
+        # the tree keeps the ray and t fields of one record array
+        for field in (trace.x.ray, trace.x.t) if isinstance(trace.x, TreePoints) else ():
+            with pytest.raises(ValueError, match="read-only"):
+                field[3] = 1
         # u_n is rebuilt for each reader, so writing to one copy changes no other
         us = u_points(inst, trace.x, slice(0, 20))
         before = u_points(inst, trace.x, slice(0, 20))[3]
@@ -404,10 +408,10 @@ def test_trace_and_iterate_checks_in_blocks_of_7_equal_the_default_run(case, hor
     assert trace_and_rows(case, horizon) == default
 
 
-def test_residuals_and_orbit_checks_keep_no_whole_horizon_temporaries():
-    # the longest full-certify orbit; a whole-horizon float array is 0.59 MB,
-    # an (H, 2) point array 1.18 MB
-    H = 73_537
+# the longest full-certify orbit, and one whose last block is 2,000 rows
+@pytest.mark.parametrize("H", [73_537, 71_632])
+def test_residuals_and_orbit_checks_keep_no_whole_horizon_temporaries(H):
+    # a whole-horizon float array is 0.59 MB, an (H, 2) point array 1.18 MB
     fam = box_projection_family([-1.0, -1.0], [1.0, 1.0])
     schedule = builtin_linear_schedule(0.5)
     inst = euclidean_instance(dim=2, x0=[0.6, 0.8], u=[0.0, 0.0], family=fam, schedule=schedule)

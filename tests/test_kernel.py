@@ -492,10 +492,16 @@ def test_each_loop_checks_exactly_the_terms_it_reads(beta, lam, horizon, raising
     [
         (EuclideanSpace(2), np.zeros(2), np.ones(2), np.zeros(3), r"shape \(2,\), got \(3,\)"),
         (EuclideanSpace(2), np.zeros(2), np.ones(2), [0.0, 0.0, 0.0], r"shape \(2,\), got \(3,\)"),
+        # a 2-tuple, which np.asarray would read as 2 coordinates
+        (EuclideanSpace(2), np.zeros(2), np.ones(2), TreePoint(1, 2.0),
+         "expected 2 numbers, got TreePoint"),
         (StarTreeSpace(3), TreePoint(0, 0.0), TreePoint(1, 1.0), TreePoint(3, 1.0),
          "ray index 3 out of range for 3 rays"),
     ],
-    ids=["euclidean_wrong_shape", "euclidean_list_of_wrong_length", "tree_ray_out_of_range"],
+    ids=[
+        "euclidean_wrong_shape", "euclidean_list_of_wrong_length", "euclidean_TreePoint",
+        "tree_ray_out_of_range",
+    ],
 )
 def test_family_output_outside_the_space_stops_both_loops(space, p, x0, escaped, message):
     # T_n is the identity except at n = 12, past the fixed-point check of create

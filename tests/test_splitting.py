@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from tmann.mappings import (
     box_operator,
     check_jp2_consequence,
     check_nonexpansive,
+    check_step_sizes,
     chi_T_for,
     forward_backward_family,
     forward_backward_map,
@@ -77,6 +79,14 @@ def test_forward_backward_step_size_domain():
         forward_backward_map(A, B, 2.0, np.array([1.0]))
     with pytest.raises(ValueError, match="step size"):
         forward_backward_map(A, B, 0.0, np.array([1.0]))
+    # the one rule, which the CLI also reads a block at a time: the first
+    # step size outside (0, 2), by its index when the caller gives one
+    check_step_sizes(B, np.array([1.0, 1.9, 1e-300]), start=4096)
+    cap = r"outside \(0, 2.0\)"
+    with pytest.raises(ValueError, match=rf"^step size gamma_4097 = nan {cap}$"):
+        check_step_sizes(B, np.array([1.0, math.nan, -1.0]), start=4096)
+    with pytest.raises(ValueError, match=rf"^step size gamma = 2.0 {cap}$"):
+        forward_backward_map(A, B, np.array([[1.0], [2.0]]), np.ones((2, 1)))
 
 
 #: Every kind of operator the config reader builds, on R^2.
