@@ -17,11 +17,11 @@ Each report section reads one check record and shows its status: "pass",
 "fail", "inconclusive" (a certification with every rate index past the
 horizon) or "info" (the advisory reading, which decides nothing).  Exit
 codes: 1 when a section fails, else 0; 2 on a configuration error, which
-includes a config that cannot be read and an output directory that cannot
-be created, and ends in one line on stderr.  With a fixed seed the
-artifacts are byte-identical across runs; all numeric content in rates.csv
-is reproducible by calling the library functions with the config's
-parameters.
+includes a config that cannot be read, an output directory that cannot be
+created and a size that cannot be allocated, and ends in one line on
+stderr.  With a fixed seed the artifacts are byte-identical across runs;
+all numeric content in rates.csv is reproducible by calling the library
+functions with the config's parameters.
 """
 
 from __future__ import annotations
@@ -473,7 +473,7 @@ def run_suite(directory, overrides: dict | None = None, out_dir: Path | None = N
             config = parse_config(cfg_path, overrides)
             code = run_experiment(config, out_dir=out / cfg_path.stem)
             status = "pass" if code == 0 else "fail"
-        except ConfigError as exc:
+        except (ConfigError, MemoryError) as exc:  # numpy refuses a size before allocating
             print(f"{cfg_path.name}: configuration error: {exc}", file=sys.stderr)
             code, status = 2, "config_error"
         except Exception as exc:  # isolate per-config crashes; the suite continues
@@ -512,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
             config = parse_config(args.config, overrides)
             return run_experiment(config)
         return run_suite(args.directory, overrides, out_dir=Path(args.out) if args.out else None)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # numpy refuses a size before allocating
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

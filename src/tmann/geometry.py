@@ -55,14 +55,18 @@ Points = Any
 
 
 class TreePoint(namedtuple("TreePoint", "ray t")):
-    """Point on a star tree: the tuple (ray, t) of a ray index and a radial
-    coordinate t >= 0, built only by this checked constructor.  The origin
-    (t == 0) belongs to every ray; it canonicalizes to ray 0 so that point
-    equality is decidable."""
+    """Point on a star tree: the tuple (ray, t) of an int ray index and a
+    radial coordinate t >= 0, built only by this checked constructor, which
+    takes a numpy integer ray as an int.  The origin (t == 0) belongs to
+    every ray; it canonicalizes to ray 0 so that point equality is decidable."""
 
     __slots__ = ()
 
     def __new__(cls, ray: int, t: float):
+        if type(ray) is not int:
+            if not isinstance(ray, (int, np.integer)) or isinstance(ray, bool):
+                raise ValueError(f"ray index must be an integer, got {ray!r}")
+            ray = int(ray)
         if ray < 0:
             raise ValueError(f"ray index must be >= 0, got {ray}")
         if not 0.0 <= t < math.inf:  # a NaN compares False
@@ -76,15 +80,19 @@ class TreePoint(namedtuple("TreePoint", "ray t")):
 @dataclass(frozen=True, eq=False)
 class TreePoints:
     """An array of star-tree points: an int array of rays and a float array
-    of radial coordinates: in a stored orbit, the fields of one record array.
-
-    An int index gives a ``TreePoint``, a slice or an index array gives a
-    ``TreePoints``, and assigning a ``TreePoint`` to an int index, or a
-    ``TreePoints`` to a slice, stores it.
+    of radial coordinates; in a stored orbit, the read-only fields of one
+    record array.  ``of`` builds one from coordinates; the plain constructor
+    wraps arrays that already put the origin on ray 0.  An int index gives
+    a ``TreePoint``, and a slice or an index array gives a ``TreePoints``.
     """
 
     ray: np.ndarray
     t: np.ndarray
+
+    @classmethod
+    def of(cls, ray: np.ndarray, t: np.ndarray) -> "TreePoints":
+        """The points (ray[i], t[i]), with the origin on ray 0."""
+        return cls(np.where(t == 0.0, 0, ray), t)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -94,15 +102,11 @@ class TreePoints:
             return TreePoint(int(self.ray[index]), float(self.t[index]))
         return TreePoints(self.ray[index], self.t[index])
 
-    def __setitem__(self, index, point) -> None:
-        self.ray[index] = point.ray
-        self.t[index] = point.t
-
 
 class Space(ABC):
     """A metric ``dist_array``, a convex-combination map W written twice, as
     ``mix`` for the orbit loops and ``combine_array`` for point arrays, and a
-    sampler: with ``as_point`` and ``empty``, the six methods a space writes."""
+    sampler: with ``as_point`` and the store ``collect``, the six methods."""
 
     name: str = "space"
 
@@ -134,16 +138,10 @@ class Space(ABC):
         for all points, not one draw per point."""
 
     @abstractmethod
-    def empty(self, count: int) -> Points:
-        """An array of ``count`` points, to be filled by item assignment."""
-
     def collect(self, points, count: int) -> Points:
-        """The point array of the first ``count`` points or loop points that
-        the iterable ``points`` yields, in order; the orbit loop's store."""
-        out = self.empty(count)
-        for i, point in zip(range(count), points):
-            out[i] = point
-        return out
+        """The read-only point array of the first ``count`` points or loop
+        points that the iterable ``points`` yields, in order; the orbit
+        loop's store, and the one way to build a point array from points."""
 
     @abstractmethod
     def dist_array(self, x: Points | Point, y: Points | Point) -> np.ndarray:
@@ -159,11 +157,12 @@ class Space(ABC):
         rows' loop points, bit for bit."""
 
     def stack(self, points) -> Points:
-        """The point array holding ``points`` in order."""
+        """The read-only point array holding ``points`` in order."""
         return self.collect(map(self.as_point, points), len(points))
 
     @staticmethod
-    def _check_lambdas(lam) -> np.ndarray:
+    def check_lambdas(lam) -> np.ndarray:
+        """``lam`` as a float array; ValueError if an entry is outside [0, 1]."""
         lam = np.asarray(lam, dtype=float)
         outside = ~((0.0 <= lam) & (lam <= 1.0))
         if outside.any():
@@ -226,10 +225,8 @@ class EuclideanSpace(Space):
 
     def collect(self, points, count):
         flat = np.fromiter(itertools.chain.from_iterable(points), float, count * self.dim)
+        flat.flags.writeable = False
         return flat.reshape(count, self.dim)
-
-    def empty(self, count):
-        return np.empty((count, self.dim))
 
     def dist_array(self, x, y):
         # vecdot sums in the order of the dot product inside np.linalg.norm;
@@ -238,7 +235,7 @@ class EuclideanSpace(Space):
         return np.sqrt(np.vecdot(diff, diff))
 
     def combine_array(self, x, y, lam):
-        lam = self._check_lambdas(lam)[..., None]
+        lam = self.check_lambdas(lam)[..., None]
         return (1.0 - lam) * x + lam * y
 
 
@@ -260,7 +257,7 @@ class BrokenEuclideanSpace(EuclideanSpace):
         return [mu * a + sq * b for a, b in zip(x, y)]
 
     def combine_array(self, x, y, lam):
-        lam = self._check_lambdas(lam)[..., None]
+        lam = self.check_lambdas(lam)[..., None]
         return (1.0 - lam * lam) * x + (lam * lam) * y
 
 
@@ -303,22 +300,18 @@ class StarTreeSpace(Space):
 
     def sample(self, rng, count):
         ray = rng.integers(self.num_rays, size=count)
-        t = rng.uniform(0.0, self.max_radius, count)
-        ray[t == 0.0] = 0  # the origin is ray 0
-        return TreePoints(ray, t)
-
-    def empty(self, count):
-        return TreePoints(np.zeros(count, dtype=int), np.zeros(count))
+        return TreePoints.of(ray, rng.uniform(0.0, self.max_radius, count))
 
     def collect(self, points, count):  # one structured fromiter of (ray, t) records
         rows = np.fromiter(points, [("ray", int), ("t", float)], count)
+        rows.flags.writeable = False
         return TreePoints(rows["ray"], rows["t"])
 
     def dist_array(self, x, y):
         return np.where(x.ray == y.ray, np.abs(x.t - y.t), x.t + y.t)
 
     def combine_array(self, x, y, lam):
-        lam = self._check_lambdas(lam)
+        lam = self.check_lambdas(lam)
         same = x.ray == y.ray
         along = x.t + lam * (y.t - x.t)
         walked = lam * (x.t + y.t)
@@ -328,8 +321,7 @@ class StarTreeSpace(Space):
             np.where(along > 0.0, along, 0.0),  # max(0.0, along), as mix takes it
             np.where(back, x.t - walked, walked - x.t),
         )
-        ray = np.where(same | back, x.ray, y.ray)
-        return TreePoints(np.where(t == 0.0, 0, ray), t)  # the origin is ray 0
+        return TreePoints.of(np.where(same | back, x.ray, y.ray), t)
 
 
 #: Checks performed by ``check_w_axioms``, in report order.

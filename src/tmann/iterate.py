@@ -12,30 +12,30 @@ setting.  The modified Halpern iteration
     v_n     = (1 - lambda_n) y_n + lambda_n T_n y_n
     y_{n+1} = (1 - beta_{n+1}) u + beta_{n+1} v_n
 
-walks the same orbit when started at y_0 = (1 - beta_0) u + beta_0 x_0:
-then u_n = y_n and x_{n+1} = v_n for every n.  So the module has one loop,
-the anchored one, which checks every schedule term it reads before its first
-step and each point it did not make itself; the Halpern trace replays each
-Halpern step on its stored orbit.
+walks the same orbit when started at y_0 = (1 - beta_0) u + beta_0 x_0,
+which is u_0: then u_n = y_n and x_{n+1} = v_n for every n.  So the module
+has one loop, the anchored one, which checks every schedule term it reads
+before its first step and each point it did not make itself; the Halpern
+trace replays each Halpern step on its stored orbit, from y_0 = u_0.
 
 Only the recursion runs step by step, on the space's loop points: a list of
 d Python floats on Euclidean space, which ``mix`` combines with no numpy
 call, and a ``TreePoint`` on the star tree.  ``fn`` receives each u_n as a
 point of the space (an ndarray on Euclidean space) and may return a loop
 point or anything ``as_point`` accepts.  The loop reads beta_n and lambda_n
-a block of ``checks.BLOCK_ROWS`` steps at a time and stores only x_n, in a
-point array (an (n, d) float array on Euclidean space, ray and radius
-arrays on the star tree).  Every reader of u_n rebuilds it from x_n with
-:func:`u_points`, one ``combine_array`` per block, equal to the loop's u_n
-row by row.  The three residual sequences, which ``trace.csv`` writes and
-rate certification consumes, are computed from the stored orbit with array
-operations in blocks of the same size, and the worst d(u_n, T_n u_n) in the
-same pass.  The orbit checks read them, and compute the distances only they
-need from the stored orbit, a block at a time, so no temporary spans the
-horizon.  Each instance keeps its latest anchored orbit, read only, so an
-instance runs the loop once per horizon: the Halpern trace replays the
-Halpern steps on the stored orbit with array operations, and the Halpern
-check reads its defects off that trace.
+a block of ``checks.BLOCK_ROWS`` steps at a time and stores only x_n, in the
+read-only point array of the space's ``collect`` (an (n, d) float array on
+Euclidean space, ray and radius arrays on the star tree).  Every reader of
+u_n rebuilds it from x_n with :func:`u_points`, one ``combine_array`` per
+block, equal to the loop's u_n row by row.  The three residual sequences,
+which ``trace.csv`` writes and rate certification consumes, are computed
+from the stored orbit with array operations in blocks of the same size, and
+the worst d(u_n, T_n u_n) in the same pass.  The orbit checks read them,
+and compute the distances only they need from the stored orbit, a block at
+a time, so no temporary spans the horizon.  Each instance keeps its latest
+anchored orbit, read only, so an instance runs the loop once per horizon:
+the Halpern trace replays the Halpern steps on the stored orbit with array
+operations, and the Halpern check reads its defects off that trace.
 
 The per-step checkers assert, along a computed orbit, the bounds the rate
 theorems rest on.  These are theorems for exact arithmetic: a violation
@@ -53,7 +53,7 @@ import numpy as np
 from .checks import Row, Section, blocks, worst_row
 from .geometry import Point, Points, Space, TreePoints
 from .mappings import MappingFamily
-from .sequences import ParamSchedule, _int_ceil, terms
+from .sequences import ParamSchedule, int_ceil, terms
 
 
 #: How far T_0 .. T_9 may move the registered fixed point p.
@@ -105,7 +105,7 @@ class ProblemInstance:
             if not np.isfinite(r):
                 raise ValueError(f"d({name}, p) = {r!r} is not finite")
         radius = max(radii)
-        least = max(1, _int_ceil(radius))
+        least = max(1, int_ceil(radius))
         if M is None:
             M = least
         elif M < least:
@@ -227,7 +227,7 @@ def _orbit(instance: ProblemInstance, horizon: int) -> Points:
     # its first step, and each point it did not make itself as it arrives
     for seq in (sch.beta, sch.lam):
         for rows in blocks(horizon):
-            sp._check_lambdas(terms(seq, np.arange(rows.start, rows.stop)))
+            sp.check_lambdas(terms(seq, np.arange(rows.start, rows.stop)))
     mix, to_loop, from_loop = sp.mix, sp.to_loop, sp.from_loop
 
     u = to_loop(instance.u)
@@ -244,10 +244,7 @@ def _orbit(instance: ProblemInstance, horizon: int) -> Points:
                 x = mix(u_n, to_loop(fn(n, from_loop(u_n))), lam_n)
                 yield x
 
-    xs = sp.collect(loop(), horizon + 1)
-    # every trace built from the stored orbit shares these arrays
-    for array in (xs.ray, xs.t) if isinstance(xs, TreePoints) else (xs,):
-        array.flags.writeable = False
+    xs = sp.collect(loop(), horizon + 1)  # read-only: every trace shares it
     object.__setattr__(instance, "_stored_orbit", (horizon, xs))
     return xs
 
@@ -276,11 +273,12 @@ def run_tikhonov_mann(instance: ProblemInstance, horizon: int) -> IterationTrace
 
 @dataclass(eq=False)
 class HalpernTrace:
-    """The modified Halpern iteration's y sequence (horizon + 1 points) and
-    v sequence (horizon points), and the anchored orbit's u_0 .. u_{H-1}
-    it was replayed from, as point arrays.  It keeps no residuals: as
-    y_n = u_n, d(y_n, T_n y_n) and d(y_{n+1}, y_n) are distances of the
-    anchored orbit's u_n."""
+    """The anchored orbit's u_0 .. u_{H-1} that the modified Halpern
+    iteration was replayed from, and its v_0 .. v_{H-1} and
+    y_1 .. y_H, as point arrays of horizon H rows each.  Its start
+    y_0 = W(u, x_0, beta_0) is u_0, the same ``combine_array`` row of the
+    same inputs.  It keeps no residuals: as y_n = u_n, d(y_n, T_n y_n) and
+    d(y_{n+1}, y_n) are distances of the anchored orbit's u_n."""
 
     horizon: int
     u: Points
@@ -289,12 +287,12 @@ class HalpernTrace:
 
 
 def run_modified_halpern(instance: ProblemInstance, horizon: int) -> HalpernTrace:
-    """The modified Halpern iteration from y_0 = W(u, x_0, beta_0), replayed
-    on the anchored orbit of :func:`_orbit` with ``eval_array`` and
-    ``combine_array``: u_n from :func:`u_points`,
-    v_n = W(u_n, T_n u_n, lambda_n) for n < horizon, and
-    y_0 .. y_horizon from one ``combine_array`` of u with x_0, v_0 ..
-    v_{horizon-1}, which checks beta_0 .. beta_horizon.  No Halpern loop
+    """The modified Halpern iteration from y_0 = W(u, x_0, beta_0) = u_0,
+    replayed on the anchored orbit of :func:`_orbit` with ``eval_array``
+    and ``combine_array``: u_n from :func:`u_points`, which checks beta_0
+    .. beta_{horizon-1}, v_n = W(u_n, T_n u_n, lambda_n) for n < horizon,
+    and y_1 .. y_horizon from one ``combine_array`` of u with v_0 ..
+    v_{horizon-1}, which checks beta_1 .. beta_horizon.  No Halpern loop
     runs; when the array forms equal ``mix`` and ``fn`` row by row,
     y_n = u_n and v_n = x_{n+1} bit for bit."""
     xs = _orbit(instance, horizon)
@@ -303,9 +301,7 @@ def run_modified_halpern(instance: ProblemInstance, horizon: int) -> HalpernTrac
     beta = terms(sch.beta, steps)
     us = u_points(instance, xs, slice(0, horizon), beta[:-1])
     vs = sp.combine_array(us, fam.eval_array(sp, steps[:-1], us), terms(sch.lam, steps[:-1]))
-    ends = sp.empty(horizon + 1)
-    ends[:1], ends[1:] = xs[:1], vs
-    ys = sp.combine_array(instance.u, ends, beta)
+    ys = sp.combine_array(instance.u, vs, beta[1:])
     return HalpernTrace(horizon=horizon, u=us, y=ys, v=vs)
 
 
@@ -345,13 +341,14 @@ def check_halpern_equivalence(
     Halpern loop from y_0 keeps d(u_n, y_n) within the running sum e_n of
     the y-defects up to n, and d(x_{n+1}, v_n) within e_n plus the v-defect
     at n; ``max_u_y`` and ``max_x_v`` are the largest of these bounds.  The
-    defects are exactly 0.0 when the array forms equal ``mix`` and ``fn``
-    row by row, so the check catches an ``fn_array`` or ``combine_array``
-    that disagrees with the ``fn`` or ``mix`` the loop calls.
+    y-defect at n = 0 is exactly 0.0, as y_0 is u_0.  The other defects
+    are exactly 0.0 when the array forms equal ``mix`` and ``fn`` row by
+    row, so the check catches an ``fn_array`` or ``combine_array`` that
+    disagrees with the ``fn`` or ``mix`` the loop calls.
     """
     ha = run_modified_halpern(instance, horizon)
     dist = instance.space.dist_array
-    gap_u_y = np.cumsum(dist(ha.u, ha.y[:horizon]))
+    gap_u_y = np.cumsum(np.concatenate(([0.0], dist(ha.u[1:], ha.y[:-1]))))
     gap_x_v = gap_u_y + dist(_orbit(instance, horizon)[1:], ha.v)
     return EquivalenceReport(
         horizon=horizon,

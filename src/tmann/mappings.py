@@ -182,16 +182,12 @@ def tree_contraction_family(factor: float) -> MappingFamily:
     if not 0.0 <= factor <= 1.0:
         raise ValueError(f"contraction factor must lie in [0, 1], got {factor}")
 
-    def contract_array(ns: np.ndarray, xs: TreePoints) -> TreePoints:
-        t = factor * xs.t
-        return TreePoints(np.where(t == 0.0, 0, xs.ray), t)  # the origin is ray 0
-
     return MappingFamily(
         name=f"tree_contraction({factor})",
         fn=lambda n, x: TreePoint(x.ray, factor * x.t),
         fixed_point=TreePoint(0, 0.0),
         chi_T=constant_family_chi_T(),
-        fn_array=contract_array,
+        fn_array=lambda ns, xs: TreePoints.of(xs.ray, factor * xs.t),
     )
 
 

@@ -41,7 +41,7 @@ RateFn = Callable[[int], int]
 _BOUNDARY_REL = 1e-9
 
 
-def _int_ceil(value: float) -> int:
+def int_ceil(value: float) -> int:
     """Ceiling that treats a value within float noise of an integer as that
     integer, so 3.0000000000000004 gives 3.  Noise is at most 32 ulps of the
     value and at most 1e-12, so the result never falls short of ``value`` by
@@ -57,7 +57,7 @@ def ceil_reciprocal(lam: float) -> int:
     """ceil(1 / lam) for lam in (0, 1] with a finite reciprocal, computed robustly."""
     if not (0 < lam <= 1 and 1.0 / lam < math.inf):
         raise ValueError(f"lambda must lie in (0, 1] with a finite 1 / lambda, got {lam!r}")
-    return max(1, _int_ceil(1.0 / lam))
+    return max(1, int_ceil(1.0 / lam))
 
 
 def _indexed(

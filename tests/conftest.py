@@ -54,7 +54,7 @@ def combine_points(space, x, y, lam):
     """W(x, y, lam) of two points in the loop's own form: ``mix`` of their
     loop points after the lambda check.  The per-row reference that
     ``combine_array`` must equal bit for bit."""
-    lam = float(space._check_lambdas(lam))
+    lam = float(space.check_lambdas(lam))
     return space.from_loop(space.mix(space.to_loop(x), space.to_loop(y), lam))
 
 

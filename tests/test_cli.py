@@ -335,6 +335,18 @@ def test_out_naming_a_file_is_config_error(tmp_path, capsys, command):
     assert_one_line_error(capsys, "cannot create output directory")
 
 
+@pytest.mark.parametrize("field", ["axiom_samples", "modulus_horizon"])
+def test_size_that_cannot_be_allocated_is_config_error(tmp_path, capsys, field):
+    # numpy refuses an array of 10**15 entries before it allocates any of it
+    cfg = write_config(tmp_path / "b_huge.json", **{field: 10**15})
+    assert_config_error(capsys, cfg, "configuration error: Unable to allocate")
+    write_config(tmp_path / "a_good.json")
+    assert main(["suite", str(tmp_path), "--out", str(tmp_path / "suite")]) == 2
+    assert_one_line_error(capsys, "b_huge.json: configuration error")
+    rows = (tmp_path / "suite" / "suite_summary.csv").read_text().splitlines()
+    assert rows[1:] == ["a_good.json,pass,0", "b_huge.json,config_error,2"]
+
+
 @pytest.mark.parametrize(
     "horizon",
     ["abc", "300", 3.7, True, 10**400],

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,13 @@ def test_treepoint_checks_and_canonical_origin():
             TreePoint(-1, t)
     with pytest.raises(ValueError, match="radial coordinate must be finite and >= 0, got -1.0"):
         TreePoint(1, 2.0)._replace(t=-1.0)  # namedtuple's own copy is checked too
+    # a ray is an integer: 0.5 would be stored as ray 0 but mixed as a ray of its own
+    for ray in (0.5, 1.0, "1", None, True, np.float64(1.0)):
+        message = f"ray index must be an integer, got {ray!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TreePoint(ray, 1.0)
+    numpy_ray = TreePoint(np.int64(2), 1.0)
+    assert numpy_ray == (2, 1.0) and type(numpy_ray.ray) is int
     assert TreePoint._make([2, 0.0]) == (0, 0.0)
     # every other way to a point at t == 0 also comes out on ray 0
     sp = StarTreeSpace(3)
@@ -76,17 +84,59 @@ def test_tree_mix_refuses_an_overflowed_radius():
         StarTreeSpace(3).mix(TreePoint(1, 1e308), TreePoint(2, 1e308), 0.75)
 
 
-def test_tree_collect_equals_assigning_row_by_row():
+def test_tree_collect_stores_each_point_bit_for_bit():
     sp = StarTreeSpace(3)
     points = list(sp.sample(np.random.default_rng(5), 50))
     points[7:10] = [TreePoint(2, 0.0), TreePoint(0, -0.0), TreePoint(1, 5e-324)]
-    expected = sp.empty(len(points))
-    for i, point in enumerate(points):
-        expected[i] = point
     stored = sp.collect(iter(points), len(points))
-    assert stored.ray.tobytes() == expected.ray.tobytes()
-    assert stored.t.tobytes() == expected.t.tobytes()
-    assert stored.ray[7] == 0
+    assert stored.ray.tolist() == [point.ray for point in points]
+    # bit for bit: the -0.0 of row 8 keeps its sign
+    assert stored.t.tobytes() == np.array([point.t for point in points]).tobytes()
+    assert stored.ray[7:10].tolist() == [0, 0, 1]
+    assert np.signbit(stored.t[8]) and not np.signbit(stored.t[7])
+
+
+def test_collect_and_stack_are_read_only_on_both_spaces():
+    tree, plane = StarTreeSpace(3), EuclideanSpace(2)
+    rng = np.random.default_rng(6)
+    for sp in (tree, plane):
+        points = list(sp.sample(rng, 5))
+        for stored in (sp.collect(iter(points), 5), sp.stack(points)):
+            fields = (stored.ray, stored.t) if sp is tree else (stored,)
+            for field in fields:
+                with pytest.raises(ValueError, match="read-only"):
+                    field[0] = 1
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        tree.stack([TreePoint(1, 1.0)])[0] = TreePoint(2, 1.0)
+
+
+class ZeroRadiusDraws:
+    """A generator stand-in whose draws put rays 1 and 2 at radius 0."""
+
+    def integers(self, high, size):
+        return np.array([1, 2, 1])[:size]
+
+    def uniform(self, low, high, size):
+        return np.array([0.0, -0.0, 0.5])[:size]
+
+
+def test_a_radius_of_0_is_ray_0_in_every_array_form():
+    sp = StarTreeSpace(3)
+    for points in (
+        TreePoints.of(np.array([1, 2, 1]), np.array([0.0, -0.0, 0.5])),
+        sp.sample(ZeroRadiusDraws(), 3),
+        # through the origin, and along ray 2 down to exactly 0 (1 + (1e-20 - 1))
+        sp.combine_array(
+            TreePoints(np.array([1, 2, 1]), np.array([1.0, 1.0, 1.0])),
+            TreePoints(np.array([2, 2, 1]), np.array([1.0, 1e-20, 0.0])),
+            np.array([0.5, 1.0, 0.5]),
+        ),
+        tree_contraction_family(0.0).eval_array(
+            sp, np.arange(3), TreePoints(np.array([1, 2, 0]), np.array([1.5, 2.0, 0.0]))
+        ),
+    ):
+        assert points.ray[:2].tolist() == [0, 0]
+        assert points.t[:2].tolist() == [0.0, 0.0]
 
 
 def test_combine_rejects_bad_lambda():
@@ -124,7 +174,7 @@ def test_space_contract_is_six_abstract_methods():
         "as_point",
         "mix",
         "sample",
-        "empty",
+        "collect",
         "dist_array",
         "combine_array",
     }
@@ -138,7 +188,7 @@ def test_space_without_combine_array_cannot_be_instantiated():
         as_point = EuclideanSpace.as_point
         mix = EuclideanSpace.mix
         sample = EuclideanSpace.sample
-        empty = EuclideanSpace.empty
+        collect = EuclideanSpace.collect
         dist_array = EuclideanSpace.dist_array
 
     with pytest.raises(TypeError, match="combine_array"):
@@ -307,7 +357,7 @@ class SquaredStarTreeSpace(StarTreeSpace):
         return super().mix(x, y, lam * lam)
 
     def combine_array(self, x, y, lam):
-        lam = self._check_lambdas(lam)
+        lam = self.check_lambdas(lam)
         return super().combine_array(x, y, lam * lam)
 
 
@@ -321,7 +371,7 @@ class CubedEuclideanSpace(EuclideanSpace):
         return [(1.0 - cube) * a + cube * b for a, b in zip(x, y)]
 
     def combine_array(self, x, y, lam):
-        lam = self._check_lambdas(lam)[..., None]
+        lam = self.check_lambdas(lam)[..., None]
         cube = lam * lam * lam
         return (1.0 - cube) * x + cube * y
 

@@ -8,6 +8,7 @@ no other ``tmann`` module; ``sequences`` reads only ``checks``, and
 The graph is read from ``src/tmann/*.py`` with ``ast``: the relative
 imports at module level, which run when the module loads, and separately
 the deferred ones inside a function body, which run only when it is called.
+No import between ``tmann`` modules names a private (underscored) name.
 """
 
 import ast
@@ -70,3 +71,15 @@ def test_the_block_layer_sits_below_every_module():
     assert at_load["checks"] == set() and "checks" not in deferred
     assert at_load["sequences"] == {"checks"}
     assert "iterate" not in at_load["rates"] | deferred.get("rates", set())
+
+
+def test_no_private_name_is_imported_from_another_module():
+    private = [
+        f"{path.stem}: from .{node.module or ''} import {alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -174,9 +174,8 @@ def test_halpern_start_and_lengths():
     # beta_0 = 0 puts the start at the anchor regardless of x0
     inst = euclidean_instance(x0=[2.0], u=[0.0])
     ha = run_modified_halpern(inst, 40)
-    assert ha.y[0][0] == 0.0
-    assert len(ha.y) == 41
-    assert len(ha.v) == 40
+    assert ha.u[0][0] == 0.0  # y_0 = u_0
+    assert len(ha.u) == len(ha.y) == len(ha.v) == 40
 
 
 def test_halpern_equivalence_identity_anchor():
@@ -342,16 +341,19 @@ def test_stored_orbit_is_read_only_on_both_spaces():
     )
     for inst in (euclid, tree):
         trace = run_tikhonov_mann(inst, 20)
-        with pytest.raises(ValueError, match="read-only"):
+        on_tree = isinstance(trace.x, TreePoints)
+        # a TreePoints takes no item assignment at all
+        error, message = (TypeError, "item assignment") if on_tree else (ValueError, "read-only")
+        with pytest.raises(error, match=message):
             trace.x[3] = inst.x0
         # the tree keeps the ray and t fields of one record array
-        for field in (trace.x.ray, trace.x.t) if isinstance(trace.x, TreePoints) else ():
+        for field in (trace.x.ray, trace.x.t) if on_tree else ():
             with pytest.raises(ValueError, match="read-only"):
                 field[3] = 1
         # u_n is rebuilt for each reader, so writing to one copy changes no other
         us = u_points(inst, trace.x, slice(0, 20))
         before = u_points(inst, trace.x, slice(0, 20))[3]
-        us[3] = inst.x0
+        (us.t if on_tree else us)[3] = 7.0
         assert point_dist(inst.space, u_points(inst, trace.x, slice(0, 20))[3], before) == 0.0
 
 

@@ -272,13 +272,15 @@ def test_halpern_kernel_matches_per_step_loop(case):
     instance = CASES[case]()
     ha = run_modified_halpern(instance, HORIZON)
     residual_step, residual_T, ys, vs = reference_halpern(instance, HORIZON)
-    assert_points_equal(instance.space, ha.y, ys)
+    # the trace keeps y_1 .. y_H; its u_0 is the start y_0, bit for bit
+    assert_points_equal(instance.space, ha.y, ys[1:])
+    assert_points_equal(instance.space, ha.u[:1], ys[:1])
     assert_points_equal(instance.space, ha.v, vs)
     # the trace is the anchored orbit: y_n = u_n and v_n = x_{n+1}, so the
     # Halpern residuals are the anchored trace's (but the last step residual)
     trace = run_tikhonov_mann(instance, HORIZON)
     sp, us = instance.space, u_points(instance, trace.x, slice(0, HORIZON))
-    assert_points_equal(instance.space, ha.y[:HORIZON], list(us))
+    assert_points_equal(instance.space, ha.y[:-1], list(us[1:]))
     assert_points_equal(instance.space, ha.v, list(trace.x[1:]))
     t_us = instance.family.eval_array(sp, np.arange(HORIZON), us)
     assert np.array_equal(sp.dist_array(us, t_us), np.array(residual_T))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tmann.rates import general_rates
 from tmann.sequences import (
-    _int_ceil,
+    int_ceil,
     _levels,
     builtin_example_schedule,
     builtin_linear_schedule,
@@ -95,10 +95,10 @@ def test_ceil_reciprocal_robust():
 
 
 def test_int_ceil_snaps_only_float_noise():
-    assert _int_ceil(3.0000000000000004) == 3
+    assert int_ceil(3.0000000000000004) == 3
     # a relative guard of 1e-12 took a whole unit off these
     assert ceil_reciprocal(1e-13) == 10**13
-    assert [_int_ceil(v) for v in (1e12, 2.5e12, 1e15, 1e18)] == [
+    assert [int_ceil(v) for v in (1e12, 2.5e12, 1e15, 1e18)] == [
         10**12, 25 * 10**11, 10**15, 10**18
     ]
 
@@ -113,7 +113,7 @@ near_integers = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(v=st.one_of(st.floats(min_value=-1e18, max_value=1e18, allow_nan=False), near_integers))
 def test_int_ceil_is_the_ceiling_up_to_the_snap(v):
-    assert math.ceil(v) >= _int_ceil(v) >= v - min(32 * math.ulp(v), 1e-12)
+    assert math.ceil(v) >= int_ceil(v) >= v - min(32 * math.ulp(v), 1e-12)
 
 
 def test_cauchy_oracle_example_series():
