@@ -29,6 +29,7 @@ instances can be shared freely across concurrent runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from abc import ABC, abstractmethod
@@ -45,9 +46,9 @@ Point = Any
 spaces, ``TreePoint`` for star trees."""
 
 LoopPoint = Any
-"""A point in the form the orbit loops carry and ``mix`` takes and returns:
-a list of ``dim`` Python floats for Euclidean spaces, ``TreePoint`` for
-star trees."""
+"""A point in the form the orbit loops carry, ``mix`` takes and returns and
+``MappingFamily.fn`` maps: a list of ``dim`` Python floats for Euclidean
+spaces, ``TreePoint`` for star trees."""
 
 Points = Any
 """An array of points: an ``(n, dim)`` float array for Euclidean spaces,
@@ -105,8 +106,9 @@ class TreePoints:
 
 class Space(ABC):
     """A metric ``dist_array``, a convex-combination map W written twice, as
-    ``mix`` for the orbit loops and ``combine_array`` for point arrays, and a
-    sampler: with ``as_point`` and the store ``collect``, the six methods."""
+    ``mix`` on loop points, the one single-point form (``to_loop`` makes one
+    and a family's ``fn`` maps it), and ``combine_array`` on point arrays, and
+    a sampler: with ``as_point`` and the store ``collect``, the six methods."""
 
     name: str = "space"
 
@@ -122,14 +124,9 @@ class Space(ABC):
         is its array form."""
 
     def to_loop(self, p) -> LoopPoint:
-        """``p``, checked as ``as_point`` checks it, in the form ``mix``
-        takes: the point itself unless a space says otherwise."""
+        """``p``, checked as ``as_point`` checks it, in the form ``mix`` and
+        ``fn`` take: the point itself unless a space says otherwise."""
         return self.as_point(p)
-
-    def from_loop(self, q: LoopPoint) -> Point:
-        """The point a loop point stands for: ``q`` itself unless a space
-        says otherwise."""
-        return q
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, count: int) -> Points:
@@ -179,9 +176,9 @@ class EuclideanSpace(Space):
     list of ``dim`` Python floats, which ``mix`` combines coordinate by
     coordinate with the two products and one sum of the array form, so both
     give the same floats (up to which of two NaN operands an operation
-    keeps) at a fraction of the per-call cost on one point.
-    Sampling is uniform over the box [-box_radius, box_radius]^dim, drawn
-    as one ``(count, dim)`` block.
+    keeps) at a fraction of the per-call cost on one point: ``mix`` is one
+    list display, compiled once per dim.  Sampling is uniform over the box
+    [-box_radius, box_radius]^dim, drawn as one ``(count, dim)`` block.
     """
 
     def __init__(self, dim: int, box_radius: float = 5.0):
@@ -213,12 +210,9 @@ class EuclideanSpace(Space):
             return p
         return self.as_point(p).tolist()
 
-    def from_loop(self, q):
-        return np.array(q)
-
-    def mix(self, x, y, lam):
-        mu = 1.0 - lam
-        return [mu * a + lam * b for a, b in zip(x, y)]
+    @property
+    def mix(self):
+        return _affine_mix(self.dim)
 
     def sample(self, rng, count):
         return rng.uniform(-self.box_radius, self.box_radius, (count, self.dim))
@@ -237,6 +231,15 @@ class EuclideanSpace(Space):
     def combine_array(self, x, y, lam):
         lam = self.check_lambdas(lam)[..., None]
         return (1.0 - lam) * x + lam * y
+
+
+@functools.cache
+def _affine_mix(dim: int):
+    """W on lists of ``dim`` floats: mu * x[i] + lam * y[i] written out for each i."""
+    coords = ", ".join(f"mu * x[{i}] + lam * y[{i}]" for i in range(dim))
+    scope = {}
+    exec(f"def mix(x, y, lam):\n    mu = 1.0 - lam\n    return [{coords}]", scope)
+    return scope["mix"]
 
 
 class BrokenEuclideanSpace(EuclideanSpace):

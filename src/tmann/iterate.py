@@ -20,22 +20,22 @@ trace replays each Halpern step on its stored orbit, from y_0 = u_0.
 
 Only the recursion runs step by step, on the space's loop points: a list of
 d Python floats on Euclidean space, which ``mix`` combines with no numpy
-call, and a ``TreePoint`` on the star tree.  ``fn`` receives each u_n as a
-point of the space (an ndarray on Euclidean space) and may return a loop
-point or anything ``as_point`` accepts.  The loop reads beta_n and lambda_n
-a block of ``checks.BLOCK_ROWS`` steps at a time and stores only x_n, in the
-read-only point array of the space's ``collect`` (an (n, d) float array on
-Euclidean space, ray and radius arrays on the star tree).  Every reader of
-u_n rebuilds it from x_n with :func:`u_points`, one ``combine_array`` per
-block, equal to the loop's u_n row by row.  The three residual sequences,
-which ``trace.csv`` writes and rate certification consumes, are computed
-from the stored orbit with array operations in blocks of the same size, and
-the worst d(u_n, T_n u_n) in the same pass.  The orbit checks read them,
-and compute the distances only they need from the stored orbit, a block at
-a time, so no temporary spans the horizon.  Each instance keeps its latest
-anchored orbit, read only, so an instance runs the loop once per horizon:
-the Halpern trace replays the Halpern steps on the stored orbit with array
-operations, and the Halpern check reads its defects off that trace.
+call, and a ``TreePoint`` on the star tree.  ``fn`` maps each u_n as that
+loop point and may return a loop point or anything ``as_point`` accepts.
+The loop reads beta_n and lambda_n a block of ``checks.BLOCK_ROWS`` steps at
+a time and stores only x_n, in the read-only point array of the space's
+``collect`` (an (n, d) float array on Euclidean space, ray and radius arrays
+on the star tree).  Every reader of u_n rebuilds it from x_n with
+:func:`u_points`, one ``combine_array`` per block, equal to the loop's u_n
+row by row.  The three residual sequences, which ``trace.csv`` writes and
+rate certification consumes, are computed from the stored orbit with array
+operations in blocks of the same size, and the worst d(u_n, T_n u_n) in the
+same pass.  The orbit checks read them, and compute the distances only they
+need from the stored orbit, a block at a time, so no temporary spans the
+horizon.  Each instance keeps its latest anchored orbit, read only, so an
+instance runs the loop once per horizon: the Halpern trace replays the
+Halpern steps on the stored orbit with array operations, and the Halpern
+check reads its defects off that trace.
 
 The per-step checkers assert, along a computed orbit, the bounds the rate
 theorems rest on.  These are theorems for exact arithmetic: a violation
@@ -161,22 +161,22 @@ class IterationTrace:
         """Write one row for each step n of :func:`trace_slices`: n,
         residual_step, residual_T, tfam_gap, plus the coordinates of x_n
         when requested.  Each slice's columns are read from views of the
-        stored arrays, so no column is copied."""
+        stored arrays, so no column is copied.  The fields are ints, float
+        reprs and plain names, which CSV never quotes, so a line is their
+        join, written as it is made."""
         header = ["n", "residual_step", "residual_T", "tfam_gap"]
         if include_points:
             header += _point_columns(self.x[:0])[0]
-
-        def rows():
+        with open(path, "w", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
             for steps in trace_slices(self.horizon):
-                columns = [range(self.horizon)[steps]] + [
+                columns = [map(str, range(self.horizon)[steps])] + [
                     _float_column(seq[steps])
                     for seq in (self.residual_step, self.residual_T, self.tfam_gap)
                 ]
                 if include_points:
                     columns += _point_columns(self.x[steps])[1]
-                yield from zip(*columns)
-
-        write_csv(path, header, rows())
+                fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def trace_slices(horizon: int):
@@ -223,16 +223,16 @@ def _orbit(instance: ProblemInstance, horizon: int) -> Points:
     if stored is not None and stored[0] == horizon:
         return stored[1]
     sp, fn, sch = instance.space, instance.family.fn, instance.schedule
-    # mix checks nothing: the loop checks every term it reads here, before
-    # its first step, and each point it did not make itself as it arrives
-    for seq in (sch.beta, sch.lam):
-        for rows in blocks(horizon):
-            sp.check_lambdas(terms(seq, np.arange(rows.start, rows.stop)))
-    mix, to_loop, from_loop = sp.mix, sp.to_loop, sp.from_loop
-
+    mix, to_loop = sp.mix, sp.to_loop
     u = to_loop(instance.u)
 
     def loop():
+        # mix checks nothing: once collect has sized the store, the loop
+        # checks every term it reads here, before its first step, and each
+        # point it did not make itself as it arrives
+        for seq in (sch.beta, sch.lam):
+            for rows in blocks(horizon):
+                sp.check_lambdas(terms(seq, np.arange(rows.start, rows.stop)))
         x = to_loop(instance.x0)
         yield x
         for rows in blocks(horizon):
@@ -241,7 +241,7 @@ def _orbit(instance: ProblemInstance, horizon: int) -> Points:
             beta, lam = memoryview(terms(sch.beta, ns)), memoryview(terms(sch.lam, ns))
             for n, beta_n, lam_n in zip(range(rows.start, rows.stop), beta, lam):
                 u_n = mix(u, x, beta_n)
-                x = mix(u_n, to_loop(fn(n, from_loop(u_n))), lam_n)
+                x = mix(u_n, to_loop(fn(n, u_n)), lam_n)
                 yield x
 
     xs = sp.collect(loop(), horizon + 1)  # read-only: every trace shares it

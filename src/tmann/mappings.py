@@ -69,13 +69,12 @@ class MappingFamily:
     A family with neither has no certificate, and its gap series can only
     be validated along a computed orbit.
 
-    ``fn(n, x)`` maps one point: ``x`` is a point as the space's
-    ``as_point`` gives it (an ndarray on Euclidean space), and the result
-    may be anything ``as_point`` accepts or a loop point of the space (a
-    list of d floats on Euclidean space).  ``fn_array`` optionally
-    evaluates the family over an index array and a point array at once,
-    equal bit for bit to ``fn`` applied row by row; without it
-    ``eval_array`` loops.
+    ``fn(n, x)`` maps one loop point of the space (a list of d Python
+    floats on Euclidean space, a ``TreePoint`` on the star tree) and returns
+    a loop point or anything ``as_point`` accepts; the space's ``to_loop``
+    checks it.  ``fn_array`` optionally evaluates the family over an index
+    array and a point array at once, equal bit for bit to ``fn`` applied
+    row by row; without it ``eval_array`` loops over the rows' loop points.
     """
 
     name: str
@@ -89,7 +88,7 @@ class MappingFamily:
         """The point array of T_{ns[i]} xs[i] for every row i."""
         if self.fn_array is not None:
             return self.fn_array(ns, xs)
-        return space.stack([self.fn(int(n), xs[i]) for i, n in enumerate(ns)])
+        return space.stack([self.fn(int(n), space.to_loop(xs[i])) for i, n in enumerate(ns)])
 
 
 def soft_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
@@ -119,9 +118,9 @@ def identity_family(fixed_point: Point) -> MappingFamily:
     )
 
 
-def _box_projector(lo, hi) -> tuple[np.ndarray, np.ndarray, Callable]:
-    """The corners of the nonempty box [lo, hi] as float arrays, and the
-    componentwise projection onto it, of one point or a point array.
+def _box_projector(lo, hi) -> tuple[np.ndarray, np.ndarray, Callable, list]:
+    """The corners of the nonempty box [lo, hi] as 1-D float arrays, the
+    projection onto it of one point or a point array, and ``_clip``'s pairs.
 
     The projection is np.minimum(np.maximum(x, lo), hi), at half the call
     overhead of np.clip on one point.  It equals np.clip bit for bit unless
@@ -129,11 +128,12 @@ def _box_projector(lo, hi) -> tuple[np.ndarray, np.ndarray, Callable]:
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if lo.shape != hi.shape:
-        raise ValueError(f"box corners must share a shape, got {lo.shape} and {hi.shape}")
+    if lo.shape != hi.shape or lo.ndim != 1:
+        raise ValueError(f"box corners must be 1-D of one shape, got {lo.shape} and {hi.shape}")
     if np.any(lo > hi):
         raise ValueError("box is empty: some lo component exceeds hi")
-    return lo, hi, lambda x: np.minimum(np.maximum(x, lo), hi)
+    corners = list(zip(lo.tolist(), hi.tolist()))
+    return lo, hi, lambda x: np.minimum(np.maximum(x, lo), hi), corners
 
 
 # Single-point forms on Python floats.  Each takes the float operations of
@@ -143,7 +143,29 @@ def _box_projector(lo, hi) -> tuple[np.ndarray, np.ndarray, Callable]:
 # np.maximum(-0.0, 0.0) is 0.0 and np.maximum(0.0, -0.0) is -0.0; np.sign
 # of either zero is 0.0, and of a NaN the NaN itself.  Which NaN a Python
 # product of two NaNs keeps depends on the interpreter's state, so no form
-# multiplies two.
+# multiplies two.  None checks its length: ``ProblemInstance.create`` maps
+# points of the space with the array form, and ``to_loop`` checks outputs.
+
+
+def _clip(x, corners) -> list:
+    """np.minimum(np.maximum(x, lo), hi) of one loop point, for the (lo, hi)
+    pairs ``corners``."""
+    out = []
+    for c, (a, b) in zip(x, corners):
+        c = c if c > a or c != c else a  # np.maximum(c, a)
+        out.append(c if c < b or c != c else b)  # np.minimum(c, b)
+    return out
+
+
+def _shrink(x, threshold: float) -> list:
+    """soft_threshold(x, threshold) of one loop point."""
+    out = []
+    for c in x:
+        m = abs(c) - threshold
+        m = m if m > 0.0 or m != m else 0.0  # np.maximum(m, 0.0)
+        # np.sign(c) * m; of a NaN c, np.sign(c) is c, and the product keeps it
+        out.append((1.0 if c > 0.0 else -1.0 if c < 0.0 else 0.0) * m if c == c else c)
+    return out
 
 
 def box_projection_family(lo, hi) -> MappingFamily:
@@ -152,21 +174,10 @@ def box_projection_family(lo, hi) -> MappingFamily:
     Projections onto closed convex sets are nonexpansive; every point of the
     box is fixed.  The registered fixed point is the box midpoint.
     """
-    lo, hi, project = _box_projector(lo, hi)
-    if lo.ndim != 1:
-        raise ValueError(f"box corners must be 1-D, got shape {lo.shape}")
-    corners = list(zip(lo.tolist(), hi.tolist()))
-
-    def project_point(n: int, x) -> list:
-        out = []
-        for c, (a, b) in zip(x.tolist(), corners, strict=True):
-            c = c if c > a or c != c else a  # np.maximum(c, a)
-            out.append(c if c < b or c != c else b)  # np.minimum(c, b)
-        return out
-
+    lo, hi, project, corners = _box_projector(lo, hi)
     return MappingFamily(
         name="box_projection",
-        fn=project_point,
+        fn=lambda n, x: _clip(x, corners),
         fixed_point=(lo + hi) / 2.0,
         chi_T=constant_family_chi_T(),
         fn_array=lambda ns, xs: project(xs),
@@ -199,21 +210,9 @@ def resolvent_l1_family(
     if weight < 0:
         raise ValueError(f"weight must be >= 0, got {weight}")
 
-    def shrink_point(n: int, x) -> list:
-        threshold = weight * gamma(n)
-        out = []
-        for c in x.tolist():
-            if c != c:  # np.sign(c) is c, and numpy's product keeps its first NaN
-                out.append(c)
-                continue
-            m = abs(c) - threshold
-            m = m if m > 0.0 or m != m else 0.0  # np.maximum(m, 0.0)
-            out.append((1.0 if c > 0.0 else -1.0 if c < 0.0 else 0.0) * m)  # np.sign(c) * m
-        return out
-
     return MappingFamily(
         name="resolvent_l1",
-        fn=shrink_point,
+        fn=lambda n, x: _shrink(x, weight * gamma(n)),
         fixed_point=np.zeros(dim),
         gamma=gamma,
         fn_array=lambda ns, xs: soft_threshold(xs, weight * gamma_column(gamma, ns)),
@@ -234,7 +233,7 @@ def resolvent_quadratic_family(Q, gamma: Callable[[int], float]) -> MappingFamil
     dim = Q.shape[0]
     eye = np.eye(dim)
 
-    def resolvent(n: int, x: np.ndarray) -> np.ndarray:
+    def resolvent(n: int, x) -> np.ndarray:
         return np.linalg.solve(eye + gamma(n) * Q, x)
 
     def resolvent_array(ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -257,44 +256,48 @@ class MonotoneOp:
 
     ``prox(gamma, x)`` must return J_{gamma A}(x) = (Id + gamma A)^{-1}(x),
     for one point and a float step size, and row by row for a point array
-    and a column of step sizes.  Resolvents are firmly nonexpansive; that is
-    not checked here, since the family checks sample what the rates use.
+    and a column of step sizes; ``prox_point``, if given, maps one loop point
+    on Python floats, equal to ``prox`` bit for bit.  Resolvents are firmly
+    nonexpansive, unchecked: the family checks sample what the rates use.
     """
 
     name: str
     prox: Callable[[float, np.ndarray], np.ndarray]
+    prox_point: Callable[[float, list], list] | None = None
 
 
 @dataclass(frozen=True)
 class CocoerciveOp:
     """A single-valued operator with a declared cocoercivity constant:
     <x - y, Bx - By> >= beta_coco ||Bx - By||^2.  ``fn`` takes one point,
-    or a point array and then acts row by row."""
+    or a point array and then acts row by row.  ``step_point(gamma, x)``,
+    if given, is the forward step x - gamma * fn(x) of one loop point on
+    Python floats, equal to the numpy step bit for bit."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     beta_coco: float
+    step_point: Callable[[float, list], list] | None = None
 
 
 def l1_operator(weight: float = 1.0) -> MonotoneOp:
     """Subdifferential of weight * l1 norm; resolvent is soft thresholding."""
     if weight < 0:
         raise ValueError(f"weight must be >= 0, got {weight}")
-    return MonotoneOp(
-        name=f"l1({weight:g})", prox=lambda gamma, x: soft_threshold(x, gamma * weight)
-    )
+    prox = lambda gamma, x: soft_threshold(x, gamma * weight)
+    return MonotoneOp(f"l1({weight:g})", prox, lambda gamma, x: _shrink(x, gamma * weight))
 
 
 def box_operator(lo, hi) -> MonotoneOp:
     """Normal cone of the box [lo, hi]; resolvent is the projection, for
     every step size."""
-    _, _, project = _box_projector(lo, hi)
-    return MonotoneOp(name="box", prox=lambda gamma, x: project(x))
+    _, _, project, corners = _box_projector(lo, hi)
+    return MonotoneOp("box", lambda gamma, x: project(x), lambda gamma, x: _clip(x, corners))
 
 
 def zero_operator() -> MonotoneOp:
     """The zero operator; its resolvent is the identity."""
-    return MonotoneOp(name="zero", prox=lambda gamma, x: np.asarray(x, dtype=float))
+    return MonotoneOp("zero", lambda gamma, x: np.asarray(x, dtype=float), lambda gamma, x: x)
 
 
 def quadratic_gradient(diag, b) -> CocoerciveOp:
@@ -306,17 +309,20 @@ def quadratic_gradient(diag, b) -> CocoerciveOp:
     """
     d = np.asarray(diag, dtype=float)
     b = np.asarray(b, dtype=float)
-    if d.shape != b.shape:
-        raise ValueError(f"diag and b must share a shape, got {d.shape} and {b.shape}")
+    if d.shape != b.shape or d.ndim != 1:
+        raise ValueError(f"diag and b must be 1-D of one shape, got {d.shape} and {b.shape}")
     d2, db = d * d, d * b
     lipschitz = float(np.max(d2))
     beta = math.inf if lipschitz == 0.0 else 1.0 / lipschitz
-    return CocoerciveOp(name="quadratic_gradient", fn=lambda x: d2 * x - db, beta_coco=beta)
+    d2s, dbs = d2.tolist(), db.tolist()
+    step = lambda gamma, x: [c - gamma * (a * c - e) for a, e, c in zip(d2s, dbs, x)]
+    return CocoerciveOp("quadratic_gradient", lambda x: d2 * x - db, beta, step)
 
 
 def zero_cocoercive() -> CocoerciveOp:
     """The zero operator, cocoercive for every constant."""
-    return CocoerciveOp(name="zero", fn=np.zeros_like, beta_coco=math.inf)
+    step = lambda gamma, x: [c - gamma * 0.0 for c in x]
+    return CocoerciveOp("zero", np.zeros_like, math.inf, step)
 
 
 def check_step_sizes(B: CocoerciveOp, gamma, start: int | None = None) -> None:
@@ -324,7 +330,7 @@ def check_step_sizes(B: CocoerciveOp, gamma, start: int | None = None) -> None:
     naming the first step size outside (0, 2 beta) in ``gamma``, one number
     or an array of gamma_start, gamma_start + 1, ... when ``start`` is given."""
     cap = 2.0 * B.beta_coco
-    if not (np.isscalar(gamma) and 0.0 < gamma < cap):  # no numpy call for one good step
+    if not (type(gamma) is float and 0.0 < gamma < cap):  # no numpy call for one good step
         gammas = np.ravel(gamma)
         outside = ~((0.0 < gammas) & (gammas < cap))
         i = int(np.argmax(outside))  # the first outside, if any
@@ -350,10 +356,20 @@ def forward_backward_family(
     A: MonotoneOp, B: CocoerciveOp, gamma: Callable[[int], float], zero_point: np.ndarray
 ) -> MappingFamily:
     """The family T_n = J_{gamma_n A}(Id - gamma_n B) with a registered zero
-    of A + B as its common fixed point."""
+    of A + B as its common fixed point.  Its ``fn`` checks each step size
+    and runs on Python floats when both operators have a one-point form, as
+    the builtins do, and through ``forward_backward_map`` otherwise."""
+
+    def fn(n: int, x):
+        g = gamma(n)
+        if A.prox_point is None or B.step_point is None:  # a user's operator
+            return forward_backward_map(A, B, g, x)
+        check_step_sizes(B, g)
+        return A.prox_point(g, B.step_point(g, x))
+
     return MappingFamily(
         name=f"fb[{A.name}+{B.name}]",
-        fn=lambda n, x: forward_backward_map(A, B, gamma(n), x),
+        fn=fn,
         fixed_point=np.asarray(zero_point, dtype=float),
         gamma=gamma,
         fn_array=lambda ns, xs: forward_backward_map(A, B, gamma_column(gamma, ns), xs),

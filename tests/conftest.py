@@ -45,17 +45,17 @@ def run_kmf_direct(family, schedule, x0, horizon: int) -> list[np.ndarray]:
     for n in range(horizon):
         scaled = schedule.beta(n) * x
         lam_n = schedule.lam(n)
-        x = (1.0 - lam_n) * scaled + lam_n * np.asarray(family.fn(n, scaled))
+        x = (1.0 - lam_n) * scaled + lam_n * np.asarray(family.fn(n, scaled.tolist()))
         out.append(x)
     return out
 
 
 def combine_points(space, x, y, lam):
-    """W(x, y, lam) of two points in the loop's own form: ``mix`` of their
-    loop points after the lambda check.  The per-row reference that
-    ``combine_array`` must equal bit for bit."""
+    """The loop point W(x, y, lam) of two points, in the loop's own form:
+    ``mix`` of their loop points after the lambda check.  The per-row
+    reference that ``combine_array`` must equal bit for bit."""
     lam = float(space.check_lambdas(lam))
-    return space.from_loop(space.mix(space.to_loop(x), space.to_loop(y), lam))
+    return space.mix(space.to_loop(x), space.to_loop(y), lam)
 
 
 def point_dist(space, x, y) -> float:

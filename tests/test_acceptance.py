@@ -106,7 +106,7 @@ def test_criterion_3_linear_pointwise_bounds(request):
     cross_excess = -np.inf
     sample_ns = np.unique(np.geomspace(1, last, 100).astype(int))
     for n in sample_ns:
-        xn = trace.x[n]
+        xn = instance.space.to_loop(trace.x[n])
         bound = 20.0 * M / (lam * (n + 2))
         for m in (0, n // 2, 2 * n):
             dist = point_dist(instance.space, xn, instance.family.fn(m, xn))

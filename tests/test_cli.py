@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import signal
 import tracemalloc
 from pathlib import Path
 
@@ -345,6 +346,26 @@ def test_size_that_cannot_be_allocated_is_config_error(tmp_path, capsys, field):
     assert_one_line_error(capsys, "b_huge.json: configuration error")
     rows = (tmp_path / "suite" / "suite_summary.csv").read_text().splitlines()
     assert rows[1:] == ["a_good.json,pass,0", "b_huge.json,config_error,2"]
+
+
+def _stuck(signum, frame):
+    raise TimeoutError("tmann run still busy after 10 s")
+
+
+@pytest.mark.parametrize("name", ["euclidean_example_box", "tree_example_contraction"])
+def test_horizon_too_large_to_store_exits_two_at_once(tmp_path, capsys, name):
+    # the orbit store is sized before the loop checks a schedule term, so
+    # numpy refuses 10**15 + 1 points at once, where checking the terms
+    # first would run for days; the alarm fails the test after 10 s
+    argv = ["run", str(CONFIG_DIR / f"{name}.json"), "--horizon", str(10**15)]
+    previous = signal.signal(signal.SIGALRM, _stuck)
+    signal.alarm(10)
+    try:
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_one_line_error(capsys, "configuration error: Unable to allocate")
 
 
 @pytest.mark.parametrize(

@@ -467,7 +467,7 @@ def test_combine_array_equals_per_row_combine(name):
         lam[50:60] = 0.5
         x.t[60:62] = 0.0  # x at the origin, stored on ray 0
         x.ray[60:62] = 0
-    # the reference is each row's from_loop(mix(...)), the loop's own form
+    # the reference is each row's mix of loop points, the loop's own form
     got = space.combine_array(x, y, lam)
     assert_rows_equal(space, got, [combine_points(space, x[i], y[i], lam[i]) for i in range(len(lam))])
     if type(space) is StarTreeSpace:  # halfway between equal radii is the origin
@@ -496,6 +496,23 @@ def test_combine_array_refuses_lambda_outside_unit_interval(name, bad):
         space.combine_array(x, y, np.array([0.5, bad, 0.5, 0.5]))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         space.combine_array(x, y, bad)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_unrolled_mix_equals_combine_array_bit_for_bit(dim):
+    # both zeros, infinities (a product 0 * inf is NaN in both forms) and
+    # lam at 0, 1 and a tie; no NaN input, so no sum has two NaN operands
+    rng = np.random.default_rng(dim)
+    values = [0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308, math.inf, -math.inf]
+    x, y = (np.concatenate([rng.choice(values, (300, dim)), rng.normal(size=(300, dim))]) for _ in "xy")
+    lam = np.concatenate([rng.choice([0.0, 1.0, 0.5, 0.25], 300), rng.random(300)])
+    space = EuclideanSpace(dim)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = space.combine_array(x, y, lam)
+    mixed = [space.mix(a, b, t) for a, b, t in zip(x.tolist(), y.tolist(), lam.tolist())]
+    assert np.array(mixed).tobytes() == got.tobytes()  # NaN signs included
+    # one compiled mix serves every space of a dim
+    assert space.mix is EuclideanSpace(dim, box_radius=1.0).mix
 
 
 def test_broken_space_breaks_combine_array_like_combine():

@@ -109,7 +109,7 @@ def test_create_rejects_non_fixed_point():
 def test_create_names_the_first_map_that_moves_the_point(array_form):
     # T_0 .. T_3 fix p = 0; T_n moves it by n - 3 from n = 4 on
     fam = MappingFamily(
-        "late_shift", lambda n, x: x + max(n - 3, 0), np.zeros(1),
+        "late_shift", lambda n, x: np.asarray(x) + max(n - 3, 0), np.zeros(1),
         fn_array=(lambda ns, xs: xs + np.maximum(ns - 3, 0)[:, None]) if array_form else None,
     )
     with pytest.raises(ValueError, match=r"not fixed by T_4: moved by 1\.0$"):

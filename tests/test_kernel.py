@@ -6,9 +6,10 @@ the distances they need from the stored orbit the same way;
 ``run_modified_halpern`` runs no loop and replays each Halpern step on the
 same stored orbit with ``eval_array`` and ``combine_array``.  The reference
 loops below, one for each iteration, compute each value at its step with
-``dist``, ``combine`` and ``fn`` on single points.  Both must agree bit for
-bit, on every family with a closed-form array evaluation and on custom
-families, which take the per-point fallback.
+``point_dist``, ``combine_points`` and ``fn`` on loop points.  Both must
+agree bit for bit, on every family with a closed-form array evaluation
+(the forward-backward pairs included, whose builtin operators step on
+Python floats) and on custom families, which take the per-point fallback.
 """
 
 import dataclasses
@@ -67,7 +68,7 @@ def reference_tikhonov_mann(instance, horizon):
     sp, fam, sch = instance.space, instance.family, instance.schedule
     u, p = instance.u, instance.p
     seqs = {name: [] for name in SEQUENCES + DISTANCES}
-    x = instance.x0
+    x = sp.to_loop(instance.x0)
     xs, us = [x], []
     for n in range(horizon):
         u_n = combine_points(sp, u, x, sch.beta(n))
@@ -140,8 +141,10 @@ def planar_rotation_family(dim):
 
 def doubling_family(dim):
     """Custom family T_n x = 2 x in array arithmetic, returning an ndarray:
-    on a list of floats, 2 * x would repeat the list instead."""
-    return MappingFamily(name="doubling", fn=lambda n, x: 2 * x, fixed_point=np.zeros(dim))
+    on the loop point, a list of floats, 2 * x would repeat the list."""
+    return MappingFamily(
+        name="doubling", fn=lambda n, x: 2 * np.asarray(x), fixed_point=np.zeros(dim)
+    )
 
 
 def ray_shift_family(num_rays):
@@ -227,6 +230,19 @@ CASES = {
     "euclidean_forward_backward": lambda: _lasso(EXAMPLE),
     "euclidean_forward_backward_box": lambda: _box_projection_splitting(LINEAR),
     "euclidean_forward_backward_custom_prox": lambda: _group_lasso_splitting(LINEAR),
+    # the other builtin (A, B) pairs, each of which runs on Python floats
+    "euclidean_forward_backward_box_quadratic": lambda: _forward_backward(
+        mappings.box_operator([0.0], [1.0]), mappings.quadratic_gradient([0.8], [2.0]), EXAMPLE,
+        u=[0.0], x0=[0.5], z=[1.0],
+    ),
+    "euclidean_forward_backward_l1_zero": lambda: _forward_backward(
+        mappings.l1_operator(0.3), mappings.zero_cocoercive(), LINEAR,
+        u=[0.2, 0.9], x0=[1.8, -2.4], z=[0.0, 0.0],
+    ),
+    "euclidean_forward_backward_zero_quadratic": lambda: _forward_backward(
+        mappings.zero_operator(), mappings.quadratic_gradient([0.5, 0.0], [1.0, 0.0]), LINEAR,
+        u=[0.0, 0.5], x0=[1.5, -0.4], z=[2.0, 0.0],
+    ),
     "euclidean_quadratic": lambda: _euclidean(
         2, resolvent_quadratic_family([[2.0, 0.5], [0.5, 1.0]], EXAMPLE.gamma), EXAMPLE,
         [0.4, -0.3], [1.5, 1.1],
@@ -405,7 +421,7 @@ def test_quadratic_resolvent_array_equals_per_point_solve(dim):
     family = resolvent_quadratic_family(Q, LINEAR.gamma)
     ns = rng.integers(0, 50_000, size=5_000)
     xs = rng.uniform(-3.0, 3.0, size=(5_000, dim))
-    expected = np.array([family.fn(n, x) for n, x in zip(ns.tolist(), xs)])
+    expected = np.array([family.fn(n, x) for n, x in zip(ns.tolist(), xs.tolist())])
     assert np.array_equal(family.eval_array(EuclideanSpace(dim), ns, xs), expected)
 
 
@@ -540,3 +556,7 @@ def test_forward_backward_step_size_outside_range_raises(bad_gamma):
         run_modified_halpern(instance, 20)
     with pytest.raises(ValueError, match="step size"):
         family.eval_array(instance.space, np.arange(20), np.ones((20, 1)))
+    # the loop's fn steps on Python floats and checks its step size too
+    assert family.fn(14, [1.0]) == [0.0]
+    with pytest.raises(ValueError, match=f"^step size gamma = {bad_gamma!r} outside"):
+        family.fn(15, [1.0])

@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tmann.geometry import EuclideanSpace, StarTreeSpace, TreePoint
+from tmann.geometry import EuclideanSpace, StarTreeSpace, TreePoint, TreePoints
 from tmann.mappings import (
     MappingFamily,
+    box_operator,
     box_projection_family,
     check_jp2_consequence,
     check_nonexpansive,
@@ -21,6 +22,8 @@ from tmann.mappings import (
     resolvent_quadratic_family,
     soft_threshold,
     tree_contraction_family,
+    zero_cocoercive,
+    zero_operator,
 )
 from tmann.sequences import builtin_example_schedule, oracle_cauchy_modulus
 
@@ -43,8 +46,7 @@ def rotation_family(angles):
 
 def test_identity_and_contraction_eval():
     fam = identity_family(np.zeros(2))
-    x = np.array([1.0, -2.0])
-    assert np.array_equal(fam.fn(7, x), x)
+    assert fam.fn(7, [1.0, -2.0]) == [1.0, -2.0]
 
     tree = tree_contraction_family(0.5)
     assert tree.fn(0, TreePoint(1, 4.0)) == TreePoint(1, 2.0)
@@ -53,9 +55,9 @@ def test_identity_and_contraction_eval():
 def test_resolvent_l1_soft_threshold_example():
     fam = resolvent_l1_family(GAMMA_EXAMPLE, dim=1)
     # gamma_0 = 2, so the resolvent collapses inputs of magnitude <= 2
-    assert fam.fn(0, np.array([2.0]))[0] == 0.0
-    assert fam.fn(0, np.array([3.0]))[0] == pytest.approx(1.0)
-    assert fam.fn(0, np.array([-3.0]))[0] == pytest.approx(-1.0)
+    assert fam.fn(0, [2.0])[0] == 0.0
+    assert fam.fn(0, [3.0])[0] == pytest.approx(1.0)
+    assert fam.fn(0, [-3.0])[0] == pytest.approx(-1.0)
 
 
 def test_soft_threshold_cases():
@@ -77,13 +79,13 @@ def test_nonexpansive_identity_and_box():
     for _ in range(100):
         z = rng.uniform(-4, 4, size=2)
         clamped = np.array([min(max(z[0], -1.0), 1.0), min(max(z[1], -1.0), 1.0)])
-        np.testing.assert_allclose(box.fn(0, z), clamped)
+        np.testing.assert_allclose(box.fn(0, z.tolist()), clamped)
 
 
 def test_nonexpansive_fails_for_doubling_map():
     sp = EuclideanSpace(1)
     doubling = MappingFamily(
-        name="2x", fn=lambda n, x: 2.0 * x, fixed_point=np.zeros(1)
+        name="2x", fn=lambda n, x: 2.0 * np.asarray(x), fixed_point=np.zeros(1)
     )
     report = check_nonexpansive(doubling, sp, samples=300, rng=np.random.default_rng(1))
     assert not report.passed
@@ -98,7 +100,8 @@ def test_nonexpansive_fails_for_doubling_map():
 def test_cross_index_violation_names_its_sample():
     sp = EuclideanSpace(1)
     shifts = MappingFamily(
-        name="x+n", fn=lambda n, x: x + n, fixed_point=np.zeros(1), gamma=GAMMA_EXAMPLE
+        name="x+n", fn=lambda n, x: np.asarray(x) + n, fixed_point=np.zeros(1),
+        gamma=GAMMA_EXAMPLE,
     )
     report = check_jp2_consequence(
         shifts, sp, samples=20, index_pairs=3, rng=np.random.default_rng(0)
@@ -119,7 +122,7 @@ def test_box_projection_equals_clip_bit_for_bit(lo, hi):
     mapped = box.eval_array(EuclideanSpace(2), np.arange(len(xs)), xs)
     assert np.array_equal(mapped.view(np.uint64), reference.view(np.uint64))
     for i in range(200):
-        mapped_point = np.asarray(box.fn(i, xs[i]))
+        mapped_point = np.asarray(box.fn(i, xs[i].tolist()))
         assert np.array_equal(mapped_point.view(np.uint64), reference[i].view(np.uint64))
 
 
@@ -136,11 +139,11 @@ def edge_points(rng, dim: int, values) -> np.ndarray:
 
 
 def assert_point_forms_agree(family, xs: np.ndarray) -> None:
-    """``fn`` on one point, returned as a list, and the ``fn_array`` row
-    hold the same bytes: signs of zeros and NaNs included."""
+    """``fn`` on one loop point, returned as a list, and the ``fn_array``
+    row hold the same bytes: signs of zeros and NaNs included."""
     ns = np.arange(len(xs))
     rows = family.eval_array(EuclideanSpace(xs.shape[1]), ns, xs)
-    for n, x, row in zip(ns.tolist(), xs, rows):
+    for n, x, row in zip(ns.tolist(), xs.tolist(), rows):
         point = family.fn(n, x)
         assert type(point) is list
         assert np.asarray(point).tobytes() == row.tobytes(), (n, x, point, row)
@@ -162,6 +165,58 @@ def test_resolvent_l1_point_form_equals_array_form_on_edge_inputs(dim, weight):
     # thresholds 0.5, 1 and 2 times the weight: |x| meets each of them
     family = resolvent_l1_family(lambda n: (0.5, 1.0, 2.0)[n % 3], dim=dim, weight=weight)
     assert_point_forms_agree(family, edge_points(np.random.default_rng(dim), dim, EDGE_VALUES))
+
+
+def test_identity_and_quadratic_point_forms_equal_array_forms_on_edge_inputs():
+    rng = np.random.default_rng(9)
+    Q = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]]
+    with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN coordinates
+        for family in (
+            identity_family(np.zeros(3)),
+            resolvent_quadratic_family(Q, lambda n: (0.5, 1.0, 2.0)[n % 3]),
+        ):
+            xs = edge_points(rng, 3, EDGE_VALUES)
+            rows = family.eval_array(EuclideanSpace(3), np.arange(len(xs)), xs)
+            for n, (x, row) in enumerate(zip(xs.tolist(), rows)):
+                assert np.asarray(family.fn(n, x)).tobytes() == row.tobytes(), (n, x)
+
+
+@pytest.mark.parametrize("factor", [0.0, 0.5, 1.0])
+def test_tree_contraction_point_form_equals_array_form(factor):
+    # radii 0, subnormal, and large, on every ray; a radius of 0 is ray 0
+    family, space = tree_contraction_family(factor), StarTreeSpace(3)
+    ray = np.repeat([0, 1, 2], 5)
+    points = TreePoints.of(ray, np.tile([0.0, 5e-324, 1e-300, 1.5, 1e308], 3))
+    rows = family.eval_array(space, np.arange(len(ray)), points)
+    for i in range(len(ray)):
+        point = family.fn(i, points[i])
+        assert (point.ray, point.t.hex()) == (int(rows.ray[i]), float(rows.t[i]).hex())
+
+
+#: The step sizes of the forward-backward edge tests: with the l1 operator
+#: of weight 1 and B = 0, the edge values +-0.5, +-1 and +-2 tie with them.
+EDGE_STEPS = lambda n: (0.5, 1.0, 2.0)[n % 3]
+
+
+def builtin_fb_operators(dim: int, rng) -> tuple[dict, dict]:
+    """Every builtin operator kind on R^dim: a box from ``EDGE_BOXES``, and a
+    diagonal with a 0 entry, whose products with inf are NaN."""
+    lo, hi = zip(*(EDGE_BOXES[i] for i in rng.integers(len(EDGE_BOXES), size=dim)))
+    A = {"l1": l1_operator(1.0), "box": box_operator(lo, hi), "zero": zero_operator()}
+    diag, b = [0.5, 0.0, 0.25][:dim], [2.0, -3.0, -0.0][:dim]
+    return A, {"quadratic": quadratic_gradient(diag, b), "zero": zero_cocoercive()}
+
+
+@pytest.mark.parametrize("b_name", ["quadratic", "zero"])
+@pytest.mark.parametrize("a_name", ["l1", "box", "zero"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_forward_backward_point_form_equals_array_form_on_edge_inputs(dim, a_name, b_name):
+    rng = np.random.default_rng(dim)
+    A, B = builtin_fb_operators(dim, rng)
+    family = forward_backward_family(A[a_name], B[b_name], EDGE_STEPS, np.zeros(dim))
+    xs = edge_points(rng, dim, EDGE_VALUES + [box for pair in EDGE_BOXES for box in pair])
+    with np.errstate(invalid="ignore"):  # 0 * inf in the gradient
+        assert_point_forms_agree(family, xs)
 
 
 def test_jp2_constant_family_passes_any_gamma():
@@ -199,8 +254,8 @@ def test_resolvents_fix_operator_zeros():
     l1 = resolvent_l1_family(GAMMA_EXAMPLE, dim=3)
     quad = resolvent_quadratic_family(np.diag([1.0, 3.0]), GAMMA_EXAMPLE)
     for n in range(25):
-        assert np.all(np.asarray(l1.fn(n, np.zeros(3))) == 0.0)
-        np.testing.assert_allclose(quad.fn(n, np.zeros(2)), np.zeros(2), atol=1e-12)
+        assert l1.fn(n, [0.0] * 3) == [0.0] * 3
+        np.testing.assert_allclose(quad.fn(n, [0.0] * 2), np.zeros(2), atol=1e-12)
 
 
 def test_resolvent_quadratic_rejects_bad_matrices():
@@ -327,7 +382,8 @@ def reference_nonexpansive(family, space, samples, rng, n_max=50):
     ns = rng.integers(0, n_max + 1, size=samples)
     x, y = space.sample(rng, samples), space.sample(rng, samples)
     excess = [
-        point_dist(space, family.fn(int(n), x[i]), family.fn(int(n), y[i])) - point_dist(space, x[i], y[i])
+        point_dist(space, family.fn(int(n), space.to_loop(x[i])), family.fn(int(n), space.to_loop(y[i])))
+        - point_dist(space, x[i], y[i])
         for i, n in enumerate(ns)
     ]
     i = first_worst(excess)
@@ -342,8 +398,8 @@ def reference_jp2(family, gamma, space, samples, index_pairs, rng, n_max=50):
     for s in range(samples):
         for i, j in pairs[s].tolist():
             for m, n in ((i, j), (j, i)):
-                tn_x = family.fn(n, x[s])
-                lhs = point_dist(space, family.fn(m, x[s]), tn_x)
+                tn_x = family.fn(n, space.to_loop(x[s]))
+                lhs = point_dist(space, family.fn(m, space.to_loop(x[s])), tn_x)
                 excess.append(lhs - abs(gamma(m) - gamma(n)) / gamma(n) * point_dist(space, tn_x, x[s]))
                 where.append((m, n, x[s]))
     i = first_worst(excess)

@@ -8,6 +8,7 @@ from tmann.geometry import EuclideanSpace
 from tmann.iterate import (
     ProblemInstance,
     check_basic_bounds,
+    check_halpern_equivalence,
     check_recursive_inequalities,
     run_tikhonov_mann,
 )
@@ -120,7 +121,7 @@ def test_lasso_solution_is_common_fixed_point():
     schedule, A, B, z = lasso_problem()
     family = forward_backward_family(A, B, schedule.gamma, z)
     for n in range(30):
-        np.testing.assert_allclose(family.fn(n, z), z, atol=1e-12)
+        np.testing.assert_allclose(family.fn(n, z.tolist()), z, atol=1e-12)
 
 
 def fb_family_checks(A, B, schedule, seed):
@@ -183,6 +184,27 @@ def test_a_box_reflection_passes_alone_and_fails_the_comparison_with_a_gradient(
     assert nonexpansive.passed, nonexpansive.summary()
     assert not jp2.passed
     assert jp2.checks[0].worst_excess > 1.0
+
+
+def test_a_user_operator_without_a_point_form_keeps_the_numpy_path():
+    # the reflection has no prox_point, so fn maps a loop point through
+    # forward_backward_map and returns an ndarray, equal to the fn_array row
+    reflect = MonotoneOp("reflect", lambda g, x: 2.0 * np.clip(x, -1, 1) - x)
+    schedule = builtin_example_schedule(0.5)
+    for B in COCOERCIVE:
+        family = forward_backward_family(reflect, B, schedule.gamma, np.zeros(2))
+        xs = np.random.default_rng(4).uniform(-3.0, 3.0, size=(200, 2))
+        rows = family.fn_array(np.arange(200), xs)
+        for n, (x, row) in enumerate(zip(xs.tolist(), rows)):
+            point = family.fn(n, x)
+            assert type(point) is np.ndarray and point.tobytes() == row.tobytes()
+    # and it runs: alone it is a constant nonexpansive family fixing 0, and
+    # the loop's fn and the replayed fn_array agree along the orbit
+    instance = splitting_instance(reflect, zero_cocoercive(), schedule, [0.2, 0.9], [1.8, 2.4], [0.0, 0.0])
+    trace = run_tikhonov_mann(instance, 500)
+    assert check_basic_bounds(instance, trace).passed
+    report = check_halpern_equivalence(instance, 500)
+    assert report.max_u_y == report.max_x_v == 0.0
 
 
 def test_lasso_run_certifies_composed_rates():
