@@ -161,9 +161,8 @@ class IterationTrace:
         """Write one row for each step n of :func:`trace_slices`: n,
         residual_step, residual_T, tfam_gap, plus the coordinates of x_n
         when requested.  Each slice's columns are read from views of the
-        stored arrays, so no column is copied.  The fields are ints, float
-        reprs and plain names, which CSV never quotes, so a line is their
-        join, written as it is made."""
+        stored arrays, so no column is copied.  CSV quotes none of the fields
+        (ints, float reprs, plain names), so a line is their join."""
         header = ["n", "residual_step", "residual_T", "tfam_gap"]
         if include_points:
             header += _point_columns(self.x[:0])[0]
@@ -227,9 +226,8 @@ def _orbit(instance: ProblemInstance, horizon: int) -> Points:
     u = to_loop(instance.u)
 
     def loop():
-        # mix checks nothing: once collect has sized the store, the loop
-        # checks every term it reads here, before its first step, and each
-        # point it did not make itself as it arrives
+        # mix checks nothing: with the store sized by collect, the loop checks
+        # each term it reads here, then each point it did not make as it arrives
         for seq in (sch.beta, sch.lam):
             for rows in blocks(horizon):
                 sp.check_lambdas(terms(seq, np.arange(rows.start, rows.stop)))

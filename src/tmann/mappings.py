@@ -44,10 +44,11 @@ family nonexpansive and the comparison intact, does not break the rates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -118,8 +119,8 @@ def identity_family(fixed_point: Point) -> MappingFamily:
     )
 
 
-def _box_projector(lo, hi) -> tuple[np.ndarray, np.ndarray, Callable, list]:
-    """The corners of the nonempty box [lo, hi] as 1-D float arrays, the
+def _box_projector(lo, hi) -> tuple[np.ndarray, np.ndarray, Callable, Iterable]:
+    """The corners of the nonempty box [lo, hi] as float arrays, the
     projection onto it of one point or a point array, and ``_clip``'s pairs.
 
     The projection is np.minimum(np.maximum(x, lo), hi), at half the call
@@ -128,12 +129,11 @@ def _box_projector(lo, hi) -> tuple[np.ndarray, np.ndarray, Callable, list]:
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if lo.shape != hi.shape or lo.ndim != 1:
-        raise ValueError(f"box corners must be 1-D of one shape, got {lo.shape} and {hi.shape}")
+    if lo.shape != hi.shape:
+        raise ValueError(f"box corners must share a shape, got {lo.shape} and {hi.shape}")
     if np.any(lo > hi):
         raise ValueError("box is empty: some lo component exceeds hi")
-    corners = list(zip(lo.tolist(), hi.tolist()))
-    return lo, hi, lambda x: np.minimum(np.maximum(x, lo), hi), corners
+    return lo, hi, lambda x: np.minimum(np.maximum(x, lo), hi), _coordinates(lo, hi)
 
 
 # Single-point forms on Python floats.  Each takes the float operations of
@@ -143,13 +143,18 @@ def _box_projector(lo, hi) -> tuple[np.ndarray, np.ndarray, Callable, list]:
 # np.maximum(-0.0, 0.0) is 0.0 and np.maximum(0.0, -0.0) is -0.0; np.sign
 # of either zero is 0.0, and of a NaN the NaN itself.  Which NaN a Python
 # product of two NaNs keeps depends on the interpreter's state, so no form
-# multiplies two.  None checks its length: ``ProblemInstance.create`` maps
-# points of the space with the array form, and ``to_loop`` checks outputs.
+# multiplies two.  None checks lengths: ``create`` maps points by the array form.
+
+
+def _coordinates(*params) -> Iterable:
+    """The tuple of ``params``' entries at each coordinate, as numpy broadcasts
+    them against a point: one tuple for every coordinate if each is one number."""
+    rows = list(zip(*(np.ravel(p).tolist() for p in params)))
+    return itertools.repeat(rows[0]) if len(rows) == 1 else rows
 
 
 def _clip(x, corners) -> list:
-    """np.minimum(np.maximum(x, lo), hi) of one loop point, for the (lo, hi)
-    pairs ``corners``."""
+    """np.minimum(np.maximum(x, lo), hi) of one loop point, by the pairs ``corners``."""
     out = []
     for c, (a, b) in zip(x, corners):
         c = c if c > a or c != c else a  # np.maximum(c, a)
@@ -175,6 +180,8 @@ def box_projection_family(lo, hi) -> MappingFamily:
     box is fixed.  The registered fixed point is the box midpoint.
     """
     lo, hi, project, corners = _box_projector(lo, hi)
+    if lo.ndim != 1:
+        raise ValueError(f"box corners must be 1-D, got shape {lo.shape}")
     return MappingFamily(
         name="box_projection",
         fn=lambda n, x: _clip(x, corners),
@@ -270,9 +277,8 @@ class MonotoneOp:
 class CocoerciveOp:
     """A single-valued operator with a declared cocoercivity constant:
     <x - y, Bx - By> >= beta_coco ||Bx - By||^2.  ``fn`` takes one point,
-    or a point array and then acts row by row.  ``step_point(gamma, x)``,
-    if given, is the forward step x - gamma * fn(x) of one loop point on
-    Python floats, equal to the numpy step bit for bit."""
+    or a point array and then acts row by row; ``step_point(gamma, x)``, if
+    given, is x - gamma * fn(x) of one loop point on floats, bit for bit."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
@@ -309,20 +315,19 @@ def quadratic_gradient(diag, b) -> CocoerciveOp:
     """
     d = np.asarray(diag, dtype=float)
     b = np.asarray(b, dtype=float)
-    if d.shape != b.shape or d.ndim != 1:
-        raise ValueError(f"diag and b must be 1-D of one shape, got {d.shape} and {b.shape}")
+    if d.shape != b.shape:
+        raise ValueError(f"diag and b must share a shape, got {d.shape} and {b.shape}")
     d2, db = d * d, d * b
     lipschitz = float(np.max(d2))
     beta = math.inf if lipschitz == 0.0 else 1.0 / lipschitz
-    d2s, dbs = d2.tolist(), db.tolist()
-    step = lambda gamma, x: [c - gamma * (a * c - e) for a, e, c in zip(d2s, dbs, x)]
+    pairs = _coordinates(d2, db)
+    step = lambda gamma, x: [c - gamma * (a * c - e) for c, (a, e) in zip(x, pairs)]
     return CocoerciveOp("quadratic_gradient", lambda x: d2 * x - db, beta, step)
 
 
 def zero_cocoercive() -> CocoerciveOp:
     """The zero operator, cocoercive for every constant."""
-    step = lambda gamma, x: [c - gamma * 0.0 for c in x]
-    return CocoerciveOp("zero", np.zeros_like, math.inf, step)
+    return CocoerciveOp("zero", np.zeros_like, math.inf, lambda g, x: [c - g * 0.0 for c in x])
 
 
 def check_step_sizes(B: CocoerciveOp, gamma, start: int | None = None) -> None:
@@ -330,7 +335,7 @@ def check_step_sizes(B: CocoerciveOp, gamma, start: int | None = None) -> None:
     naming the first step size outside (0, 2 beta) in ``gamma``, one number
     or an array of gamma_start, gamma_start + 1, ... when ``start`` is given."""
     cap = 2.0 * B.beta_coco
-    if not (type(gamma) is float and 0.0 < gamma < cap):  # no numpy call for one good step
+    if not (type(gamma) is float and 0.0 < gamma < cap):  # no numpy call for one good float
         gammas = np.ravel(gamma)
         outside = ~((0.0 < gammas) & (gammas < cap))
         i = int(np.argmax(outside))  # the first outside, if any

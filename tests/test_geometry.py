@@ -504,7 +504,9 @@ def test_unrolled_mix_equals_combine_array_bit_for_bit(dim):
     # lam at 0, 1 and a tie; no NaN input, so no sum has two NaN operands
     rng = np.random.default_rng(dim)
     values = [0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308, math.inf, -math.inf]
-    x, y = (np.concatenate([rng.choice(values, (300, dim)), rng.normal(size=(300, dim))]) for _ in "xy")
+    x, y = (
+        np.concatenate([rng.choice(values, (300, dim)), rng.normal(size=(300, dim))]) for _ in "xy"
+    )
     lam = np.concatenate([rng.choice([0.0, 1.0, 0.5, 0.25], 300), rng.random(300)])
     space = EuclideanSpace(dim)
     with np.errstate(invalid="ignore", over="ignore"):

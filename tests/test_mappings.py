@@ -200,15 +200,21 @@ EDGE_STEPS = lambda n: (0.5, 1.0, 2.0)[n % 3]
 
 def builtin_fb_operators(dim: int, rng) -> tuple[dict, dict]:
     """Every builtin operator kind on R^dim: a box from ``EDGE_BOXES``, and a
-    diagonal with a 0 entry, whose products with inf are NaN."""
+    diagonal with a 0 entry, whose products with inf are NaN; and a box and
+    a gradient given by one number each, which numpy broadcasts over every
+    coordinate, as the one-point forms must too."""
     lo, hi = zip(*(EDGE_BOXES[i] for i in rng.integers(len(EDGE_BOXES), size=dim)))
-    A = {"l1": l1_operator(1.0), "box": box_operator(lo, hi), "zero": zero_operator()}
+    A = {
+        "l1": l1_operator(1.0), "box": box_operator(lo, hi), "zero": zero_operator(),
+        "box_of_one_number": box_operator([-1.0], [2.0]),
+    }
     diag, b = [0.5, 0.0, 0.25][:dim], [2.0, -3.0, -0.0][:dim]
-    return A, {"quadratic": quadratic_gradient(diag, b), "zero": zero_cocoercive()}
+    B = {"quadratic": quadratic_gradient(diag, b), "zero": zero_cocoercive()}
+    return A, {**B, "quadratic_of_one_number": quadratic_gradient(0.5, -3.0)}
 
 
-@pytest.mark.parametrize("b_name", ["quadratic", "zero"])
-@pytest.mark.parametrize("a_name", ["l1", "box", "zero"])
+@pytest.mark.parametrize("b_name", ["quadratic", "zero", "quadratic_of_one_number"])
+@pytest.mark.parametrize("a_name", ["l1", "box", "zero", "box_of_one_number"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_forward_backward_point_form_equals_array_form_on_edge_inputs(dim, a_name, b_name):
     rng = np.random.default_rng(dim)
@@ -382,7 +388,9 @@ def reference_nonexpansive(family, space, samples, rng, n_max=50):
     ns = rng.integers(0, n_max + 1, size=samples)
     x, y = space.sample(rng, samples), space.sample(rng, samples)
     excess = [
-        point_dist(space, family.fn(int(n), space.to_loop(x[i])), family.fn(int(n), space.to_loop(y[i])))
+        point_dist(
+            space, family.fn(int(n), space.to_loop(x[i])), family.fn(int(n), space.to_loop(y[i]))
+        )
         - point_dist(space, x[i], y[i])
         for i, n in enumerate(ns)
     ]

@@ -399,7 +399,9 @@ def test_soundness_linear_rates_certify(linear_l1):
     window = 2000
     for m in (0, 17):
         residuals = [
-            point_dist(instance.space, trace.x[n], instance.family.fn(m, instance.space.to_loop(trace.x[n])))
+            point_dist(
+                instance.space, trace.x[n], instance.family.fn(m, instance.space.to_loop(trace.x[n]))
+            )
             for n in range(window + 1)
         ]
         report = certify_rate(residuals, cross_rate(lr), k_max=10, tol=1e-9)

@@ -200,7 +200,9 @@ def test_a_user_operator_without_a_point_form_keeps_the_numpy_path():
             assert type(point) is np.ndarray and point.tobytes() == row.tobytes()
     # and it runs: alone it is a constant nonexpansive family fixing 0, and
     # the loop's fn and the replayed fn_array agree along the orbit
-    instance = splitting_instance(reflect, zero_cocoercive(), schedule, [0.2, 0.9], [1.8, 2.4], [0.0, 0.0])
+    instance = splitting_instance(
+        reflect, zero_cocoercive(), schedule, u=[0.2, 0.9], x0=[1.8, 2.4], z=[0.0, 0.0]
+    )
     trace = run_tikhonov_mann(instance, 500)
     assert check_basic_bounds(instance, trace).passed
     report = check_halpern_equivalence(instance, 500)
