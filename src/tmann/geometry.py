@@ -237,8 +237,7 @@ class EuclideanSpace(Space):
 def _affine_mix(dim: int):
     """W on lists of ``dim`` floats: mu * x[i] + lam * y[i] written out for each i."""
     coords = ", ".join(f"mu * x[{i}] + lam * y[{i}]" for i in range(dim))
-    scope = {}
-    exec(f"def mix(x, y, lam):\n    mu = 1.0 - lam\n    return [{coords}]", scope)
+    exec(f"def mix(x, y, lam):\n    mu = 1.0 - lam\n    return [{coords}]", scope := {})
     return scope["mix"]
 
 

@@ -113,6 +113,7 @@ class ProblemInstance:
                 f"M = {M} is below max(d(x0, p), d(u, p)) = {radius!r}; the rates need M >= {least}"
             )
         mapped = family.eval_array(space, np.arange(10), space.stack([fixed] * 10))
+        space.as_point(mapped[0])  # an array form that broadcasts may leave the space
         drift = space.dist_array(mapped, fixed)
         moved = np.flatnonzero(~(drift <= FIXED_POINT_TOL))  # a NaN drift is refused too
         if moved.size:

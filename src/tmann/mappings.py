@@ -143,12 +143,12 @@ def _box_projector(lo, hi) -> tuple[np.ndarray, np.ndarray, Callable, Iterable]:
 # np.maximum(-0.0, 0.0) is 0.0 and np.maximum(0.0, -0.0) is -0.0; np.sign
 # of either zero is 0.0, and of a NaN the NaN itself.  Which NaN a Python
 # product of two NaNs keeps depends on the interpreter's state, so no form
-# multiplies two.  None checks lengths: ``create`` maps points by the array form.
+# multiplies two.  None checks lengths: ``create`` refuses a mismatch by the array form.
 
 
 def _coordinates(*params) -> Iterable:
-    """The tuple of ``params``' entries at each coordinate, as numpy broadcasts
-    them against a point: one tuple for every coordinate if each is one number."""
+    """The tuple of ``params``' entries at each coordinate, broadcast as numpy
+    does: one tuple for every coordinate if each is one number."""
     rows = list(zip(*(np.ravel(p).tolist() for p in params)))
     return itertools.repeat(rows[0]) if len(rows) == 1 else rows
 

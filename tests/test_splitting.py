@@ -209,6 +209,25 @@ def test_a_user_operator_without_a_point_form_keeps_the_numpy_path():
     assert report.max_u_y == report.max_x_v == 0.0
 
 
+@pytest.mark.parametrize(
+    "A, B",
+    [
+        (box_operator([0.0, 0.0], [1.0, 1.0]), zero_cocoercive()),
+        (zero_operator(), quadratic_gradient([0.5, 0.5], [1.0, 1.0])),
+    ],
+    ids=["box", "quadratic"],
+)
+def test_an_operator_longer_than_the_space_is_refused(A, B):
+    # on R^1, numpy broadcasts a 2-entry operator to 2 coordinates, and the
+    # float forms would read its first entry only: create refuses it
+    schedule = builtin_example_schedule(0.5)
+    family = forward_backward_family(A, B, schedule.gamma, np.array([0.5]))
+    with pytest.raises(ValueError, match=r"shape \(1,\), got \(2,\)"):
+        ProblemInstance.create(
+            EuclideanSpace(1), family, schedule, u=np.array([0.5]), x0=np.array([2.0])
+        )
+
+
 def test_lasso_run_certifies_composed_rates():
     schedule, A, B, z = lasso_problem()
     instance = splitting_instance(A, B, schedule, u=[0.0, -2.0], x0=[0.3, -1.5], z=z)
