@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import make_dataclass
 from pathlib import Path
@@ -138,9 +139,15 @@ COCOERCIVE_OPS = {
 }
 
 
-def _forward_backward(A, B, schedule: ParamSchedule, p, horizon: int, **_) -> MappingFamily:
+def _forward_backward(A, B, schedule: ParamSchedule, p, horizon: int, space, **_) -> MappingFamily:
     if p is None:
         raise ValueError("needs 'p', a registered zero of A + B")
+    # the scan's time grows with the horizon, so first refuse an orbit store
+    # of (horizon + 1) x dim floats that the memory cannot hold
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if (horizon + 1) * space.dim * 8 > memory:
+        size = f"{horizon + 1} x {space.dim} floats"
+        raise MemoryError(f"Unable to allocate {size} in {memory} B of memory")
     for rows in checks.blocks(horizon + 1):
         steps = sequences.terms(schedule.gamma, np.arange(rows.start, rows.stop))
         mappings.check_step_sizes(B, steps, start=rows.start)

@@ -192,13 +192,13 @@ class EuclideanSpace(Space):
 
     def as_point(self, coords) -> np.ndarray:
         p = coords
-        if not isinstance(p, np.ndarray):
-            try:  # np.asarray would read a TreePoint, a 2-tuple, as 2 coordinates
-                p = None if isinstance(p, TreePoint) else np.asarray(p, dtype=float)
-            except TypeError:  # not numbers
-                p = None
-            if p is None:
+        if not (isinstance(p, np.ndarray) and p.dtype == float):
+            # np.asarray would read a TreePoint, a 2-tuple, as 2 coordinates;
+            # of the other kinds, only integers and booleans are read, as floats
+            p = None if isinstance(p, TreePoint) else np.asarray(p)
+            if p is None or p.dtype.kind not in "biuf":
                 raise ValueError(f"expected {self.dim} numbers, got {type(coords).__name__}")
+            p = p.astype(float, copy=False)
         if p.shape != (self.dim,):
             raise ValueError(f"expected a point of shape ({self.dim},), got {p.shape}")
         return p

@@ -71,9 +71,9 @@ class ProblemInstance:
     M is the integer ceiling of max(d(x0, p), d(u, p)), clamped to >= 1
     because every rate formula consumes a positive integer radius bound.
     Build instances through :meth:`create`, which derives M (or refuses a
-    given M below it) and verifies that p is fixed by T_0 .. T_9 up to
-    ``FIXED_POINT_TOL``.  ``_stored_orbit`` keeps the latest (horizon, x)
-    that :func:`_orbit` computed for the instance.
+    given M below it) and verifies that p is fixed by T_0 .. T_9, in both
+    forms, up to ``FIXED_POINT_TOL``.  ``_stored_orbit`` keeps the latest
+    (horizon, x) that :func:`_orbit` computed for the instance.
     """
 
     space: Space
@@ -112,9 +112,11 @@ class ProblemInstance:
             raise ValueError(
                 f"M = {M} is below max(d(x0, p), d(u, p)) = {radius!r}; the rates need M >= {least}"
             )
-        mapped = family.eval_array(space, np.arange(10), space.stack([fixed] * 10))
+        mapped = family.fn_array(np.arange(10), space.stack([fixed] * 10))
         space.as_point(mapped[0])  # an array form that broadcasts may leave the space
-        drift = space.dist_array(mapped, fixed)
+        point = space.to_loop(fixed)  # and fn must fix p too: the orbit runs fn
+        looped = space.collect([space.to_loop(family.fn(n, point)) for n in range(10)], 10)
+        drift = np.maximum(space.dist_array(mapped, fixed), space.dist_array(looped, fixed))
         moved = np.flatnonzero(~(drift <= FIXED_POINT_TOL))  # a NaN drift is refused too
         if moved.size:
             n = int(moved[0])
@@ -254,16 +256,16 @@ def run_tikhonov_mann(instance: ProblemInstance, horizon: int) -> IterationTrace
     d(u_n, T_n u_n) are computed in one pass, in blocks of ``BLOCK_ROWS``
     steps, so no temporary spans the horizon."""
     xs = _orbit(instance, horizon)
-    sp, fam, dist = instance.space, instance.family, instance.space.dist_array
+    fam, dist = instance.family, instance.space.dist_array
     step, res_T, gap = np.empty(horizon), np.empty(horizon), np.empty(horizon)
 
     def u_residuals():  # fills the three sequences as it yields d(u_n, T_n u_n)
         for rows in blocks(horizon):
             ns, x_n, u_n = np.arange(rows.start, rows.stop), xs[rows], u_points(instance, xs, rows)
-            t_u = fam.eval_array(sp, ns, u_n)
+            t_u = fam.fn_array(ns, u_n)
             step[rows] = dist(x_n, xs[rows.start + 1 : rows.stop + 1])
-            res_T[rows] = dist(x_n, fam.eval_array(sp, ns, x_n))
-            gap[rows] = dist(fam.eval_array(sp, ns + 1, u_n), t_u)
+            res_T[rows] = dist(x_n, fam.fn_array(ns, x_n))
+            gap[rows] = dist(fam.fn_array(ns + 1, u_n), t_u)
             yield dist(u_n, t_u)
 
     u_residual = worst_row("d(u_n, T_n u_n)", u_residuals())
@@ -287,7 +289,7 @@ class HalpernTrace:
 
 def run_modified_halpern(instance: ProblemInstance, horizon: int) -> HalpernTrace:
     """The modified Halpern iteration from y_0 = W(u, x_0, beta_0) = u_0,
-    replayed on the anchored orbit of :func:`_orbit` with ``eval_array``
+    replayed on the anchored orbit of :func:`_orbit` with ``fn_array``
     and ``combine_array``: u_n from :func:`u_points`, which checks beta_0
     .. beta_{horizon-1}, v_n = W(u_n, T_n u_n, lambda_n) for n < horizon,
     and y_1 .. y_horizon from one ``combine_array`` of u with v_0 ..
@@ -299,7 +301,7 @@ def run_modified_halpern(instance: ProblemInstance, horizon: int) -> HalpernTrac
     steps = np.arange(horizon + 1)
     beta = terms(sch.beta, steps)
     us = u_points(instance, xs, slice(0, horizon), beta[:-1])
-    vs = sp.combine_array(us, fam.eval_array(sp, steps[:-1], us), terms(sch.lam, steps[:-1]))
+    vs = sp.combine_array(us, fam.fn_array(steps[:-1], us), terms(sch.lam, steps[:-1]))
     ys = sp.combine_array(instance.u, vs, beta[1:])
     return HalpernTrace(horizon=horizon, u=us, y=ys, v=vs)
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -70,12 +70,11 @@ class MappingFamily:
     A family with neither has no certificate, and its gap series can only
     be validated along a computed orbit.
 
-    ``fn(n, x)`` maps one loop point of the space (a list of d Python
-    floats on Euclidean space, a ``TreePoint`` on the star tree) and returns
-    a loop point or anything ``as_point`` accepts; the space's ``to_loop``
-    checks it.  ``fn_array`` optionally evaluates the family over an index
-    array and a point array at once, equal bit for bit to ``fn`` applied
-    row by row; without it ``eval_array`` loops over the rows' loop points.
+    ``fn(n, x)`` maps one loop point (a list of d Python floats on Euclidean
+    space, a ``TreePoint`` on the star tree) to anything the space's
+    ``to_loop`` takes and checks.  ``fn_array(ns, xs)``, its array form as
+    ``combine_array`` is ``mix``'s, holds T_{ns[i]} xs[i] in row i of a point
+    array, equal bit for bit to ``fn`` applied row by row.
     """
 
     name: str
@@ -83,13 +82,7 @@ class MappingFamily:
     fixed_point: Point
     gamma: Callable[[int], float] | None = None
     chi_T: RateFn | None = None
-    fn_array: Callable[[np.ndarray, Points], Points] | None = None
-
-    def eval_array(self, space: Space, ns: np.ndarray, xs: Points) -> Points:
-        """The point array of T_{ns[i]} xs[i] for every row i."""
-        if self.fn_array is not None:
-            return self.fn_array(ns, xs)
-        return space.stack([self.fn(int(n), space.to_loop(xs[i])) for i, n in enumerate(ns)])
+    fn_array: Callable[[np.ndarray, Points], Points] = field(kw_only=True)
 
 
 def soft_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
@@ -240,9 +233,6 @@ def resolvent_quadratic_family(Q, gamma: Callable[[int], float]) -> MappingFamil
     dim = Q.shape[0]
     eye = np.eye(dim)
 
-    def resolvent(n: int, x) -> np.ndarray:
-        return np.linalg.solve(eye + gamma(n) * Q, x)
-
     def resolvent_array(ns: np.ndarray, xs: np.ndarray) -> np.ndarray:
         # one stacked solve, equal to the per-point solves bit for bit
         systems = eye + terms(gamma, ns)[:, None, None] * Q
@@ -250,7 +240,7 @@ def resolvent_quadratic_family(Q, gamma: Callable[[int], float]) -> MappingFamil
 
     return MappingFamily(
         name="resolvent_quadratic",
-        fn=resolvent,
+        fn=lambda n, x: resolvent_array(np.array([n]), np.array([x], dtype=float))[0],
         fixed_point=np.zeros(dim),
         gamma=gamma,
         fn_array=resolvent_array,
@@ -263,27 +253,27 @@ class MonotoneOp:
 
     ``prox(gamma, x)`` must return J_{gamma A}(x) = (Id + gamma A)^{-1}(x),
     for one point and a float step size, and row by row for a point array
-    and a column of step sizes; ``prox_point``, if given, maps one loop point
-    on Python floats, equal to ``prox`` bit for bit.  Resolvents are firmly
+    and a column of step sizes; ``prox_point`` maps one loop point on
+    Python floats, equal to ``prox`` bit for bit.  Resolvents are firmly
     nonexpansive, unchecked: the family checks sample what the rates use.
     """
 
     name: str
     prox: Callable[[float, np.ndarray], np.ndarray]
-    prox_point: Callable[[float, list], list] | None = None
+    prox_point: Callable[[float, list], list]
 
 
 @dataclass(frozen=True)
 class CocoerciveOp:
     """A single-valued operator with a declared cocoercivity constant:
     <x - y, Bx - By> >= beta_coco ||Bx - By||^2.  ``fn`` takes one point,
-    or a point array and then acts row by row; ``step_point(gamma, x)``, if
-    given, is x - gamma * fn(x) of one loop point on floats, bit for bit."""
+    or a point array and then acts row by row; ``step_point(gamma, x)`` is
+    x - gamma * fn(x) of one loop point on Python floats, bit for bit."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     beta_coco: float
-    step_point: Callable[[float, list], list] | None = None
+    step_point: Callable[[float, list], list]
 
 
 def l1_operator(weight: float = 1.0) -> MonotoneOp:
@@ -362,13 +352,11 @@ def forward_backward_family(
 ) -> MappingFamily:
     """The family T_n = J_{gamma_n A}(Id - gamma_n B) with a registered zero
     of A + B as its common fixed point.  Its ``fn`` checks each step size
-    and runs on Python floats when both operators have a one-point form, as
-    the builtins do, and through ``forward_backward_map`` otherwise."""
+    and runs on the operators' one-point forms, its ``fn_array`` through
+    ``forward_backward_map``."""
 
     def fn(n: int, x):
         g = gamma(n)
-        if A.prox_point is None or B.step_point is None:  # a user's operator
-            return forward_backward_map(A, B, g, x)
         check_step_sizes(B, g)
         return A.prox_point(g, B.step_point(g, x))
 
@@ -408,7 +396,7 @@ def check_nonexpansive(
     x = space.sample(rng, samples)
     y = space.sample(rng, samples)
     dist = space.dist_array
-    excess = dist(family.eval_array(space, ns, x), family.eval_array(space, ns, y)) - dist(x, y)
+    excess = dist(family.fn_array(ns, x), family.fn_array(ns, y)) - dist(x, y)
     at = lambda i: PointPair(int(ns[i]), x[i], y[i])
     row = worst_row("d(T_n x, T_n y) <= d(x, y)", (excess,), at=at)
     return Section(
@@ -445,8 +433,8 @@ def check_jp2_consequence(
     ms, ns = pairs.ravel(), pairs[..., ::-1].ravel()  # rows (i, j), (j, i) per pair
     rows = np.repeat(np.arange(samples), 2 * index_pairs)
     xs = x[rows]
-    tn_x = family.eval_array(space, ns, xs)
-    lhs = space.dist_array(family.eval_array(space, ms, xs), tn_x)
+    tn_x = family.fn_array(ns, xs)
+    lhs = space.dist_array(family.fn_array(ms, xs), tn_x)
     gamma_m, gamma_n = terms(family.gamma, ms), terms(family.gamma, ns)
     excess = lhs - np.abs(gamma_m - gamma_n) / gamma_n * space.dist_array(tn_x, xs)
     row = worst_row(

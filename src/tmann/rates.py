@@ -258,7 +258,7 @@ class LinearRates:
         ns = np.repeat(sample_ns, 3)
         ms = np.array([(0, n // 2, 2 * n) for n in sample_ns]).ravel()
         xs = trace.x[ns]
-        excesses = space.dist_array(xs, family.eval_array(space, ms, xs)) - self.bound_cross(ns)
+        excesses = space.dist_array(xs, family.fn_array(ms, xs)) - self.bound_cross(ns)
         row = worst_row(
             "d(x_n, T_m x_n) <= 20M/(lam(n+2))", (excesses,), at=lambda i: int(sample_ns[i // 3])
         )

@@ -58,6 +58,15 @@ def combine_points(space, x, y, lam):
     return space.mix(space.to_loop(x), space.to_loop(y), lam)
 
 
+def per_row(space, fn):
+    """The array form of a family given by ``fn`` alone: ``fn`` on each
+    row's loop point, the rows stacked.  Custom families with no closed
+    array form state it as their ``fn_array``."""
+    return lambda ns, xs: space.stack(
+        [fn(n, space.to_loop(xs[i])) for i, n in enumerate(ns.tolist())]
+    )
+
+
 def point_dist(space, x, y) -> float:
     """d(x, y) of two points, each checked by ``as_point``: ``dist_array``
     of the pair."""

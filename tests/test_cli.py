@@ -352,12 +352,20 @@ def _stuck(signum, frame):
     raise TimeoutError("tmann run still busy after 10 s")
 
 
-@pytest.mark.parametrize("name", ["euclidean_example_box", "tree_example_contraction"])
+@pytest.mark.parametrize(
+    "name", ["euclidean_example_box", "tree_example_contraction", "forward_backward"]
+)
 def test_horizon_too_large_to_store_exits_two_at_once(tmp_path, capsys, name):
     # the orbit store is sized before the loop checks a schedule term, so
     # numpy refuses 10**15 + 1 points at once, where checking the terms
-    # first would run for days; the alarm fails the test after 10 s
-    argv = ["run", str(CONFIG_DIR / f"{name}.json"), "--horizon", str(10**15)]
+    # first would run for days; a forward-backward config, which checks its
+    # step sizes as it is built, refuses a store larger than the memory
+    # before that check; the alarm fails the test after 10 s
+    cfg = CONFIG_DIR / f"{name}.json"
+    if name == "forward_backward":
+        family = {"name": "forward_backward", "A": {"name": "l1"}, "B": {"name": "zero"}}
+        cfg = write_config(tmp_path / "fb.json", family=family)
+    argv = ["run", str(cfg), "--horizon", str(10**15)]
     previous = signal.signal(signal.SIGALRM, _stuck)
     signal.alarm(10)
     try:

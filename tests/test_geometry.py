@@ -131,8 +131,8 @@ def test_a_radius_of_0_is_ray_0_in_every_array_form():
             TreePoints(np.array([2, 2, 1]), np.array([1.0, 1e-20, 0.0])),
             np.array([0.5, 1.0, 0.5]),
         ),
-        tree_contraction_family(0.0).eval_array(
-            sp, np.arange(3), TreePoints(np.array([1, 2, 0]), np.array([1.5, 2.0, 0.0]))
+        tree_contraction_family(0.0).fn_array(
+            np.arange(3), TreePoints(np.array([1, 2, 0]), np.array([1.5, 2.0, 0.0]))
         ),
     ):
         assert points.ray[:2].tolist() == [0, 0]
@@ -159,6 +159,42 @@ def test_shape_mismatch_rejected():
             sp.as_point(foreign)
     with pytest.raises(ValueError):
         sp.combine_array(np.zeros((4, 2)), np.zeros((4, 3)), 0.5)
+
+
+@pytest.mark.parametrize(
+    "coords, read",
+    [
+        (np.array([1, -2]), [1.0, -2.0]),
+        (np.array([1, 2], dtype=np.uint8), [1.0, 2.0]),
+        (np.array([True, False]), [1.0, 0.0]),
+        (np.array(["a", "b"]), None),
+        (np.array(["1.5", "2"]), None),
+        (np.array([1.0, 2.0], dtype=object), None),
+        (np.array([1 + 0j, 2 + 0j]), None),
+        ([1, 2], [1.0, 2.0]),
+        (["1.5", "2"], None),
+        ([None, None], None),
+        ([1j, 2.0], None),
+    ],
+    ids=[
+        "int64", "uint8", "bool", "str", "numeric_str", "object", "complex",
+        "list_of_ints", "list_of_numeric_str", "list_of_None", "list_with_complex",
+    ],
+)
+def test_array_of_non_floats_is_read_as_floats_or_refused(coords, read):
+    sp = EuclideanSpace(2)
+    if read is None:
+        kind = type(coords).__name__
+        with pytest.raises(ValueError, match=f"^expected 2 numbers, got {kind}$"):
+            sp.as_point(coords)
+    else:
+        point = sp.as_point(coords)
+        assert point.dtype == float and point.tolist() == read
+
+
+def test_float_array_is_its_own_point():
+    coords = np.array([1.0, 2.0])
+    assert EuclideanSpace(2).as_point(coords) is coords
 
 
 def test_tree_rejects_foreign_points():

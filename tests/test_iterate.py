@@ -29,7 +29,7 @@ from tmann.mappings import (
 from tmann.rates import certify_rate, linear_rates
 from tmann.sequences import builtin_example_schedule, builtin_linear_schedule
 
-from conftest import point_dist, row_bits, run_kmf_direct
+from conftest import per_row, point_dist, row_bits, run_kmf_direct
 from test_kernel import CASES, SEQUENCES
 
 
@@ -108,17 +108,29 @@ def test_create_rejects_non_fixed_point():
 @pytest.mark.parametrize("array_form", [True, False], ids=["fn_array", "per_point"])
 def test_create_names_the_first_map_that_moves_the_point(array_form):
     # T_0 .. T_3 fix p = 0; T_n moves it by n - 3 from n = 4 on
+    fn = lambda n, x: np.asarray(x) + max(n - 3, 0)
+    shift = lambda ns, xs: xs + np.maximum(ns - 3, 0)[:, None]
     fam = MappingFamily(
-        "late_shift", lambda n, x: np.asarray(x) + max(n - 3, 0), np.zeros(1),
-        fn_array=(lambda ns, xs: xs + np.maximum(ns - 3, 0)[:, None]) if array_form else None,
+        "late_shift", fn, np.zeros(1), fn_array=shift if array_form else per_row(EuclideanSpace(1), fn)
     )
     with pytest.raises(ValueError, match=r"not fixed by T_4: moved by 1\.0$"):
         euclidean_instance(family=fam, p=np.zeros(1))
 
 
+def test_create_refuses_a_point_that_only_the_loop_form_moves():
+    # fn_array fixes every point and fn moves each by 0.5: the orbit would
+    # run fn while residual_T, read off fn_array, stayed 0.0 at every step
+    fam = MappingFamily(
+        "split", lambda n, x: [c + 0.5 for c in x], np.zeros(1), fn_array=lambda ns, xs: xs
+    )
+    with pytest.raises(ValueError, match=r"not fixed by T_0: moved by 0\.5$"):
+        euclidean_instance(family=fam, p=np.zeros(1))
+
+
 def test_create_rejects_a_registered_point_mapped_to_nan():
     sp = EuclideanSpace(1)
-    fam = MappingFamily("nan", lambda n, x: np.full_like(x, np.nan), np.zeros(1))
+    fn = lambda n, x: np.full_like(x, np.nan)
+    fam = MappingFamily("nan", fn, np.zeros(1), fn_array=per_row(sp, fn))
     sch = builtin_example_schedule(0.5)
     with pytest.raises(ValueError, match="not fixed"):
         ProblemInstance.create(sp, fam, sch, u=np.zeros(1), x0=np.zeros(1), p=np.zeros(1))

@@ -4,12 +4,13 @@
 residuals afterwards with array operations, and the orbit checks compute
 the distances they need from the stored orbit the same way;
 ``run_modified_halpern`` runs no loop and replays each Halpern step on the
-same stored orbit with ``eval_array`` and ``combine_array``.  The reference
+same stored orbit with ``fn_array`` and ``combine_array``.  The reference
 loops below, one for each iteration, compute each value at its step with
 ``point_dist``, ``combine_points`` and ``fn`` on loop points.  Both must
 agree bit for bit, on every family with a closed-form array evaluation
 (the forward-backward pairs included, whose builtin operators step on
-Python floats) and on custom families, which take the per-point fallback.
+Python floats) and on custom families, whose array form applies ``fn`` row
+by row.
 """
 
 import dataclasses
@@ -52,7 +53,7 @@ from tmann.sequences import (
     terms,
 )
 
-from conftest import combine_points, point_dist, row_bits
+from conftest import combine_points, per_row, point_dist, row_bits
 
 HORIZON = 400
 #: The residual sequences an ``IterationTrace`` keeps.
@@ -136,23 +137,27 @@ def planar_rotation_family(dim):
         out[0], out[1] = c * x[0] - s * x[1], s * x[0] + c * x[1]
         return out
 
-    return MappingFamily(name="rotation", fn=rotate, fixed_point=np.zeros(dim))
+    return MappingFamily(
+        name="rotation", fn=rotate, fixed_point=np.zeros(dim),
+        fn_array=per_row(EuclideanSpace(dim), rotate),
+    )
 
 
 def doubling_family(dim):
     """Custom family T_n x = 2 x in array arithmetic, returning an ndarray:
     on the loop point, a list of floats, 2 * x would repeat the list."""
     return MappingFamily(
-        name="doubling", fn=lambda n, x: 2 * np.asarray(x), fixed_point=np.zeros(dim)
+        name="doubling", fn=lambda n, x: 2 * np.asarray(x), fixed_point=np.zeros(dim),
+        fn_array=lambda ns, xs: 2 * xs,
     )
 
 
 def ray_shift_family(num_rays):
     """Custom star-tree family: move every point to the next ray (an isometry)."""
+    fn = lambda n, x: TreePoint((x.ray + 1) % num_rays, x.t)
     return MappingFamily(
-        name="ray_shift",
-        fn=lambda n, x: TreePoint((x.ray + 1) % num_rays, x.t),
-        fixed_point=TreePoint(0, 0.0),
+        name="ray_shift", fn=fn, fixed_point=TreePoint(0, 0.0),
+        fn_array=per_row(StarTreeSpace(num_rays), fn),
     )
 
 
@@ -198,7 +203,9 @@ def group_lasso_operator(weight):
         shrink = gamma * weight
         return np.maximum(1.0 - shrink / np.maximum(norm, shrink), 0.0) * x
 
-    return mappings.MonotoneOp(name="group_lasso", prox=prox)
+    return mappings.MonotoneOp(
+        name="group_lasso", prox=prox, prox_point=lambda gamma, x: prox(gamma, np.asarray(x))
+    )
 
 
 def _group_lasso_splitting(schedule):
@@ -286,7 +293,7 @@ def test_tikhonov_mann_kernel_matches_per_step_loop(case):
     assert_points_equal(instance.space, u_points(instance, trace.x, slice(0, HORIZON)), us)
     # the array evaluation itself returns the points fn does
     sp, fam = instance.space, instance.family
-    mapped = fam.eval_array(sp, np.arange(len(xs)), trace.x)
+    mapped = fam.fn_array(np.arange(len(xs)), trace.x)
     assert_points_equal(sp, mapped, [fam.fn(n, x) for n, x in enumerate(xs)])
 
 
@@ -305,7 +312,7 @@ def test_halpern_kernel_matches_per_step_loop(case):
     sp, us = instance.space, u_points(instance, trace.x, slice(0, HORIZON))
     assert_points_equal(instance.space, ha.y[:-1], list(us[1:]))
     assert_points_equal(instance.space, ha.v, list(trace.x[1:]))
-    t_us = instance.family.eval_array(sp, np.arange(HORIZON), us)
+    t_us = instance.family.fn_array(np.arange(HORIZON), us)
     assert np.array_equal(sp.dist_array(us, t_us), np.array(residual_T))
     assert np.array_equal(sp.dist_array(us[1:], us[:-1]), np.array(residual_step[:-1]))
 
@@ -421,8 +428,11 @@ def test_quadratic_resolvent_array_equals_per_point_solve(dim):
     family = resolvent_quadratic_family(Q, LINEAR.gamma)
     ns = rng.integers(0, 50_000, size=5_000)
     xs = rng.uniform(-3.0, 3.0, size=(5_000, dim))
+    eye = np.eye(dim)
+    solved = [np.linalg.solve(eye + LINEAR.gamma(n) * Q, x) for n, x in zip(ns.tolist(), xs)]
     expected = np.array([family.fn(n, x) for n, x in zip(ns.tolist(), xs.tolist())])
-    assert np.array_equal(family.eval_array(EuclideanSpace(dim), ns, xs), expected)
+    assert np.array_equal(expected, np.array(solved))
+    assert np.array_equal(family.fn_array(ns, xs), expected)
 
 
 def test_stored_points_index_as_points_of_the_space():
@@ -530,9 +540,8 @@ def test_each_loop_checks_exactly_the_terms_it_reads(beta, lam, horizon, raising
 )
 def test_family_output_outside_the_space_stops_both_loops(space, p, x0, escaped, message):
     # T_n is the identity except at n = 12, past the fixed-point check of create
-    family = MappingFamily(
-        name="escape", fn=lambda n, x: escaped if n == 12 else x, fixed_point=p
-    )
+    fn = lambda n, x: escaped if n == 12 else x
+    family = MappingFamily(name="escape", fn=fn, fixed_point=p, fn_array=per_row(space, fn))
     instance = ProblemInstance.create(space, family, LINEAR, u=p, x0=x0)
     with pytest.raises(ValueError, match=message):
         run_tikhonov_mann(instance, 20)
@@ -555,7 +564,7 @@ def test_forward_backward_step_size_outside_range_raises(bad_gamma):
     with pytest.raises(ValueError, match="step size"):
         run_modified_halpern(instance, 20)
     with pytest.raises(ValueError, match="step size"):
-        family.eval_array(instance.space, np.arange(20), np.ones((20, 1)))
+        family.fn_array(np.arange(20), np.ones((20, 1)))
     # the loop's fn steps on Python floats and checks its step size too
     assert family.fn(14, [1.0]) == [0.0]
     with pytest.raises(ValueError, match=f"^step size gamma = {bad_gamma!r} outside"):

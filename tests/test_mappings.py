@@ -27,7 +27,7 @@ from tmann.mappings import (
 )
 from tmann.sequences import builtin_example_schedule, oracle_cauchy_modulus
 
-from conftest import point_dist
+from conftest import per_row, point_dist
 
 GAMMA_EXAMPLE = lambda n: 1.0 + 1.0 / (n + 1)
 
@@ -41,7 +41,10 @@ def rotation_family(angles):
         c, s = np.cos(a), np.sin(a)
         return np.array([c * x[0] - s * x[1], s * x[0] + c * x[1]])
 
-    return MappingFamily(name="rotation", fn=rotate, fixed_point=np.zeros(2))
+    return MappingFamily(
+        name="rotation", fn=rotate, fixed_point=np.zeros(2),
+        fn_array=per_row(EuclideanSpace(2), rotate),
+    )
 
 
 def test_identity_and_contraction_eval():
@@ -85,7 +88,8 @@ def test_nonexpansive_identity_and_box():
 def test_nonexpansive_fails_for_doubling_map():
     sp = EuclideanSpace(1)
     doubling = MappingFamily(
-        name="2x", fn=lambda n, x: 2.0 * np.asarray(x), fixed_point=np.zeros(1)
+        name="2x", fn=lambda n, x: 2.0 * np.asarray(x), fixed_point=np.zeros(1),
+        fn_array=lambda ns, xs: 2.0 * xs,
     )
     report = check_nonexpansive(doubling, sp, samples=300, rng=np.random.default_rng(1))
     assert not report.passed
@@ -101,7 +105,7 @@ def test_cross_index_violation_names_its_sample():
     sp = EuclideanSpace(1)
     shifts = MappingFamily(
         name="x+n", fn=lambda n, x: np.asarray(x) + n, fixed_point=np.zeros(1),
-        gamma=GAMMA_EXAMPLE,
+        gamma=GAMMA_EXAMPLE, fn_array=lambda ns, xs: xs + ns[:, None],
     )
     report = check_jp2_consequence(
         shifts, sp, samples=20, index_pairs=3, rng=np.random.default_rng(0)
@@ -119,7 +123,7 @@ def test_box_projection_equals_clip_bit_for_bit(lo, hi):
     xs[special] = rng.choice([0.0, -0.0, np.nan, 1.0, -1.0, np.inf], special.sum())
     box = box_projection_family([lo, lo], [hi, hi])
     reference = np.clip(xs, [lo, lo], [hi, hi])
-    mapped = box.eval_array(EuclideanSpace(2), np.arange(len(xs)), xs)
+    mapped = box.fn_array(np.arange(len(xs)), xs)
     assert np.array_equal(mapped.view(np.uint64), reference.view(np.uint64))
     for i in range(200):
         mapped_point = np.asarray(box.fn(i, xs[i].tolist()))
@@ -142,7 +146,7 @@ def assert_point_forms_agree(family, xs: np.ndarray) -> None:
     """``fn`` on one loop point, returned as a list, and the ``fn_array``
     row hold the same bytes: signs of zeros and NaNs included."""
     ns = np.arange(len(xs))
-    rows = family.eval_array(EuclideanSpace(xs.shape[1]), ns, xs)
+    rows = family.fn_array(ns, xs)
     for n, x, row in zip(ns.tolist(), xs.tolist(), rows):
         point = family.fn(n, x)
         assert type(point) is list
@@ -176,7 +180,7 @@ def test_identity_and_quadratic_point_forms_equal_array_forms_on_edge_inputs():
             resolvent_quadratic_family(Q, lambda n: (0.5, 1.0, 2.0)[n % 3]),
         ):
             xs = edge_points(rng, 3, EDGE_VALUES)
-            rows = family.eval_array(EuclideanSpace(3), np.arange(len(xs)), xs)
+            rows = family.fn_array(np.arange(len(xs)), xs)
             for n, (x, row) in enumerate(zip(xs.tolist(), rows)):
                 assert np.asarray(family.fn(n, x)).tobytes() == row.tobytes(), (n, x)
 
@@ -187,7 +191,7 @@ def test_tree_contraction_point_form_equals_array_form(factor):
     family, space = tree_contraction_family(factor), StarTreeSpace(3)
     ray = np.repeat([0, 1, 2], 5)
     points = TreePoints.of(ray, np.tile([0.0, 5e-324, 1e-300, 1.5, 1e308], 3))
-    rows = family.eval_array(space, np.arange(len(ray)), points)
+    rows = family.fn_array(np.arange(len(ray)), points)
     for i in range(len(ray)):
         point = family.fn(i, points[i])
         assert (point.ray, point.t.hex()) == (int(rows.ray[i]), float(rows.t[i]).hex())
@@ -304,7 +308,10 @@ def test_chi_T_for_selects_certificate():
 
     # no gamma, or the schedule's terms in another object: the declaration counts
     for gamma in (None, lambda n: 1.0 + 1.0 / (n + 1)):
-        bare = MappingFamily(name="bare", fn=lambda n, x: x, fixed_point=np.zeros(1), gamma=gamma)
+        bare = MappingFamily(
+            name="bare", fn=lambda n, x: x, fixed_point=np.zeros(1), gamma=gamma,
+            fn_array=lambda ns, xs: xs,
+        )
         assert chi_T_for(bare, sch, M=2) is None
         assert chi_T_for(replace(bare, chi_T=lambda k: 7), sch, M=2)(3) == 7
 
@@ -340,10 +347,9 @@ def test_cross_index_check_needs_the_family_gamma():
 def nan_at_even_indices_family():
     """A custom family that is the identity at odd n and returns NaN
     coordinates at even n: a broken map the checks must not pass."""
+    fn = lambda n, x: np.full(2, np.nan) if n % 2 == 0 else x
     return MappingFamily(
-        name="nan_even",
-        fn=lambda n, x: np.full(2, np.nan) if n % 2 == 0 else x,
-        fixed_point=np.zeros(2),
+        name="nan_even", fn=fn, fixed_point=np.zeros(2), fn_array=per_row(EuclideanSpace(2), fn)
     )
 
 
@@ -425,11 +431,16 @@ def bits(value):
     return value if isinstance(value, int) else float(value).hex()
 
 
+def looping(family):
+    """``family`` on the plane with its ``fn`` applied row by row as its
+    array form."""
+    return replace(family, fn_array=per_row(EuclideanSpace(2), family.fn))
+
+
 GAMMA = builtin_example_schedule(0.5).gamma
 FB_OPERATORS = (l1_operator(0.5), quadratic_gradient([0.5, 0.7], [2.0, -3.0]))
 # every family the config reader builds, then a forward-backward family
-# without its fn_array and two custom ones; eval_array evaluates a family
-# without fn_array one row at a time
+# whose fn_array applies its fn one row at a time, and two custom ones
 CHECKED_FAMILIES = {
     "identity_plane": (lambda: identity_family(np.zeros(2)), lambda: EuclideanSpace(2)),
     "identity_tree": (lambda: identity_family(TreePoint(0, 0.0)), lambda: StarTreeSpace(3)),
@@ -448,7 +459,7 @@ CHECKED_FAMILIES = {
         lambda: EuclideanSpace(2),
     ),
     "forward_backward_looping": (
-        lambda: replace(forward_backward_family(*FB_OPERATORS, GAMMA, np.zeros(2)), fn_array=None),
+        lambda: looping(forward_backward_family(*FB_OPERATORS, GAMMA, np.zeros(2))),
         lambda: EuclideanSpace(2),
     ),
     "nan_even": (nan_at_even_indices_family, lambda: EuclideanSpace(2)),

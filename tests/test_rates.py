@@ -26,7 +26,7 @@ from tmann.rates import (
 )
 from tmann.sequences import builtin_example_schedule, ceil_reciprocal, psi0
 
-from conftest import first_indices, point_dist, row_bits
+from conftest import first_indices, per_row, point_dist, row_bits
 from test_iterate import BLOCK_HORIZONS
 from test_kernel import CASES
 
@@ -438,10 +438,9 @@ def test_linear_cross_index_spot_check_fails_on_nan():
     from tmann.sequences import builtin_linear_schedule
 
     box = box_projection_family([-1.0, -1.0], [1.0, 1.0])
+    fn = lambda n, x: box.fn(n, x) if n < 200 else np.full_like(x, np.nan)
     family = MappingFamily(
-        "late_nan_box",
-        lambda n, x: box.fn(n, x) if n < 200 else np.full_like(x, np.nan),
-        box.fixed_point,
+        "late_nan_box", fn, box.fixed_point, fn_array=per_row(EuclideanSpace(2), fn)
     )
     instance = ProblemInstance.create(
         EuclideanSpace(2), family, builtin_linear_schedule(0.5),

@@ -171,12 +171,22 @@ def test_an_overstated_cocoercivity_constant_fails_the_family_nonexpansiveness_c
         assert row.worst_excess > 0.5
 
 
+def box_reflection() -> MonotoneOp:
+    """A user operator in both forms: 2 P - Id for the projection P onto the
+    box [-1, 1]^d, whose point form clips on Python floats as np.clip does."""
+    return MonotoneOp(
+        "reflect",
+        lambda g, x: 2.0 * np.clip(x, -1, 1) - x,
+        lambda g, x: [2.0 * (-1.0 if c < -1.0 else 1.0 if c > 1.0 else c) - c for c in x],
+    )
+
+
 def test_a_box_reflection_passes_alone_and_fails_the_comparison_with_a_gradient():
     # 2 P - Id for the projection P onto a box is nonexpansive but not firmly,
     # so it is no resolvent; alone it gives a constant nonexpansive family,
     # which the rates accept, and after a gradient step the cross-index
     # comparison fails, which the family check sees
-    reflect = MonotoneOp("reflect", lambda g, x: 2.0 * np.clip(x, -1, 1) - x)
+    reflect = box_reflection()
     schedule = builtin_example_schedule(0.5)
     for section in fb_family_checks(reflect, zero_cocoercive(), schedule, seed=0):
         assert section.passed, section.summary()
@@ -186,10 +196,10 @@ def test_a_box_reflection_passes_alone_and_fails_the_comparison_with_a_gradient(
     assert jp2.checks[0].worst_excess > 1.0
 
 
-def test_a_user_operator_without_a_point_form_keeps_the_numpy_path():
-    # the reflection has no prox_point, so fn maps a loop point through
-    # forward_backward_map and returns an ndarray, equal to the fn_array row
-    reflect = MonotoneOp("reflect", lambda g, x: 2.0 * np.clip(x, -1, 1) - x)
+def test_a_user_operator_given_both_forms_runs():
+    # fn steps on the reflection's point form and returns a list, equal to
+    # the fn_array row, which forward_backward_map computes with its prox
+    reflect = box_reflection()
     schedule = builtin_example_schedule(0.5)
     for B in COCOERCIVE:
         family = forward_backward_family(reflect, B, schedule.gamma, np.zeros(2))
@@ -197,7 +207,7 @@ def test_a_user_operator_without_a_point_form_keeps_the_numpy_path():
         rows = family.fn_array(np.arange(200), xs)
         for n, (x, row) in enumerate(zip(xs.tolist(), rows)):
             point = family.fn(n, x)
-            assert type(point) is np.ndarray and point.tobytes() == row.tobytes()
+            assert type(point) is list and np.asarray(point).tobytes() == row.tobytes()
     # and it runs: alone it is a constant nonexpansive family fixing 0, and
     # the loop's fn and the replayed fn_array agree along the orbit
     instance = splitting_instance(
