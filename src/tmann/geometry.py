@@ -35,7 +35,7 @@ import math
 from abc import ABC, abstractmethod
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -78,6 +78,10 @@ class TreePoint(namedtuple("TreePoint", "ray t")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
+#: A ``TreePoint`` of a checked (ray, t) pair, built without the checks.
+_tree_point = functools.partial(tuple.__new__, TreePoint)
+
+
 @dataclass(frozen=True, eq=False)
 class TreePoints:
     """An array of star-tree points: an int array of rays and a float array
@@ -104,11 +108,165 @@ class TreePoints:
         return TreePoints(self.ray[index], self.t[index])
 
 
+class _Keep(dict):
+    """Format fields not given stay as they are: ``{x}`` formats to ``{x}``."""
+
+    def __missing__(self, key):
+        return "{" + key + "}"
+
+
+class Fragment(NamedTuple):
+    """A map on loop points written once, as source over named coordinates:
+    the orbit kernel inlines it, and the map's one-point form is compiled
+    from it, so the two cannot drift.
+
+    ``source`` is a ``str.format`` template of statements.  ``{x}`` names
+    the point mapped, ``{y}`` the second point of W, ``{lam}`` its
+    parameter, ``{out}`` the point assigned, ``{g}`` the step size and
+    ``{k}`` the prefix of each constant.  A coordinate is its point's name
+    followed by a suffix of the space's ``LoopForm`` (``x0``, ``x1`` .. on
+    Euclidean space, ``xr`` and ``xt`` on the star tree), and a run of
+    lines holding ``{i}`` is written once for each suffix, so a temporary
+    of one coordinate carries ``{i}`` in its name too.  ``constants``
+    maps a name to its value; one the source reads as ``{k}name{i}`` is an
+    array of one value per coordinate, broadcast as numpy does.  A family's
+    fragment that reads ``{g}`` reads gamma_n of its sequence ``gamma``.
+    A fragment of a ``kind`` is written for the loop form of that kind
+    only; one of kind None, for every loop form.
+    """
+
+    source: str
+    constants: dict = {}
+    gamma: Callable[[int], float] | None = None
+    kind: str | None = None
+
+    def lines(self, coords, **names) -> list:
+        """The statements, each placeholder filled in from ``names``."""
+        out = []
+        for each, run in itertools.groupby(self.source.splitlines(), lambda line: "{i}" in line):
+            run = list(run)
+            for i in coords if each else ("",):
+                out += [line.format_map(_Keep(names, i=i)) for line in run]
+        return out
+
+    def arguments(self, coords, prefix: str) -> dict:
+        """The constants by the names ``lines`` gives them under ``{k}`` = ``prefix``."""
+        values = {}
+        for name, value in self.constants.items():
+            if "{k}" + name + "{i}" in self.source:
+                each = np.ravel(value).tolist()
+                if len(each) == 1:  # one value serves every coordinate
+                    each *= len(coords)
+                if len(each) != len(coords):
+                    raise ValueError(f"{name} gives {len(each)} values for {len(coords)} coordinates")
+                values.update((f"{prefix}{name}{i}", v) for i, v in zip(coords, each))
+            else:
+                values[prefix + name] = value
+        return values
+
+    def renamed(self, **names) -> str:
+        """The source with the placeholders of ``names`` replaced, the others kept."""
+        return self.source.format_map(_Keep(names))
+
+
+class LoopForm(NamedTuple):
+    """How generated source handles a space's loop points.  ``coords`` are
+    the suffixes of their coordinates, ``pack`` the expression of a loop
+    point made from them (``{p}`` its name), and ``unpack`` the statement
+    binding them (``{names}``) to a loop point (``{src}``).  The orbit
+    store is a buffer of each type in ``buffers`` (a numpy dtype, or
+    ``list``); coordinate c of row i is entry i * stride + offset of buffer
+    b, for (b, stride, offset) = ``slots[c]``, and ``wrap`` turns the filled
+    buffers into the read-only point array.  A fragment written for one
+    ``kind`` of space is inlined only on that kind."""
+
+    kind: str
+    coords: tuple
+    pack: str
+    unpack: str
+    buffers: tuple
+    slots: tuple
+    wrap: Callable
+
+    def bind(self, p: str, source: str) -> str:
+        """The statement binding the coordinates of point ``p`` to the loop point ``source``."""
+        return self.unpack.format(names=", ".join(p + c for c in self.coords), src=source)
+
+    def packed(self, p: str) -> str:
+        return self.pack.format(p=p)
+
+    def store_lines(self, p: str, row: str) -> list:
+        """The statements writing point ``p`` at the store row ``row``."""
+        (stride,) = {stride for _, stride, _ in self.slots}
+        index = f"({row})" if stride == 1 else "k"
+        lines = [] if stride == 1 else [f"k = ({row}) * {stride}"]
+        for c, (b, _, offset) in zip(self.coords, self.slots):
+            lines.append(f"S{b}[{index}{f' + {offset}' if offset else ''}] = {p}{c}")
+        return lines
+
+    def allocate(self, count: int) -> list:
+        """The store's buffers for ``count`` points."""
+        size = count * self.slots[0][1]
+        return [[None] * size if kind is list else np.empty(size, kind) for kind in self.buffers]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.cache
+def _euclidean_form(dim: int) -> LoopForm:
+    """The loop form of R^dim: a list of dim floats, stored row by row in one float buffer."""
+    coords = tuple(map(str, range(dim)))
+    return LoopForm(
+        kind="euclidean",
+        coords=coords,
+        pack="[" + ", ".join("{p}" + c for c in coords) + "]",
+        unpack="{names}, = {src}",
+        buffers=(float,),
+        slots=tuple((0, dim, j) for j in range(dim)),
+        wrap=lambda buffers: _frozen(buffers[0]).reshape(-1, dim),
+    )
+
+
+@functools.cache
+def compile_def(source: str) -> Callable:
+    """The function that ``source``, one ``def`` statement, defines, compiled
+    once per source.  Besides builtins, the source may call ``TreePoint``,
+    whose checks refuse what a fragment cannot give, and ``_tree_point``."""
+    scope = {"TreePoint": TreePoint, "_tree_point": _tree_point, "inf": math.inf}
+    exec(source, scope)
+    return scope[source[4 : source.index("(")]]
+
+
+def point_form(fragment: Fragment, form: LoopForm, params: str, head: str = "", **constants):
+    """``fragment``'s map as a function of ``params`` on loop points named
+    ``x`` (and ``y``, for W) that returns the loop point ``q``: compiled once
+    per source, with its constants and ``constants`` bound as cells.  ``head``
+    runs first; ``g = gamma(n)`` gives a family's step size."""
+    values = {**fragment.arguments(form.coords, "K_"), **constants}
+    points = [p for p in ("x", "y") if p in params.split(", ")]
+    body = [*(form.bind(p, p) for p in points), *head.splitlines()]
+    body += fragment.lines(form.coords, x="x", y="y", lam="lam", out="q", g="g", k="K_")
+    source = "\n".join(
+        [f"def make({', '.join(values)}):", f"    def form({params}):"]
+        + ["        " + line for line in body]
+        + [f"        return {form.packed('q')}", "    return form"]
+    )
+    made = compile_def(source)(**values)
+    made.fragment = fragment
+    return made
+
+
 class Space(ABC):
     """A metric ``dist_array``, a convex-combination map W written twice, as
     ``mix`` on loop points, the one single-point form (``to_loop`` makes one
     and a family's ``fn`` maps it), and ``combine_array`` on point arrays, and
-    a sampler: with ``as_point`` and the store ``collect``, the six methods."""
+    a sampler: with ``as_point`` and the store ``collect``, the six methods.
+    ``loop_form`` says how the orbit kernel names and stores loop points;
+    by default a loop point is one opaque coordinate, kept in a list that
+    ``collect`` stores."""
 
     name: str = "space"
 
@@ -120,13 +278,18 @@ class Space(ABC):
     def mix(self, x: LoopPoint, y: LoopPoint, lam: float) -> LoopPoint:
         """The combination W(x, y, lam), read as (1 - lam) x + lam y, of two
         loop points and a float lam in [0, 1], none of them checked.  The
-        orbit loops call it after checking their terms; ``combine_array``
-        is its array form."""
+        orbit loops call it after checking their terms, or inline its
+        ``fragment`` when it carries one; ``combine_array`` is its array form."""
 
     def to_loop(self, p) -> LoopPoint:
         """``p``, checked as ``as_point`` checks it, in the form ``mix`` and
         ``fn`` take: the point itself unless a space says otherwise."""
         return self.as_point(p)
+
+    @property
+    def loop_form(self) -> LoopForm:
+        wrap = lambda buffers: self.collect(buffers[0], len(buffers[0]))
+        return LoopForm("point", ("",), "{p}", "{names} = {src}", (list,), ((0, 1, 0),), wrap)
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, count: int) -> Points:
@@ -176,8 +339,8 @@ class EuclideanSpace(Space):
     list of ``dim`` Python floats, which ``mix`` combines coordinate by
     coordinate with the two products and one sum of the array form, so both
     give the same floats (up to which of two NaN operands an operation
-    keeps) at a fraction of the per-call cost on one point: ``mix`` is one
-    list display, compiled once per dim.  Sampling is uniform over the box
+    keeps).  ``mix`` is compiled once per dim from the fragment the orbit
+    kernel inlines.  Sampling is uniform over the box
     [-box_radius, box_radius]^dim, drawn as one ``(count, dim)`` block.
     """
 
@@ -204,11 +367,14 @@ class EuclideanSpace(Space):
         return p
 
     def to_loop(self, p):
-        # a list of dim floats, as mix and the box and l1 families return
-        # it, passes as it is; anything else goes through as_point
-        if type(p) is list and len(p) == self.dim:
+        # a list of dim floats passes as it is; anything else goes through as_point
+        if type(p) is list and len(p) == self.dim and all(type(c) is float for c in p):
             return p
         return self.as_point(p).tolist()
+
+    @property
+    def loop_form(self) -> LoopForm:
+        return _euclidean_form(self.dim)
 
     @property
     def mix(self):
@@ -219,8 +385,7 @@ class EuclideanSpace(Space):
 
     def collect(self, points, count):
         flat = np.fromiter(itertools.chain.from_iterable(points), float, count * self.dim)
-        flat.flags.writeable = False
-        return flat.reshape(count, self.dim)
+        return _frozen(flat).reshape(count, self.dim)
 
     def dist_array(self, x, y):
         # vecdot sums in the order of the dot product inside np.linalg.norm;
@@ -233,12 +398,14 @@ class EuclideanSpace(Space):
         return (1.0 - lam) * x + lam * y
 
 
+#: W on Euclidean loop points: mu * x_i + lam * y_i at each coordinate.
+AFFINE_W = Fragment("mu = 1.0 - {lam}\n{out}{i} = mu * {x}{i} + {lam} * {y}{i}", kind="euclidean")
+
+
 @functools.cache
 def _affine_mix(dim: int):
-    """W on lists of ``dim`` floats: mu * x[i] + lam * y[i] written out for each i."""
-    coords = ", ".join(f"mu * x[{i}] + lam * y[{i}]" for i in range(dim))
-    exec(f"def mix(x, y, lam):\n    mu = 1.0 - lam\n    return [{coords}]", scope := {})
-    return scope["mix"]
+    """``AFFINE_W`` as ``mix(x, y, lam)`` on lists of ``dim`` floats."""
+    return point_form(AFFINE_W, _euclidean_form(dim), "x, y, lam")
 
 
 class BrokenEuclideanSpace(EuclideanSpace):
@@ -292,21 +459,26 @@ class StarTreeSpace(Space):
             raise ValueError(f"ray index {p.ray} out of range for {self.num_rays} rays")
         return p
 
-    def mix(self, x, y, lam):
-        # only distinct rays can give an overflowed or NaN t: TreePoint refuses it
-        if x.ray == y.ray:
-            t = x.t + lam * (y.t - x.t)
-            return TreePoint(x.ray, t if t > 0.0 else 0.0)  # max(0.0, t)
-        walked = lam * (x.t + y.t)
-        return TreePoint(x.ray, x.t - walked) if walked <= x.t else TreePoint(y.ray, walked - x.t)
+    loop_form = LoopForm(
+        kind="tree",
+        coords=("r", "t"),
+        pack="_tree_point(({p}r, {p}t))",
+        unpack="{names}, = {src}",
+        buffers=(int, float),
+        slots=((0, 1, 0), (1, 1, 0)),
+        wrap=lambda buffers: TreePoints(*map(_frozen, buffers)),
+    )
+
+    @property
+    def mix(self):
+        return _tree_mix
 
     def sample(self, rng, count):
         ray = rng.integers(self.num_rays, size=count)
         return TreePoints.of(ray, rng.uniform(0.0, self.max_radius, count))
 
     def collect(self, points, count):  # one structured fromiter of (ray, t) records
-        rows = np.fromiter(points, [("ray", int), ("t", float)], count)
-        rows.flags.writeable = False
+        rows = _frozen(np.fromiter(points, [("ray", int), ("t", float)], count))
         return TreePoints(rows["ray"], rows["t"])
 
     def dist_array(self, x, y):
@@ -324,6 +496,32 @@ class StarTreeSpace(Space):
             np.where(back, x.t - walked, walked - x.t),
         )
         return TreePoints.of(np.where(same | back, x.ray, y.ray), t)
+
+
+#: W on star-tree loop points: along the ray, or through the origin, where
+#: the walk past it may overflow (or lam * inf be NaN), which TreePoint refuses.
+TREE_W = Fragment(
+    """\
+if {x}r == {y}r:
+    {out}t = {x}t + {lam} * ({y}t - {x}t)
+    if {out}t > 0.0:
+        {out}r = {x}r
+    else:
+        {out}r, {out}t = 0, 0.0
+else:
+    walked = {lam} * ({x}t + {y}t)
+    if walked <= {x}t:
+        {out}t = {x}t - walked
+        {out}r = {x}r if {out}t else 0
+    else:
+        {out}t = walked - {x}t
+        if not {out}t < inf:
+            TreePoint({y}r, {out}t)
+        {out}r = {y}r""",
+    kind="tree",
+)
+
+_tree_mix = point_form(TREE_W, StarTreeSpace.loop_form, "x, y, lam")
 
 
 #: Checks performed by ``check_w_axioms``, in report order.

@@ -18,14 +18,18 @@ has one loop, the anchored one, which checks every schedule term it reads
 before its first step and each point it did not make itself; the Halpern
 trace replays each Halpern step on its stored orbit, from y_0 = u_0.
 
-Only the recursion runs step by step, on the space's loop points: a list of
-d Python floats on Euclidean space, which ``mix`` combines with no numpy
-call, and a ``TreePoint`` on the star tree.  ``fn`` maps each u_n as that
-loop point and may return a loop point or anything ``as_point`` accepts.
-The loop reads beta_n and lambda_n a block of ``checks.BLOCK_ROWS`` steps at
-a time and stores only x_n, in the read-only point array of the space's
-``collect`` (an (n, d) float array on Euclidean space, ray and radius arrays
-on the star tree).  Every reader of u_n rebuilds it from x_n with
+Only the recursion runs step by step, in the orbit kernel: one function,
+compiled per shape of (space, family), that steps on the coordinates of
+the space's loop points (d Python floats on Euclidean space, ray and radius
+on the star tree) as straight-line float arithmetic.  W and T_n are inlined
+from the ``Fragment`` that ``mix`` and ``fn`` carry, the same source their
+one-point forms are compiled from; an ``fn`` or ``mix`` without one is
+called once per step, and each point such an ``fn`` returns is checked by
+the space's ``to_loop``.  The kernel reads beta_n, lambda_n and a family's
+gamma_n a block of ``checks.BLOCK_ROWS`` steps at a time and writes only
+x_n, straight into the buffers of the space's orbit store (``LoopForm``),
+which become the read-only point array (an (n, d) float array on Euclidean
+space, ray and radius arrays on the star tree).  Every reader of u_n rebuilds it from x_n with
 :func:`u_points`, one ``combine_array`` per block, equal to the loop's u_n
 row by row.  The three residual sequences, which ``trace.csv`` writes and
 rate certification consumes, are computed from the stored orbit with array
@@ -46,12 +50,13 @@ why they are checked.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .checks import Row, Section, blocks, worst_row
-from .geometry import Point, Points, Space, TreePoints
+from .geometry import Fragment, LoopForm, Point, Points, Space, TreePoints, compile_def
 from .mappings import MappingFamily
 from .sequences import ParamSchedule, int_ceil, terms
 
@@ -204,50 +209,108 @@ def write_csv(path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def _float_column(values):
+def _float_column(values: np.ndarray):
     """The round-trip text of each float in ``values``."""
-    return map(repr, map(float, values))
+    return map(repr, values.tolist())
 
 
 def _point_columns(points: Points) -> tuple[list[str], list]:
     """Header names and text columns of a point array."""
     if isinstance(points, TreePoints):
-        return ["ray", "t"], [map(str, map(int, points.ray)), _float_column(points.t)]
+        return ["ray", "t"], [map(str, points.ray.tolist()), _float_column(points.t)]
     return [f"x{i}" for i in range(points.shape[1])], [_float_column(c) for c in points.T]
 
 
 def _orbit(instance: ProblemInstance, horizon: int) -> Points:
     """The read-only point array x_0 .. x_horizon of the anchored
-    iteration, computed once per instance and horizon."""
+    iteration, computed once per instance and horizon by the orbit kernel,
+    a block of ``BLOCK_ROWS`` steps per call."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     stored = instance._stored_orbit
     if stored is not None and stored[0] == horizon:
         return stored[1]
-    sp, fn, sch = instance.space, instance.family.fn, instance.schedule
-    mix, to_loop = sp.mix, sp.to_loop
-    u = to_loop(instance.u)
-
-    def loop():
-        # mix checks nothing: with the store sized by collect, the loop checks
-        # each term it reads here, then each point it did not make as it arrives
-        for seq in (sch.beta, sch.lam):
-            for rows in blocks(horizon):
-                sp.check_lambdas(terms(seq, np.arange(rows.start, rows.stop)))
-        x = to_loop(instance.x0)
-        yield x
+    sp, fam, sch = instance.space, instance.family, instance.schedule
+    form = sp.loop_form
+    kernel, constants, gamma = _orbit_kernel(form, sp.mix, fam.fn)
+    u = sp.to_loop(instance.u)
+    buffers = form.allocate(horizon + 1)  # sized before any term is checked
+    # the kernel checks nothing but each point it did not make: every term
+    # it reads is checked here, before its first step
+    for seq in (sch.beta, sch.lam):
         for rows in blocks(horizon):
-            ns = np.arange(rows.start, rows.stop)
-            # a memoryview of the terms indexes as Python floats
-            beta, lam = memoryview(terms(sch.beta, ns)), memoryview(terms(sch.lam, ns))
-            for n, beta_n, lam_n in zip(range(rows.start, rows.stop), beta, lam):
-                u_n = mix(u, x, beta_n)
-                x = mix(u_n, to_loop(fn(n, u_n)), lam_n)
-                yield x
-
-    xs = sp.collect(loop(), horizon + 1)  # read-only: every trace shares it
+            sp.check_lambdas(terms(seq, np.arange(rows.start, rows.stop)))
+    views = [memoryview(b) if isinstance(b, np.ndarray) else b for b in buffers]
+    x = sp.to_loop(instance.x0)
+    for rows in blocks(horizon):
+        ns = np.arange(rows.start, rows.stop)
+        # a memoryview of the terms indexes as Python floats
+        read = [memoryview(terms(seq, ns)) for seq in (sch.beta, sch.lam, gamma) if seq is not None]
+        x = kernel(*views, rows.start, rows.stop, u, x, *read, sp.mix, fam.fn, sp.to_loop, **constants)
+    xs = form.wrap(buffers)  # read-only: every trace shares it
     object.__setattr__(instance, "_stored_orbit", (horizon, xs))
     return xs
+
+
+def _orbit_kernel(form: LoopForm, mix, fn) -> tuple:
+    """(kernel, constants, gamma) of the anchored loop on loop points of
+    ``form``, with W given by ``mix`` and T_n by ``fn``: a callable that
+    carries its ``Fragment`` (of ``form``'s kind, or of none) is inlined,
+    any other is called.  ``kernel(*buffers, start, stop, u, x, beta, lam,
+    [gamma,] mix, fn, to_loop, **constants)`` writes x_start .. x_stop into
+    the store and returns x_stop; ``gamma`` is the sequence of the inlined
+    family's gamma_n, None when it reads none.  One kernel is compiled per
+    shape (the loop form, the fragments and whether gamma is read); the
+    constants are its arguments."""
+    w, t = (getattr(f, "fragment", None) for f in (mix, fn))
+    w, t = (f if f is not None and f.kind in (None, form.kind) else None for f in (w, t))
+    constants = {
+        **(w.arguments(form.coords, "W_") if w else {}),
+        **(t.arguments(form.coords, "T_") if t else {}),
+    }
+    gamma = t.gamma if t else None
+    source = _kernel_source(form, w and w.source, t and t.source, gamma is not None, tuple(constants))
+    return compile_def(source), constants, gamma
+
+
+@functools.cache
+def _kernel_source(form: LoopForm, w: str | None, t: str | None, reads_gamma: bool, names: tuple):
+    """The source of the orbit kernel of one shape: ``w`` and ``t`` are the
+    sources of the inlined fragments, None for a called ``mix`` or ``fn``,
+    and ``names`` the names of its constants."""
+    pack = form.packed
+
+    def combine(out, x, y, lam):
+        if w is None:
+            return [form.bind(out, f"mix({pack(x)}, {pack(y)}, {lam})")]
+        return Fragment(w).lines(form.coords, out=out, x=x, y=y, lam=lam, k="W_")
+
+    if t is None:
+        mapped = [form.bind("y", f"to_loop(fn(n, {pack('v')}))")]
+    else:
+        mapped = Fragment(t).lines(form.coords, out="y", x="v", g="g", k="T_")
+    step = [
+        *combine("v", "u", "x", "b"),
+        *mapped,
+        *combine("x", "v", "y", "l"),
+        *form.store_lines("x", "n + 1"),
+    ]
+    reads = ["beta", "lam", "gamma"][: 2 + reads_gamma]
+    params = [f"S{b}" for b in range(len(form.buffers))]
+    params += ["start", "stop", "u", "x", *reads, "mix", "fn", "to_loop"]
+    params += ["*", *names] if names else []
+    head = [
+        form.bind("u", "u"),
+        form.bind("x", "x"),
+        *form.store_lines("x", "start"),
+        f"for n, b, l{', g' * reads_gamma} in zip(range(start, stop), {', '.join(reads)}):",
+    ]
+    return "\n".join(
+        [f"def kernel({', '.join(params)}):"]
+        + ["    " + line for line in head]
+        + ["        " + line for line in step]
+        + [f"    return {pack('x')}"]
+    )
 
 
 def run_tikhonov_mann(instance: ProblemInstance, horizon: int) -> IterationTrace:

@@ -44,16 +44,26 @@ family nonexpansive and the comparison intact, does not break the rates.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .checks import Section, worst_row
-from .geometry import Point, Points, Space, TreePoint, TreePoints
+from .geometry import (
+    EuclideanSpace,
+    Fragment,
+    Point,
+    Points,
+    Space,
+    StarTreeSpace,
+    TreePoint,
+    TreePoints,
+    point_form,
+)
 from .sequences import ParamSchedule, RateFn, terms
 
 
@@ -74,7 +84,11 @@ class MappingFamily:
     space, a ``TreePoint`` on the star tree) to anything the space's
     ``to_loop`` takes and checks.  ``fn_array(ns, xs)``, its array form as
     ``combine_array`` is ``mix``'s, holds T_{ns[i]} xs[i] in row i of a point
-    array, equal bit for bit to ``fn`` applied row by row.
+    array, equal bit for bit to ``fn`` applied row by row.  An ``fn`` that
+    carries a ``geometry.Fragment`` (every builtin family's but the
+    quadratic resolvent's) is compiled from it, and the orbit kernel
+    inlines that fragment; any other ``fn`` is correct, but the kernel
+    calls it once per step and checks each point it returns.
     """
 
     name: str
@@ -101,20 +115,29 @@ def gamma_column(gamma: Callable[[int], float], ns: np.ndarray) -> np.ndarray:
     return terms(gamma, ns).reshape(-1, 1)
 
 
+#: The identity map, on any loop point.
+IDENTITY = Fragment("{out}{i} = {x}{i}")
+
+
+def _marked(fn: Callable, fragment: Fragment) -> Callable:
+    fn.fragment = fragment
+    return fn
+
+
 def identity_family(fixed_point: Point) -> MappingFamily:
     """T_n = Id for every n; every point is fixed, one must still be registered."""
     return MappingFamily(
         name="identity",
-        fn=lambda n, x: x,
+        fn=_marked(lambda n, x: x, IDENTITY),
         fixed_point=fixed_point,
         chi_T=constant_family_chi_T(),
         fn_array=lambda ns, xs: xs,
     )
 
 
-def _box_projector(lo, hi) -> tuple[np.ndarray, np.ndarray, Callable, Iterable]:
-    """The corners of the nonempty box [lo, hi] as float arrays, the
-    projection onto it of one point or a point array, and ``_clip``'s pairs.
+def _box_projector(lo, hi) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """The corners of the nonempty box [lo, hi] as float arrays and the
+    projection onto it of one point or a point array.
 
     The projection is np.minimum(np.maximum(x, lo), hi), at half the call
     overhead of np.clip on one point.  It equals np.clip bit for bit unless
@@ -126,44 +149,62 @@ def _box_projector(lo, hi) -> tuple[np.ndarray, np.ndarray, Callable, Iterable]:
         raise ValueError(f"box corners must share a shape, got {lo.shape} and {hi.shape}")
     if np.any(lo > hi):
         raise ValueError("box is empty: some lo component exceeds hi")
-    return lo, hi, lambda x: np.minimum(np.maximum(x, lo), hi), _coordinates(lo, hi)
+    return lo, hi, lambda x: np.minimum(np.maximum(x, lo), hi)
 
 
-# Single-point forms on Python floats.  Each takes the float operations of
-# its numpy counterpart in the same order, and takes numpy's choice where
-# Python's differs: np.maximum(a, b) and np.minimum(a, b) return a NaN
-# operand, the first of two, and return b on a tie, so that
+# The fragments of the Euclidean maps on Python floats.  Each takes the
+# float operations of its numpy counterpart in the same order, and takes
+# numpy's choice where Python's differs: np.maximum(a, b) and np.minimum(a, b)
+# return a NaN operand, the first of two, and return b on a tie, so that
 # np.maximum(-0.0, 0.0) is 0.0 and np.maximum(0.0, -0.0) is -0.0; np.sign
 # of either zero is 0.0, and of a NaN the NaN itself.  Which NaN a Python
-# product of two NaNs keeps depends on the interpreter's state, so no form
-# multiplies two.  None checks lengths: ``create`` refuses a mismatch by the array form.
+# product of two NaNs keeps depends on the interpreter's state, so no
+# fragment multiplies two.  None checks lengths: ``create`` refuses a
+# mismatch by the array form.
+
+#: np.minimum(np.maximum(x, lo), hi) at each coordinate.
+CLIP = Fragment(
+    """\
+c{i} = {x}{i} if {x}{i} > {k}lo{i} or {x}{i} != {x}{i} else {k}lo{i}
+{out}{i} = c{i} if c{i} < {k}hi{i} or c{i} != c{i} else {k}hi{i}""",
+    kind="euclidean",
+)
+
+#: soft_threshold(x, w * g) at each coordinate.
+SHRINK = Fragment(
+    """\
+thr = {k}w * {g}
+m{i} = abs({x}{i}) - thr
+m{i} = m{i} if m{i} > 0.0 or m{i} != m{i} else 0.0
+c{i} = 1.0 if {x}{i} > 0.0 else -1.0 if {x}{i} < 0.0 else 0.0
+{out}{i} = c{i} * m{i} if {x}{i} == {x}{i} else {x}{i}""",
+    kind="euclidean",
+)
+
+#: x - g * (a * x - e) at each coordinate: the forward step of B x = a x - e.
+QUADRATIC_STEP = Fragment("{out}{i} = {x}{i} - {g} * ({k}a{i} * {x}{i} - {k}e{i})", kind="euclidean")
+
+#: x - g * 0.0 at each coordinate: the forward step of B = 0.
+ZERO_STEP = Fragment("{out}{i} = {x}{i} - {g} * 0.0", kind="euclidean")
+
+#: The radial coordinate scaled by f, a radius of 0 on ray 0.
+TREE_CONTRACTION = Fragment("{out}t = {k}f * {x}t\n{out}r = {x}r if {out}t else 0", kind="tree")
 
 
-def _coordinates(*params) -> Iterable:
-    """The tuple of ``params``' entries at each coordinate, broadcast as numpy
-    does: one tuple for every coordinate if each is one number."""
-    rows = list(zip(*(np.ravel(p).tolist() for p in params)))
-    return itertools.repeat(rows[0]) if len(rows) == 1 else rows
+def _euclidean_point_form(fragment: Fragment, params: str) -> Callable:
+    """``fragment``'s one-point form ``(n, x)`` or ``(g, x)`` on Euclidean
+    loop points, compiled for each dim it meets; a family's reads gamma_n."""
+    head = "g = gamma(n)" if fragment.gamma is not None else ""
+    forms = {}
 
+    def form(a, x):
+        dim = len(x)
+        if dim not in forms:
+            loop = EuclideanSpace(dim).loop_form
+            forms[dim] = point_form(fragment, loop, params, head, gamma=fragment.gamma)
+        return forms[dim](a, x)
 
-def _clip(x, corners) -> list:
-    """np.minimum(np.maximum(x, lo), hi) of one loop point, by the pairs ``corners``."""
-    out = []
-    for c, (a, b) in zip(x, corners):
-        c = c if c > a or c != c else a  # np.maximum(c, a)
-        out.append(c if c < b or c != c else b)  # np.minimum(c, b)
-    return out
-
-
-def _shrink(x, threshold: float) -> list:
-    """soft_threshold(x, threshold) of one loop point."""
-    out = []
-    for c in x:
-        m = abs(c) - threshold
-        m = m if m > 0.0 or m != m else 0.0  # np.maximum(m, 0.0)
-        # np.sign(c) * m; of a NaN c, np.sign(c) is c, and the product keeps it
-        out.append((1.0 if c > 0.0 else -1.0 if c < 0.0 else 0.0) * m if c == c else c)
-    return out
+    return _marked(form, fragment)
 
 
 def box_projection_family(lo, hi) -> MappingFamily:
@@ -172,12 +213,12 @@ def box_projection_family(lo, hi) -> MappingFamily:
     Projections onto closed convex sets are nonexpansive; every point of the
     box is fixed.  The registered fixed point is the box midpoint.
     """
-    lo, hi, project, corners = _box_projector(lo, hi)
+    lo, hi, project = _box_projector(lo, hi)
     if lo.ndim != 1:
         raise ValueError(f"box corners must be 1-D, got shape {lo.shape}")
     return MappingFamily(
         name="box_projection",
-        fn=lambda n, x: _clip(x, corners),
+        fn=_euclidean_point_form(CLIP._replace(constants={"lo": lo, "hi": hi}), "n, x"),
         fixed_point=(lo + hi) / 2.0,
         chi_T=constant_family_chi_T(),
         fn_array=lambda ns, xs: project(xs),
@@ -192,10 +233,10 @@ def tree_contraction_family(factor: float) -> MappingFamily:
     """
     if not 0.0 <= factor <= 1.0:
         raise ValueError(f"contraction factor must lie in [0, 1], got {factor}")
-
+    fragment = TREE_CONTRACTION._replace(constants={"f": factor})
     return MappingFamily(
         name=f"tree_contraction({factor})",
-        fn=lambda n, x: TreePoint(x.ray, factor * x.t),
+        fn=point_form(fragment, StarTreeSpace.loop_form, "n, x"),
         fixed_point=TreePoint(0, 0.0),
         chi_T=constant_family_chi_T(),
         fn_array=lambda ns, xs: TreePoints.of(xs.ray, factor * xs.t),
@@ -209,10 +250,10 @@ def resolvent_l1_family(
     weight * gamma_n.  Zero is the common fixed point."""
     if weight < 0:
         raise ValueError(f"weight must be >= 0, got {weight}")
-
+    fragment = SHRINK._replace(constants={"w": weight}, gamma=gamma)
     return MappingFamily(
         name="resolvent_l1",
-        fn=lambda n, x: _shrink(x, weight * gamma(n)),
+        fn=_euclidean_point_form(fragment, "n, x"),
         fixed_point=np.zeros(dim),
         gamma=gamma,
         fn_array=lambda ns, xs: soft_threshold(xs, weight * gamma_column(gamma, ns)),
@@ -256,6 +297,8 @@ class MonotoneOp:
     and a column of step sizes; ``prox_point`` maps one loop point on
     Python floats, equal to ``prox`` bit for bit.  Resolvents are firmly
     nonexpansive, unchecked: the family checks sample what the rates use.
+    A builtin's ``prox_point`` is compiled from a ``Fragment`` it carries,
+    which a forward-backward family composes into its own.
     """
 
     name: str
@@ -268,7 +311,8 @@ class CocoerciveOp:
     """A single-valued operator with a declared cocoercivity constant:
     <x - y, Bx - By> >= beta_coco ||Bx - By||^2.  ``fn`` takes one point,
     or a point array and then acts row by row; ``step_point(gamma, x)`` is
-    x - gamma * fn(x) of one loop point on Python floats, bit for bit."""
+    x - gamma * fn(x) of one loop point on Python floats, bit for bit, and
+    a builtin's is compiled from a ``Fragment`` it carries, as ``prox_point``."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
@@ -281,19 +325,22 @@ def l1_operator(weight: float = 1.0) -> MonotoneOp:
     if weight < 0:
         raise ValueError(f"weight must be >= 0, got {weight}")
     prox = lambda gamma, x: soft_threshold(x, gamma * weight)
-    return MonotoneOp(f"l1({weight:g})", prox, lambda gamma, x: _shrink(x, gamma * weight))
+    point = _euclidean_point_form(SHRINK._replace(constants={"w": weight}), "g, x")
+    return MonotoneOp(f"l1({weight:g})", prox, point)
 
 
 def box_operator(lo, hi) -> MonotoneOp:
     """Normal cone of the box [lo, hi]; resolvent is the projection, for
     every step size."""
-    _, _, project, corners = _box_projector(lo, hi)
-    return MonotoneOp("box", lambda gamma, x: project(x), lambda gamma, x: _clip(x, corners))
+    lo, hi, project = _box_projector(lo, hi)
+    point = _euclidean_point_form(CLIP._replace(constants={"lo": lo, "hi": hi}), "g, x")
+    return MonotoneOp("box", lambda gamma, x: project(x), point)
 
 
 def zero_operator() -> MonotoneOp:
     """The zero operator; its resolvent is the identity."""
-    return MonotoneOp("zero", lambda gamma, x: np.asarray(x, dtype=float), lambda gamma, x: x)
+    point = _marked(lambda gamma, x: x, IDENTITY)
+    return MonotoneOp("zero", lambda gamma, x: np.asarray(x, dtype=float), point)
 
 
 def quadratic_gradient(diag, b) -> CocoerciveOp:
@@ -310,14 +357,13 @@ def quadratic_gradient(diag, b) -> CocoerciveOp:
     d2, db = d * d, d * b
     lipschitz = float(np.max(d2))
     beta = math.inf if lipschitz == 0.0 else 1.0 / lipschitz
-    pairs = _coordinates(d2, db)
-    step = lambda gamma, x: [c - gamma * (a * c - e) for c, (a, e) in zip(x, pairs)]
+    step = _euclidean_point_form(QUADRATIC_STEP._replace(constants={"a": d2, "e": db}), "g, x")
     return CocoerciveOp("quadratic_gradient", lambda x: d2 * x - db, beta, step)
 
 
 def zero_cocoercive() -> CocoerciveOp:
     """The zero operator, cocoercive for every constant."""
-    return CocoerciveOp("zero", np.zeros_like, math.inf, lambda g, x: [c - g * 0.0 for c in x])
+    return CocoerciveOp("zero", np.zeros_like, math.inf, _euclidean_point_form(ZERO_STEP, "g, x"))
 
 
 def check_step_sizes(B: CocoerciveOp, gamma, start: int | None = None) -> None:
@@ -352,14 +398,38 @@ def forward_backward_family(
 ) -> MappingFamily:
     """The family T_n = J_{gamma_n A}(Id - gamma_n B) with a registered zero
     of A + B as its common fixed point.  Its ``fn`` checks each step size
-    and runs on the operators' one-point forms, its ``fn_array`` through
-    ``forward_backward_map``."""
+    and then runs ``prox_point(gamma_n, step_point(gamma_n, x))``: compiled
+    from the two point forms' fragments, with the check inline, when both
+    carry one; its ``fn_array`` runs ``forward_backward_map``."""
+    prox, step = (getattr(f, "fragment", None) for f in (A.prox_point, B.step_point))
+    if prox is None or step is None:
 
-    def fn(n: int, x):
-        g = gamma(n)
-        check_step_sizes(B, g)
-        return A.prox_point(g, B.step_point(g, x))
+        def fn(n: int, x):
+            g = gamma(n)
+            check_step_sizes(B, g)
+            return A.prox_point(g, B.step_point(g, x))
 
+    else:
+        # only a step size outside (0, cap) calls check_step_sizes, for its message
+        fragment = Fragment(
+            "\n".join(
+                (
+                    "if not 0.0 < {g} < {k}cap:",
+                    "    {k}refuse({g})",
+                    step.renamed(out="{out}s", k="{k}B"),
+                    prox.renamed(x="{out}s", k="{k}A"),
+                )
+            ),
+            constants={
+                "cap": 2.0 * B.beta_coco,
+                "refuse": functools.partial(check_step_sizes, B),
+                **{"B" + name: value for name, value in step.constants.items()},
+                **{"A" + name: value for name, value in prox.constants.items()},
+            },
+            gamma=gamma,
+            kind=prox.kind or step.kind,
+        )
+        fn = _euclidean_point_form(fragment, "n, x")
     return MappingFamily(
         name=f"fb[{A.name}+{B.name}]",
         fn=fn,

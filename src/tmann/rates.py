@@ -385,8 +385,10 @@ def certify_rate(
     window can only remove residuals from consideration.
 
     The worst excess at level k is the largest residual from rate(k) on (a
-    NaN is the largest) less 1/(k+1).  The empirical minimum index is the
-    ``checks.settle_indices`` of 1/(k+1) + tol, or -1 past the horizon.
+    NaN is the largest) less 1/(k+1): one backward pass over the blocks
+    keeps the running maximum of the tail and reads it at each rate(k).
+    The empirical minimum index is the ``checks.settle_indices`` of
+    1/(k+1) + tol, or -1 past the horizon.
     """
     values = np.asarray(residuals, dtype=float)
     horizon = len(values) - 1
@@ -394,10 +396,18 @@ def certify_rate(
         raise ValueError("need at least one sequence entry")
     thresholds = [1.0 / (k + 1) for k in range(k_max + 1)]
     settle = settle_indices(values, [thr + tol for thr in thresholds])
+    n0s = [max(0, int(rate(k))) for k in range(k_max + 1)]
+    starts = np.array([min(n0, horizon + 1) for n0 in n0s])  # past the horizon: in no block
+    tail_max = np.full(len(starts), np.nan)
+    running = -np.inf  # the largest entry past the block; np.maximum keeps a NaN
+    for block in reversed(list(blocks(len(values)))):
+        suffix = np.maximum.accumulate(values[block][::-1])[::-1]
+        inside = (block.start <= starts) & (starts < block.stop)
+        tail_max[inside] = np.maximum(suffix[starts[inside] - block.start], running)
+        running = np.maximum(suffix[0], running)
     rows = []
-    for k, (thr, first) in enumerate(zip(thresholds, settle)):
-        n0 = max(0, int(rate(k)))
-        excess = float(values[n0:].max() - thr) if n0 <= horizon else None
+    for k, (n0, thr, first) in enumerate(zip(n0s, thresholds, settle)):
+        excess = float(tail_max[k] - thr) if n0 <= horizon else None
         status = "inconclusive" if excess is None else "pass" if excess <= tol else "fail"
         rows.append(CertRow(k, n0, thr, excess, first if first <= horizon else -1, status))
     return CertificationReport(label=label, horizon=horizon, tol=tol, rows=tuple(rows))

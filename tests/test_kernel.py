@@ -14,15 +14,18 @@ by row.
 """
 
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tmann import checks, mappings
+from tmann import checks, iterate, mappings
 from tmann.checks import Row
 from tmann.geometry import (
     BrokenEuclideanSpace,
     EuclideanSpace,
+    Space,
     StarTreeSpace,
     TreePoint,
     TreePoints,
@@ -31,6 +34,7 @@ from tmann.iterate import (
     RECURSION_REL,
     BoundCheck,
     ProblemInstance,
+    _orbit,
     check_basic_bounds,
     check_halpern_equivalence,
     check_recursive_inequalities,
@@ -54,6 +58,7 @@ from tmann.sequences import (
 )
 
 from conftest import combine_points, per_row, point_dist, row_bits
+from test_mappings import EDGE_BOXES, EDGE_STEPS, EDGE_VALUES, builtin_fb_operators, edge_points
 
 HORIZON = 400
 #: The residual sequences an ``IterationTrace`` keeps.
@@ -530,12 +535,14 @@ def test_each_loop_checks_exactly_the_terms_it_reads(beta, lam, horizon, raising
         # a 2-tuple, which np.asarray would read as 2 coordinates
         (EuclideanSpace(2), np.zeros(2), np.ones(2), TreePoint(1, 2.0),
          "expected 2 numbers, got TreePoint"),
+        # a list of d entries that are not all floats goes through as_point
+        (EuclideanSpace(2), np.zeros(2), np.ones(2), [None, None], "expected 2 numbers, got list"),
         (StarTreeSpace(3), TreePoint(0, 0.0), TreePoint(1, 1.0), TreePoint(3, 1.0),
          "ray index 3 out of range for 3 rays"),
     ],
     ids=[
         "euclidean_wrong_shape", "euclidean_list_of_wrong_length", "euclidean_TreePoint",
-        "tree_ray_out_of_range",
+        "euclidean_list_of_non_numbers", "tree_ray_out_of_range",
     ],
 )
 def test_family_output_outside_the_space_stops_both_loops(space, p, x0, escaped, message):
@@ -569,3 +576,247 @@ def test_forward_backward_step_size_outside_range_raises(bad_gamma):
     assert family.fn(14, [1.0]) == [0.0]
     with pytest.raises(ValueError, match=f"^step size gamma = {bad_gamma!r} outside"):
         family.fn(15, [1.0])
+
+
+# ------------------------------------------------------------ the orbit kernel
+
+
+def per_step_orbit(instance, horizon):
+    """The anchored loop as the loop points' own forms step it: ``mix`` and
+    ``fn`` called once per step, each output of ``fn`` checked by ``to_loop``."""
+    sp, fam, sch = instance.space, instance.family, instance.schedule
+    u, x = sp.to_loop(instance.u), sp.to_loop(instance.x0)
+    xs = [x]
+    for n in range(horizon):
+        u_n = sp.mix(u, x, sch.beta(n))
+        x = sp.mix(u_n, sp.to_loop(fam.fn(n, u_n)), sch.lam(n))
+        xs.append(x)
+    return xs
+
+
+def orbit_bytes(points):
+    """The bit pattern of an orbit: a stored point array, or a list of loop points."""
+    if not isinstance(points, list):
+        return point_bytes(points)
+    if isinstance(points[0], TreePoint):
+        ray, t = zip(*points)
+        return point_bytes(TreePoints(np.array(ray), np.array(t, dtype=float)))
+    return np.array(points, dtype=float).tobytes()
+
+
+#: beta_n and lambda_n of the edge orbits: both ends of [0, 1], and halves
+#: and quarters, so u_n and x_{n+1} land on u, x_n, T_n u_n and between.
+EDGE_BETA = lambda n: (0.0, 1.0, 0.5, 0.25, 1.0, 0.75, 0.0, 0.5, 1.0)[n % 9]
+EDGE_LAM = lambda n: (1.0, 0.5, 0.0, 1.0, 0.25, 1.0, 0.5)[n % 7]
+EDGE_SCHEDULE = _schedule(EDGE_BETA, EDGE_LAM)
+#: Orbits of three blocks of 7 and one step more.
+EDGE_HORIZON = 22
+
+
+def edge_instance(space, family, u, x0):
+    """An instance on edge inputs, which ``create`` would refuse (a NaN or
+    infinite d(x0, p)): the loop must still agree with its forms there."""
+    return ProblemInstance(space, family, EDGE_SCHEDULE, u=u, x0=x0, p=family.fixed_point, M=1)
+
+
+def assert_kernel_is_per_step_loop(instance):
+    with np.errstate(invalid="ignore", over="ignore"):
+        stored = _orbit(instance, EDGE_HORIZON)
+    assert orbit_bytes(stored) == orbit_bytes(per_step_orbit(instance, EDGE_HORIZON))
+
+
+def euclidean_families(dim, rng):
+    """Every builtin family the kernel inlines on R^dim: the identity, boxes
+    with signed-zero faces, l1 resolvents whose thresholds tie with the edge
+    values, and forward-backward on every builtin operator pair."""
+    A, B = builtin_fb_operators(dim, rng)
+    yield "identity", identity_family(np.zeros(dim))
+    for lo, hi in EDGE_BOXES:
+        yield f"box[{lo}, {hi}]", box_projection_family([lo] * dim, [hi] * dim)
+    for weight in (1.0, 0.0):
+        yield f"l1({weight})", resolvent_l1_family(EDGE_STEPS, dim=dim, weight=weight)
+    for a_name, b_name in itertools.product(A, B):
+        family = mappings.forward_backward_family(A[a_name], B[b_name], EDGE_STEPS, np.zeros(dim))
+        yield f"fb[{a_name}+{b_name}]", family
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_inlined_euclidean_families_step_as_their_point_forms(dim, monkeypatch):
+    # edge values in u and x0 (both zeros, NaNs of both signs, infinities,
+    # box faces, l1 ties) over blocks of 7 steps, the kernel's store bytes
+    # against the loop that calls mix and fn
+    monkeypatch.setattr(checks, "BLOCK_ROWS", 7)
+    rng = np.random.default_rng(dim)
+    space = EuclideanSpace(dim)
+    starts = edge_points(rng, dim, EDGE_VALUES)[:: 7 - dim]
+    for name, family in euclidean_families(dim, rng):
+        assert family.fn.fragment is not None, name
+        for u, x0 in zip(starts, starts[::-1]):
+            assert_kernel_is_per_step_loop(edge_instance(space, family, u, x0))
+
+
+TREE_STARTS = [
+    (TreePoint(1, 1.0), TreePoint(2, 1.0)),  # beta = 0.5 walks to the origin
+    (TreePoint(1, 1.0), TreePoint(2, 3.0)),  # and beta = 0.5 past it, onto ray 2
+    (TreePoint(1, 0.7), TreePoint(1, 1.9)),  # along one ray
+    (TreePoint(0, 0.0), TreePoint(2, 1.5)),  # from the origin
+    (TreePoint(2, 5e-324), TreePoint(1, 5e-324)),  # subnormal radii
+    (TreePoint(0, -0.0), TreePoint(1, 2.0)),  # the origin with a signed zero
+    (TreePoint(1, 1e300), TreePoint(2, 1e300)),
+]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [identity_family(TreePoint(0, 0.0))]
+    + [tree_contraction_family(f) for f in (0.0, 0.5, 1.0)],
+    ids=["identity", "contraction(0)", "contraction(0.5)", "contraction(1)"],
+)
+def test_inlined_tree_families_step_as_their_point_forms(family, monkeypatch):
+    monkeypatch.setattr(checks, "BLOCK_ROWS", 7)
+    space = StarTreeSpace(3)
+    for u, x0 in TREE_STARTS + [(x0, u) for u, x0 in TREE_STARTS]:
+        assert_kernel_is_per_step_loop(edge_instance(space, family, u, x0))
+
+
+@pytest.mark.parametrize("beta, shown", [(0.75, "inf"), (0.0, "nan")])
+def test_tree_kernel_refuses_an_overflowed_radius_as_tree_point_does(beta, shown):
+    # d(u, x0) = 2e308 overflows: W walks past the origin to an infinite
+    # radius, or, at beta = 0, to 0 * inf
+    instance = ProblemInstance(
+        StarTreeSpace(3), tree_contraction_family(1.0), _schedule(lambda n: beta, lambda n: 0.5),
+        u=TreePoint(1, 1e308), x0=TreePoint(2, 1e308), p=TreePoint(0, 0.0), M=1,
+    )
+    message = f"radial coordinate must be finite and >= 0, got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        _orbit(instance, 5)
+    with pytest.raises(ValueError, match=message):
+        per_step_orbit(instance, 5)
+
+
+class CountingEuclideanSpace(EuclideanSpace):
+    """Euclidean space whose own ``mix``, an unmarked method, counts its calls."""
+
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.calls = 0
+
+    def mix(self, x, y, lam):
+        self.calls += 1
+        return super().mix(x, y, lam)
+
+
+def test_unmarked_fn_and_mix_are_called_once_per_step():
+    # a replaced fn and an overriding mix carry no fragment: the kernel calls
+    # them, once per step each, and stores what the inlined kernel stores
+    box = box_projection_family([-1.0, -1.0], [1.0, 1.0])
+    calls = []
+
+    def fn(n, x):
+        calls.append(n)
+        return box.fn(n, x)
+
+    counted = CountingEuclideanSpace(2)
+    stored = {}
+    for name, space, family in (
+        ("inlined", EuclideanSpace(2), box),
+        ("fn", EuclideanSpace(2), dataclasses.replace(box, fn=fn)),
+        ("mix", counted, box),
+    ):
+        instance = _euclidean(2, family, LINEAR, [0.2, 0.9], [1.8, 2.4], space=space)
+        calls.clear()
+        counted.calls = 0
+        stored[name] = _orbit(instance, 50).tobytes()
+        assert (calls, counted.calls) == {
+            "inlined": ([], 0), "fn": (list(range(50)), 0), "mix": ([], 2 * 50)
+        }[name]
+    assert stored["fn"] == stored["mix"] == stored["inlined"]
+
+
+class OwnLine(Space):
+    """A space of its own on the line, with no loop form: a loop point is
+    one opaque coordinate, here a 1-tuple, and no fragment fits it but the
+    identity's."""
+
+    def __init__(self):
+        self.line = EuclideanSpace(1)
+
+    def as_point(self, p):
+        return self.line.as_point(p)
+
+    def to_loop(self, p):
+        return tuple(self.as_point(p).tolist())
+
+    def mix(self, x, y, lam):
+        return (self.line.mix(list(x), list(y), lam)[0],)
+
+    def sample(self, rng, count):
+        return self.line.sample(rng, count)
+
+    def collect(self, points, count):
+        return self.line.collect(points, count)
+
+    def dist_array(self, x, y):
+        return self.line.dist_array(x, y)
+
+    def combine_array(self, x, y, lam):
+        return self.line.combine_array(x, y, lam)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [identity_family(np.zeros(1)), box_projection_family([-1.0], [1.0])],
+    ids=["identity", "box"],
+)
+def test_a_space_without_a_loop_form_runs_the_kernel_on_opaque_points(family, monkeypatch):
+    # the identity's fragment is inlined on the opaque coordinate; the box's
+    # is written for Euclidean loop points, so its fn is called
+    monkeypatch.setattr(checks, "BLOCK_ROWS", 7)
+    instance = ProblemInstance.create(OwnLine(), family, LINEAR, u=[0.4], x0=[1.5])
+    assert point_bytes(_orbit(instance, EDGE_HORIZON)) == orbit_bytes(
+        per_step_orbit(instance, EDGE_HORIZON)
+    )
+
+
+def test_many_starts_compile_one_kernel_per_shape():
+    # 160 starts on each of three pairs, as the many-starts search draws
+    # them, every family built anew with its own parameters: the kernel is
+    # keyed on the shape, not on the parameter values
+    rng = np.random.default_rng(3)
+    plane, tree = EuclideanSpace(2, box_radius=3.0), StarTreeSpace(3, max_radius=3.0)
+    iterate._kernel_source.cache_clear()
+    for i in range(160):
+        a, b, c = rng.uniform(0.5, 1.5, 3)
+        for space, family in (
+            (plane, box_projection_family([-a, -b], [b, a])),
+            (plane, resolvent_l1_family(LINEAR.gamma, dim=2, weight=c)),
+            (tree, tree_contraction_family(c / 2)),
+        ):
+            if space is tree:
+                u, x0 = TreePoint(int(i % 3), a), TreePoint(int((i + 1) % 3), b)
+            else:
+                u, x0 = rng.uniform(-2.0, 2.0, (2, 2))
+            instance = ProblemInstance.create(space, family, LINEAR, u=u, x0=x0)
+            run_tikhonov_mann(instance, 200)
+    assert iterate._kernel_source.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("case", ["euclidean_box", "tree_contraction"])
+def test_orbit_peak_is_the_store_on_both_paths(case):
+    # the kernel writes straight into the store, and so does a called fn:
+    # neither keeps a list of points, so both peaks are the store's size
+    instance = CASES[case]()
+    wrapped = dataclasses.replace(instance.family, fn=lambda n, x: instance.family.fn(n, x))
+    peaks = []
+    for family in (instance.family, wrapped):
+        fresh = dataclasses.replace(instance, family=family)
+        tracemalloc.start()
+        _orbit(fresh, 20_000)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    store = 20_001 * 16  # two 8-byte coordinates per point, on either space
+    assert abs(peaks[0] - peaks[1]) < 2_048, peaks
+    # past the store, a few arrays of one block's terms (32 KB each); lists
+    # of a block's points would take 0.4 MB more
+    assert store < peaks[0] < store + 8 * 8 * checks.BLOCK_ROWS, peaks
+

@@ -315,6 +315,22 @@ def test_certification_in_blocks_equals_the_whole_reverse_maximum(
     assert [row_bits(row) for row in report.rows] == [row_bits(row) for row in expected]
 
 
+def test_deep_certification_equals_the_per_level_scan():
+    # k_max = 1,000 on 60,001 entries: each level's worst excess is the
+    # maximum of its own tail, a NaN in it the worst, as a scan per level finds
+    rng = np.random.default_rng(11)
+    values = 2.0 / (np.arange(60_001) + 1.0) * rng.uniform(0.5, 1.5, 60_001)
+    values[[10_000, 30_000]] = np.nan  # in the tails of the levels k < 200 and k < 600
+    rate = lambda k: 50 * k + 7
+    report = certify_rate(values, rate, k_max=1_000, tol=1e-9)
+    expected = [float(values[rate(k) :].max() - 1.0 / (k + 1)) for k in range(1_001)]
+    got = [row.worst_excess for row in report.rows]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    assert [row.rate_index for row in report.rows] == [rate(k) for k in range(1_001)]
+    statuses = [row.status for row in report.rows]
+    assert set(statuses[:600]) == {"fail"} and set(statuses[600:]) == {"pass"}
+
+
 def test_check_pointwise_bound():
     values = [1.0 / (n + 2) for n in range(50)]
     ok = check_pointwise_bound(values, lambda n: 1.0 / (n + 2))
