@@ -68,6 +68,9 @@ FIXED_POINT_TOL = 1e-9
 #: (:func:`trace_slices`); every shipped horizon is below it.
 TRACE_DENSE = 4096
 
+#: Rows of ``trace.csv`` whose columns are read as lists at once.
+CSV_ROWS = 256
+
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
@@ -168,22 +171,26 @@ class IterationTrace:
     def to_csv(self, path, include_points: bool = False) -> None:
         """Write one row for each step n of :func:`trace_slices`: n,
         residual_step, residual_T, tfam_gap, plus the coordinates of x_n
-        when requested.  Each slice's columns are read from views of the
-        stored arrays, so no column is copied.  CSV quotes none of the fields
-        (ints, float reprs, plain names), so a line is their join."""
+        when requested.  The columns are read ``CSV_ROWS`` rows of a slice
+        at a time, each with one ``tolist`` of a view of the stored array,
+        so no list is longer.  CSV quotes none of the fields (ints, float
+        reprs, plain names), so a line is their join."""
         header = ["n", "residual_step", "residual_T", "tfam_gap"]
         if include_points:
             header += _point_columns(self.x[:0])[0]
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for steps in trace_slices(self.horizon):
-                columns = [map(str, range(self.horizon)[steps])] + [
-                    _float_column(seq[steps])
-                    for seq in (self.residual_step, self.residual_T, self.tfam_gap)
-                ]
-                if include_points:
-                    columns += _point_columns(self.x[steps])[1]
-                fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+                ns = range(self.horizon)[steps]
+                for part in (ns[i : i + CSV_ROWS] for i in range(0, len(ns), CSV_ROWS)):
+                    rows = slice(part.start, part.stop, part.step)
+                    columns = [map(str, part)] + [
+                        _float_column(seq[rows])
+                        for seq in (self.residual_step, self.residual_T, self.tfam_gap)
+                    ]
+                    if include_points:
+                        columns += _point_columns(self.x[rows])[1]
+                    fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def trace_slices(horizon: int):
