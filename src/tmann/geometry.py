@@ -158,7 +158,7 @@ class Fragment(NamedTuple):
                 if len(each) == 1:  # one value serves every coordinate
                     each *= len(coords)
                 if len(each) != len(coords):
-                    raise ValueError(f"{name} gives {len(each)} values for {len(coords)} coordinates")
+                    raise ValueError(f"{name} gives {len(each)} values for {len(coords)} axes")
                 values.update((f"{prefix}{name}{i}", v) for i, v in zip(coords, each))
             else:
                 values[prefix + name] = value

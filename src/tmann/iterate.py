@@ -29,12 +29,12 @@ the space's ``to_loop``.  The kernel reads beta_n, lambda_n and a family's
 gamma_n a block of ``checks.BLOCK_ROWS`` steps at a time and writes only
 x_n, straight into the buffers of the space's orbit store (``LoopForm``),
 which become the read-only point array (an (n, d) float array on Euclidean
-space, ray and radius arrays on the star tree).  Every reader of u_n rebuilds it from x_n with
-:func:`u_points`, one ``combine_array`` per block, equal to the loop's u_n
-row by row.  The three residual sequences, which ``trace.csv`` writes and
-rate certification consumes, are computed from the stored orbit with array
-operations in blocks of the same size, and the worst d(u_n, T_n u_n) in the
-same pass.  The orbit checks read them, and compute the distances only they
+space, ray and radius arrays on the star tree).  Every reader of u_n
+rebuilds it from x_n with :func:`u_points`, one ``combine_array`` per
+block, equal to the loop's u_n row by row.  The three residual sequences,
+which ``trace.csv`` writes and rate certification consumes, are computed
+from the stored orbit with array operations in blocks of the same size, and
+the worst d(u_n, T_n u_n) in the same pass.  The orbit checks read them, and compute the distances only they
 need from the stored orbit, a block at a time, so no temporary spans the
 horizon.  Each instance keeps its latest anchored orbit, read only, so an
 instance runs the loop once per horizon: the Halpern trace replays the
@@ -253,7 +253,8 @@ def _orbit(instance: ProblemInstance, horizon: int) -> Points:
         ns = np.arange(rows.start, rows.stop)
         # a memoryview of the terms indexes as Python floats
         read = [memoryview(terms(seq, ns)) for seq in (sch.beta, sch.lam, gamma) if seq is not None]
-        x = kernel(*views, rows.start, rows.stop, u, x, *read, sp.mix, fam.fn, sp.to_loop, **constants)
+        x = kernel(*views, rows.start, rows.stop, u, x, *read, sp.mix, fam.fn, sp.to_loop,
+                   **constants)
     xs = form.wrap(buffers)  # read-only: every trace shares it
     object.__setattr__(instance, "_stored_orbit", (horizon, xs))
     return xs
@@ -276,8 +277,8 @@ def _orbit_kernel(form: LoopForm, mix, fn) -> tuple:
         **(t.arguments(form.coords, "T_") if t else {}),
     }
     gamma = t.gamma if t else None
-    source = _kernel_source(form, w and w.source, t and t.source, gamma is not None, tuple(constants))
-    return compile_def(source), constants, gamma
+    shape = (form, w and w.source, t and t.source, gamma is not None, tuple(constants))
+    return compile_def(_kernel_source(*shape)), constants, gamma
 
 
 @functools.cache

@@ -182,7 +182,9 @@ c{i} = 1.0 if {x}{i} > 0.0 else -1.0 if {x}{i} < 0.0 else 0.0
 )
 
 #: x - g * (a * x - e) at each coordinate: the forward step of B x = a x - e.
-QUADRATIC_STEP = Fragment("{out}{i} = {x}{i} - {g} * ({k}a{i} * {x}{i} - {k}e{i})", kind="euclidean")
+QUADRATIC_STEP = Fragment(
+    "{out}{i} = {x}{i} - {g} * ({k}a{i} * {x}{i} - {k}e{i})", kind="euclidean"
+)
 
 #: x - g * 0.0 at each coordinate: the forward step of B = 0.
 ZERO_STEP = Fragment("{out}{i} = {x}{i} - {g} * 0.0", kind="euclidean")
