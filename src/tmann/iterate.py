@@ -68,9 +68,6 @@ FIXED_POINT_TOL = 1e-9
 #: (:func:`trace_slices`); every shipped horizon is below it.
 TRACE_DENSE = 4096
 
-#: Rows of ``trace.csv`` whose columns are read as lists at once.
-CSV_ROWS = 256
-
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
@@ -79,8 +76,8 @@ class ProblemInstance:
     M is the integer ceiling of max(d(x0, p), d(u, p)), clamped to >= 1
     because every rate formula consumes a positive integer radius bound.
     Build instances through :meth:`create`, which derives M (or refuses a
-    given M below it) and verifies that p is fixed by T_0 .. T_9, in both
-    forms, up to ``FIXED_POINT_TOL``.  ``_stored_orbit`` keeps the latest
+    given M below it), verifies that p is fixed by T_0 .. T_9, in both
+    forms, up to ``FIXED_POINT_TOL``, and compiles the orbit kernel.  ``_stored_orbit`` keeps the latest
     (horizon, x) that :func:`_orbit` computed for the instance.
     """
 
@@ -131,6 +128,9 @@ class ProblemInstance:
             raise ValueError(
                 f"registered point is not fixed by T_{n}: moved by {float(drift[n])!r}"
             )
+        # compile the orbit kernel (once per shape) now: a compile takes a few
+        # hundred KB for a moment, which the orbit's arrays would sit on top of
+        _orbit_kernel(space.loop_form, space.mix, family.fn)
         return cls(space=space, family=family, schedule=schedule, u=u, x0=x0, p=p, M=M)
 
 
@@ -171,26 +171,22 @@ class IterationTrace:
     def to_csv(self, path, include_points: bool = False) -> None:
         """Write one row for each step n of :func:`trace_slices`: n,
         residual_step, residual_T, tfam_gap, plus the coordinates of x_n
-        when requested.  The columns are read ``CSV_ROWS`` rows of a slice
-        at a time, each with one ``tolist`` of a view of the stored array,
-        so no list is longer.  CSV quotes none of the fields (ints, float
-        reprs, plain names), so a line is their join."""
+        when requested.  Each slice's columns are read from views of the
+        stored arrays, so no column is copied.  CSV quotes none of the fields
+        (ints, float reprs, plain names), so a line is their join."""
         header = ["n", "residual_step", "residual_T", "tfam_gap"]
         if include_points:
             header += _point_columns(self.x[:0])[0]
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for steps in trace_slices(self.horizon):
-                ns = range(self.horizon)[steps]
-                for part in (ns[i : i + CSV_ROWS] for i in range(0, len(ns), CSV_ROWS)):
-                    rows = slice(part.start, part.stop, part.step)
-                    columns = [map(str, part)] + [
-                        _float_column(seq[rows])
-                        for seq in (self.residual_step, self.residual_T, self.tfam_gap)
-                    ]
-                    if include_points:
-                        columns += _point_columns(self.x[rows])[1]
-                    fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+                columns = [map(str, range(self.horizon)[steps])] + [
+                    _float_column(seq[steps])
+                    for seq in (self.residual_step, self.residual_T, self.tfam_gap)
+                ]
+                if include_points:
+                    columns += _point_columns(self.x[steps])[1]
+                fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def trace_slices(horizon: int):
@@ -216,15 +212,15 @@ def write_csv(path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def _float_column(values: np.ndarray):
+def _float_column(values):
     """The round-trip text of each float in ``values``."""
-    return map(repr, values.tolist())
+    return map(repr, map(float, values))
 
 
 def _point_columns(points: Points) -> tuple[list[str], list]:
     """Header names and text columns of a point array."""
     if isinstance(points, TreePoints):
-        return ["ray", "t"], [map(str, points.ray.tolist()), _float_column(points.t)]
+        return ["ray", "t"], [map(str, map(int, points.ray)), _float_column(points.t)]
     return [f"x{i}" for i in range(points.shape[1])], [_float_column(c) for c in points.T]
 
 

@@ -397,14 +397,15 @@ def certify_rate(
     thresholds = [1.0 / (k + 1) for k in range(k_max + 1)]
     settle = settle_indices(values, [thr + tol for thr in thresholds])
     n0s = [max(0, int(rate(k))) for k in range(k_max + 1)]
-    starts = np.array([min(n0, horizon + 1) for n0 in n0s])  # past the horizon: in no block
-    tail_max = np.full(len(starts), np.nan)
+    # the levels in the window, the latest rate index first
+    levels = sorted((k for k in range(k_max + 1) if n0s[k] <= horizon), key=n0s.__getitem__)
+    tail_max = {}
     running = -np.inf  # the largest entry past the block; np.maximum keeps a NaN
     for block in reversed(list(blocks(len(values)))):
-        suffix = np.maximum.accumulate(values[block][::-1])[::-1]
-        inside = (block.start <= starts) & (starts < block.stop)
-        tail_max[inside] = np.maximum(suffix[starts[inside] - block.start], running)
-        running = np.maximum(suffix[0], running)
+        while levels and n0s[levels[-1]] >= block.start:
+            k = levels.pop()
+            tail_max[k] = np.maximum(values[n0s[k] : block.stop].max(), running)
+        running = np.maximum(values[block].max(), running)
     rows = []
     for k, (n0, thr, first) in enumerate(zip(n0s, thresholds, settle)):
         excess = float(tail_max[k] - thr) if n0 <= horizon else None
