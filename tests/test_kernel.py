@@ -10,7 +10,9 @@ loops below, one for each iteration, compute each value at its step with
 agree bit for bit, on every family with a closed-form array evaluation
 (the forward-backward pairs included, whose builtin operators step on
 Python floats) and on custom families, whose array form applies ``fn`` row
-by row.
+by row.  The compiled orbit kernel is compared, store byte for store byte,
+with the loop that calls ``mix`` and ``fn`` once per step, on edge inputs
+and across block boundaries.
 """
 
 import dataclasses
