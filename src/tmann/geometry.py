@@ -78,10 +78,6 @@ class TreePoint(namedtuple("TreePoint", "ray t")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-#: A ``TreePoint`` of a checked (ray, t) pair, built without the checks.
-_tree_point = functools.partial(tuple.__new__, TreePoint)
-
-
 @dataclass(frozen=True, eq=False)
 class TreePoints:
     """An array of star-tree points: an int array of rays and a float array
@@ -106,13 +102,6 @@ class TreePoints:
         if isinstance(index, (int, np.integer)):
             return TreePoint(int(self.ray[index]), float(self.t[index]))
         return TreePoints(self.ray[index], self.t[index])
-
-
-class _Keep(dict):
-    """Format fields not given stay as they are: ``{x}`` formats to ``{x}``."""
-
-    def __missing__(self, key):
-        return "{" + key + "}"
 
 
 class Fragment(NamedTuple):
@@ -141,12 +130,12 @@ class Fragment(NamedTuple):
     kind: str | None = None
 
     def lines(self, coords, **names) -> list:
-        """The statements, each placeholder filled in from ``names``."""
+        """The statements, each placeholder filled in from ``names``, which name them all."""
         out = []
         for each, run in itertools.groupby(self.source.splitlines(), lambda line: "{i}" in line):
             run = list(run)
             for i in coords if each else ("",):
-                out += [line.format_map(_Keep(names, i=i)) for line in run]
+                out += [line.format(i=i, **names) for line in run]
         return out
 
     def arguments(self, coords, prefix: str) -> dict:
@@ -164,50 +153,30 @@ class Fragment(NamedTuple):
                 values[prefix + name] = value
         return values
 
-    def renamed(self, **names) -> str:
-        """The source with the placeholders of ``names`` replaced, the others kept."""
-        return self.source.format_map(_Keep(names))
-
 
 class LoopForm(NamedTuple):
     """How generated source handles a space's loop points.  ``coords`` are
     the suffixes of their coordinates, ``pack`` the expression of a loop
     point made from them (``{p}`` its name), and ``unpack`` the statement
-    binding them (``{names}``) to a loop point (``{src}``).  The orbit
-    store is a buffer of each type in ``buffers`` (a numpy dtype, or
-    ``list``); coordinate c of row i is entry i * stride + offset of buffer
-    b, for (b, stride, offset) = ``slots[c]``, and ``wrap`` turns the filled
-    buffers into the read-only point array.  A fragment written for one
-    ``kind`` of space is inlined only on that kind."""
+    binding them (``{names}``) to a loop point (``{src}``).  ``store`` is
+    the template of the statements writing point ``{p}`` at row ``{row}``
+    of the orbit store, whose buffers are named ``S0``, ``S1`` ..:
+    ``allocate(count)`` gives them for ``count`` points, as the kernel
+    writes them (memoryviews of numpy arrays, or a list), and ``wrap``
+    turns the filled buffers into the read-only point array.  A fragment
+    written for one ``kind`` of space is inlined only on that kind."""
 
     kind: str
     coords: tuple
     pack: str
     unpack: str
-    buffers: tuple
-    slots: tuple
+    store: str
+    allocate: Callable
     wrap: Callable
 
     def bind(self, p: str, source: str) -> str:
         """The statement binding the coordinates of point ``p`` to the loop point ``source``."""
         return self.unpack.format(names=", ".join(p + c for c in self.coords), src=source)
-
-    def packed(self, p: str) -> str:
-        return self.pack.format(p=p)
-
-    def store_lines(self, p: str, row: str) -> list:
-        """The statements writing point ``p`` at the store row ``row``."""
-        (stride,) = {stride for _, stride, _ in self.slots}
-        index = f"({row})" if stride == 1 else "k"
-        lines = [] if stride == 1 else [f"k = ({row}) * {stride}"]
-        for c, (b, _, offset) in zip(self.coords, self.slots):
-            lines.append(f"S{b}[{index}{f' + {offset}' if offset else ''}] = {p}{c}")
-        return lines
-
-    def allocate(self, count: int) -> list:
-        """The store's buffers for ``count`` points."""
-        size = count * self.slots[0][1]
-        return [[None] * size if kind is list else np.empty(size, kind) for kind in self.buffers]
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -219,44 +188,92 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 def _euclidean_form(dim: int) -> LoopForm:
     """The loop form of R^dim: a list of dim floats, stored row by row in one float buffer."""
     coords = tuple(map(str, range(dim)))
+    store = ["S0[{row}] = {p}0"] if dim == 1 else [f"k = ({{row}}) * {dim}", "S0[k] = {p}0"]
+    store += [f"S0[k + {j}] = {{p}}{j}" for j in range(1, dim)]
     return LoopForm(
         kind="euclidean",
         coords=coords,
         pack="[" + ", ".join("{p}" + c for c in coords) + "]",
         unpack="{names}, = {src}",
-        buffers=(float,),
-        slots=tuple((0, dim, j) for j in range(dim)),
-        wrap=lambda buffers: _frozen(buffers[0]).reshape(-1, dim),
+        store="\n".join(store),
+        allocate=lambda count: [memoryview(np.empty(count * dim))],
+        wrap=lambda views: _frozen(views[0].obj).reshape(-1, dim),
     )
+
+
+def define(params: str, body: list, result: str, cells) -> Callable:
+    """``make``, which binds each name of ``cells`` to the value given for
+    it and returns the function of ``params`` that runs the statements
+    ``body`` and returns ``result``; the names are closure cells, which it
+    reads as fast as locals.  Compiled once per source.  Besides builtins
+    and ``inf``, the source may call ``TreePoint``, whose checks refuse what
+    a fragment cannot give."""
+    source = "\n".join(
+        [f"def make({', '.join(cells)}):", f"    def made({params}):"]
+        + ["        " + line for line in body]
+        + [f"        return {result}", "    return made"]
+    )
+    return _compiled(source)
 
 
 @functools.cache
-def compile_def(source: str) -> Callable:
-    """The function that ``source``, one ``def`` statement, defines, compiled
-    once per source.  Besides builtins, the source may call ``TreePoint``,
-    whose checks refuse what a fragment cannot give, and ``_tree_point``."""
-    scope = {"TreePoint": TreePoint, "_tree_point": _tree_point, "inf": math.inf}
+def _compiled(source: str) -> Callable:
+    scope = {"TreePoint": TreePoint, "inf": math.inf}
     exec(source, scope)
-    return scope[source[4 : source.index("(")]]
+    return scope["make"]
 
 
-def point_form(fragment: Fragment, form: LoopForm, params: str, head: str = "", **constants):
+def point_form(fragment: Fragment, params: str) -> Callable:
     """``fragment``'s map as a function of ``params`` on loop points named
-    ``x`` (and ``y``, for W) that returns the loop point ``q``: compiled once
-    per source, with its constants and ``constants`` bound as cells.  ``head``
-    runs first; ``g = gamma(n)`` gives a family's step size."""
-    values = {**fragment.arguments(form.coords, "K_"), **constants}
-    points = [p for p in ("x", "y") if p in params.split(", ")]
-    body = [*(form.bind(p, p) for p in points), *head.splitlines()]
-    body += fragment.lines(form.coords, x="x", y="y", lam="lam", out="q", g="g", k="K_")
-    source = "\n".join(
-        [f"def make({', '.join(values)}):", f"    def form({params}):"]
-        + ["        " + line for line in body]
-        + [f"        return {form.packed('q')}", "    return form"]
-    )
-    made = compile_def(source)(**values)
-    made.fragment = fragment
-    return made
+    ``x`` (and ``y``, for W) that returns the mapped loop point, with the
+    fragment's constants as cells; ``g = gamma(n)`` gives a family's step
+    size.  It compiles on its first call, for the loop form of the point
+    ``x`` it is given: once per dim on Euclidean space.  It carries
+    ``fragment``, which the orbit kernel inlines."""
+    names = params.split(", ")
+    at, made = names.index("x"), {}
+
+    def form(*args):
+        dim = len(args[at])
+        run = made.get(dim)
+        if run is None:
+            loop = StarTreeSpace.loop_form if fragment.kind == "tree" else _euclidean_form(dim)
+            cells = {**fragment.arguments(loop.coords, "K_"), "gamma": fragment.gamma}
+            body = [loop.bind(p, p) for p in ("x", "y") if p in names]
+            body += ["g = gamma(n)"] * (fragment.gamma is not None)
+            body += fragment.lines(loop.coords, x="x", y="y", lam="lam", out="q", g="g", k="K_")
+            run = made[dim] = define(params, body, loop.pack.format(p="q"), cells)(**cells)
+        return run(*args)
+
+    form.fragment = fragment
+    return form
+
+
+#: W on Euclidean loop points: mu * x_i + lam * y_i at each coordinate.
+AFFINE_W = Fragment("mu = 1.0 - {lam}\n{out}{i} = mu * {x}{i} + {lam} * {y}{i}", kind="euclidean")
+
+#: W on star-tree loop points: along the ray, or through the origin, where
+#: the walk past it may overflow (or lam * inf be NaN), which TreePoint refuses.
+TREE_W = Fragment(
+    """\
+if {x}r == {y}r:
+    {out}t = {x}t + {lam} * ({y}t - {x}t)
+    if {out}t > 0.0:
+        {out}r = {x}r
+    else:
+        {out}r, {out}t = 0, 0.0
+else:
+    walked = {lam} * ({x}t + {y}t)
+    if walked <= {x}t:
+        {out}t = {x}t - walked
+        {out}r = {x}r if {out}t else 0
+    else:
+        {out}t = walked - {x}t
+        if not {out}t < inf:
+            TreePoint({y}r, {out}t)
+        {out}r = {y}r""",
+    kind="tree",
+)
 
 
 class Space(ABC):
@@ -288,8 +305,9 @@ class Space(ABC):
 
     @property
     def loop_form(self) -> LoopForm:
-        wrap = lambda buffers: self.collect(buffers[0], len(buffers[0]))
-        return LoopForm("point", ("",), "{p}", "{names} = {src}", (list,), ((0, 1, 0),), wrap)
+        allocate = lambda count: [[None] * count]
+        wrap = lambda store: self.collect(store[0], len(store[0]))
+        return LoopForm("point", ("",), "{p}", "{names} = {src}", "S0[{row}] = {p}", allocate, wrap)
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, count: int) -> Points:
@@ -339,8 +357,8 @@ class EuclideanSpace(Space):
     list of ``dim`` Python floats, which ``mix`` combines coordinate by
     coordinate with the two products and one sum of the array form, so both
     give the same floats (up to which of two NaN operands an operation
-    keeps).  ``mix`` is compiled once per dim from the fragment the orbit
-    kernel inlines.  Sampling is uniform over the box
+    keeps).  ``mix`` is compiled from the fragment the orbit kernel inlines,
+    on its first call for each dim.  Sampling is uniform over the box
     [-box_radius, box_radius]^dim, drawn as one ``(count, dim)`` block.
     """
 
@@ -367,18 +385,13 @@ class EuclideanSpace(Space):
         return p
 
     def to_loop(self, p):
-        # a list of dim floats passes as it is; anything else goes through as_point
-        if type(p) is list and len(p) == self.dim and all(type(c) is float for c in p):
-            return p
         return self.as_point(p).tolist()
 
     @property
     def loop_form(self) -> LoopForm:
         return _euclidean_form(self.dim)
 
-    @property
-    def mix(self):
-        return _affine_mix(self.dim)
+    mix = staticmethod(point_form(AFFINE_W, "x, y, lam"))
 
     def sample(self, rng, count):
         return rng.uniform(-self.box_radius, self.box_radius, (count, self.dim))
@@ -396,16 +409,6 @@ class EuclideanSpace(Space):
     def combine_array(self, x, y, lam):
         lam = self.check_lambdas(lam)[..., None]
         return (1.0 - lam) * x + lam * y
-
-
-#: W on Euclidean loop points: mu * x_i + lam * y_i at each coordinate.
-AFFINE_W = Fragment("mu = 1.0 - {lam}\n{out}{i} = mu * {x}{i} + {lam} * {y}{i}", kind="euclidean")
-
-
-@functools.cache
-def _affine_mix(dim: int):
-    """``AFFINE_W`` as ``mix(x, y, lam)`` on lists of ``dim`` floats."""
-    return point_form(AFFINE_W, _euclidean_form(dim), "x, y, lam")
 
 
 class BrokenEuclideanSpace(EuclideanSpace):
@@ -462,16 +465,14 @@ class StarTreeSpace(Space):
     loop_form = LoopForm(
         kind="tree",
         coords=("r", "t"),
-        pack="_tree_point(({p}r, {p}t))",
+        pack="TreePoint({p}r, {p}t)",
         unpack="{names}, = {src}",
-        buffers=(int, float),
-        slots=((0, 1, 0), (1, 1, 0)),
-        wrap=lambda buffers: TreePoints(*map(_frozen, buffers)),
+        store="S0[{row}] = {p}r\nS1[{row}] = {p}t",
+        allocate=lambda count: [memoryview(np.empty(count, int)), memoryview(np.empty(count))],
+        wrap=lambda views: TreePoints(*(_frozen(view.obj) for view in views)),
     )
 
-    @property
-    def mix(self):
-        return _tree_mix
+    mix = staticmethod(point_form(TREE_W, "x, y, lam"))
 
     def sample(self, rng, count):
         ray = rng.integers(self.num_rays, size=count)
@@ -496,32 +497,6 @@ class StarTreeSpace(Space):
             np.where(back, x.t - walked, walked - x.t),
         )
         return TreePoints.of(np.where(same | back, x.ray, y.ray), t)
-
-
-#: W on star-tree loop points: along the ray, or through the origin, where
-#: the walk past it may overflow (or lam * inf be NaN), which TreePoint refuses.
-TREE_W = Fragment(
-    """\
-if {x}r == {y}r:
-    {out}t = {x}t + {lam} * ({y}t - {x}t)
-    if {out}t > 0.0:
-        {out}r = {x}r
-    else:
-        {out}r, {out}t = 0, 0.0
-else:
-    walked = {lam} * ({x}t + {y}t)
-    if walked <= {x}t:
-        {out}t = {x}t - walked
-        {out}r = {x}r if {out}t else 0
-    else:
-        {out}t = walked - {x}t
-        if not {out}t < inf:
-            TreePoint({y}r, {out}t)
-        {out}r = {y}r""",
-    kind="tree",
-)
-
-_tree_mix = point_form(TREE_W, StarTreeSpace.loop_form, "x, y, lam")
 
 
 #: Checks performed by ``check_w_axioms``, in report order.

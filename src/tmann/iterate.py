@@ -51,12 +51,13 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .checks import Row, Section, blocks, worst_row
-from .geometry import Fragment, LoopForm, Point, Points, Space, TreePoints, compile_def
+from .geometry import Fragment, LoopForm, Point, Points, Space, TreePoints, define
 from .mappings import MappingFamily
 from .sequences import ParamSchedule, int_ceil, terms
 
@@ -107,7 +108,7 @@ class ProblemInstance:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
             radii = space.dist_array(space.stack([x0, u]), fixed).tolist()
         for name, r in zip(("x0", "u"), radii):
-            if not np.isfinite(r):
+            if not math.isfinite(r):
                 raise ValueError(f"d({name}, p) = {r!r} is not finite")
         radius = max(radii)
         least = max(1, int_ceil(radius))
@@ -117,7 +118,7 @@ class ProblemInstance:
             raise ValueError(
                 f"M = {M} is below max(d(x0, p), d(u, p)) = {radius!r}; the rates need M >= {least}"
             )
-        mapped = family.fn_array(np.arange(10), space.stack([fixed] * 10))
+        mapped = family.fn_array(np.arange(10), space.collect([fixed] * 10, 10))
         space.as_point(mapped[0])  # an array form that broadcasts may leave the space
         point = space.to_loop(fixed)  # and fn must fix p too: the orbit runs fn
         looped = space.collect([space.to_loop(family.fn(n, point)) for n in range(10)], 10)
@@ -130,7 +131,7 @@ class ProblemInstance:
             )
         # compile the orbit kernel (once per shape) now: a compile takes a few
         # hundred KB for a moment, which the orbit's arrays would sit on top of
-        _orbit_kernel(space.loop_form, space.mix, family.fn)
+        _orbit_kernel(space, family)
         return cls(space=space, family=family, schedule=schedule, u=u, x0=x0, p=p, M=M)
 
 
@@ -233,88 +234,79 @@ def _orbit(instance: ProblemInstance, horizon: int) -> Points:
     stored = instance._stored_orbit
     if stored is not None and stored[0] == horizon:
         return stored[1]
-    sp, fam, sch = instance.space, instance.family, instance.schedule
+    sp, sch = instance.space, instance.schedule
     form = sp.loop_form
-    kernel, constants, gamma = _orbit_kernel(form, sp.mix, fam.fn)
+    kernel, gamma = _orbit_kernel(sp, instance.family)
     u = sp.to_loop(instance.u)
-    buffers = form.allocate(horizon + 1)  # sized before any term is checked
+    store = form.allocate(horizon + 1)  # sized before any term is checked
     # the kernel checks nothing but each point it did not make: every term
     # it reads is checked here, before its first step
     for seq in (sch.beta, sch.lam):
         for rows in blocks(horizon):
             sp.check_lambdas(terms(seq, np.arange(rows.start, rows.stop)))
-    views = [memoryview(b) if isinstance(b, np.ndarray) else b for b in buffers]
     x = sp.to_loop(instance.x0)
     for rows in blocks(horizon):
         ns = np.arange(rows.start, rows.stop)
         # a memoryview of the terms indexes as Python floats
         read = [memoryview(terms(seq, ns)) for seq in (sch.beta, sch.lam, gamma) if seq is not None]
-        x = kernel(*views, rows.start, rows.stop, u, x, *read, sp.mix, fam.fn, sp.to_loop,
-                   **constants)
-    xs = form.wrap(buffers)  # read-only: every trace shares it
+        x = kernel(*store, rows.start, rows.stop, u, x, *read)
+    xs = form.wrap(store)  # read-only: every trace shares it
     object.__setattr__(instance, "_stored_orbit", (horizon, xs))
     return xs
 
 
-def _orbit_kernel(form: LoopForm, mix, fn) -> tuple:
-    """(kernel, constants, gamma) of the anchored loop on loop points of
-    ``form``, with W given by ``mix`` and T_n by ``fn``: a callable that
-    carries its ``Fragment`` (of ``form``'s kind, or of none) is inlined,
-    any other is called.  ``kernel(*buffers, start, stop, u, x, beta, lam,
-    [gamma,] mix, fn, to_loop, **constants)`` writes x_start .. x_stop into
-    the store and returns x_stop; ``gamma`` is the sequence of the inlined
-    family's gamma_n, None when it reads none.  One kernel is compiled per
-    shape (the loop form, the fragments and whether gamma is read); the
-    constants are its arguments."""
+def _orbit_kernel(space: Space, family: MappingFamily) -> tuple:
+    """(kernel, gamma) of the anchored loop on ``space``'s loop points, with
+    W given by its ``mix`` and T_n by ``family.fn``: a callable that carries
+    its ``Fragment`` (of the loop form's kind, or of none) is inlined, any
+    other is called.  ``kernel(*store, start, stop, u, x, beta, lam[,
+    gamma])`` writes x_start .. x_stop into the store and returns x_stop;
+    ``gamma`` is the sequence of the inlined family's gamma_n, None when it
+    reads none.  One kernel is compiled per shape (the loop form, the
+    fragments and whether gamma is read); the fragments' constants, ``mix``,
+    ``fn`` and ``to_loop`` are its cells."""
+    form, mix, fn = space.loop_form, space.mix, family.fn
     w, t = (getattr(f, "fragment", None) for f in (mix, fn))
     w, t = (f if f is not None and f.kind in (None, form.kind) else None for f in (w, t))
-    constants = {
+    cells = {
         **(w.arguments(form.coords, "W_") if w else {}),
         **(t.arguments(form.coords, "T_") if t else {}),
     }
     gamma = t.gamma if t else None
-    shape = (form, w and w.source, t and t.source, gamma is not None, tuple(constants))
-    return compile_def(_kernel_source(*shape)), constants, gamma
+    make = _kernel_source(form, w and w.source, t and t.source, gamma is not None, tuple(cells))
+    return make(mix=mix, fn=fn, to_loop=space.to_loop, **cells), gamma
 
 
 @functools.cache
 def _kernel_source(form: LoopForm, w: str | None, t: str | None, reads_gamma: bool, names: tuple):
-    """The source of the orbit kernel of one shape: ``w`` and ``t`` are the
-    sources of the inlined fragments, None for a called ``mix`` or ``fn``,
-    and ``names`` the names of its constants."""
-    pack = form.packed
+    """The ``make`` of the orbit kernel of one shape (``geometry.define``):
+    ``w`` and ``t`` are the sources of the inlined fragments, None for a
+    called ``mix`` or ``fn``, and ``names`` the names of its constants."""
+    pack = lambda p: form.pack.format(p=p)
+    store = lambda p, row: form.store.format(p=p, row=row).splitlines()
 
     def combine(out, x, y, lam):
         if w is None:
             return [form.bind(out, f"mix({pack(x)}, {pack(y)}, {lam})")]
-        return Fragment(w).lines(form.coords, out=out, x=x, y=y, lam=lam, k="W_")
+        return Fragment(w).lines(form.coords, out=out, x=x, y=y, lam=lam, g="g", k="W_")
 
     if t is None:
         mapped = [form.bind("y", f"to_loop(fn(n, {pack('v')}))")]
     else:
-        mapped = Fragment(t).lines(form.coords, out="y", x="v", g="g", k="T_")
-    step = [
-        *combine("v", "u", "x", "b"),
-        *mapped,
-        *combine("x", "v", "y", "l"),
-        *form.store_lines("x", "n + 1"),
-    ]
+        mapped = Fragment(t).lines(form.coords, out="y", x="v", y="u", lam="b", g="g", k="T_")
+    step = [*combine("v", "u", "x", "b"), *mapped, *combine("x", "v", "y", "l")]
+    step += store("x", "n + 1")
     reads = ["beta", "lam", "gamma"][: 2 + reads_gamma]
-    params = [f"S{b}" for b in range(len(form.buffers))]
-    params += ["start", "stop", "u", "x", *reads, "mix", "fn", "to_loop"]
-    params += ["*", *names] if names else []
-    head = [
+    body = [
         form.bind("u", "u"),
         form.bind("x", "x"),
-        *form.store_lines("x", "start"),
+        *store("x", "start"),
         f"for n, b, l{', g' * reads_gamma} in zip(range(start, stop), {', '.join(reads)}):",
+        *("    " + line for line in step),
     ]
-    return "\n".join(
-        [f"def kernel({', '.join(params)}):"]
-        + ["    " + line for line in head]
-        + ["        " + line for line in step]
-        + [f"    return {pack('x')}"]
-    )
+    buffers = [f"S{b}" for b in range(len(form.allocate(0)))]  # as many as the store has
+    params = ", ".join([*buffers, "start", "stop", "u", "x", *reads])
+    return define(params, body, pack("x"), ["mix", "fn", "to_loop", *names])
 
 
 def run_tikhonov_mann(instance: ProblemInstance, horizon: int) -> IterationTrace:

@@ -54,12 +54,10 @@ import numpy as np
 
 from .checks import Section, worst_row
 from .geometry import (
-    EuclideanSpace,
     Fragment,
     Point,
     Points,
     Space,
-    StarTreeSpace,
     TreePoint,
     TreePoints,
     point_form,
@@ -193,22 +191,6 @@ ZERO_STEP = Fragment("{out}{i} = {x}{i} - {g} * 0.0", kind="euclidean")
 TREE_CONTRACTION = Fragment("{out}t = {k}f * {x}t\n{out}r = {x}r if {out}t else 0", kind="tree")
 
 
-def _euclidean_point_form(fragment: Fragment, params: str) -> Callable:
-    """``fragment``'s one-point form ``(n, x)`` or ``(g, x)`` on Euclidean
-    loop points, compiled for each dim it meets; a family's reads gamma_n."""
-    head = "g = gamma(n)" if fragment.gamma is not None else ""
-    forms = {}
-
-    def form(a, x):
-        dim = len(x)
-        if dim not in forms:
-            loop = EuclideanSpace(dim).loop_form
-            forms[dim] = point_form(fragment, loop, params, head, gamma=fragment.gamma)
-        return forms[dim](a, x)
-
-    return _marked(form, fragment)
-
-
 def box_projection_family(lo, hi) -> MappingFamily:
     """Constant family projecting onto the box [lo, hi] componentwise.
 
@@ -220,7 +202,7 @@ def box_projection_family(lo, hi) -> MappingFamily:
         raise ValueError(f"box corners must be 1-D, got shape {lo.shape}")
     return MappingFamily(
         name="box_projection",
-        fn=_euclidean_point_form(CLIP._replace(constants={"lo": lo, "hi": hi}), "n, x"),
+        fn=point_form(CLIP._replace(constants={"lo": lo, "hi": hi}), "n, x"),
         fixed_point=(lo + hi) / 2.0,
         chi_T=constant_family_chi_T(),
         fn_array=lambda ns, xs: project(xs),
@@ -238,7 +220,7 @@ def tree_contraction_family(factor: float) -> MappingFamily:
     fragment = TREE_CONTRACTION._replace(constants={"f": factor})
     return MappingFamily(
         name=f"tree_contraction({factor})",
-        fn=point_form(fragment, StarTreeSpace.loop_form, "n, x"),
+        fn=point_form(fragment, "n, x"),
         fixed_point=TreePoint(0, 0.0),
         chi_T=constant_family_chi_T(),
         fn_array=lambda ns, xs: TreePoints.of(xs.ray, factor * xs.t),
@@ -255,7 +237,7 @@ def resolvent_l1_family(
     fragment = SHRINK._replace(constants={"w": weight}, gamma=gamma)
     return MappingFamily(
         name="resolvent_l1",
-        fn=_euclidean_point_form(fragment, "n, x"),
+        fn=point_form(fragment, "n, x"),
         fixed_point=np.zeros(dim),
         gamma=gamma,
         fn_array=lambda ns, xs: soft_threshold(xs, weight * gamma_column(gamma, ns)),
@@ -327,7 +309,7 @@ def l1_operator(weight: float = 1.0) -> MonotoneOp:
     if weight < 0:
         raise ValueError(f"weight must be >= 0, got {weight}")
     prox = lambda gamma, x: soft_threshold(x, gamma * weight)
-    point = _euclidean_point_form(SHRINK._replace(constants={"w": weight}), "g, x")
+    point = point_form(SHRINK._replace(constants={"w": weight}), "g, x")
     return MonotoneOp(f"l1({weight:g})", prox, point)
 
 
@@ -335,7 +317,7 @@ def box_operator(lo, hi) -> MonotoneOp:
     """Normal cone of the box [lo, hi]; resolvent is the projection, for
     every step size."""
     lo, hi, project = _box_projector(lo, hi)
-    point = _euclidean_point_form(CLIP._replace(constants={"lo": lo, "hi": hi}), "g, x")
+    point = point_form(CLIP._replace(constants={"lo": lo, "hi": hi}), "g, x")
     return MonotoneOp("box", lambda gamma, x: project(x), point)
 
 
@@ -359,13 +341,13 @@ def quadratic_gradient(diag, b) -> CocoerciveOp:
     d2, db = d * d, d * b
     lipschitz = float(np.max(d2))
     beta = math.inf if lipschitz == 0.0 else 1.0 / lipschitz
-    step = _euclidean_point_form(QUADRATIC_STEP._replace(constants={"a": d2, "e": db}), "g, x")
+    step = point_form(QUADRATIC_STEP._replace(constants={"a": d2, "e": db}), "g, x")
     return CocoerciveOp("quadratic_gradient", lambda x: d2 * x - db, beta, step)
 
 
 def zero_cocoercive() -> CocoerciveOp:
     """The zero operator, cocoercive for every constant."""
-    return CocoerciveOp("zero", np.zeros_like, math.inf, _euclidean_point_form(ZERO_STEP, "g, x"))
+    return CocoerciveOp("zero", np.zeros_like, math.inf, point_form(ZERO_STEP, "g, x"))
 
 
 def check_step_sizes(B: CocoerciveOp, gamma, start: int | None = None) -> None:
@@ -373,13 +355,12 @@ def check_step_sizes(B: CocoerciveOp, gamma, start: int | None = None) -> None:
     naming the first step size outside (0, 2 beta) in ``gamma``, one number
     or an array of gamma_start, gamma_start + 1, ... when ``start`` is given."""
     cap = 2.0 * B.beta_coco
-    if not (type(gamma) is float and 0.0 < gamma < cap):  # no numpy call for one good float
-        gammas = np.ravel(gamma)
-        outside = ~((0.0 < gammas) & (gammas < cap))
-        i = int(np.argmax(outside))  # the first outside, if any
-        if outside[i]:
-            name = "gamma" if start is None else f"gamma_{start + i}"
-            raise ValueError(f"step size {name} = {float(gammas[i])!r} outside (0, {cap!r})")
+    gammas = np.ravel(gamma)
+    outside = ~((0.0 < gammas) & (gammas < cap))
+    i = int(np.argmax(outside))  # the first outside, if any
+    if outside[i]:
+        name = "gamma" if start is None else f"gamma_{start + i}"
+        raise ValueError(f"step size {name} = {float(gammas[i])!r} outside (0, {cap!r})")
 
 
 def forward_backward_map(
@@ -412,16 +393,13 @@ def forward_backward_family(
             return A.prox_point(g, B.step_point(g, x))
 
     else:
-        # only a step size outside (0, cap) calls check_step_sizes, for its message
+        # only a step size outside (0, cap) calls check_step_sizes, for its
+        # message; the forward step writes {out}s, which the resolvent maps
+        source = "if not 0.0 < {g} < {k}cap:\n    {k}refuse({g})\n"
+        source += step.source.replace("{out}", "{out}s").replace("{k}", "{k}B") + "\n"
+        source += prox.source.replace("{x}", "{out}s").replace("{k}", "{k}A")
         fragment = Fragment(
-            "\n".join(
-                (
-                    "if not 0.0 < {g} < {k}cap:",
-                    "    {k}refuse({g})",
-                    step.renamed(out="{out}s", k="{k}B"),
-                    prox.renamed(x="{out}s", k="{k}A"),
-                )
-            ),
+            source,
             constants={
                 "cap": 2.0 * B.beta_coco,
                 "refuse": functools.partial(check_step_sizes, B),
@@ -431,7 +409,7 @@ def forward_backward_family(
             gamma=gamma,
             kind=prox.kind or step.kind,
         )
-        fn = _euclidean_point_form(fragment, "n, x")
+        fn = point_form(fragment, "n, x")
     return MappingFamily(
         name=f"fb[{A.name}+{B.name}]",
         fn=fn,

@@ -66,9 +66,9 @@ def _indexed(
     """The sequence ``at`` (an int index to a Python float), marked as also
     evaluating an int index array with ``array``, equal to ``at`` entry for
     entry.  ``at`` stays a plain function, so a scalar call costs one
-    function call: a gamma-indexed family's ``fn`` makes one per step, for
-    gamma(n), while the orbit loop reads beta and lambda with ``terms``
-    once per run."""
+    function call: a gamma-indexed family's ``fn`` makes one per call, for
+    gamma(n), while the orbit kernel reads beta, lambda and an inlined
+    family's gamma with ``terms``, a block of steps at a time."""
     at.index_array = array
     return at
 

@@ -806,12 +806,16 @@ def test_many_starts_compile_one_kernel_per_shape():
 @pytest.mark.parametrize("case", ["euclidean_box", "tree_contraction"])
 def test_orbit_peak_is_the_store_on_both_paths(case):
     # the kernel writes straight into the store, and so does a called fn:
-    # neither keeps a list of points, so both peaks are the store's size
+    # neither keeps a list of points, so both peaks are the store's size.
+    # Each instance is built by create, which compiles its kernel, so the
+    # trace holds the orbit alone whatever ran before
     instance = CASES[case]()
     wrapped = dataclasses.replace(instance.family, fn=lambda n, x: instance.family.fn(n, x))
     peaks = []
     for family in (instance.family, wrapped):
-        fresh = dataclasses.replace(instance, family=family)
+        fresh = ProblemInstance.create(
+            instance.space, family, instance.schedule, u=instance.u, x0=instance.x0
+        )
         tracemalloc.start()
         _orbit(fresh, 20_000)
         peaks.append(tracemalloc.get_traced_memory()[1])
