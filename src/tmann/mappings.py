@@ -84,9 +84,9 @@ class MappingFamily:
     ``combine_array`` is ``mix``'s, holds T_{ns[i]} xs[i] in row i of a point
     array, equal bit for bit to ``fn`` applied row by row.  An ``fn`` that
     carries a ``geometry.Fragment`` (every builtin family's but the
-    quadratic resolvent's) is compiled from it, and the orbit kernel
-    inlines that fragment; any other ``fn`` is correct, but the kernel
-    calls it once per step and checks each point it returns.
+    quadratic resolvent's) is compiled from it on its first call, and the
+    orbit kernel inlines that fragment; any other ``fn`` is correct, but
+    the kernel calls it once per step and checks each point it returns.
     """
 
     name: str
@@ -281,8 +281,8 @@ class MonotoneOp:
     and a column of step sizes; ``prox_point`` maps one loop point on
     Python floats, equal to ``prox`` bit for bit.  Resolvents are firmly
     nonexpansive, unchecked: the family checks sample what the rates use.
-    A builtin's ``prox_point`` is compiled from a ``Fragment`` it carries,
-    which a forward-backward family composes into its own.
+    A builtin's ``prox_point`` is compiled, on its first call, from the
+    ``Fragment`` it carries, which a forward-backward family composes.
     """
 
     name: str
