@@ -231,18 +231,18 @@ def point_form(fragment: Fragment, params: str) -> Callable:
     ``x`` it is given: once per dim on Euclidean space.  It carries
     ``fragment``, which the orbit kernel inlines."""
     names = params.split(", ")
-    at, made = names.index("x"), {}
+    at, forms = names.index("x"), {}
 
     def form(*args):
         dim = len(args[at])
-        run = made.get(dim)
+        run = forms.get(dim)
         if run is None:
             loop = StarTreeSpace.loop_form if fragment.kind == "tree" else _euclidean_form(dim)
             cells = {**fragment.arguments(loop.coords, "K_"), "gamma": fragment.gamma}
             body = [loop.bind(p, p) for p in ("x", "y") if p in names]
             body += ["g = gamma(n)"] * (fragment.gamma is not None)
             body += fragment.lines(loop.coords, x="x", y="y", lam="lam", out="q", g="g", k="K_")
-            run = made[dim] = define(params, body, loop.pack.format(p="q"), cells)(**cells)
+            run = forms[dim] = define(params, body, loop.pack.format(p="q"), cells)(**cells)
         return run(*args)
 
     form.fragment = fragment
